@@ -24,6 +24,7 @@ from .errors import (
     EmptyIndexSet,
     EnumerationTooLarge,
     InfeasibleRank,
+    InvariantViolated,
     LengthMismatch,
     NotASubcode,
     NotIrreducible,
@@ -52,6 +53,7 @@ __all__ = [
     "EnumerationTooLarge",
     "FieldCtx",
     "InfeasibleRank",
+    "InvariantViolated",
     "LengthMismatch",
     "NotASubcode",
     "NotIrreducible",

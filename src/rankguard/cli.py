@@ -4,7 +4,6 @@ Subcommands: build-scheme, rgrw, rdip, equivocation, strength, simulate,
 verify-capability, acceptance.  Tables go to CSV, structured reports to
 JSON; identical config and seed give byte-identical output.  Exit codes:
 0 success, 2 precondition violation, 3 enumeration overflow.
-RANKGUARD_THREADS caps parallel fan-out of the enumeration reductions.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ import sys
 from .acceptance import run_suite
 from .codes import LinearCode
 from .coset_scheme import NestedScheme, build_proposed, lift
-from .decoder import capability_report, decode_coherent, decode_noncoherent
+from .decoder import capability_report, run_trial
 from .errors import EnumerationTooLarge, PreconditionError, RankguardError
 from .gf import ctx_new
-from .network import ChannelRealization, sample_error_pair, sample_matrix, sample_transfer, transmit
 from .rank_metrics import rdip, rgrw
 from .security import JointDistribution, leakage_report, omega_bounds, omega_exact
 
@@ -44,6 +42,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{path}: expected a JSON object")
     if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise PreconditionError(f"{path}: unsupported config version {data.get('version')}")
     return data
@@ -90,10 +90,6 @@ def cmd_rgrw(args) -> int:
     return 0
 
 
-def cmd_rdip(args) -> int:
-    return cmd_rgrw(args)
-
-
 def _distribution(scheme: NestedScheme, name: str, seed) -> JointDistribution:
     if name == "uniform":
         return JointDistribution.uniform(scheme)
@@ -132,35 +128,24 @@ def _simulate_rows(config: dict):
     missing = [key for key in required if key not in config]
     if missing:
         raise PreconditionError(f"scenario config missing fields {missing}")
+    bad = [key for key in required if key != "seed" and (
+        not isinstance(config[key], int) or isinstance(config[key], bool) or config[key] < 0)]
+    if bad:
+        raise PreconditionError(f"scenario config fields {bad} must be nonnegative integers")
     ctx = ctx_new(config["q"], config["m"], config.get("modulus"))
     mode = config.get("mode", "coherent")
-    n, N, t = config["n"], config["N"], config["t"]
+    n = config["n"]
     if mode == "coherent":
         scheme = build_proposed(ctx, config["l"], n, config["k"])
-        lifted = None
     elif mode == "noncoherent":
         inner_ctx = ctx_new(config["q"], config["m"] - n)
-        scheme = build_proposed(inner_ctx, config["l"], n, config["k"])
-        lifted = lift(scheme, ctx)
+        scheme = lift(build_proposed(inner_ctx, config["l"], n, config["k"]), ctx)
     else:
         raise PreconditionError(f"mode must be coherent or noncoherent, got {mode!r}")
     rng = _split_rng(config["seed"], "simulate")
     rows = []
     for trial in range(config["trials"]):
-        A = sample_transfer(rng, ctx.q, N, n, config["rho_max"])
-        D, Z = sample_error_pair(rng, ctx, N, t)
-        real = ChannelRealization(A, sample_matrix(rng, ctx.q, 0, n), D,
-                                  sample_matrix(rng, ctx.q, 0, t), Z)
-        if lifted is None:
-            S = tuple(rng.randrange(ctx.order) for _ in range(scheme.l))
-            X = scheme.encode(S, rng)
-            Y, _ = transmit(ctx, X, real)
-            result = decode_coherent(scheme, A, Y)
-        else:
-            S = tuple(rng.randrange(scheme.ctx.order) for _ in range(scheme.l))
-            X = lifted.lift_encode(S, rng)
-            Y, _ = transmit(ctx, X, real)
-            result = decode_noncoherent(lifted, Y, config["rho_max"])
+        A, S, result = run_trial(rng, scheme, config["N"], config["t"], config["rho_max"])
         rows.append([trial, A.rank(), result.status,
                      int(result.ok and result.message == S), result.discrepancy])
     return rows

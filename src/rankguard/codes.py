@@ -7,6 +7,7 @@ produce it and the second member of a nested pair is allowed to be {0}.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -17,8 +18,9 @@ from .errors import (
     EnumerationTooLarge,
     NotSystematizable,
     PreconditionError,
+    json_field,
 )
-from .gf import FieldCtx, ctx_new
+from .gf import FieldCtx, ctx_from_json
 from .linalg import Matrix, Subspace, expand_to_base, solve_right, vec_mat
 
 #: Exhaustive codeword scans refuse above this many codewords.
@@ -51,14 +53,7 @@ class LinearCode:
     # -- basic structure -----------------------------------------------------
 
     def messages(self) -> Iterator[tuple[int, ...]]:
-        ctx = self.ctx
-        def rec(i, acc):
-            if i == self.k:
-                yield tuple(acc)
-                return
-            for c in ctx.elements():
-                yield from rec(i + 1, acc + [c])
-        yield from rec(0, [])
+        return itertools.product(self.ctx.elements(), repeat=self.k)
 
     def codeword_count(self) -> int:
         return self.ctx.order**self.k
@@ -181,8 +176,8 @@ class LinearCode:
     @staticmethod
     def from_json(data: dict, ctx: FieldCtx | None = None) -> "LinearCode":
         if ctx is None:
-            ctx = ctx_new(data["q"], data["m"], data["modulus"])
-        return LinearCode(ctx, Matrix.from_json(ctx, data["generator"]))
+            ctx = ctx_from_json(data)
+        return LinearCode(ctx, Matrix.from_json(ctx, json_field(data, "generator", dict)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearCode) and other.ctx == self.ctx

@@ -17,6 +17,7 @@ transfer: an inner scheme over F_{q^(m-n)} becomes packets over F_{q^m}.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, Sequence
 
@@ -29,8 +30,11 @@ from .errors import (
     NotASubcode,
     PacketTooShort,
     PreconditionError,
+    json_field,
+    json_ints,
+    require,
 )
-from .gf import FieldCtx, ctx_new
+from .gf import FieldCtx, ctx_from_json
 from .linalg import Matrix, solve_right, vec_add, vec_mat
 
 DEFAULT_MESSAGE_CAP = 2**20
@@ -69,14 +73,7 @@ class NestedScheme:
     def messages(self, cap: int = DEFAULT_MESSAGE_CAP) -> Iterator[tuple[int, ...]]:
         if self.message_count() > cap:
             raise EnumerationTooLarge(f"(q^m)^l = {self.message_count()} exceeds cap {cap}")
-        ctx = self.ctx
-        def rec(i, acc):
-            if i == self.l:
-                yield tuple(acc)
-                return
-            for c in ctx.elements():
-                yield from rec(i + 1, acc + [c])
-        yield from rec(0, [])
+        return itertools.product(self.ctx.elements(), repeat=self.l)
 
     def message_count(self) -> int:
         return self.ctx.order**self.l
@@ -169,12 +166,14 @@ class NestedScheme:
 
     @staticmethod
     def from_json(data: dict) -> "NestedScheme":
-        ctx = ctx_new(data["q"], data["m"], data["modulus"])
-        c1 = LinearCode.from_json(data["c1"], ctx)
-        c2 = LinearCode.from_json(data["c2"], ctx)
-        delta_g = Matrix.from_json(ctx, data["delta_g"])
-        return NestedScheme(c1, c2, delta_g,
-                            data.get("coset_distribution", "uniform"))
+        ctx = ctx_from_json(data)
+        c1 = LinearCode.from_json(json_field(data, "c1", dict), ctx)
+        c2 = LinearCode.from_json(json_field(data, "c2", dict), ctx)
+        delta_g = Matrix.from_json(ctx, json_field(data, "delta_g", dict))
+        weights = data.get("coset_distribution", "uniform")
+        if weights != "uniform":
+            weights = json_ints(weights, "coset_distribution")
+        return NestedScheme(c1, c2, delta_g, weights)
 
     def __repr__(self) -> str:
         return (f"NestedScheme(n={self.n}, dim C1={self.c1.k}, dim C2={self.c2.k},"
@@ -195,7 +194,7 @@ def build_proposed(ctx: FieldCtx, l: int, n: int, k: int) -> NestedScheme:
     c2 = parent.shorten(span)
     delta_g = gen.submatrix(rows=range(l), cols=span)
     scheme = NestedScheme(c1, c2, delta_g)
-    assert c1.k == k and c2.k == k - l, "construction dimensions violated"
+    require(c1.k == k and c2.k == k - l, "construction dimensions violated")
     return scheme
 
 

@@ -33,23 +33,19 @@ import numpy as np
 
 from .bitrank import packed_rank_table
 from .coset_scheme import LiftedScheme, NestedScheme
-from .errors import (
-    BudgetExceeded,
-    EnumerationTooLarge,
-    PreconditionError,
-)
-from .gf import PrimeField
+from .errors import BudgetExceeded, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
     Matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
+    pack_row_bits,
     vec_sub,
 )
 from .network import (
     ChannelRealization,
+    all_matrices,
     enumerate_errors,
     sample_error_pair,
-    sample_matrix,
     sample_transfer,
     transmit,
 )
@@ -100,12 +96,16 @@ def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
     ambiguous rather than broken, so capability boundaries stay observable."""
     if scheme.message_count() * scheme.c2.codeword_count() > cap:
         raise EnumerationTooLarge("coset family too large to scan")
-    best_val = None
-    best_msg = None
+    return _closest(((S, discrepancy_coherent(scheme, A, Y, S)) for S in scheme.messages()),
+                    t_max)
+
+
+def _closest(scored, t_max: int | None) -> DecodeResult:
+    """Unique minimizer of (message, discrepancy) pairs; a tie for the
+    minimum is ambiguous, and a minimum above t_max is a failure."""
+    best_val = best_msg = runner = None
     tie = False
-    runner = None
-    for S in scheme.messages():
-        val = discrepancy_coherent(scheme, A, Y, S)
+    for S, val in scored:
         if best_val is None or val < best_val:
             runner = best_val
             best_val, best_msg, tie = val, S, False
@@ -190,55 +190,20 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
         return min(_member_discrepancy_fast(lifted, header, payload, x, rho)
                    for x in lifted.inner.coset_elements(S))
     if mode == "oracle":
-        N = len(Y)
-        n = lifted.n
-        q = lifted.ctx.q
-        if q ** (N * n) > cap:
+        ctx, N, n = lifted.ctx, len(Y), lifted.n
+        if ctx.q ** (N * n) > cap:
             raise EnumerationTooLarge("oracle mode enumerates every transfer matrix")
-        ctx = lifted.ctx
-        base = PrimeField(q)
         members = [lifted.lift_vector(x) for x in lifted.inner.coset_elements(S)]
-        best = None
-        for stamp in range(q ** (N * n)):
-            rows, x = [], stamp
-            for _ in range(N):
-                row = []
-                for _ in range(n):
-                    row.append(x % q)
-                    x //= q
-                rows.append(row)
-            A = Matrix(base, rows, n)
-            if A.rank() < n - rho:
-                continue
-            for X in members:
-                d = rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
-                if best is None or d < best:
-                    best = d
-        return best
+        return min((rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
+                    for A in all_matrices(ctx.q, N, n) if A.rank() >= n - rho
+                    for X in members), default=None)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
 def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int,
                        mode: str = "fast", t_max: int | None = None) -> DecodeResult:
-    best_val = None
-    best_msg = None
-    tie = False
-    runner = None
-    for S in lifted.inner.messages():
-        val = discrepancy_noncoherent(lifted, Y, S, rho, mode)
-        if best_val is None or val < best_val:
-            runner = best_val
-            best_val, best_msg, tie = val, S, False
-        elif val == best_val:
-            tie = True
-            runner = val
-        elif runner is None or val < runner:
-            runner = val
-    if tie:
-        return DecodeResult("ambiguous", None, best_val, runner)
-    if t_max is not None and best_val > t_max:
-        return DecodeResult("failed", None, best_val, runner)
-    return DecodeResult("decoded", best_msg, best_val, runner)
+    return _closest(((S, discrepancy_noncoherent(lifted, Y, S, rho, mode))
+                     for S in lifted.inner.messages()), t_max)
 
 
 def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed",
@@ -258,7 +223,7 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
         raise EnumerationTooLarge("bruteforce path needs q=2 and m*N <= 22 bits")
     table = packed_rank_table(m, N)
     a_mats = [A for r in range(n - rho, n + 1)
-              for A in _all_matrices(q, N, n) if A.rank() == r]
+              for A in all_matrices(q, N, n) if A.rank() == r]
     keys = []  # keys[message index] = np.array over (member, A)
     inner = lifted.inner
     for S in inner.messages():
@@ -266,9 +231,9 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
         for x in inner.coset_elements(S):
             X = lifted.lift_vector(x)
             MX = expand_to_base(lifted.ctx, X)
-            mrows = [_row_bits(r) for r in MX.rows]
+            mrows = [pack_row_bits(r) for r in MX.rows]
             for A in a_mats:
-                arows = [_row_bits(r) for r in A.rows]
+                arows = [pack_row_bits(r) for r in A.rows]
                 mk.append(_product_key(mrows, arows, N))
         keys.append(np.array(mk, dtype=np.uint32))
     best = None
@@ -281,27 +246,6 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
             if best == 0:
                 return 0
     return best
-
-
-def _all_matrices(q: int, nrows: int, ncols: int):
-    base = PrimeField(q)
-    for stamp in range(q ** (nrows * ncols)):
-        rows, x = [], stamp
-        for _ in range(nrows):
-            row = []
-            for _ in range(ncols):
-                row.append(x % q)
-                x //= q
-            rows.append(row)
-        yield Matrix(base, rows, ncols)
-
-
-def _row_bits(row: Sequence[int]) -> int:
-    acc = 0
-    for i, v in enumerate(row):
-        if v:
-            acc |= 1 << i
-    return acc
 
 
 def _product_key(mrows: list[int], arows: list[int], ncols: int) -> int:
@@ -356,16 +300,20 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
                       error_cap: int = 10**6) -> CapabilityReport:
     """Verify (or refute) correction of every t-error pattern at every
     transfer matrix within the erasure budget rho."""
+    if t < 0 or not 0 <= rho <= scheme.n:
+        raise PreconditionError(f"need t >= 0 and 0 <= rho <= n, got t={t}, rho={rho}")
+    if trials is not None and trials < 1:
+        raise PreconditionError(f"need at least one trial, got {trials}")
     if isinstance(scheme, LiftedScheme):
         if mode != "sampled":
             raise PreconditionError("lifted schemes support sampled verification only")
-        return _sampled_noncoherent(scheme, t, rho, N, trials or 200, budget, seed)
+        return _sampled(scheme, t, rho, N, trials or 200, budget, seed)
     if mode == "exhaustive":
         return _exhaustive_coherent(scheme, t, rho, N, error_cap)
     if mode == "exhaustive-full":
         return _full_sweep_coherent(scheme, t, rho, N, error_cap)
     if mode == "sampled":
-        return _sampled_coherent(scheme, t, rho, N, trials or 1000, budget, seed)
+        return _sampled(scheme, t, rho, N, trials or 1000, budget, seed)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -442,7 +390,7 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int,
     for row in gen_rows:
         for ap in alpha_powers:
             v = tuple(ctx.mul(ap, x) for x in row)
-            generators.append([_row_bits(r) for r in expand_to_base(ctx, v).rows])
+            generators.append([pack_row_bits(r) for r in expand_to_base(ctx, v).rows])
     n_msg_bits = m * scheme.l
     n_bits = len(generators)
     counterexample = None
@@ -474,55 +422,37 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int,
 
 def _pack_expansion(ctx, vec: Sequence[int], width: int) -> int:
     M = expand_to_base(ctx, vec)
-    return sum(_row_bits(r) << (i * width) for i, r in enumerate(M.rows))
+    return sum(pack_row_bits(r) << (i * width) for i, r in enumerate(M.rows))
 
 
-def _sampled_coherent(scheme: NestedScheme, t: int, rho: int, N: int | None,
-                      trials: int, budget: int, seed) -> CapabilityReport:
+def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
+    """One seeded encode -> transmit -> decode round: (A, S, DecodeResult).
+
+    Draws, in order, a transfer matrix of rank >= n - rho, a t-packet error,
+    a uniform message and its coset member; a LiftedScheme is decoded
+    noncoherently, a NestedScheme coherently with A known."""
     ctx, n = scheme.ctx, scheme.n
+    lifted = isinstance(scheme, LiftedScheme)
+    A = sample_transfer(rng, ctx.q, N, n, rho)
+    D, Z = sample_error_pair(rng, ctx, N, t)
+    order = scheme.inner.ctx.order if lifted else ctx.order
+    S = tuple(rng.randrange(order) for _ in range(scheme.l))
+    X = scheme.lift_encode(S, rng) if lifted else scheme.encode(S, rng)
+    real = ChannelRealization(A, Matrix.zeros(ctx.base, 0, n), D, Matrix.zeros(ctx.base, 0, t), Z)
+    Y, _ = transmit(ctx, X, real)
+    result = decode_noncoherent(scheme, Y, rho) if lifted else decode_coherent(scheme, A, Y)
+    return A, S, result
+
+
+def _sampled(scheme, t: int, rho: int, N: int | None, trials: int, budget: int,
+             seed) -> CapabilityReport:
+    n = scheme.n
     N = n if N is None else N
     rng = random.Random(seed)
     run = min(trials, budget)
     counterexample = None
     for i in range(run):
-        A = sample_transfer(rng, ctx.q, N, n, rho)
-        D, Z = sample_error_pair(rng, ctx, N, t)
-        S = tuple(rng.randrange(ctx.order) for _ in range(scheme.l))
-        X = scheme.encode(S, rng)
-        real = ChannelRealization(A, sample_matrix(rng, ctx.q, 0, n), D,
-                                  sample_matrix(rng, ctx.q, 0, t), Z)
-        Y, _ = transmit(ctx, X, real)
-        result = decode_coherent(scheme, A, Y)
-        if not (result.ok and result.message == S):
-            counterexample = {"trial": i, "A": A.to_json(), "S": list(S),
-                              "status": result.status}
-            break
-    report = CapabilityReport(
-        verified=counterexample is None, mode="sampled", t=t, rho=rho, n=n, N=N,
-        trials=run, covered_tuples=None, counterexample=counterexample,
-        complete=trials <= budget)
-    if trials > budget:
-        raise BudgetExceeded(f"requested {trials} trials exceeds budget {budget}",
-                             report=report)
-    return report
-
-
-def _sampled_noncoherent(lifted: LiftedScheme, t: int, rho: int, N: int | None,
-                         trials: int, budget: int, seed) -> CapabilityReport:
-    ctx, n = lifted.ctx, lifted.n
-    N = n if N is None else N
-    rng = random.Random(seed)
-    run = min(trials, budget)
-    counterexample = None
-    for i in range(run):
-        A = sample_transfer(rng, ctx.q, N, n, rho)
-        D, Z = sample_error_pair(rng, ctx, N, t)
-        S = tuple(rng.randrange(lifted.inner.ctx.order) for _ in range(lifted.l))
-        X = lifted.lift_encode(S, rng)
-        real = ChannelRealization(A, sample_matrix(rng, ctx.q, 0, n), D,
-                                  sample_matrix(rng, ctx.q, 0, t), Z)
-        Y, _ = transmit(ctx, X, real)
-        result = decode_noncoherent(lifted, Y, rho)
+        A, S, result = run_trial(rng, scheme, N, t, rho)
         if not (result.ok and result.message == S):
             counterexample = {"trial": i, "A": A.to_json(), "S": list(S),
                               "status": result.status}
@@ -602,7 +532,7 @@ def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,
         raise PreconditionError(f"witness needs N >= {len(a_rows)}")
     a_rows += [[0] * n] * (N - len(a_rows))
     A = Matrix(base, a_rows, n)
-    assert A.rank() >= n - rho
+    require(A.rank() >= n - rho, "witness transfer matrix lost rank")
     # the achieving difference codeword under this A, and its exact distance
     d_pair = None
     w_best = None
@@ -612,12 +542,12 @@ def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,
         d = rank_weight(ctx, ext_vec_times_base_transpose(ctx, w, A))
         if d_pair is None or d < d_pair:
             d_pair, w_best = d, w
-    assert d_pair <= max(0, m1 - rho) <= 2 * t
+    require(d_pair <= max(0, m1 - rho) <= 2 * t, "compressed difference exceeds 2t")
     u = ext_vec_times_base_transpose(ctx, w_best, A)
     part = (d_pair + 1) // 2
     w_mat, _ = split_error_by_rank(base, list(expand_to_base(ctx, u).rows), N, part)
     injected = _vector_from_expansion(ctx, w_mat)
-    assert rank_weight(ctx, injected) == part <= t
+    require(rank_weight(ctx, injected) == part <= t, "injected error rank is not ceil(d/2)")
     zero_msg = (0,) * scheme.l
     Y = injected  # zero coset sent, error = injected
     result = decode_coherent(scheme, A, Y)

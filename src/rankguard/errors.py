@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the checks that raise it.
 
 Precondition violations and enumeration overflows are kept apart because
-the CLI maps them to distinct exit codes (2 and 3 respectively).
+the CLI maps them to distinct exit codes (2 and 3 respectively).  Malformed
+JSON input is a precondition violation, caught where it is read.
 """
 
 from __future__ import annotations
@@ -17,6 +18,39 @@ class PreconditionError(RankguardError):
 
 class EnumerationTooLarge(RankguardError):
     """An exhaustive enumeration would exceed the configured cap."""
+
+
+class InvariantViolated(RankguardError):
+    """A result the algebra guarantees did not hold: an implementation bug."""
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise InvariantViolated unless ok (unlike assert, kept under python -O)."""
+    if not ok:
+        raise InvariantViolated(what)
+
+
+def json_field(data, key: str, kind: type):
+    """data[key], which must be a JSON value of the given type."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise PreconditionError(f"missing field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise PreconditionError(
+            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def json_ints(value, what: str, bound: int | None = None) -> list[int]:
+    """value, which must be a JSON list of ints (each in 0..bound-1 if given)."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool)
+            and (bound is None or 0 <= v < bound) for v in value):
+        limit = "" if bound is None else f" in 0..{bound - 1}"
+        raise PreconditionError(f"{what} must be a list of integers{limit}, got {value!r}")
+    return value
 
 
 class BudgetExceeded(RankguardError):

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, NotIrreducible, PreconditionError, UnsupportedSize
+from .errors import (
+    DivisionByZero,
+    NotIrreducible,
+    PreconditionError,
+    UnsupportedSize,
+    json_field,
+    json_ints,
+)
 
 #: Largest permitted field size; keeps exhaustive element iteration feasible.
 DEFAULT_ORDER_CAP = 2**16
@@ -354,6 +361,13 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(q={self.q}, m={self.m}, modulus={list(self.modulus)})"
+
+
+def ctx_from_json(data: dict) -> FieldCtx:
+    """The context named by the q, m and modulus fields of a JSON object."""
+    q, m = json_field(data, "q", int), json_field(data, "m", int)
+    modulus = data.get("modulus")
+    return ctx_new(q, m, None if modulus is None else json_ints(modulus, "modulus", q))
 
 
 def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None, *,

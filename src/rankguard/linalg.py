@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bitrank import rank_bits
-from .errors import AmbientMismatch, DimensionMismatch
+from .errors import AmbientMismatch, DimensionMismatch, PreconditionError, json_field, json_ints
 from .gf import FieldCtx, PrimeField
 
 
@@ -179,11 +179,15 @@ class Matrix:
 
     @staticmethod
     def from_json(field, data: dict) -> "Matrix":
+        entries = json_field(data, "entries", list)
+        if not all(isinstance(row, list) for row in entries):
+            raise PreconditionError("matrix entries must be a list of rows")
         if isinstance(field, FieldCtx):
-            rows = [[field.from_coeffs(e) for e in row] for row in data["entries"]]
+            rows = [[field.from_coeffs(json_ints(e, "coefficient vector", field.q)) for e in row]
+                    for row in entries]
         else:
-            rows = data["entries"]
-        return Matrix(field, rows, data["cols"])
+            rows = [json_ints(row, "matrix row", field.q) for row in entries]
+        return Matrix(field, rows, json_field(data, "cols", int))
 
 
 def pack_row_bits(row: Sequence[int]) -> int:
@@ -206,10 +210,6 @@ def vec_sub(field, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
     if len(x) != len(y):
         raise DimensionMismatch("vector lengths differ")
     return tuple(field.sub(a, b) for a, b in zip(x, y))
-
-
-def vec_scale(field, c: int, x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(field.mul(c, a) for a in x)
 
 
 def vec_mat(field, x: Sequence[int], M: Matrix) -> tuple[int, ...]:

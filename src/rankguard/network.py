@@ -9,6 +9,7 @@ acting on extension-field row vectors).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -113,19 +114,22 @@ def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace",
     if mode == "full":
         if q ** (mu * n) > cap:
             raise EnumerationTooLarge(f"q^(mu*n) = {q**(mu*n)} exceeds cap {cap}")
-        base = PrimeField(q)
-        for stamp in range(q ** (mu * n)):
-            rows = []
-            x = stamp
-            for _ in range(mu):
-                row = []
-                for _ in range(n):
-                    row.append(x % q)
-                    x //= q
-                rows.append(row)
-            yield Matrix(base, rows, n)
+        yield from all_matrices(q, mu, n)
         return
     raise DimensionMismatch(f"unknown wiretap enumeration mode {mode!r}")
+
+
+def all_matrices(q: int, nrows: int, ncols: int) -> Iterator[Matrix]:
+    """Every nrows x ncols matrix over F_q, with entry (0, 0) varying fastest.
+
+    This is the order of a counter whose base-q digits fill the entries
+    row-major, least significant first.  Callers that keep the first
+    maximizer (full-mode leakage) depend on it.  No cap: callers check theirs.
+    """
+    base = PrimeField(q)
+    for digits in itertools.product(range(q), repeat=nrows * ncols):
+        flat = digits[::-1]
+        yield Matrix(base, [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
 
 
 def error_count(ctx: FieldCtx, N: int, t: int) -> int:

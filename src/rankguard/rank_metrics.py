@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .bitrank import rank_bits
 from .codes import LinearCode
-from .errors import LengthMismatch, NotASubcode, PreconditionError
+from .errors import LengthMismatch, NotASubcode, PreconditionError, require
 from .gf import FieldCtx
 from .linalg import Matrix, Subspace, embed_base_matrix, expand_to_base
 from .subspaces import DEFAULT_FAMILY_CAP, CoordinateFamily, QInvariantFamily
@@ -52,6 +52,8 @@ class ProfileTable:
     values: tuple[int, ...]
 
     def at(self, i: int) -> int:
+        if not 0 <= i < len(self.values):
+            raise PreconditionError(f"profile index {i} out of range 0..{len(self.values) - 1}")
         return self.values[i]
 
     def __len__(self) -> int:
@@ -143,8 +145,8 @@ def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
 
 def _validate_profile(table: ProfileTable, quotient_dim: int) -> None:
     v = table.values
-    assert v[0] == 0 and v[-1] == quotient_dim, "profile endpoints violated"
-    assert all(0 <= b - a <= 1 for a, b in zip(v, v[1:])), "profile must rise by unit steps"
+    require(v[0] == 0 and v[-1] == quotient_dim, "profile endpoints violated")
+    require(all(0 <= b - a <= 1 for a, b in zip(v, v[1:])), "profile must rise by unit steps")
 
 
 def rgrw(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
@@ -167,7 +169,7 @@ def rgrw(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
     else:
         raise PreconditionError(f"unknown method {method!r}")
     table = WeightTable(kind, values)
-    assert all(b > a for a, b in zip(values, values[1:])), "weights must strictly increase"
+    require(all(b > a for a, b in zip(values, values[1:])), "weights must strictly increase")
     return table
 
 

@@ -27,7 +27,6 @@ from .coset_scheme import NestedScheme
 from .errors import EnumerationTooLarge, PreconditionError
 from .linalg import Matrix, ext_vec_times_base_transpose
 from .network import enumerate_wiretap
-from .parallel import ordered_map
 from .rank_metrics import first_rgrw, rdip
 
 DEFAULT_SUPPORT_CAP = 2**20
@@ -281,7 +280,8 @@ def dual_pair(c1: LinearCode, c2: LinearCode) -> tuple[LinearCode, LinearCode]:
 
 def predicted_leakage(scheme: NestedScheme, mu: int,
                       z_indices: Sequence[int] | None = None) -> int:
-    """Profile value K_mu of the relevant dual pair; 0 for an empty index set."""
+    """Profile value K_mu of the relevant dual pair; 0 for an empty index set.
+    Beyond mu = n extra taps add nothing, so the prediction is K_n."""
     if z_indices is None:
         z_indices = tuple(range(scheme.l))
     z = tuple(sorted(set(z_indices)))
@@ -291,7 +291,7 @@ def predicted_leakage(scheme: NestedScheme, mu: int,
     outer, inner = big.dual(), scheme.c1.dual()
     if outer.k == inner.k:
         return 0
-    return rdip(outer, inner).at(mu)
+    return rdip(outer, inner).at(min(mu, scheme.n))
 
 
 def leakage_report(scheme: NestedScheme, mu: int, dist: JointDistribution,
@@ -300,9 +300,11 @@ def leakage_report(scheme: NestedScheme, mu: int, dist: JointDistribution,
     """Maximize I(S_Z ; X B^T) over wiretap matrices with <= mu rows."""
     if dist.scheme is not scheme and dist.scheme.to_json() != scheme.to_json():
         raise PreconditionError("distribution was built for a different scheme")
+    if mu < 0:
+        raise PreconditionError(f"need mu >= 0 tapped links, got {mu}")
     z = tuple(sorted(set(z_indices))) if z_indices is not None else None
     candidates = list(enumerate_wiretap(scheme.ctx.q, scheme.n, mu, mode=mode))
-    values = list(ordered_map(lambda B: dist.mutual_information(B, z), candidates))
+    values = [dist.mutual_information(B, z) for B in candidates]
     best_idx = 0
     for i in range(1, len(values)):
         if values[best_idx] < values[i]:

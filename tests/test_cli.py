@@ -125,3 +125,65 @@ def test_exit_code_enumeration(tmp_path, capsys):
 def test_unknown_suite(capsys):
     assert run(["acceptance", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+@pytest.fixture
+def scheme_file(tmp_path):
+    path = tmp_path / "scheme.json"
+    assert run(["build-scheme", "--q", "2", "--m", "4", "--l", "1", "--n", "3",
+                "--k", "2", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("args, code", [
+    (["equivocation", "--mu", "-1"], 2),
+    (["equivocation", "--mu", "99"], 0),  # beyond n, predicted as K_n
+    (["verify-capability", "--t", "-1", "--rho", "0"], 2),
+    (["verify-capability", "--t", "0", "--rho", "4"], 2),
+    (["verify-capability", "--t", "0", "--rho", "1", "--mode", "sampled",
+      "--trials", "-3"], 2),
+], ids=["mu-negative", "mu-beyond-n", "t-negative", "rho-beyond-n", "trials-negative"])
+def test_out_of_range_numbers(scheme_file, tmp_path, capsys, args, code):
+    out = tmp_path / "out.json"
+    assert run([*args, "--scheme", str(scheme_file), "--out", str(out)]) == code
+    if code == 2:
+        assert "error" in capsys.readouterr().err
+    else:
+        report = json.loads(out.read_text())
+        assert report["predicted"] == report["max_leakage_exact_integer"] == 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d["c1"].__setitem__("generator", 5),
+    lambda d: d["c2"]["generator"].__setitem__("entries", "rows"),
+    lambda d: d["delta_g"].__setitem__("entries", [[1, 0, 0]]),
+    lambda d: d["delta_g"].__setitem__("entries", [[[3, 0, 0, 0]] * 3]),
+    lambda d: d.__setitem__("q", "2"),
+    lambda d: d.__setitem__("modulus", "11001"),
+    lambda d: d.__setitem__("coset_distribution", {"w": 1}),
+    lambda d: d.pop("c2"),
+], ids=["generator-int", "entries-str", "entry-not-coeffs", "coeff-out-of-range",
+        "q-str", "modulus-str", "weights-dict", "c2-missing"])
+def test_malformed_scheme_json(scheme_file, capsys, corrupt):
+    data = json.loads(scheme_file.read_text())
+    corrupt(data)
+    scheme_file.write_text(json.dumps(data))
+    assert run(["strength", "--scheme", str(scheme_file)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("n", "3"), ("trials", -4), ("t", -1), ("k", True)])
+def test_bad_scenario_numbers(tmp_path, capsys, field, value):
+    config = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
+              "t": 0, "rho_max": 0, "trials": 5, "seed": 1, field: value}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "must be nonnegative integers" in capsys.readouterr().err
+
+
+def test_non_object_json(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err

@@ -1,0 +1,42 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import rankguard
+from rankguard import InvariantViolated, RankguardError
+from rankguard.rank_metrics import ProfileTable, _validate_profile
+
+SRC = Path(rankguard.__file__).parent
+
+
+def test_invariant_violation_is_a_library_error():
+    assert issubclass(InvariantViolated, RankguardError)
+
+
+@pytest.mark.parametrize("values", [(1, 1, 2, 2), (0, 1, 1, 1), (0, 2, 2, 2), (0, 1, 0, 1, 2)],
+                         ids=["start", "end", "jump", "drop"])
+def test_bad_profile_raises(values):
+    # quotient dimension 2: a valid profile runs 0 .. 2 by unit steps
+    with pytest.raises(InvariantViolated):
+        _validate_profile(ProfileTable("RDIP", values), 2)
+
+
+def test_good_profile_passes():
+    _validate_profile(ProfileTable("RDIP", (0, 0, 1, 2)), 2)
+
+
+def test_profile_index_out_of_range():
+    table = ProfileTable("RDIP", (0, 1, 1, 2))
+    assert table.at(0) == 0 and table.at(3) == 2
+    for i in (-1, 4):
+        with pytest.raises(rankguard.PreconditionError):
+            table.at(i)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert; invariants must raise real errors
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert at lines {lines}"

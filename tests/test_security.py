@@ -188,11 +188,20 @@ def test_entropy_divergence_identity(scheme):
         assert abs(h.value + d.value - scheme.l) < 1e-12
 
 
-def test_thread_count_does_not_change_results(scheme, uniform, monkeypatch):
-    baseline = [universal_equivocation(scheme, mu, uniform).to_json() for mu in range(4)]
-    monkeypatch.setenv("RANKGUARD_THREADS", "3")
-    threaded = [universal_equivocation(scheme, mu, uniform).to_json() for mu in range(4)]
-    assert baseline == threaded
+@pytest.mark.parametrize("dist_kind", ["uniform", "seeded"])
+def test_full_mode_leakage_matches_rowspace(scheme, uniform, dist_kind):
+    # the raw sweep over every mu x n wiretap matrix is the reference for the
+    # row-space reduction; it keeps the first maximizing B in enumeration order
+    if dist_kind == "uniform":
+        dist = uniform
+    else:
+        dist = JointDistribution.seeded(scheme, random.Random(3))
+    for mu in range(3):
+        full = leakage_report(scheme, mu, dist, mode="full")
+        rowspace = leakage_report(scheme, mu, dist)
+        assert full.max_leakage == rowspace.max_leakage
+        assert full.argmax_b.nrows == mu
+    assert full.argmax_b.rows == ((0, 1, 0), (1, 0, 0))
 
 
 def _cond_entropy(cells: Counter, order: int) -> float:
