@@ -10,13 +10,13 @@ can only be larger.
 from rankguard import ctx_new
 from rankguard.codes import LinearCode, gabidulin
 from rankguard.rank_metrics import rdip, rdlp, rghw, rgrw
-from rankguard.subspaces import enumerate_qinvariant, gaussian_binomial
+from rankguard.subspaces import SubspaceFamily, gaussian_binomial
 
 ctx = ctx_new(2, 4)
 
 print("Subspace families being maximized over (F_2, ambient dim 4):")
 for i in range(5):
-    fam = enumerate_qinvariant(ctx, 4, i)
+    fam = SubspaceFamily(ctx, 4, i)
     print(f"  dim {i}: {fam.count} Frobenius-invariant subspaces"
           f" (Gaussian binomial {gaussian_binomial(4, i, 2)})")
 

@@ -8,6 +8,7 @@ so `rankguard acceptance all` and pytest agree by construction.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -17,13 +18,13 @@ from .coset_scheme import NestedScheme, build_proposed, lift
 from .decoder import (
     capability_report,
     construct_failure_witness,
-    decode_noncoherent,
     delta_min_noncoherent,
+    run_trial,
 )
 from .errors import PacketTooShort, SuiteUnknown
 from .gf import ctx_new
 from .linalg import Subspace, embed_base_matrix
-from .network import enumerate_wiretap, sample_error_pair, sample_transfer, transmit, ChannelRealization, sample_matrix
+from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, intersection_dim, rdip, rgrw
 from .security import (
     JointDistribution,
@@ -297,14 +298,7 @@ def suite_noncoherent() -> list[CriterionResult]:
     for (t, rho) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         for _ in range(50):
             draws += 1
-            A = sample_transfer(rng, 2, 4, 4, rho)
-            D, Z = sample_error_pair(rng, lifted.ctx, 4, t)
-            S = (rng.randrange(inner.ctx.order),)
-            X = lifted.lift_encode(S, rng)
-            real = ChannelRealization(A, sample_matrix(rng, 2, 0, 4), D,
-                                      sample_matrix(rng, 2, 0, t), Z)
-            Y, _ = transmit(lifted.ctx, X, real)
-            res = decode_noncoherent(lifted, Y, rho)
+            _, S, res = run_trial(rng, lifted, 4, t, rho)
             if not (res.ok and res.message == S):
                 failures += 1
     out.append(_result("noncoherent-decode", f"{draws} seeded draws within capability",
@@ -360,12 +354,8 @@ def short_packet_search() -> dict:
     valid = 0
     eq_viol = corr_viol = str_viol = 0
     example = None
-    for stamp in range(8 ** (k * (l + n - k))):
-        x = stamp
-        p_entries = []
-        for _ in range(k * (l + n - k)):
-            p_entries.append(x % 8)
-            x //= 8
+    for digits in itertools.product(ctx.elements(), repeat=k * (l + n - k)):
+        p_entries = digits[::-1]
         gen_rows = []
         for r in range(k):
             row = [1 if c == r else 0 for c in range(k)]

@@ -67,7 +67,7 @@ def cmd_build_scheme(args) -> int:
 
 def _load_pair(code_path: str, subcode_path: str) -> tuple[LinearCode, LinearCode]:
     c1 = LinearCode.from_json(_load_json(code_path))
-    c2 = LinearCode.from_json(_load_json(subcode_path), c1.ctx)
+    c2 = LinearCode.from_json(_load_json(subcode_path))
     return c1, c2
 
 
@@ -128,10 +128,13 @@ def _simulate_rows(config: dict):
     missing = [key for key in required if key not in config]
     if missing:
         raise PreconditionError(f"scenario config missing fields {missing}")
-    bad = [key for key in required if key != "seed" and (
+    bad = [key for key in required + ["mu"] if key != "seed" and key in config and (
         not isinstance(config[key], int) or isinstance(config[key], bool) or config[key] < 0)]
     if bad:
         raise PreconditionError(f"scenario config fields {bad} must be nonnegative integers")
+    if config.get("mu", 0) != 0:
+        raise PreconditionError("simulate models no wiretapper, so mu must be 0;"
+                                " measure leakage with `equivocation --mu`")
     ctx = ctx_new(config["q"], config["m"], config.get("modulus"))
     mode = config.get("mode", "coherent")
     n = config["n"]

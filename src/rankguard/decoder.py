@@ -123,15 +123,20 @@ def _closest(scored, t_max: int | None) -> DecodeResult:
 
 def delta_distance(scheme: NestedScheme, A: Matrix, cap: int = DEFAULT_DECODE_CAP) -> int:
     """Least rank of v A^T over codewords v of C1 outside C2."""
+    return _closest_difference(scheme, A, cap)[0]
+
+
+def _closest_difference(scheme: NestedScheme, A: Matrix, cap: int = DEFAULT_DECODE_CAP):
+    """(least rank of v A^T, first codeword v of C1 outside C2 attaining it)."""
     ctx = scheme.ctx
-    best = None
+    best = best_v = None
     for v in scheme.c1.codewords(cap):
         if scheme.c2.contains_word(v):
             continue
         d = rank_weight(ctx, ext_vec_times_base_transpose(ctx, v, A))
         if best is None or d < best:
-            best = d
-    return best
+            best, best_v = d, v
+    return best, best_v
 
 
 def delta_min_over_A(scheme: NestedScheme, rho: int, cap: int = DEFAULT_DECODE_CAP) -> int:
@@ -534,14 +539,7 @@ def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,
     A = Matrix(base, a_rows, n)
     require(A.rank() >= n - rho, "witness transfer matrix lost rank")
     # the achieving difference codeword under this A, and its exact distance
-    d_pair = None
-    w_best = None
-    for w in scheme.c1.codewords():
-        if scheme.c2.contains_word(w):
-            continue
-        d = rank_weight(ctx, ext_vec_times_base_transpose(ctx, w, A))
-        if d_pair is None or d < d_pair:
-            d_pair, w_best = d, w
+    d_pair, w_best = _closest_difference(scheme, A)
     require(d_pair <= max(0, m1 - rho) <= 2 * t, "compressed difference exceeds 2t")
     u = ext_vec_times_base_transpose(ctx, w_best, A)
     part = (d_pair + 1) // 2

@@ -13,9 +13,14 @@ Swapping the Frobenius-invariant family for coordinate subspaces yields the
 Hamming-side analogues (RDLP / RGHW), kept here for cross-checks: rank-side
 weights can never exceed Hamming-side ones.
 
-Intersection dimensions are computed through duals,
-dim(C cap V) = n - dim(C_dual + V_dual), so one algorithm serves sums,
-intersections and the duality identities alike.
+Both families consist of subspaces V = row(B) spanned by an i x n
+base-field RREF basis B, so one kernel serves them.  With H a parity check
+of C, a word x = yB lies in C iff H B^T y^T = 0, hence
+dim(C cap V) = i - rank(H B^T), and the gap is
+rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  For a
+coordinate set I, H B^T is just the columns of H at I.  The reference,
+`intersection_dim`, works on any V through duals,
+dim(C cap V) = n - dim(C_dual + V_dual); tests compare the two.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .bitrank import rank_bits
 from .codes import LinearCode
 from .errors import LengthMismatch, NotASubcode, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import Matrix, Subspace, embed_base_matrix, expand_to_base
-from .subspaces import DEFAULT_FAMILY_CAP, CoordinateFamily, QInvariantFamily
+from .linalg import Matrix, Subspace, expand_to_base, ext_vec_times_base_transpose
+from .subspaces import DEFAULT_FAMILY_CAP, SubspaceFamily
 
 
 def rank_weight(ctx: FieldCtx, x) -> int:
@@ -82,20 +87,8 @@ def _check_nested(c1: LinearCode, c2: LinearCode) -> int:
     return c1.k - c2.k
 
 
-def _families(kind: str, ctx, n, cap):
-    if kind == "qinvariant":
-        return lambda i: QInvariantFamily(ctx, n, i, cap)
-    if kind == "coordinate":
-        return lambda i: CoordinateFamily(ctx, n, i)
-    raise PreconditionError(f"unknown family kind {kind!r}")
-
-
-def intersection_gap(c1: LinearCode, c2: LinearCode, V: Subspace) -> int:
-    """dim(C1 cap V) - dim(C2 cap V), via the dual-sum identity."""
-    return (intersection_dim(c1, V) - intersection_dim(c2, V))
-
-
 def intersection_dim(code: LinearCode, V: Subspace) -> int:
+    """Reference dim(C cap V) for any V, via the dual-sum identity."""
     dual_gen = code.dual().gen
     stacked = dual_gen.stack(V.complement().basis)
     return code.n - stacked.rref()[1]
@@ -108,28 +101,23 @@ class _PairEngine:
         self.quotient_dim = _check_nested(c1, c2)
         self.ctx = c1.ctx
         self.n = c1.n
-        self.d1 = c1.dual().gen
-        self.d2 = c2.dual().gen
-        self.make_family = _families(family, self.ctx, self.n, cap)
+        self.h1 = c1.dual().gen.rows
+        self.h2 = c2.dual().gen.rows
+        self.family = family
+        self.cap = cap
 
-    def gap_for_base_basis(self, base_basis: Matrix) -> int:
-        # V given by its base-field RREF basis; its complement stays base-field.
-        perp = embed_base_matrix(self.ctx, base_basis.right_kernel())
-        dim1 = self.n - self.d1.stack(perp).rref()[1]
-        dim2 = self.n - self.d2.stack(perp).rref()[1]
-        return dim1 - dim2
+    def gap(self, B: Matrix) -> int:
+        """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows of B."""
+        return self._rank(self.h2, B) - self._rank(self.h1, B)
 
-    def gap_for_subspace(self, V: Subspace) -> int:
-        perp = V.complement().basis
-        dim1 = self.n - self.d1.stack(perp).rref()[1]
-        dim2 = self.n - self.d2.stack(perp).rref()[1]
-        return dim1 - dim2
+    def _rank(self, h_rows, B: Matrix) -> int:
+        """rank(H B^T) over the extension field."""
+        rows = [ext_vec_times_base_transpose(self.ctx, h, B) for h in h_rows]
+        return Matrix(self.ctx, rows, B.nrows).rank()
 
     def max_gap(self, i: int) -> int:
-        fam = self.make_family(i)
-        if isinstance(fam, QInvariantFamily):
-            return max(self.gap_for_base_basis(b) for b in fam.base_bases())
-        return max(self.gap_for_subspace(V) for V in fam)
+        family = SubspaceFamily(self.ctx, self.n, i, self.family, self.cap)
+        return max(self.gap(B) for B in family.base_bases())
 
 
 def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",

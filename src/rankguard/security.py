@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import LinearCode
 from .coset_scheme import NestedScheme
 from .errors import EnumerationTooLarge, PreconditionError
 from .linalg import Matrix, ext_vec_times_base_transpose
@@ -271,11 +270,6 @@ class LeakageReport:
             "equivocation": self.equivocation.value,
             "sandwich_holds": self.sandwich_holds(),
         }
-
-
-def dual_pair(c1: LinearCode, c2: LinearCode) -> tuple[LinearCode, LinearCode]:
-    """(C2^dual, C1^dual): the nested pair governing leakage."""
-    return c2.dual(), c1.dual()
 
 
 def predicted_leakage(scheme: NestedScheme, mu: int,

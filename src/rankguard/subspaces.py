@@ -5,7 +5,7 @@ the subspaces admitting a basis of base-field vectors, so the i-dimensional
 family is enumerated as the F_q-subspaces of F_q^n, one canonical RREF basis
 each, lifted to the extension by the constant embedding.  Coordinate
 subspaces E_I (unit-vector spans) are the sub-family behind the classical
-Hamming-side profiles.
+Hamming-side profiles; both families stream as base-field RREF bases.
 
 Enumeration order is deterministic: lexicographic over RREF pivot patterns,
 then lexicographic over the free entries, so streamed reductions and golden
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .errors import EnumerationTooLarge, PreconditionError
@@ -62,65 +63,43 @@ def enumerate_base_subspaces(q: int, n: int, i: int) -> Iterator[Matrix]:
 
 
 @dataclass
-class QInvariantFamily:
-    """Lazily enumerated family of i-dim Frobenius-invariant subspaces."""
+class SubspaceFamily:
+    """Lazily enumerated family of i-dim subspaces spanned by base-field
+    vectors: every Frobenius-invariant subspace (kind "qinvariant") or the
+    coordinate subspaces E_I (kind "coordinate")."""
 
     ctx: FieldCtx
     n: int
     i: int
+    kind: str = "qinvariant"
     cap: int = DEFAULT_FAMILY_CAP
 
     def __post_init__(self):
         if not 0 <= self.i <= self.n:
             raise PreconditionError(f"need 0 <= i={self.i} <= n={self.n}")
-        count = gaussian_binomial(self.n, self.i, self.ctx.q)
+        if self.kind == "qinvariant":
+            count = gaussian_binomial(self.n, self.i, self.ctx.q)
+        elif self.kind == "coordinate":
+            count = comb(self.n, self.i)
+        else:
+            raise PreconditionError(f"unknown family kind {self.kind!r}")
         if count > self.cap:
             raise EnumerationTooLarge(
-                f"[{self.n} choose {self.i}]_{self.ctx.q} = {count} exceeds cap {self.cap}")
+                f"{self.kind} family of {count} subspaces exceeds cap {self.cap}")
         self.count = count
 
     def base_bases(self) -> Iterator[Matrix]:
-        yield from enumerate_base_subspaces(self.ctx.q, self.n, self.i)
+        """Base-field RREF bases; for coordinate sets I, unit rows at I."""
+        if self.kind == "qinvariant":
+            yield from enumerate_base_subspaces(self.ctx.q, self.n, self.i)
+            return
+        base = self.ctx.base
+        for idx in combinations(range(self.n), self.i):
+            yield Matrix(base, [[int(c == j) for c in range(self.n)] for j in idx], self.n)
 
     def __iter__(self) -> Iterator[Subspace]:
         for base_m in self.base_bases():
             yield Subspace(self.ctx, self.n, embed_base_matrix(self.ctx, base_m))
-
-
-@dataclass
-class CoordinateFamily:
-    """Coordinate subspaces E_I over index sets I of a fixed size."""
-
-    ctx: FieldCtx
-    n: int
-    i: int
-
-    def __post_init__(self):
-        if not 0 <= self.i <= self.n:
-            raise PreconditionError(f"need 0 <= i={self.i} <= n={self.n}")
-        from math import comb
-        self.count = comb(self.n, self.i)
-
-    def index_sets(self) -> Iterator[tuple[int, ...]]:
-        yield from combinations(range(self.n), self.i)
-
-    def __iter__(self) -> Iterator[Subspace]:
-        for idx in self.index_sets():
-            yield coordinate_subspace(self.ctx, self.n, idx)
-
-
-def coordinate_subspace(ctx: FieldCtx, n: int, indices) -> Subspace:
-    rows = []
-    for j in sorted(indices):
-        row = [ctx.zero] * n
-        row[j] = ctx.one
-        rows.append(row)
-    return Subspace(ctx, n, Matrix(ctx, rows, n))
-
-
-def enumerate_qinvariant(ctx: FieldCtx, n: int, i: int,
-                         cap: int = DEFAULT_FAMILY_CAP) -> QInvariantFamily:
-    return QInvariantFamily(ctx, n, i, cap)
 
 
 def frobenius_image(V: Subspace, iterate: int = 1) -> Subspace:

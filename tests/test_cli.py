@@ -172,7 +172,8 @@ def test_malformed_scheme_json(scheme_file, capsys, corrupt):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("n", "3"), ("trials", -4), ("t", -1), ("k", True)])
+@pytest.mark.parametrize("field, value", [("n", "3"), ("trials", -4), ("t", -1), ("k", True),
+                                          ("mu", -1), ("mu", "2")])
 def test_bad_scenario_numbers(tmp_path, capsys, field, value):
     config = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
               "t": 0, "rho_max": 0, "trials": 5, "seed": 1, field: value}
@@ -187,3 +188,31 @@ def test_non_object_json(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert run(["simulate", "--config", str(cfg)]) == 2
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", [2, 99])
+def test_simulate_refuses_wiretap(tmp_path, capsys, mu):
+    # simulate models no wiretapper: a nonzero mu is refused, not ignored
+    config = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
+              "mu": mu, "t": 0, "rho_max": 0, "trials": 5, "seed": 1}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "equivocation --mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcode", [
+    lambda c2: {**c2.to_json(), "modulus": [1, 0, 0, 1, 1]},
+    lambda c2: LinearCode(ctx_new(3, 2), [[1, 1, 1, 1]], 4).to_json(),
+], ids=["modulus-x4+x3+1", "q3-m2"])
+def test_subcode_over_other_field(tmp_path, capsys, subcode):
+    ctx = ctx_new(2, 4)
+    c1 = gabidulin(ctx, 4, 2)
+    c2 = LinearCode(ctx, [c1.encode((1, ctx.alpha))], 4)
+    c1_path, c2_path = tmp_path / "c1.json", tmp_path / "c2.json"
+    c1_path.write_text(json.dumps(c1.to_json()))
+    c2_path.write_text(json.dumps(subcode(c2)))
+    assert run(["rgrw", "--code", str(c1_path), "--subcode", str(c2_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "different spaces" in captured.err

@@ -4,11 +4,11 @@ import pytest
 
 from rankguard import LengthMismatch, NotASubcode, ctx_new
 from rankguard.codes import LinearCode, gabidulin
-from rankguard.linalg import Subspace
+from rankguard.linalg import Subspace, embed_base_matrix
 from rankguard.rank_metrics import (
+    _PairEngine,
     first_rgrw,
     intersection_dim,
-    intersection_gap,
     rank_distance,
     rank_weight,
     rdip,
@@ -17,7 +17,7 @@ from rankguard.rank_metrics import (
     rgrw,
     verify_bounds,
 )
-from rankguard.subspaces import QInvariantFamily
+from rankguard.subspaces import SubspaceFamily
 
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
@@ -106,17 +106,32 @@ def test_rgrw_profile_vs_direct():
 
 
 def test_rdip_independent_oracle():
-    # oracle: intersect subspaces directly instead of the dual-sum route
+    # oracle: intersect subspaces directly instead of the parity-check kernel
     rng = random.Random(35)
-    c1, c2 = rand_nested_pair(rng, F8, 3, 2, 1)
-    table = rdip(c1, c2)
-    s1, s2 = c1.row_space(), c2.row_space()
-    for i in range(4):
-        best = 0
-        for V in QInvariantFamily(F8, 3, i):
-            gap = s1.intersect(V).dim - s2.intersect(V).dim
-            best = max(best, gap)
-        assert best == table.at(i)
+    for ctx in (F8, ctx_new(3, 2)):
+        c1, c2 = rand_nested_pair(rng, ctx, 3, 2, 1)
+        table = rdip(c1, c2)
+        s1, s2 = c1.row_space(), c2.row_space()
+        for i in range(4):
+            best = 0
+            for V in SubspaceFamily(ctx, 3, i):
+                gap = s1.intersect(V).dim - s2.intersect(V).dim
+                best = max(best, gap)
+            assert best == table.at(i)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 3, 4), (3, 2, 3), (3, 3, 3)])
+def test_gap_kernel_matches_intersection_dim(q, m, n):
+    ctx = ctx_new(q, m)
+    rng = random.Random(41 + q * m * n)
+    for (k1, k2) in [(1, 0), (2, 1), (n - 1, 0), (n - 1, 1)]:
+        c1, c2 = rand_nested_pair(rng, ctx, n, k1, k2)
+        for kind in ("qinvariant", "coordinate"):
+            engine = _PairEngine(c1, c2, kind, 10**6)
+            for i in range(n + 1):
+                for B in SubspaceFamily(ctx, n, i, kind).base_bases():
+                    V = Subspace(ctx, n, embed_base_matrix(ctx, B))
+                    assert engine.gap(B) == intersection_dim(c1, V) - intersection_dim(c2, V)
 
 
 def test_intersection_dim_matches_direct():
@@ -135,7 +150,7 @@ def test_duality_identity_random_triples():
         V = Subspace.from_rows(
             F8, 3, [[rng.randrange(8) for _ in range(3)] for _ in range(rng.randrange(4))])
         l = c1.k - c2.k
-        lhs = intersection_gap(c1, c2, V)
+        lhs = intersection_dim(c1, V) - intersection_dim(c2, V)
         rhs = (l
                - intersection_dim(c2.dual(), V.complement())
                + intersection_dim(c1.dual(), V.complement()))

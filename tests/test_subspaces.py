@@ -5,9 +5,7 @@ import pytest
 from rankguard import EnumerationTooLarge, ctx_new
 from rankguard.linalg import Subspace, expand_to_base
 from rankguard.subspaces import (
-    CoordinateFamily,
-    coordinate_subspace,
-    enumerate_qinvariant,
+    SubspaceFamily,
     galois_closure,
     gaussian_binomial,
     is_qinvariant,
@@ -27,7 +25,7 @@ def test_gaussian_binomial_values():
 
 def test_enumerate_counts_match_gaussian_binomial():
     for (n, i, expect) in [(3, 1, 7), (3, 0, 1), (4, 2, 35), (4, 4, 1)]:
-        fam = enumerate_qinvariant(F16, n, i)
+        fam = SubspaceFamily(F16, n, i)
         items = list(fam)
         assert fam.count == expect
         assert len(items) == expect
@@ -35,24 +33,24 @@ def test_enumerate_counts_match_gaussian_binomial():
 
 
 def test_enumerated_subspaces_are_qinvariant_with_right_dim():
-    for V in enumerate_qinvariant(F16, 4, 2):
+    for V in SubspaceFamily(F16, 4, 2):
         assert V.dim == 2
         assert is_qinvariant(V)
 
 
 def test_zero_dim_family_is_zero_space():
-    fam = list(enumerate_qinvariant(F16, 5, 0))
+    fam = list(SubspaceFamily(F16, 5, 0))
     assert fam == [Subspace.zero(F16, 5)]
 
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
-        enumerate_qinvariant(F16, 4, 2, cap=10)
+        SubspaceFamily(F16, 4, 2, cap=10)
 
 
 def test_coordinate_family_inside_qinvariant_family():
-    coords = set(CoordinateFamily(F16, 4, 2))
-    full = set(enumerate_qinvariant(F16, 4, 2))
+    coords = set(SubspaceFamily(F16, 4, 2, "coordinate"))
+    full = set(SubspaceFamily(F16, 4, 2))
     assert len(coords) == 6
     assert coords <= full
     for E in coords:
@@ -60,14 +58,14 @@ def test_coordinate_family_inside_qinvariant_family():
 
 
 def test_is_qinvariant_examples():
-    assert is_qinvariant(coordinate_subspace(F16, 3, (0, 2)))
+    assert is_qinvariant(Subspace.from_rows(F16, 3, [(1, 0, 0), (0, 0, 1)]))
     assert is_qinvariant(Subspace.zero(F16, 3))
     V = Subspace.from_rows(F16, 2, [(1, A)])
     assert not is_qinvariant(V)
 
 
 def test_galois_closure_fixed_points_and_examples():
-    for V in enumerate_qinvariant(F16, 3, 1):
+    for V in SubspaceFamily(F16, 3, 1):
         assert galois_closure(V) == V
     assert galois_closure(Subspace.zero(F16, 3)) == Subspace.zero(F16, 3)
     a2 = F16.mul(A, A)
