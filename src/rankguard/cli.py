@@ -19,9 +19,9 @@ from .acceptance import run_suite
 from .codes import LinearCode
 from .coset_scheme import NestedScheme, build_proposed, lift
 from .decoder import capability_report, run_trial
-from .errors import EnumerationTooLarge, PreconditionError, RankguardError
-from .gf import ctx_new
-from .rank_metrics import rdip, rgrw
+from .errors import EnumerationTooLarge, PreconditionError, RankguardError, json_ints
+from .gf import ctx_from_json, ctx_new
+from .rank_metrics import rdip, weights_from_profile
 from .security import JointDistribution, leakage_report, omega_bounds, omega_exact
 
 CONFIG_VERSION = 1
@@ -49,19 +49,21 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _modulus_arg(text: str | None):
+def _modulus_arg(text: str | None, q: int):
     if text is None:
         return None
-    return [int(c) for c in text.split(",")]
+    try:
+        coeffs = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise PreconditionError(
+            f"--modulus must be comma-separated integers, got {text!r}") from None
+    return json_ints(coeffs, "--modulus", q)
 
 
 def cmd_build_scheme(args) -> int:
-    ctx = ctx_new(args.q, args.m, _modulus_arg(args.modulus))
+    ctx = ctx_new(args.q, args.m, _modulus_arg(args.modulus, args.q))
     scheme = build_proposed(ctx, args.l, args.n, args.k)
-    data = scheme.to_json()
-    if args.seed is not None:
-        data["seed"] = args.seed
-    _write_text(args.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(scheme.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -73,7 +75,7 @@ def _load_pair(code_path: str, subcode_path: str) -> tuple[LinearCode, LinearCod
 
 def _tables_csv(c1: LinearCode, c2: LinearCode) -> str:
     profile = rdip(c1, c2)
-    weights = rgrw(c1, c2)
+    weights = weights_from_profile(profile)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["parameter", "i", "value"])
@@ -135,7 +137,7 @@ def _simulate_rows(config: dict):
     if config.get("mu", 0) != 0:
         raise PreconditionError("simulate models no wiretapper, so mu must be 0;"
                                 " measure leakage with `equivocation --mu`")
-    ctx = ctx_new(config["q"], config["m"], config.get("modulus"))
+    ctx = ctx_from_json(config)
     mode = config.get("mode", "coherent")
     n = config["n"]
     if mode == "coherent":
@@ -187,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_build_scheme)
 

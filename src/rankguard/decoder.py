@@ -50,7 +50,7 @@ from .network import (
     transmit,
 )
 from .rank_metrics import first_rgrw, rank_weight
-from .subspaces import enumerate_base_subspaces, gaussian_binomial
+from .subspaces import enumerate_base_subspaces, rank_r_count
 
 DEFAULT_COSET_CAP = 2**16
 DEFAULT_DECODE_CAP = 2**20
@@ -292,13 +292,6 @@ class CapabilityReport:
         }
 
 
-def _rank_r_matrix_count(q: int, N: int, n: int, r: int) -> int:
-    count = gaussian_binomial(n, r, q)
-    for i in range(r):
-        count *= q**N - q**i
-    return count
-
-
 def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
                       N: int | None = None, trials: int | None = None,
                       budget: int = DEFAULT_SAMPLED_BUDGET, seed: int = 0,
@@ -323,7 +316,7 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
 
 
 def _covered_tuples(scheme, q, N, n, rho, n_errors) -> int:
-    a_count = sum(_rank_r_matrix_count(q, N, n, r) for r in range(n - rho, n + 1))
+    a_count = sum(rank_r_count(q, N, n, r) for r in range(n - rho, n + 1))
     return a_count * scheme.message_count() * scheme.c2.codeword_count() * n_errors
 
 

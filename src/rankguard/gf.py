@@ -19,11 +19,13 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DivisionByZero,
+    InvariantViolated,
     NotIrreducible,
     PreconditionError,
     UnsupportedSize,
     json_field,
     json_ints,
+    require,
 )
 
 #: Largest permitted field size; keeps exhaustive element iteration feasible.
@@ -117,7 +119,7 @@ def smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
     for g in _monic_polys(q, m):
         if poly_is_irreducible(g, q):
             return g
-    raise AssertionError("irreducible polynomials exist for every degree")
+    raise InvariantViolated("irreducible polynomials exist for every degree")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ class FieldCtx:
             acc = self._raw_mul(acc, a)
             steps += 1
             if steps > self.order:
-                raise AssertionError("order walk failed to terminate")
+                raise InvariantViolated("order walk failed to terminate")
         return steps
 
     def _build_tables(self) -> None:
@@ -335,8 +337,7 @@ class FieldCtx:
             if self._multiplicative_order(cand) == group:
                 gen = cand
                 break
-        if gen is None:
-            raise AssertionError("multiplicative group of a finite field is cyclic")
+        require(gen is not None, "multiplicative group of a finite field is cyclic")
         val = 1
         for i in range(group):
             self._exp[i] = val
@@ -370,6 +371,11 @@ def ctx_from_json(data: dict) -> FieldCtx:
 def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None, *,
             max_order: int = DEFAULT_ORDER_CAP) -> FieldCtx:
     """Build a verified field context; modulus defaults to the built-in table."""
+    if m < 1:
+        raise PreconditionError(f"extension degree m={m} must be >= 1")
+    # refused before the primality test and q**m, which a huge q or m would stall
+    if q > max_order or (q >= 2 and m >= max_order.bit_length()):
+        raise UnsupportedSize(f"q^m = {q}^{m} exceeds the cap {max_order}")
     if modulus is None:
         if q == 2 and m in DEFAULT_MODULI_GF2:
             modulus = DEFAULT_MODULI_GF2[m]

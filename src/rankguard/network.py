@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, EnumerationTooLarge, InfeasibleRank
 from .gf import FieldCtx, PrimeField
 from .linalg import Matrix, ext_vec_times_base_transpose, vec_add
 from .rank_metrics import rank_weight
-from .subspaces import enumerate_base_subspaces, gaussian_binomial
+from .subspaces import enumerate_base_subspaces, gaussian_binomial, rank_r_count
 
 DEFAULT_ENUM_CAP = 10**6
 FALLBACK_REJECTION_TRIES = 10**4
@@ -133,13 +133,9 @@ def all_matrices(q: int, nrows: int, ncols: int) -> Iterator[Matrix]:
 
 
 def error_count(ctx: FieldCtx, N: int, t: int) -> int:
-    total = 0
-    for r in range(min(t, N) + 1):
-        full_rank_tuples = 1
-        for i in range(r):
-            full_rank_tuples *= ctx.order - ctx.q**i
-        total += gaussian_binomial(N, r, ctx.q) * full_rank_tuples
-    return total
+    """Number of errors E in F_{q^m}^N of base rank <= t: their expansions
+    are the m x N base matrices of rank <= t."""
+    return sum(rank_r_count(ctx.q, ctx.m, N, r) for r in range(min(t, N) + 1))
 
 
 def enumerate_errors(ctx: FieldCtx, N: int, t: int,

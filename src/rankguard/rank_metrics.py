@@ -137,28 +137,30 @@ def _validate_profile(table: ProfileTable, quotient_dim: int) -> None:
     require(all(0 <= b - a <= 1 for a, b in zip(v, v[1:])), "profile must rise by unit steps")
 
 
+def weights_from_profile(table: ProfileTable) -> WeightTable:
+    """Weight table M_1..M_l read off a profile: M_i is the smallest
+    subspace dimension whose profile value reaches i."""
+    kind = "RGRW" if table.kind == "RDIP" else "RGHW"
+    return _weight_table(kind, tuple(table.values.index(i)
+                                     for i in range(1, table.values[-1] + 1)))
+
+
+def _weight_table(kind: str, values: tuple[int, ...]) -> WeightTable:
+    require(all(b > a for a, b in zip(values, values[1:])), "weights must strictly increase")
+    return WeightTable(kind, values)
+
+
 def rgrw(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
          method: str = "profile", cap: int = DEFAULT_FAMILY_CAP) -> WeightTable:
     """Weight table M_1..M_l; derived from the profile table by default."""
-    kind = "RGRW" if family == "qinvariant" else "RGHW"
     if method == "profile":
-        table = rdip(c1, c2, family=family, cap=cap)
-        l = table.values[-1]
-        values = tuple(min(j for j in range(len(table.values)) if table.values[j] == i)
-                       for i in range(1, l + 1))
-    elif method == "direct":
-        engine = _PairEngine(c1, c2, family, cap)
-        l = engine.quotient_dim
-        values_list = []
-        for i in range(1, l + 1):
-            hit = next(j for j in range(engine.n + 1) if engine.max_gap(j) >= i)
-            values_list.append(hit)
-        values = tuple(values_list)
-    else:
+        return weights_from_profile(rdip(c1, c2, family=family, cap=cap))
+    if method != "direct":
         raise PreconditionError(f"unknown method {method!r}")
-    table = WeightTable(kind, values)
-    require(all(b > a for a, b in zip(values, values[1:])), "weights must strictly increase")
-    return table
+    engine = _PairEngine(c1, c2, family, cap)
+    values = tuple(next(j for j in range(engine.n + 1) if engine.max_gap(j) >= i)
+                   for i in range(1, engine.quotient_dim + 1))
+    return _weight_table("RGRW" if family == "qinvariant" else "RGHW", values)
 
 
 def rdlp(c1: LinearCode, c2: LinearCode) -> ProfileTable:
@@ -180,7 +182,7 @@ def verify_bounds(c1: LinearCode, c2: LinearCode) -> dict:
     ctx = c1.ctx
     n, m = c1.n, ctx.m
     profile = rdip(c1, c2)
-    weights = rgrw(c1, c2)
+    weights = weights_from_profile(profile)
     l = c1.k - c2.k
     report: dict[str, bool] = {}
     v = profile.values

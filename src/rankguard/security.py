@@ -7,6 +7,16 @@ the uniform-case integer identities, and the non-uniform sandwich bounds
 are all decided in exact arithmetic.  Entropies use log base q^m, which
 makes the dimensional identities integers.
 
+One primitive computes them all: `JointDistribution.entropy(key)`, the
+entropy of the weights grouped by a key of (S, X), whose exact power is
+T^T / prod c^c over the group masses c.  For a message index set Z and the
+observation W = X B^T, the chain rule gives every other quantity:
+
+    D(S_Z || U)              = |Z| - H(S_Z)
+    D(X || U_coset | S_Z)    = (dim C1 - |Z|) - H(S_Z, X) + H(S_Z)
+    I(S_Z ; W)               = H(S_Z) + H(W) - H(S_Z, W)
+    H(S_Z | W)               = H(S_Z) - I(S_Z ; W)
+
 Leakage maximization ranges over canonical wiretap row spaces rather than
 raw matrices: the observation through B is a deterministic function of the
 observation through any matrix with the same row space (and vice versa),
@@ -20,10 +30,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .coset_scheme import NestedScheme
-from .errors import EnumerationTooLarge, PreconditionError
+from .errors import EnumerationTooLarge, PreconditionError, require
 from .linalg import Matrix, ext_vec_times_base_transpose
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
@@ -164,57 +174,55 @@ class JointDistribution:
 
     # -- exact quantities --------------------------------------------------------
 
-    def _quantity(self, terms: Iterable[tuple[Fraction, int]]) -> LogQuantity:
-        power = Fraction(1)
-        for ratio, count in terms:
-            power *= ratio**count
-        return LogQuantity(power, self.total, self.ctx.order)
-
     def integer(self, k: int) -> LogQuantity:
         return LogQuantity.from_integer(k, self.total, self.ctx.order)
 
-    def message_entropy(self) -> LogQuantity:
+    def entropy(self, key: Callable[[tuple, tuple], Hashable]) -> LogQuantity:
+        """H of the weights grouped by key(S, X), exact: with group masses c
+        over the common denominator T, exp(T * H) = T^T / prod c^c."""
         counts = Counter()
-        for S, _, w in self.entries:
-            counts[S] += w
-        return self._quantity((Fraction(self.total, c), c) for c in counts.values())
-
-    def divergence_message_from_uniform(self) -> LogQuantity:
-        """D(S || uniform on the full message space)."""
-        counts = Counter()
-        for S, _, w in self.entries:
-            counts[S] += w
-        space = self.ctx.order**self.scheme.l
-        return self._quantity((Fraction(c * space, self.total), c) for c in counts.values())
-
-    def divergence_packets_from_coset_uniform(self) -> LogQuantity:
-        """D(X || uniform on the coset of S | S)."""
-        s_counts = Counter()
-        for S, _, w in self.entries:
-            s_counts[S] += w
-        coset_size = self.scheme.c2.codeword_count()
-        return self._quantity(
-            (Fraction(w * coset_size, s_counts[S]), w) for S, _, w in self.entries)
-
-    def observe(self, B: Matrix, z_indices: Sequence[int] | None = None):
-        """Joint counts of (selected message symbols, X B^T)."""
-        cells = Counter()
         for S, X, w in self.entries:
-            s_key = S if z_indices is None else tuple(S[i] for i in z_indices)
-            w_key = ext_vec_times_base_transpose(self.ctx, X, B)
-            cells[(s_key, w_key)] += w
-        return cells
+            counts[key(S, X)] += w
+        den = 1
+        for c, groups in Counter(counts.values()).items():
+            den *= c ** (c * groups)
+        return LogQuantity(Fraction(self.total**self.total, den), self.total, self.ctx.order)
+
+    def _symbols(self, z_indices: Sequence[int] | None) -> tuple[int, ...]:
+        """The message index set Z; None means all l symbols."""
+        if z_indices is None:
+            return tuple(range(self.scheme.l))
+        z = tuple(sorted(set(z_indices)))
+        if not set(z) <= set(range(self.scheme.l)):
+            raise PreconditionError("indices must lie in 0..l-1")
+        return z
+
+    def message_entropy(self, z_indices: Sequence[int] | None = None) -> LogQuantity:
+        """H(S_Z)."""
+        z = self._symbols(z_indices)
+        return self.entropy(lambda S, X: tuple(S[i] for i in z))
+
+    def divergence_message_from_uniform(
+            self, z_indices: Sequence[int] | None = None) -> LogQuantity:
+        """D(S_Z || uniform) = |Z| - H(S_Z)."""
+        z = self._symbols(z_indices)
+        return self.integer(len(z)) - self.message_entropy(z)
+
+    def divergence_packets_from_coset_uniform(
+            self, z_indices: Sequence[int] | None = None) -> LogQuantity:
+        """D(X || uniform on the coset of S_Z | S_Z) = log(coset size)
+        - H(S_Z, X) + H(S_Z); given S_Z, X ranges over a coset of the partial
+        subcode, of dimension dim C1 - |Z|."""
+        z = self._symbols(z_indices)
+        joint = self.entropy(lambda S, X: (tuple(S[i] for i in z), X))
+        return self.integer(self.scheme.c1.k - len(z)) - joint + self.message_entropy(z)
 
     def mutual_information(self, B: Matrix, z_indices: Sequence[int] | None = None) -> LogQuantity:
-        """I(S_Z ; X B^T), exact."""
-        cells = self.observe(B, z_indices)
-        s_marg, w_marg = Counter(), Counter()
-        for (s_key, w_key), c in cells.items():
-            s_marg[s_key] += c
-            w_marg[w_key] += c
-        return self._quantity(
-            (Fraction(c * self.total, s_marg[s] * w_marg[w]), c)
-            for (s, w), c in cells.items())
+        """I(S_Z ; W) = H(S_Z) + H(W) - H(S_Z, W) for W = X B^T."""
+        z = self._symbols(z_indices)
+        observed = {X: ext_vec_times_base_transpose(self.ctx, X, B) for _, X, _ in self.entries}
+        return (self.message_entropy(z) + self.entropy(lambda S, X: observed[X])
+                - self.entropy(lambda S, X: (tuple(S[i] for i in z), observed[X])))
 
     def conditional_message_entropy(self, B: Matrix) -> LogQuantity:
         return self.message_entropy() - self.mutual_information(B)
@@ -303,43 +311,17 @@ def leakage_report(scheme: NestedScheme, mu: int, dist: JointDistribution,
     for i in range(1, len(values)):
         if values[best_idx] < values[i]:
             best_idx = i
-    if z is None:
-        entropy = dist.message_entropy()
-        slack_s = dist.divergence_message_from_uniform()
-        slack_x = dist.divergence_packets_from_coset_uniform()
-    else:
-        # slack terms for the reduced scheme (messages restricted to S_Z)
-        entropy, slack_s, slack_x = _partial_slacks(dist, z)
-    report = LeakageReport(
+    entropy = dist.message_entropy(z)
+    return LeakageReport(
         mu=mu,
         z_indices=z,
         max_leakage=values[best_idx],
         argmax_b=candidates[best_idx],
         predicted=predicted_leakage(scheme, mu, z),
-        slack_s=slack_s,
-        slack_x=slack_x,
+        slack_s=dist.divergence_message_from_uniform(z),
+        slack_x=dist.divergence_packets_from_coset_uniform(z),
         equivocation=entropy - values[best_idx],
     )
-    return report
-
-
-def _partial_slacks(dist: JointDistribution, z: tuple[int, ...]):
-    ctx = dist.ctx
-    sz_counts = Counter()
-    for S, _, w in dist.entries:
-        sz_counts[tuple(S[i] for i in z)] += w
-    entropy = dist._quantity((Fraction(dist.total, c), c) for c in sz_counts.values())
-    space = ctx.order ** len(z)
-    slack_s = dist._quantity(
-        (Fraction(c * space, dist.total), c) for c in sz_counts.values())
-    # X given S_Z is uniform on the partial subcode's coset of size |C2|*order^(l-|z|)
-    coset_size = dist.scheme.c2.codeword_count() * ctx.order ** (dist.scheme.l - len(z))
-    x_counts = Counter()
-    for S, X, w in dist.entries:
-        x_counts[(tuple(S[i] for i in z), X)] += w
-    slack_x = dist._quantity(
-        (Fraction(c * coset_size, sz_counts[s]), c) for (s, _), c in x_counts.items())
-    return entropy, slack_s, slack_x
 
 
 def universal_equivocation(scheme: NestedScheme, mu: int, dist: JointDistribution,
@@ -408,14 +390,13 @@ def verify_strength_empirically(scheme: NestedScheme, omega: int,
         mu_safe = omega - len(z) + 1
         if mu_safe >= 0:
             report = partial_leakage(scheme, z, mu_safe, dist)
-            if report.max_leakage.as_integer() != 0:
-                raise AssertionError(f"leakage at the safe boundary for Z={z}")
+            require(report.max_leakage.as_integer() == 0,
+                    f"leakage at the safe boundary for Z={z}")
             zero_at.append((z, mu_safe))
         if witness is None and mu_safe + 1 <= scheme.n:
             report = partial_leakage(scheme, z, mu_safe + 1, dist)
             leak = report.max_leakage
             if not (leak <= dist.integer(0)):
                 witness = (z, mu_safe + 1, leak.value)
-    if witness is None:
-        raise AssertionError("no leakage witness just beyond the strength")
+    require(witness is not None, "no leakage witness just beyond the strength")
     return StrengthWitness(omega, zero_at, witness[0], witness[1], witness[2])

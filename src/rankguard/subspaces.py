@@ -38,6 +38,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def rank_r_count(q: int, nrows: int, ncols: int, r: int) -> int:
+    """Number of nrows x ncols matrices over F_q of rank r: a row space of
+    dimension r, then nrows-row coefficient matrices of full column rank r."""
+    count = gaussian_binomial(ncols, r, q)
+    for i in range(r):
+        count *= q**nrows - q**i
+    return count
+
+
 def enumerate_base_subspaces(q: int, n: int, i: int) -> Iterator[Matrix]:
     """All i-dim subspaces of F_q^n as RREF basis matrices, canonical order."""
     base = PrimeField(q)

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
+from rankguard.coset_scheme import build_proposed
 from rankguard import ctx_new
 
 
@@ -41,6 +48,32 @@ def test_build_scheme_and_reports(tmp_path, capsys):
     assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "1",
                 "--rho", "0", "--mode", "exhaustive", "--out", str(cap_path)]) == 0
     assert json.loads(cap_path.read_text())["verified"] is False
+
+
+@pytest.mark.parametrize("command", ["rgrw", "rdip"])
+def test_tables_profile_the_pair_once(tmp_path, monkeypatch, command):
+    from rankguard import rank_metrics
+
+    built = []
+
+    class CountingEngine(rank_metrics._PairEngine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rank_metrics, "_PairEngine", CountingEngine)
+    ctx = ctx_new(2, 4)
+    c1 = gabidulin(ctx, 4, 2)
+    c2 = LinearCode(ctx, [c1.encode((1, ctx.alpha))], 4)
+    c1_path, c2_path = tmp_path / "c1.json", tmp_path / "c2.json"
+    c1_path.write_text(json.dumps(c1.to_json()))
+    c2_path.write_text(json.dumps(c2.to_json()))
+    assert run([command, "--code", str(c1_path), "--subcode", str(c2_path),
+                "--out", str(tmp_path / "table.csv")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert rank_metrics.verify_bounds(c1, c2)["all"]
+    assert len(built) == 1
 
 
 def test_rgrw_tables_csv(tmp_path):
@@ -183,6 +216,24 @@ def test_bad_scenario_numbers(tmp_path, capsys, field, value):
     assert "must be nonnegative integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modulus", ["abc", 5, [True, 1, 0, 0, 1], [1, 2, 0, 0, 1]])
+def test_bad_scenario_modulus(tmp_path, capsys, modulus):
+    config = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
+              "t": 0, "rho_max": 0, "trials": 5, "seed": 1, "modulus": modulus}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "modulus must be a list of integers in 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modulus", ["1,x,0,0,1", "", "1,2,0,0,1"])
+def test_bad_modulus_flag(capsys, modulus):
+    assert run(["build-scheme", "--q", "2", "--m", "4", "--modulus", modulus,
+                "--l", "1", "--n", "3", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--modulus must be" in captured.err
+
+
 def test_non_object_json(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
@@ -216,3 +267,81 @@ def test_subcode_over_other_field(tmp_path, capsys, subcode):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "different spaces" in captured.err
+
+
+# -- fuzzing the JSON inputs ----------------------------------------------------------
+
+SCENARIO = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
+            "t": 0, "rho_max": 0, "trials": 2, "seed": 1}
+SCHEME = build_proposed(ctx_new(2, 4), 1, 3, 2).to_json()
+# small values of every JSON type, so that each example runs fast
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=8)
+DELETE = object()
+
+
+def _paths(data, prefix=()):
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(data, path, value):
+    """A copy of data with the field at path set to value or deleted; a path
+    that an earlier mutation cut off is left alone."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node.get(key)
+        if not isinstance(node, dict):
+            return data
+    if value is DELETE:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
+    return data
+
+
+def _run_quietly(args):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, err.getvalue()
+
+
+def _mutations(paths):
+    """One or two (field path, new value or DELETE) pairs."""
+    return st.lists(st.tuples(st.sampled_from(paths), JSON_VALUES | st.just(DELETE)),
+                    min_size=1, max_size=2)
+
+
+@settings(max_examples=150)
+@given(_mutations(list(_paths(SCENARIO)) + [("modulus",), ("mode",), ("mu",)]))
+def test_fuzz_scenario_fields(mutations):
+    config = SCENARIO
+    for path, value in mutations:
+        config = _mutated(config, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "scenario.json")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        code, err = _run_quietly(["simulate", "--config", cfg])
+    assert code in (0, 2, 3) and "Traceback" not in err
+
+
+@settings(max_examples=150)
+@given(_mutations(list(_paths(SCHEME)) + [("coset_distribution",)]))
+def test_fuzz_scheme_fields(mutations):
+    scheme = SCHEME
+    for path, value in mutations:
+        scheme = _mutated(scheme, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scheme.json")
+        with open(path, "w") as fh:
+            json.dump(scheme, fh)
+        code, err = _run_quietly(["equivocation", "--scheme", path, "--mu", "1"])
+    assert code in (0, 2, 3) and "Traceback" not in err

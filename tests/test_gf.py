@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankguard import DivisionByZero, NotIrreducible, UnsupportedSize, ctx_new
+from rankguard import DivisionByZero, NotIrreducible, PreconditionError, UnsupportedSize, ctx_new
 from rankguard.gf import DEFAULT_MODULI_GF2, poly_is_irreducible, smallest_irreducible
 
 F16 = ctx_new(2, 4, [1, 1, 0, 0, 1])
@@ -27,6 +27,17 @@ def test_ctx_new_rejects_reducible():
 def test_ctx_new_rejects_oversize():
     with pytest.raises(UnsupportedSize):
         ctx_new(2, 17)
+    # refused at once, before a primality test on q or the power q^m
+    with pytest.raises(UnsupportedSize):
+        ctx_new(2**61 - 1, 1)
+    with pytest.raises(UnsupportedSize):
+        ctx_new(2, 10**12, [1, 1])
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_ctx_new_rejects_degree_below_one(m):
+    with pytest.raises(PreconditionError, match="must be >= 1"):
+        ctx_new(2, m)
 
 
 def test_default_moduli_all_irreducible():

@@ -34,9 +34,17 @@ def test_profile_index_out_of_range():
             table.at(i)
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
-    # python -O strips assert; invariants must raise real errors
+    # python -O strips assert, and an AssertionError escapes the CLI's error
+    # handling as a traceback; invariants must raise InvariantViolated
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"{path.name} uses assert at lines {lines}"
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and node.exc is not None
+             and _raises_assertion_error(node)]
+    assert lines == [], f"{path.name} uses assert or raises AssertionError at lines {lines}"

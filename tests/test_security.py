@@ -1,10 +1,11 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from rankguard import ctx_new
+from rankguard import InvariantViolated, ctx_new
 from rankguard.coset_scheme import build_proposed
 from rankguard.linalg import Matrix, Subspace, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
@@ -144,6 +145,12 @@ def test_strength_empirical(scheme):
     assert witness.witness_leakage > 0.5
 
 
+def test_wrong_strength_raises(scheme):
+    # omega = 2 claims safety at mu = 2, where the flagship leaks one symbol
+    with pytest.raises(InvariantViolated):
+        verify_strength_empirically(scheme, 2)
+
+
 def test_two_symbol_scheme_strength():
     f64 = ctx_new(2, 6)
     scheme = build_proposed(f64, l=2, n=4, k=3)
@@ -229,3 +236,66 @@ def test_data_processing_with_errors(scheme, uniform):
                 clean[(S, W)] += w
                 noisy[(S, Wn)] += w
         assert _cond_entropy(noisy, 16) >= _cond_entropy(clean, 16) - 1e-12
+
+
+def _two_symbol_schemes():
+    # l = 2 with a nontrivial C2 over F_4, and the explicit construction over F_16
+    from rankguard.codes import LinearCode
+    from rankguard.coset_scheme import NestedScheme
+
+    f4 = ctx_new(2, 2)
+    a = f4.alpha
+    c1 = LinearCode.full(f4, 3)
+    c2 = LinearCode(f4, [[1, a, 1]], 3)
+    small = NestedScheme(c1, c2, Matrix(f4, [[1, 0, 0], [0, 1, a]], 3))
+    return [small, build_proposed(F16, l=2, n=2, k=2)]
+
+
+def _ratio_product(terms):
+    power = Fraction(1)
+    for ratio, count in terms:
+        power *= ratio**count
+    return power
+
+
+def _reference_quantities(dist, z, B):
+    """Each quantity as its own ratio product over the counts of S_Z and X."""
+    scheme, order, total = dist.scheme, dist.ctx.order, dist.total
+    z = tuple(range(scheme.l)) if z is None else z
+    sz, sx, cells = Counter(), Counter(), Counter()
+    for S, X, w in dist.entries:
+        s = tuple(S[i] for i in z)
+        sz[s] += w
+        sx[(s, X)] += w
+        cells[(s, ext_vec_times_base_transpose(dist.ctx, X, B))] += w
+    s_marg, w_marg = Counter(), Counter()
+    for (s, o), c in cells.items():
+        s_marg[s] += c
+        w_marg[o] += c
+    coset_size = scheme.c2.codeword_count() * order ** (scheme.l - len(z))
+    return {
+        "H": _ratio_product((Fraction(total, c), c) for c in sz.values()),
+        "D_S": _ratio_product((Fraction(c * order ** len(z), total), c) for c in sz.values()),
+        "D_X": _ratio_product((Fraction(c * coset_size, sz[s]), c) for (s, _), c in sx.items()),
+        "I": _ratio_product((Fraction(c * total, s_marg[s] * w_marg[o]), c)
+                            for (s, o), c in cells.items()),
+    }
+
+
+@pytest.mark.parametrize("dist_kind", ["uniform", "seeded"])
+@pytest.mark.parametrize("z", [None, (0,), (1,), (0, 1)], ids=str)
+@pytest.mark.parametrize("which", [0, 1], ids=["F4-n3", "F16-n2"])
+def test_quantities_match_ratio_products(which, z, dist_kind):
+    scheme = _two_symbol_schemes()[which]
+    dist = (JointDistribution.uniform(scheme) if dist_kind == "uniform"
+            else JointDistribution.seeded(scheme, random.Random(11)))
+    for mu in range(scheme.n + 1):
+        report = leakage_report(scheme, mu, dist, z)
+        ref = _reference_quantities(dist, z, report.argmax_b)
+        assert report.max_leakage.power == ref["I"]
+        assert (report.equivocation + report.max_leakage).power == ref["H"]
+        assert report.slack_s.power == ref["D_S"]
+        assert report.slack_x.power == ref["D_X"]
+    for B in enumerate_wiretap(2, scheme.n, scheme.n):
+        assert (dist.mutual_information(B, z).power
+                == _reference_quantities(dist, z, B)["I"])

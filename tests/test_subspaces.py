@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 from rankguard import EnumerationTooLarge, ctx_new
 from rankguard.linalg import Subspace, expand_to_base
+from rankguard.network import all_matrices
 from rankguard.subspaces import (
     SubspaceFamily,
     galois_closure,
     gaussian_binomial,
     is_qinvariant,
+    rank_r_count,
 )
 
 F16 = ctx_new(2, 4)
@@ -21,6 +24,13 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(4, 0, 2) == 1
     assert gaussian_binomial(4, 5, 2) == 0
+
+
+@pytest.mark.parametrize("q, nrows, ncols", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 1, 4)])
+def test_rank_r_count_matches_brute_force(q, nrows, ncols):
+    ranks = Counter(M.rank() for M in all_matrices(q, nrows, ncols))
+    for r in range(min(nrows, ncols) + 2):
+        assert rank_r_count(q, nrows, ncols, r) == ranks[r]
 
 
 def test_enumerate_counts_match_gaussian_binomial():
