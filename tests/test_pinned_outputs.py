@@ -1,8 +1,10 @@
 """Byte-level pins of seeded outputs.
 
 The values were recorded from the implementation before its trial loops,
-matrix enumerators and decoder argmin were merged; any change to an rng
-draw order, an enumeration order or a tie-break shows up here.
+matrix enumerators and decoder argmin were merged, and the exhaustive
+capability reports before the sweeps became batched numpy kernels; any
+change to an rng draw order, an enumeration order or a tie-break shows up
+here.
 """
 
 import hashlib
@@ -17,6 +19,12 @@ from rankguard.decoder import capability_report
 from rankguard.network import enumerate_wiretap
 
 F16 = ctx_new(2, 4)
+SCHEMES = {
+    # C2 = {0}: first weight 4
+    "f32": lambda: build_proposed(ctx_new(2, 5), l=1, n=4, k=1),
+    # one-dimensional C2: first weight 2, and the min over C2 members matters
+    "flagship": lambda: build_proposed(F16, l=1, n=3, k=2),
+}
 
 SIMULATE_BASE = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
                  "mu": 0, "t": 1, "rho_max": 1, "trials": 40, "seed": 11}
@@ -74,3 +82,59 @@ def test_full_wiretap_order():
     ]
     assert mats[8] == ((0, 0, 0), (1, 0, 0))
     assert mats[-1] == ((1, 1, 1), (1, 1, 1))
+
+
+def _rowspace_witness(a_entries, e_coeffs, message, true_val, other_val):
+    n = len(a_entries[0])
+    return {"A": {"rows": len(a_entries), "cols": n, "entries": a_entries},
+            "E": e_coeffs, "difference_message": message,
+            "true_discrepancy": true_val, "other_discrepancy": other_val}
+
+
+def _sweep_witness(a_key, error_index, difference_combo):
+    return {"A_key": a_key, "error_index": error_index, "difference_combo": difference_combo}
+
+
+@pytest.mark.parametrize("name, mode, t, rho, trials, covered, counterexample", [
+    ("f32", "exhaustive", 0, 0, 1, 645120, None),
+    ("f32", "exhaustive", 1, 0, 466, 300625920, None),
+    ("f32", "exhaustive", 1, 1, 7456, 864299520, None),
+    ("f32", "exhaustive", 1, 2, 2, 973902720, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [14], 1, 1)),
+    ("f32", "exhaustive", 2, 0, 467, 21299281920, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [18], 2, 2)),
+    ("f32", "exhaustive-full", 0, 0, 20160, 645120, None),
+    ("f32", "exhaustive-full", 1, 0, 9394560, 300625920, None),
+    ("f32", "exhaustive-full", 1, 1, 27009360, 864299520, None),
+    ("f32", "exhaustive-full", 1, 2, 466, 973902720, _sweep_witness(18, 4, 1)),
+    ("f32", "exhaustive-full", 2, 0, 33016, 21299281920, _sweep_witness(4680, 923, 1)),
+    ("flagship", "exhaustive", 0, 0, 1, 43008, None),
+    ("flagship", "exhaustive", 1, 0, 2, 4558848, _rowspace_witness(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [2], 1, 1)),
+    ("flagship", "exhaustive", 1, 1, 2, 12536832, _rowspace_witness(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [1], 1, 1)),
+    ("flagship", "exhaustive", 1, 2, 1, 13866496, _rowspace_witness(
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [1], 0, 0)),
+    ("flagship", "exhaustive", 2, 0, 2, 67780608, _rowspace_witness(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [2], 1, 1)),
+    ("flagship", "exhaustive-full", 0, 0, 168, 43008, None),
+    ("flagship", "exhaustive-full", 1, 0, 106, 4558848, _sweep_witness(84, 2, 1)),
+    ("flagship", "exhaustive-full", 1, 1, 106, 12536832, _sweep_witness(10, 1, 1)),
+    ("flagship", "exhaustive-full", 1, 2, 106, 13866496, _sweep_witness(1, 0, 1)),
+    ("flagship", "exhaustive-full", 2, 0, 1576, 67780608, _sweep_witness(84, 2, 1)),
+])
+def test_exhaustive_capability_report(name, mode, t, rho, trials, covered, counterexample):
+    scheme = SCHEMES[name]()
+    report = capability_report(scheme, t, rho, mode=mode)
+    assert report.to_json() == {
+        "verified": counterexample is None, "mode": mode, "t": t, "rho": rho,
+        "n": scheme.n, "N": scheme.n, "trials": trials, "covered_tuples": covered,
+        "counterexample": counterexample, "complete": True}
+    # the report is what the CLI serializes
+    assert json.loads(json.dumps(report.to_json())) == report.to_json()
