@@ -44,8 +44,11 @@ def _load_json(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PreconditionError(f"{path}: expected a JSON object")
-    if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise PreconditionError(f"{path}: unsupported config version {data.get('version')}")
+    version = data.get("version", CONFIG_VERSION)
+    # bool is an int subclass and true == 1, so compare the type too
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise PreconditionError(
+            f"{path}: unsupported config version {version!r} (expected {CONFIG_VERSION})")
     return data
 
 

@@ -19,19 +19,38 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
-A raw full-matrix sweep over every transfer matrix (no row-space
-reduction) is also available for q = 2 via packed rank tables.
+For q = 2 both exhaustive modes run as numpy kernels over packed GF(2)
+keys (an m x N binary matrix is one integer, row r at bit r*N):
+
+* the row-space check packs the errors, the C2 members and the message
+  representatives under each canonical A once, and decides the (E, S)
+  pairs of that A by rank-table lookups, one per block of errors; and
+* a raw full-matrix sweep over every transfer matrix (no row-space
+  reduction) takes the transfer matrices in batches of ascending packed
+  key, builds the product keys of every coset combination for a whole
+  batch from four-Russians slice tables, and decides the whole batch by
+  rank-table lookups.
+
+Batches are sized so that each temporary array holds at most PACKED_BLOCK
+elements, or one indivisible unit when that is larger: the |C1| rival keys
+of one error in the row-space check, the |C2| x |errors| keys of one
+message combo under one A in the full sweep.
+
+The row-space loop on field arithmetic is the path for q > 2 and the
+reference that the packed path is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitrank import packed_rank_table
+from .bitrank import pack_key, packed_rank_table
 from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import BudgetExceeded, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
@@ -56,6 +75,9 @@ DEFAULT_COSET_CAP = 2**16
 DEFAULT_DECODE_CAP = 2**20
 DEFAULT_ORACLE_A_CAP = 2**18
 DEFAULT_SAMPLED_BUDGET = 10**5
+# element count that bounds each temporary array of the packed q = 2 kernels;
+# their rank-table indices are intp, so one such array takes 2 MiB
+PACKED_BLOCK = 2**18
 
 
 @dataclass
@@ -224,23 +246,15 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
     N = n if N is None else N
     q = lifted.ctx.q
     m = lifted.ctx.m
-    if q != 2 or m * N > 22:
-        raise EnumerationTooLarge("bruteforce path needs q=2 and m*N <= 22 bits")
+    if q != 2 or m * N > 22 or N * n > 22:
+        raise EnumerationTooLarge("bruteforce path needs q=2 and m*N, N*n <= 22 bits")
     table = packed_rank_table(m, N)
-    a_mats = [A for r in range(n - rho, n + 1)
-              for A in all_matrices(q, N, n) if A.rank() == r]
-    keys = []  # keys[message index] = np.array over (member, A)
+    a_keys = _transfer_keys(N, n, rho)
     inner = lifted.inner
-    for S in inner.messages():
-        mk = []
-        for x in inner.coset_elements(S):
-            X = lifted.lift_vector(x)
-            MX = expand_to_base(lifted.ctx, X)
-            mrows = [pack_row_bits(r) for r in MX.rows]
-            for A in a_mats:
-                arows = [pack_row_bits(r) for r in A.rows]
-                mk.append(_product_key(mrows, arows, N))
-        keys.append(np.array(mk, dtype=np.uint32))
+    # keys[message index] = np.array over (A, member)
+    keys = [_product_keys([_expansion_rows(lifted.ctx, lifted.lift_vector(x))
+                           for x in inner.coset_elements(S)], a_keys, n, N).ravel()
+            for S in inner.messages()]
     best = None
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
@@ -253,18 +267,63 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
     return best
 
 
-def _product_key(mrows: list[int], arows: list[int], ncols: int) -> int:
-    """Packed key of (M A^T) for bit-row M (m x n) and bit-row A (N x n)."""
-    key = 0
-    shift = 0
-    for mr in mrows:
-        bits = 0
-        for i, ar in enumerate(arows):
-            if (mr & ar).bit_count() & 1:
-                bits |= 1 << i
-        key |= bits << shift
-        shift += ncols
-    return key
+# -- packed q = 2 keys ---------------------------------------------------------------
+
+
+def _expansion_rows(ctx, vec: Sequence[int]) -> list[int]:
+    """Bit rows of the m x len(vec) base expansion of vec (q = 2)."""
+    return [pack_row_bits(r) for r in expand_to_base(ctx, vec).rows]
+
+
+def _pack_vectors(vectors: Sequence[Sequence[int]], m: int, width: int) -> np.ndarray:
+    """Packed keys of the m x width base expansions of F_{2^m} vectors:
+    coefficient r of entry j lands on bit r*width + j."""
+    V = np.array(vectors, dtype=np.uint32).reshape(len(vectors), width)
+    keys = np.zeros(len(vectors), dtype=np.uint32)
+    for r in range(m):
+        for j in range(width):
+            keys |= ((V[:, j] >> np.uint32(r)) & np.uint32(1)) << np.uint32(r * width + j)
+    return keys
+
+
+def _transfer_keys(N: int, n: int, rho: int) -> np.ndarray:
+    """Packed keys (row j at bit j*n), ascending, of every N x n binary
+    matrix of rank >= n - rho."""
+    return np.nonzero(packed_rank_table(N, n).table >= n - rho)[0].astype(np.uint32)
+
+
+def _product_keys(mats: Sequence[Sequence[int]], a_keys: np.ndarray, n: int,
+                  N: int) -> np.ndarray:
+    """keys[A, k]: packed key of M_k A^T (m x N) for the bit rows of each
+    M_k (m x n) in mats and every packed N x n matrix A in a_keys.
+
+    A key is linear in the bits of A, so it is the XOR of one table lookup
+    per 8-bit slice of the A key (the method of four Russians)."""
+    keys = np.zeros((len(a_keys), len(mats)), dtype=np.uint32)
+    for shift, table in _slice_tables(tuple(map(tuple, mats)), n, N):
+        keys ^= table[(a_keys >> np.uint32(shift)) & np.uint32(len(table) - 1)]
+    return keys
+
+
+@lru_cache(maxsize=64)
+def _slice_tables(mats: tuple[tuple[int, ...], ...], n: int,
+                  N: int) -> list[tuple[int, np.ndarray]]:
+    """(shift, table) per 8-bit slice of an N x n key: table[v, k] is the key
+    of M_k A^T for the A whose only nonzero bits are v << shift."""
+    rows = np.array(mats, dtype=np.uint32).reshape(len(mats), -1)
+    bits = np.arange(N * n, dtype=np.uint32)[:, None, None]
+    # bit b of an A key is entry (b // n, b % n); it adds column b % n of
+    # M_k to column b // n of M_k A^T
+    entries = (rows[None, :, :] >> (bits % np.uint32(n))) & np.uint32(1)
+    places = np.arange(rows.shape[1], dtype=np.uint32) * np.uint32(N) + bits // np.uint32(n)
+    unit = (entries << places).sum(axis=2, dtype=np.uint32)  # unit[b, k]
+    tables = []
+    for shift in range(0, N * n, 8):
+        table = np.zeros((1, len(mats)), dtype=np.uint32)
+        for u in unit[shift:shift + 8]:
+            table = np.concatenate([table, table ^ u])
+        tables.append((shift, table))
+    return tables
 
 
 # -- capability verification ------------------------------------------------------
@@ -302,6 +361,9 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
         raise PreconditionError(f"need t >= 0 and 0 <= rho <= n, got t={t}, rho={rho}")
     if trials is not None and trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
+    N = scheme.n if N is None else N
+    if N < scheme.n - rho:
+        raise PreconditionError("N too small for the rank constraint")
     if isinstance(scheme, LiftedScheme):
         if mode != "sampled":
             raise PreconditionError("lifted schemes support sampled verification only")
@@ -320,107 +382,155 @@ def _covered_tuples(scheme, q, N, n, rho, n_errors) -> int:
     return a_count * scheme.message_count() * scheme.c2.codeword_count() * n_errors
 
 
-def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int,
-                         N: int | None, error_cap: int) -> CapabilityReport:
-    ctx, n = scheme.ctx, scheme.n
-    N = n if N is None else N
-    if N < n - rho:
-        raise PreconditionError("N too small for the rank constraint")
+def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
+    """One N x n transfer matrix per row space of dimension >= n - rho: the
+    canonical basis padded with zero rows."""
+    for r in range(n - rho, n + 1):
+        for Abase in enumerate_base_subspaces(q, n, r):
+            yield Matrix(Abase.field, list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
+
+
+def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) -> dict:
+    return {"A": A.to_json(), "E": [list(ctx.coeffs(e)) for e in E],
+            "difference_message": list(S),
+            "true_discrepancy": true_val, "other_discrepancy": other}
+
+
+def _rowspace_report(scheme, t, rho, N, trials, n_errors, counterexample) -> CapabilityReport:
+    return CapabilityReport(
+        verified=counterexample is None, mode="exhaustive", t=t, rho=rho, n=scheme.n, N=N,
+        trials=trials, covered_tuples=_covered_tuples(scheme, scheme.ctx.q, N, scheme.n, rho,
+                                                      n_errors),
+        counterexample=counterexample)
+
+
+def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
+                         error_cap: int) -> CapabilityReport:
+    """Row-space check; for q = 2 each canonical A is decided on packed keys
+    (m x N keys index the rank table, N x n transfer keys are uint32).
+
+    Row 0 of the rival offsets is the zero message, so vals[E, 0] is the
+    true coset's discrepancy and vals[E, S] that of difference coset S."""
+    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
+    if ctx.q != 2 or m * N > 22 or N * n > 32:
+        return _exhaustive_coherent_generic(scheme, t, rho, N, error_cap)
+    table = packed_rank_table(m, N).table
+    errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
+    e_keys = _pack_vectors(errors, m, N).astype(np.intp)
+    c2_rows = [_expansion_rows(ctx, c) for c in scheme.c2.codewords()]
+    nonzero_msgs = [S for S in scheme.messages() if any(S)]
+    rep_rows = [[0] * m] + [_expansion_rows(ctx, scheme.representative(S))
+                            for S in nonzero_msgs]
+    block = max(1, PACKED_BLOCK // (len(rep_rows) * len(c2_rows)))
+    group = max(1, PACKED_BLOCK // (len(rep_rows) + len(c2_rows)))
+    transfers = _canonical_transfers(ctx.q, n, N, rho)
+    trials = 0
+    while batch := list(itertools.islice(transfers, group)):
+        a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in batch],
+                          dtype=np.uint32)
+        # [A, member] and [A, message] keys of c A^T and rep A^T
+        c2_at = _product_keys(c2_rows, a_keys, n, N)
+        rep_at = _product_keys(rep_rows, a_keys, n, N)
+        for A, c2_keys, rep_keys in zip(batch, c2_at, rep_at):
+            # rivals[S, member]: key of (rep_S + member) A^T
+            rivals = rep_keys[:, None] ^ c2_keys[None, :]
+            for start in range(0, len(e_keys), block):
+                chunk = e_keys[start:start + block]
+                # vals[E, S]: least discrepancy over the coset members
+                vals = np.take(table, rivals[None, :, :] ^ chunk[:, None, None]).min(axis=2)
+                bad = (vals[:, 1:] <= vals[:, :1]).ravel()
+                if bad.any():
+                    ei, si = divmod(int(bad.argmax()), len(nonzero_msgs))
+                    counterexample = _rowspace_counterexample(
+                        ctx, A, errors[start + ei], nonzero_msgs[si],
+                        int(vals[ei, 0]), int(vals[ei, si + 1]))
+                    return _rowspace_report(scheme, t, rho, N, trials + ei + 1, len(errors),
+                                            counterexample)
+                trials += len(chunk)
+    return _rowspace_report(scheme, t, rho, N, trials, len(errors), None)
+
+
+def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
+                                 error_cap: int) -> CapabilityReport:
+    """Row-space check on field arithmetic: the q > 2 path and the reference."""
+    ctx = scheme.ctx
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
     c2_words = list(scheme.c2.codewords())
     nonzero_msgs = [S for S in scheme.messages() if any(S)]
     reps = {S: scheme.representative(S) for S in nonzero_msgs}
-    counterexample = None
     trials = 0
-    for r in range(n - rho, n + 1):
-        for Abase in enumerate_base_subspaces(ctx.q, n, r):
-            A = Matrix(Abase.field,
-                       list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
-            c2_at = [ext_vec_times_base_transpose(ctx, c, A) for c in c2_words]
-            rep_at = {S: ext_vec_times_base_transpose(ctx, reps[S], A)
-                      for S in nonzero_msgs}
-            for E in errors:
-                trials += 1
-                true_val = min(rank_weight(ctx, vec_sub(ctx, E, cat)) for cat in c2_at)
-                for S in nonzero_msgs:
-                    base_vec = vec_sub(ctx, E, rep_at[S])
-                    other = min(rank_weight(ctx, vec_sub(ctx, base_vec, cat))
-                                for cat in c2_at)
-                    if other <= true_val:
-                        counterexample = {
-                            "A": A.to_json(), "E": [list(ctx.coeffs(e)) for e in E],
-                            "difference_message": list(S),
-                            "true_discrepancy": true_val, "other_discrepancy": other,
-                        }
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return CapabilityReport(
-        verified=counterexample is None, mode="exhaustive", t=t, rho=rho, n=n, N=N,
-        trials=trials,
-        covered_tuples=_covered_tuples(scheme, ctx.q, N, n, rho, len(errors)),
-        counterexample=counterexample)
+    for A in _canonical_transfers(ctx.q, scheme.n, N, rho):
+        c2_at = [ext_vec_times_base_transpose(ctx, c, A) for c in c2_words]
+        rep_at = {S: ext_vec_times_base_transpose(ctx, reps[S], A) for S in nonzero_msgs}
+        for E in errors:
+            trials += 1
+            true_val = min(rank_weight(ctx, vec_sub(ctx, E, cat)) for cat in c2_at)
+            for S in nonzero_msgs:
+                base_vec = vec_sub(ctx, E, rep_at[S])
+                other = min(rank_weight(ctx, vec_sub(ctx, base_vec, cat)) for cat in c2_at)
+                if other <= true_val:
+                    counterexample = _rowspace_counterexample(ctx, A, E, S, true_val, other)
+                    return _rowspace_report(scheme, t, rho, N, trials, len(errors),
+                                            counterexample)
+    return _rowspace_report(scheme, t, rho, N, trials, len(errors), None)
 
 
-def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int,
-                         N: int | None, error_cap: int) -> CapabilityReport:
-    """Every transfer matrix literally, via packed rank tables (q = 2)."""
+def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
+                         error_cap: int) -> CapabilityReport:
+    """Every transfer matrix literally, via packed rank tables (q = 2).
+
+    Transfer matrices go through in batches of ascending packed key, so the
+    first failing A of the first failing batch is the first failing A."""
     ctx, n = scheme.ctx, scheme.n
-    N = n if N is None else N
     q, m = ctx.q, ctx.m
     if q != 2 or m * N > 22 or N * n > 22 or m * scheme.c1.k > 20:
         raise EnumerationTooLarge("full sweep needs q=2 and packable dimensions")
-    a_table = packed_rank_table(N, n)
-    e_table = packed_rank_table(m, N)
-    a_keys = np.nonzero(a_table.table >= n - rho)[0]
+    table = packed_rank_table(m, N).table
+    a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
-    e_keys = np.array(
-        [_pack_expansion(ctx, E, N) for E in errors], dtype=np.uint32)
-    # F_2 generators of C1; C2 generators sit in the low subset bits so that
+    e_keys = _pack_vectors(errors, m, N).astype(np.intp)
+    # F_2 generators of C1; C2 generators sit in the low combo bits so that
     # combos reshape into [message combo, coset member combo]
     alpha_powers = [ctx.pow(ctx.alpha, j) if ctx.m > 1 else 1 for j in range(m)]
     gen_rows = list(scheme.c2.gen.rows) + list(scheme.delta_g.rows)
-    generators = []
-    for row in gen_rows:
-        for ap in alpha_powers:
-            v = tuple(ctx.mul(ap, x) for x in row)
-            generators.append([pack_row_bits(r) for r in expand_to_base(ctx, v).rows])
-    n_msg_bits = m * scheme.l
-    n_bits = len(generators)
-    counterexample = None
+    generators = [_expansion_rows(ctx, tuple(ctx.mul(ap, x) for x in row))
+                  for row in gen_rows for ap in alpha_powers]
+    n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
+    # many A per batch when a whole A fits in the block; otherwise one A per
+    # batch with its message combos in slices, which keeps the first hit
+    # the first in [A, message combo, E] order
+    batch = max(1, PACKED_BLOCK // (n_msg * n_members * n_e))
+    step = max(1, PACKED_BLOCK // (n_members * n_e))
+
+    def report(trials: int, counterexample: dict | None) -> CapabilityReport:
+        return CapabilityReport(
+            verified=counterexample is None, mode="exhaustive-full", t=t, rho=rho,
+            n=n, N=N, trials=trials,
+            covered_tuples=_covered_tuples(scheme, q, N, n, rho, n_e),
+            counterexample=counterexample)
+
     trials = 0
-    for a_key in a_keys:
-        arows = [int(a_key) >> (i * n) & ((1 << n) - 1) for i in range(N)]
-        gen_keys = [_product_key(g, arows, N) for g in generators]
-        combos = np.zeros(1 << n_bits, dtype=np.uint32)
-        for idx in range(1, 1 << n_bits):
-            low = idx & -idx
-            combos[idx] = combos[idx ^ low] ^ gen_keys[low.bit_length() - 1]
-        grouped = combos.reshape(-1, 1 << (n_bits - n_msg_bits)) \
-            if n_bits > n_msg_bits else combos.reshape(-1, 1)
-        # grouped[msg_combo, c2_combo]: key of (rep+mask) A^T
-        vals = e_table.lookup(grouped[:, :, None] ^ e_keys[None, None, :]).min(axis=1)
-        trials += len(e_keys)
-        bad = vals[1:] <= vals[0][None, :]
-        if bad.any():
-            mi, ei = np.argwhere(bad)[0]
-            counterexample = {"A_key": int(a_key), "error_index": int(ei),
-                              "difference_combo": int(mi) + 1}
-            break
-    covered = _covered_tuples(scheme, q, N, n, rho, len(errors))
-    return CapabilityReport(
-        verified=counterexample is None, mode="exhaustive-full", t=t, rho=rho,
-        n=n, N=N, trials=trials, covered_tuples=covered,
-        counterexample=counterexample)
-
-
-def _pack_expansion(ctx, vec: Sequence[int], width: int) -> int:
-    M = expand_to_base(ctx, vec)
-    return sum(pack_row_bits(r) << (i * width) for i, r in enumerate(M.rows))
+    for start in range(0, len(a_keys), batch):
+        chunk = a_keys[start:start + batch]
+        # combos[A, idx]: key of (sum of the generators in the bits of idx) A^T
+        gen_keys = _product_keys(generators, chunk, n, N)
+        combos = np.zeros((len(chunk), 1), dtype=np.uint32)
+        for k in range(len(generators)):
+            combos = np.concatenate([combos, combos ^ gen_keys[:, k:k + 1]], axis=1)
+        grouped = combos.reshape(len(chunk), n_msg, n_members, 1)
+        # least discrepancy over the coset members, per [A, message combo, E]
+        true_vals = np.take(table, grouped[:, :1] ^ e_keys).min(axis=2)
+        for lo in range(1, n_msg, step):
+            vals = np.take(table, grouped[:, lo:lo + step] ^ e_keys).min(axis=2)
+            bad = vals <= true_vals
+            failing = bad.reshape(len(chunk), -1).any(axis=1)
+            if failing.any():
+                ai = int(failing.argmax())
+                mi, ei = divmod(int(bad[ai].argmax()), n_e)
+                return report(trials + (ai + 1) * n_e, {
+                    "A_key": int(chunk[ai]), "error_index": ei, "difference_combo": lo + mi})
+        trials += len(chunk) * n_e
+    return report(trials, None)
 
 
 def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
@@ -442,10 +552,9 @@ def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
     return A, S, result
 
 
-def _sampled(scheme, t: int, rho: int, N: int | None, trials: int, budget: int,
+def _sampled(scheme, t: int, rho: int, N: int, trials: int, budget: int,
              seed) -> CapabilityReport:
     n = scheme.n
-    N = n if N is None else N
     rng = random.Random(seed)
     run = min(trials, budget)
     counterexample = None

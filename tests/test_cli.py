@@ -241,6 +241,14 @@ def test_non_object_json(tmp_path, capsys):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version, shown", [("1", "'1'"), (2, "2"), (True, "True")])
+def test_unsupported_config_version(tmp_path, capsys, version, shown):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({**SCENARIO, "version": version}))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert f"unsupported config version {shown} (expected 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mu", [2, 99])
 def test_simulate_refuses_wiretap(tmp_path, capsys, mu):
     # simulate models no wiretapper: a nonzero mu is refused, not ignored

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from rankguard import BudgetExceeded, PreconditionError, ctx_new
-from rankguard.coset_scheme import build_proposed, lift
+from rankguard.codes import LinearCode
+from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
+    _exhaustive_coherent,
+    _exhaustive_coherent_generic,
     capability_report,
     construct_failure_witness,
     decode_coherent,
@@ -19,6 +22,7 @@ from rankguard.decoder import (
 from rankguard.gf import PrimeField
 from rankguard.linalg import (
     Matrix,
+    embed_base_matrix,
     ext_vec_times_base_transpose,
     expand_to_base,
     vec_add,
@@ -235,6 +239,69 @@ def test_capability_exhaustive_flagship_boundary():
     assert not bad.verified and bad.counterexample is not None
     bad = capability_report(s, t=0, rho=2)
     assert not bad.verified
+
+
+def _isometric_copy(rng, scheme):
+    """The scheme times a random invertible base-field matrix: an isometry of
+    the rank metric, so the correction capability is unchanged."""
+    ctx = scheme.ctx
+    T = embed_base_matrix(ctx, sample_invertible(rng, ctx.q, scheme.n))
+    return NestedScheme(LinearCode(ctx, scheme.c1.gen.matmul(T)),
+                        LinearCode(ctx, scheme.c2.gen.matmul(T)), scheme.delta_g.matmul(T))
+
+
+PACKED_CASES = {
+    # C2 = {0}, first weight 3, with N = n and N = n + 1
+    "[3,1]": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)), 3),
+    "[3,1] N=4": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)), 4),
+    # one-dimensional C2: the min over coset members decides
+    "flagship": (lambda rng: flagship(), 3),
+    "[3,2]": (lambda rng: _isometric_copy(rng, flagship()), 3),
+    # two message symbols: message order and multi-symbol representatives
+    "[3,2] l=2": (lambda rng: _isometric_copy(
+        rng, build_proposed(ctx_new(2, 5), l=2, n=3, k=2)), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_packed_rowspace_matches_generic(case):
+    build, N = PACKED_CASES[case]
+    scheme = build(random.Random(91))
+    verdicts = set()
+    for t in range(3):
+        for rho in range(scheme.n + 1):
+            packed = _exhaustive_coherent(scheme, t, rho, N, 10**6).to_json()
+            assert packed == _exhaustive_coherent_generic(scheme, t, rho, N, 10**6).to_json()
+            full = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
+            assert full.verified == packed["verified"]
+            assert full.covered_tuples == packed["covered_tuples"]
+            verdicts.add(packed["verified"])
+    assert verdicts == {True, False}
+
+
+def test_rowspace_check_beyond_packed_transfer_keys():
+    # a [6,1] code over F_4: m*N = 12 bits fit the rank table, but 6 x 6
+    # transfer keys do not fit 32 bits, so the field-arithmetic path runs
+    f4 = ctx_new(2, 2)
+    c1 = LinearCode(f4, Matrix(f4, [[1, 2, 3, 1, 0, 2]], 6))
+    scheme = NestedScheme(c1, LinearCode.zero(f4, 6), c1.gen)
+    assert first_rgrw(scheme.c1, scheme.c2) == 2
+    for t, rho in [(0, 1), (1, 0)]:
+        report = capability_report(scheme, t, rho)
+        assert report.verified == (2 * t + rho < 2)
+        assert report.to_json() == _exhaustive_coherent_generic(scheme, t, rho, 6, 10**6).to_json()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "exhaustive-full", "sampled", "lifted"])
+def test_capability_rejects_transfer_below_rank(mode):
+    # no 2 x 3 matrix has rank >= 3: nothing to verify, so no verdict
+    scheme = _lifted_instance() if mode == "lifted" else flagship()
+    with pytest.raises(PreconditionError, match="N too small"):
+        capability_report(scheme, 1, 0, mode="sampled" if mode == "lifted" else mode, N=2)
+    if mode != "lifted":
+        # N = n - rho leaves every transfer matrix of full row rank
+        rep = capability_report(scheme, 0, 1, mode=mode, N=2)
+        assert rep.verified and rep.trials > 0
 
 
 def test_capability_sampled_matches():
