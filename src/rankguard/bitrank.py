@@ -13,6 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# element count that bounds each temporary array of the packed q = 2 kernels;
+# their rank-table indices are intp, so one such array takes 2 MiB
+PACKED_BLOCK = 2**18
+
 
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of the row vectors encoded as ints."""
@@ -81,19 +85,16 @@ class PackedRankTable:
         trans = np.array(trans_rows, dtype=np.int32)
         ranks = np.array([len(b) for b in bases], dtype=np.uint8)
 
-        keys = np.arange(1 << (nrows * ncols), dtype=np.uint32)
-        state = np.zeros_like(keys, dtype=np.int32)
+        # filled in blocks of keys, so the transients stay at PACKED_BLOCK
+        # elements each instead of one per key of the table
         mask = np.uint32((1 << ncols) - 1)
-        for r in range(nrows):
-            rows = (keys >> np.uint32(r * ncols)) & mask
-            state = trans[state, rows]
-        self.table = ranks[state]
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        return self.table[keys]
-
-    def rank_of(self, rows: Sequence[int]) -> int:
-        return int(self.table[pack_key(rows, self.ncols)])
+        self.table = np.empty(1 << (nrows * ncols), dtype=np.uint8)
+        for lo in range(0, len(self.table), PACKED_BLOCK):
+            keys = np.arange(lo, min(lo + PACKED_BLOCK, len(self.table)), dtype=np.uint32)
+            state = np.zeros(len(keys), dtype=np.int32)
+            for r in range(nrows):
+                state = trans[state, (keys >> np.uint32(r * ncols)) & mask]
+            self.table[lo:lo + len(keys)] = ranks[state]
 
 
 @lru_cache(maxsize=8)

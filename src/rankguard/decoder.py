@@ -19,22 +19,27 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
-For q = 2 both exhaustive modes run as numpy kernels over packed GF(2)
-keys (an m x N binary matrix is one integer, row r at bit r*N):
+For q = 2 both exhaustive modes are callers of one numpy kernel over packed
+GF(2) keys (an m x N binary matrix is one integer, row r at bit r*N), which
+returns the first transfer matrix of a given key list that fails:
 
-* the row-space check packs the errors, the C2 members and the message
-  representatives under each canonical A once, and decides the (E, S)
-  pairs of that A by rank-table lookups, one per block of errors; and
-* a raw full-matrix sweep over every transfer matrix (no row-space
-  reduction) takes the transfer matrices in batches of ascending packed
-  key, builds the product keys of every coset combination for a whole
-  batch from four-Russians slice tables, and decides the whole batch by
-  rank-table lookups.
+* the kernel takes the transfer keys in batches, builds the product keys
+  of every F_2 combination of C1's generators under a whole batch by
+  doubling over four-Russians slice tables, and scores every (message
+  combo, error) pair by rank-table lookups, the least discrepancy over the
+  combo's coset members.  Combo c is the difference message whose symbol i
+  is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
+* the row-space check passes one key per canonical A and reports the
+  first hit in (E, S) row-major order, S over the nonzero messages in
+  messages() order: the generic path's counterexample.
+* the raw full-matrix sweep (no row-space reduction) passes the key of
+  every transfer matrix in ascending order and reports the first hit in
+  (combo, E) row-major order.
 
 Batches are sized so that each temporary array holds at most PACKED_BLOCK
-elements, or one indivisible unit when that is larger: the |C1| rival keys
-of one error in the row-space check, the |C2| x |errors| keys of one
-message combo under one A in the full sweep.
+elements, or one indivisible unit when that is larger: the |C2| x |errors|
+keys of one message combo under one A.  The scores the kernel returns take
+one byte per (message combo, error) of each A in a batch.
 
 The row-space loop on field arithmetic is the path for q > 2 and the
 reference that the packed path is tested against.
@@ -42,7 +47,6 @@ reference that the packed path is tested against.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitrank import pack_key, packed_rank_table
+from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table
 from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import BudgetExceeded, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
@@ -75,9 +79,6 @@ DEFAULT_COSET_CAP = 2**16
 DEFAULT_DECODE_CAP = 2**20
 DEFAULT_ORACLE_A_CAP = 2**18
 DEFAULT_SAMPLED_BUDGET = 10**5
-# element count that bounds each temporary array of the packed q = 2 kernels;
-# their rank-table indices are intp, so one such array takes 2 MiB
-PACKED_BLOCK = 2**18
 
 
 @dataclass
@@ -236,30 +237,34 @@ def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int,
 def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed",
                           N: int | None = None) -> int:
     """Minimum noncoherent delta distance of the lifted coset family."""
+    n = lifted.n
+    if not 0 <= rho <= n:
+        raise PreconditionError("need 0 <= rho <= n")
     if method == "closed":
         return max(0, first_rgrw(lifted.inner.c1, lifted.inner.c2) - rho)
     if method != "bruteforce":
         raise PreconditionError(f"unknown method {method!r}")
     # brute force: min over coset pairs, members and transfer-matrix pairs of
     # the rank distance between the two transformed lifted packets
-    n = lifted.n
     N = n if N is None else N
+    if N < n - rho:
+        raise PreconditionError("N too small for the rank constraint")
     q = lifted.ctx.q
     m = lifted.ctx.m
     if q != 2 or m * N > 22 or N * n > 22:
         raise EnumerationTooLarge("bruteforce path needs q=2 and m*N, N*n <= 22 bits")
-    table = packed_rank_table(m, N)
+    table = packed_rank_table(m, N).table
     a_keys = _transfer_keys(N, n, rho)
     inner = lifted.inner
     # keys[message index] = np.array over (A, member)
-    keys = [_product_keys([_expansion_rows(lifted.ctx, lifted.lift_vector(x))
-                           for x in inner.coset_elements(S)], a_keys, n, N).ravel()
+    keys = [_product_keys([lifted.lift_vector(x) for x in inner.coset_elements(S)],
+                          a_keys, m, n, N).ravel()
             for S in inner.messages()]
     best = None
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             xo = keys[i][:, None] ^ keys[j][None, :]
-            d = int(table.lookup(xo).min())
+            d = int(table[xo].min())
             if best is None or d < best:
                 best = d
             if best == 0:
@@ -268,11 +273,6 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
 
 
 # -- packed q = 2 keys ---------------------------------------------------------------
-
-
-def _expansion_rows(ctx, vec: Sequence[int]) -> list[int]:
-    """Bit rows of the m x len(vec) base expansion of vec (q = 2)."""
-    return [pack_row_bits(r) for r in expand_to_base(ctx, vec).rows]
 
 
 def _pack_vectors(vectors: Sequence[Sequence[int]], m: int, width: int) -> np.ndarray:
@@ -292,38 +292,79 @@ def _transfer_keys(N: int, n: int, rho: int) -> np.ndarray:
     return np.nonzero(packed_rank_table(N, n).table >= n - rho)[0].astype(np.uint32)
 
 
-def _product_keys(mats: Sequence[Sequence[int]], a_keys: np.ndarray, n: int,
+def _product_keys(vectors: Sequence[Sequence[int]], a_keys: np.ndarray, m: int, n: int,
                   N: int) -> np.ndarray:
-    """keys[A, k]: packed key of M_k A^T (m x N) for the bit rows of each
-    M_k (m x n) in mats and every packed N x n matrix A in a_keys.
+    """keys[A, k]: packed key of x_k A^T (m x N) for each F_{2^m} vector x_k
+    of length n and every packed N x n matrix A in a_keys.
 
     A key is linear in the bits of A, so it is the XOR of one table lookup
     per 8-bit slice of the A key (the method of four Russians)."""
-    keys = np.zeros((len(a_keys), len(mats)), dtype=np.uint32)
-    for shift, table in _slice_tables(tuple(map(tuple, mats)), n, N):
+    keys = np.zeros((len(a_keys), len(vectors)), dtype=np.uint32)
+    for shift, table in _slice_tables(tuple(map(tuple, vectors)), m, n, N):
         keys ^= table[(a_keys >> np.uint32(shift)) & np.uint32(len(table) - 1)]
     return keys
 
 
 @lru_cache(maxsize=64)
-def _slice_tables(mats: tuple[tuple[int, ...], ...], n: int,
+def _slice_tables(vectors: tuple[tuple[int, ...], ...], m: int, n: int,
                   N: int) -> list[tuple[int, np.ndarray]]:
     """(shift, table) per 8-bit slice of an N x n key: table[v, k] is the key
-    of M_k A^T for the A whose only nonzero bits are v << shift."""
-    rows = np.array(mats, dtype=np.uint32).reshape(len(mats), -1)
-    bits = np.arange(N * n, dtype=np.uint32)[:, None, None]
-    # bit b of an A key is entry (b // n, b % n); it adds column b % n of
-    # M_k to column b // n of M_k A^T
-    entries = (rows[None, :, :] >> (bits % np.uint32(n))) & np.uint32(1)
-    places = np.arange(rows.shape[1], dtype=np.uint32) * np.uint32(N) + bits // np.uint32(n)
-    unit = (entries << places).sum(axis=2, dtype=np.uint32)  # unit[b, k]
+    of x_k A^T for the A whose only nonzero bits are v << shift."""
+    # bit b of an A key is entry (b // n, b % n); alone it moves entry b % n
+    # of x to entry b // n of x A^T
+    X = np.array(vectors, dtype=np.uint32).reshape(len(vectors), n)
+    images = np.zeros((N * n, len(vectors), N), dtype=np.uint32)
+    for b in range(N * n):
+        images[b, :, b // n] = X[:, b % n]
+    unit = _pack_vectors(images.reshape(-1, N), m, N).reshape(N * n, len(vectors))
     tables = []
     for shift in range(0, N * n, 8):
-        table = np.zeros((1, len(mats)), dtype=np.uint32)
+        table = np.zeros((1, len(vectors)), dtype=np.uint32)
         for u in unit[shift:shift + 8]:
             table = np.concatenate([table, table ^ u])
         tables.append((shift, table))
     return tables
+
+
+def _first_failure(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray,
+                   N: int) -> tuple[int, np.ndarray] | None:
+    """(i, vals) for the first packed N x n transfer matrix a_keys[i] under
+    which some error of e_keys (packed m x N) makes a nonzero difference
+    combo score no worse than the true coset, or None (q = 2).
+
+    vals[c, E] is the least discrepancy over the coset members of message
+    combo c, whose symbol i is (c >> i*m) & (2^m - 1); combo 0 is the true
+    coset.  Transfer matrices go through in batches in the order given, so
+    the first failing A of the first failing batch is the first failing A."""
+    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
+    table = packed_rank_table(m, N).table
+    e_keys = e_keys.astype(np.intp)
+    # F_2 generators of C1; C2 generators sit in the low combo bits so that
+    # combos reshape into [message combo, coset member combo]
+    gen_rows = list(scheme.c2.gen.rows) + list(scheme.delta_g.rows)
+    generators = [tuple(ctx.mul(1 << j, x) for x in row) for row in gen_rows for j in range(m)]
+    n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
+    # many A per batch when a whole A fits in the block; otherwise one A per
+    # batch with its message combos in slices
+    batch = max(1, PACKED_BLOCK // (n_msg * n_members * n_e))
+    step = max(1, PACKED_BLOCK // (n_members * n_e))
+    for start in range(0, len(a_keys), batch):
+        chunk = a_keys[start:start + batch]
+        # combos[A, idx]: key of (sum of the generators in the bits of idx) A^T
+        gen_keys = _product_keys(generators, chunk, m, n, N)
+        combos = np.zeros((len(chunk), 1), dtype=np.uint32)
+        for k in range(len(generators)):
+            combos = np.concatenate([combos, combos ^ gen_keys[:, k:k + 1]], axis=1)
+        grouped = combos.reshape(len(chunk), n_msg, n_members, 1)
+        vals = np.empty((len(chunk), n_msg, n_e), dtype=np.uint8)
+        for lo in range(0, n_msg, step):
+            np.take(table, grouped[:, lo:lo + step] ^ e_keys).min(
+                axis=2, out=vals[:, lo:lo + step])
+        failing = (vals[:, 1:] <= vals[:, :1]).reshape(len(chunk), -1).any(axis=1)
+        if failing.any():
+            i = int(failing.argmax())
+            return start + i, vals[i]
+    return None
 
 
 # -- capability verification ------------------------------------------------------
@@ -377,15 +418,20 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _covered_tuples(scheme, q, N, n, rho, n_errors) -> int:
+def _exhaustive_report(scheme, mode: str, t: int, rho: int, N: int, trials: int,
+                       n_errors: int, counterexample: dict | None) -> CapabilityReport:
+    q, n = scheme.ctx.q, scheme.n
     a_count = sum(rank_r_count(q, N, n, r) for r in range(n - rho, n + 1))
-    return a_count * scheme.message_count() * scheme.c2.codeword_count() * n_errors
+    return CapabilityReport(
+        verified=counterexample is None, mode=mode, t=t, rho=rho, n=n, N=N, trials=trials,
+        covered_tuples=a_count * scheme.message_count() * scheme.c2.codeword_count() * n_errors,
+        counterexample=counterexample)
 
 
 def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
     """One N x n transfer matrix per row space of dimension >= n - rho: the
     canonical basis padded with zero rows."""
-    for r in range(n - rho, n + 1):
+    for r in range(n - rho, min(n, N) + 1):
         for Abase in enumerate_base_subspaces(q, n, r):
             yield Matrix(Abase.field, list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
 
@@ -396,58 +442,30 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
             "true_discrepancy": true_val, "other_discrepancy": other}
 
 
-def _rowspace_report(scheme, t, rho, N, trials, n_errors, counterexample) -> CapabilityReport:
-    return CapabilityReport(
-        verified=counterexample is None, mode="exhaustive", t=t, rho=rho, n=scheme.n, N=N,
-        trials=trials, covered_tuples=_covered_tuples(scheme, scheme.ctx.q, N, scheme.n, rho,
-                                                      n_errors),
-        counterexample=counterexample)
-
-
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
                          error_cap: int) -> CapabilityReport:
-    """Row-space check; for q = 2 each canonical A is decided on packed keys
-    (m x N keys index the rank table, N x n transfer keys are uint32).
-
-    Row 0 of the rival offsets is the zero message, so vals[E, 0] is the
-    true coset's discrepancy and vals[E, S] that of difference coset S."""
+    """Row-space check; for q = 2 the packed kernel decides one canonical A
+    per row space (N x n transfer keys are uint32)."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
-    if ctx.q != 2 or m * N > 22 or N * n > 32:
+    if ctx.q != 2 or m * N > 22 or N * n > 32 or m * scheme.c1.k > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N, error_cap)
-    table = packed_rank_table(m, N).table
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
-    e_keys = _pack_vectors(errors, m, N).astype(np.intp)
-    c2_rows = [_expansion_rows(ctx, c) for c in scheme.c2.codewords()]
+    transfers = list(_canonical_transfers(ctx.q, n, N, rho))
+    a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in transfers],
+                      dtype=np.uint32)
+    hit = _first_failure(scheme, a_keys, _pack_vectors(errors, m, N), N)
+    if hit is None:
+        return _exhaustive_report(scheme, "exhaustive", t, rho, N,
+                                  len(transfers) * len(errors), len(errors), None)
+    i, vals = hit
     nonzero_msgs = [S for S in scheme.messages() if any(S)]
-    rep_rows = [[0] * m] + [_expansion_rows(ctx, scheme.representative(S))
-                            for S in nonzero_msgs]
-    block = max(1, PACKED_BLOCK // (len(rep_rows) * len(c2_rows)))
-    group = max(1, PACKED_BLOCK // (len(rep_rows) + len(c2_rows)))
-    transfers = _canonical_transfers(ctx.q, n, N, rho)
-    trials = 0
-    while batch := list(itertools.islice(transfers, group)):
-        a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in batch],
-                          dtype=np.uint32)
-        # [A, member] and [A, message] keys of c A^T and rep A^T
-        c2_at = _product_keys(c2_rows, a_keys, n, N)
-        rep_at = _product_keys(rep_rows, a_keys, n, N)
-        for A, c2_keys, rep_keys in zip(batch, c2_at, rep_at):
-            # rivals[S, member]: key of (rep_S + member) A^T
-            rivals = rep_keys[:, None] ^ c2_keys[None, :]
-            for start in range(0, len(e_keys), block):
-                chunk = e_keys[start:start + block]
-                # vals[E, S]: least discrepancy over the coset members
-                vals = np.take(table, rivals[None, :, :] ^ chunk[:, None, None]).min(axis=2)
-                bad = (vals[:, 1:] <= vals[:, :1]).ravel()
-                if bad.any():
-                    ei, si = divmod(int(bad.argmax()), len(nonzero_msgs))
-                    counterexample = _rowspace_counterexample(
-                        ctx, A, errors[start + ei], nonzero_msgs[si],
-                        int(vals[ei, 0]), int(vals[ei, si + 1]))
-                    return _rowspace_report(scheme, t, rho, N, trials + ei + 1, len(errors),
-                                            counterexample)
-                trials += len(chunk)
-    return _rowspace_report(scheme, t, rho, N, trials, len(errors), None)
+    combos = [sum(s << (j * m) for j, s in enumerate(S)) for S in nonzero_msgs]
+    # first hit in (E, S) row-major order, as the generic loop meets it
+    ei, si = divmod(int((vals[combos] <= vals[0]).T.argmax()), len(combos))
+    counterexample = _rowspace_counterexample(ctx, transfers[i], errors[ei], nonzero_msgs[si],
+                                              int(vals[0, ei]), int(vals[combos[si], ei]))
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(errors) + ei + 1,
+                              len(errors), counterexample)
 
 
 def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
@@ -470,67 +488,30 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
                 other = min(rank_weight(ctx, vec_sub(ctx, base_vec, cat)) for cat in c2_at)
                 if other <= true_val:
                     counterexample = _rowspace_counterexample(ctx, A, E, S, true_val, other)
-                    return _rowspace_report(scheme, t, rho, N, trials, len(errors),
-                                            counterexample)
-    return _rowspace_report(scheme, t, rho, N, trials, len(errors), None)
+                    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials,
+                                              len(errors), counterexample)
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials, len(errors), None)
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
                          error_cap: int) -> CapabilityReport:
-    """Every transfer matrix literally, via packed rank tables (q = 2).
-
-    Transfer matrices go through in batches of ascending packed key, so the
-    first failing A of the first failing batch is the first failing A."""
-    ctx, n = scheme.ctx, scheme.n
-    q, m = ctx.q, ctx.m
-    if q != 2 or m * N > 22 or N * n > 22 or m * scheme.c1.k > 20:
+    """Every transfer matrix literally, in ascending packed key, through the
+    packed kernel (q = 2)."""
+    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
+    if ctx.q != 2 or m * N > 22 or N * n > 22 or m * scheme.c1.k > 20:
         raise EnumerationTooLarge("full sweep needs q=2 and packable dimensions")
-    table = packed_rank_table(m, N).table
     a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
-    e_keys = _pack_vectors(errors, m, N).astype(np.intp)
-    # F_2 generators of C1; C2 generators sit in the low combo bits so that
-    # combos reshape into [message combo, coset member combo]
-    alpha_powers = [ctx.pow(ctx.alpha, j) if ctx.m > 1 else 1 for j in range(m)]
-    gen_rows = list(scheme.c2.gen.rows) + list(scheme.delta_g.rows)
-    generators = [_expansion_rows(ctx, tuple(ctx.mul(ap, x) for x in row))
-                  for row in gen_rows for ap in alpha_powers]
-    n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
-    # many A per batch when a whole A fits in the block; otherwise one A per
-    # batch with its message combos in slices, which keeps the first hit
-    # the first in [A, message combo, E] order
-    batch = max(1, PACKED_BLOCK // (n_msg * n_members * n_e))
-    step = max(1, PACKED_BLOCK // (n_members * n_e))
-
-    def report(trials: int, counterexample: dict | None) -> CapabilityReport:
-        return CapabilityReport(
-            verified=counterexample is None, mode="exhaustive-full", t=t, rho=rho,
-            n=n, N=N, trials=trials,
-            covered_tuples=_covered_tuples(scheme, q, N, n, rho, n_e),
-            counterexample=counterexample)
-
-    trials = 0
-    for start in range(0, len(a_keys), batch):
-        chunk = a_keys[start:start + batch]
-        # combos[A, idx]: key of (sum of the generators in the bits of idx) A^T
-        gen_keys = _product_keys(generators, chunk, n, N)
-        combos = np.zeros((len(chunk), 1), dtype=np.uint32)
-        for k in range(len(generators)):
-            combos = np.concatenate([combos, combos ^ gen_keys[:, k:k + 1]], axis=1)
-        grouped = combos.reshape(len(chunk), n_msg, n_members, 1)
-        # least discrepancy over the coset members, per [A, message combo, E]
-        true_vals = np.take(table, grouped[:, :1] ^ e_keys).min(axis=2)
-        for lo in range(1, n_msg, step):
-            vals = np.take(table, grouped[:, lo:lo + step] ^ e_keys).min(axis=2)
-            bad = vals <= true_vals
-            failing = bad.reshape(len(chunk), -1).any(axis=1)
-            if failing.any():
-                ai = int(failing.argmax())
-                mi, ei = divmod(int(bad[ai].argmax()), n_e)
-                return report(trials + (ai + 1) * n_e, {
-                    "A_key": int(chunk[ai]), "error_index": ei, "difference_combo": lo + mi})
-        trials += len(chunk) * n_e
-    return report(trials, None)
+    hit = _first_failure(scheme, a_keys, _pack_vectors(errors, m, N), N)
+    if hit is None:
+        return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
+                                  len(a_keys) * len(errors), len(errors), None)
+    i, vals = hit
+    # first hit in (combo, E) row-major order
+    ci, ei = divmod(int((vals[1:] <= vals[0]).argmax()), len(errors))
+    return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(errors),
+                              len(errors), {"A_key": int(a_keys[i]), "error_index": ei,
+                                            "difference_combo": ci + 1})
 
 
 def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):

@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
-from rankguard import BudgetExceeded, PreconditionError, ctx_new
+from rankguard import BudgetExceeded, EnumerationTooLarge, PreconditionError, ctx_new, decoder
+from rankguard.bitrank import pack_key
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
+    _pack_vectors,
+    _product_keys,
     capability_report,
     construct_failure_witness,
     decode_coherent,
@@ -25,6 +29,7 @@ from rankguard.linalg import (
     embed_base_matrix,
     ext_vec_times_base_transpose,
     expand_to_base,
+    pack_row_bits,
     vec_add,
     vec_sub,
 )
@@ -279,6 +284,49 @@ def test_packed_rowspace_matches_generic(case):
     assert verdicts == {True, False}
 
 
+def test_packed_rowspace_beyond_rank_table_transfer_keys():
+    # 5 x 5 transfer keys (25 bits) have no rank table, so the full sweep
+    # refuses them; the row-space check packs them through four slice tables
+    c1 = LinearCode(F16, Matrix(F16, [[1, 2, 4, 8, 3]], 5))
+    scheme = NestedScheme(c1, LinearCode.zero(F16, 5), c1.gen)
+    assert first_rgrw(scheme.c1, scheme.c2) == 4
+    for t in range(2):
+        for rho in (0, 1, scheme.n):
+            packed = _exhaustive_coherent(scheme, t, rho, 5, 10**6).to_json()
+            assert packed == _exhaustive_coherent_generic(scheme, t, rho, 5, 10**6).to_json()
+            assert packed["verified"] == (2 * t + rho < 4)
+            with pytest.raises(EnumerationTooLarge):
+                capability_report(scheme, t, rho, mode="exhaustive-full")
+
+
+def test_q2_rowspace_check_takes_packed_path(monkeypatch):
+    # a loosened guard would pass every equality test on the slow path
+    def generic(*args):
+        pytest.fail("q = 2 row-space check fell back to field arithmetic")
+
+    monkeypatch.setattr(decoder, "_exhaustive_coherent_generic", generic)
+    s = flagship()
+    for t in range(3):
+        for rho in range(s.n + 1):
+            assert capability_report(s, t, rho).verified == (2 * t + rho < 2)
+
+
+@pytest.mark.parametrize("m, n, N", [(4, 3, 3), (4, 3, 5), (5, 4, 2), (4, 5, 5), (11, 3, 2)])
+def test_product_keys_match_field_product(m, n, N):
+    # (4, 5, 5): 25-bit transfer keys, four slice tables; (11, 3, 2): the
+    # m x n expansion of x takes 33 bits
+    ctx = ctx_new(2, m)
+    rng = random.Random(92)
+    xs = [tuple(rng.randrange(ctx.order) for _ in range(n)) for _ in range(6)]
+    mats = [sample_matrix(rng, 2, N, n) for _ in range(30)]
+    a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in mats],
+                      dtype=np.uint32)
+    keys = _product_keys(xs, a_keys, m, n, N)
+    for A, row in zip(mats, keys):
+        expected = _pack_vectors([ext_vec_times_base_transpose(ctx, x, A) for x in xs], m, N)
+        assert row.tolist() == expected.tolist()
+
+
 def test_rowspace_check_beyond_packed_transfer_keys():
     # a [6,1] code over F_4: m*N = 12 bits fit the rank table, but 6 x 6
     # transfer keys do not fit 32 bits, so the field-arithmetic path runs
@@ -302,6 +350,10 @@ def test_capability_rejects_transfer_below_rank(mode):
         # N = n - rho leaves every transfer matrix of full row rank
         rep = capability_report(scheme, 0, 1, mode=mode, N=2)
         assert rep.verified and rep.trials > 0
+    if mode == "exhaustive":
+        # no row space of a 2 x 3 matrix has dimension 3: seven canonical A
+        assert rep.trials == 7
+        assert rep.to_json() == _exhaustive_coherent_generic(scheme, 0, 1, 2, 10**6).to_json()
 
 
 def test_capability_sampled_matches():
@@ -362,6 +414,17 @@ def test_noncoherent_delta_identity():
     for rho in (0, 1):
         assert delta_min_noncoherent(lifted, rho, method="closed") == m1 - rho
         assert delta_min_noncoherent(lifted, rho, method="bruteforce") == m1 - rho
+
+
+def test_noncoherent_delta_rejects_bad_budgets():
+    lifted = _lifted_instance()
+    for method in ("closed", "bruteforce"):
+        for rho in (-1, lifted.n + 1):
+            with pytest.raises(PreconditionError, match="rho"):
+                delta_min_noncoherent(lifted, rho, method=method)
+    # no 2 x 3 transfer matrix has rank 3
+    with pytest.raises(PreconditionError, match="N too small"):
+        delta_min_noncoherent(lifted, 0, method="bruteforce", N=2)
 
 
 def test_noncoherent_capability_sampled():

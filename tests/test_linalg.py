@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rankguard import AmbientMismatch, ctx_new
-from rankguard.bitrank import PackedRankTable, pack_key, rank_bits
+from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
 from rankguard.gf import PrimeField
 from rankguard.linalg import (
     Matrix,
@@ -137,5 +137,17 @@ def test_packed_rank_table():
     rng = random.Random(6)
     for _ in range(100):
         rows = [rng.randrange(16) for _ in range(3)]
-        assert table.rank_of(rows) == rank_bits(rows)
         assert table.table[pack_key(rows, 4)] == rank_bits(rows)
+
+
+def test_packed_rank_table_blocks():
+    # the 2^20-key table is filled in blocks of PACKED_BLOCK keys: check the
+    # keys on either side of every block boundary, the ends, and a sample
+    table = packed_rank_table(5, 4).table
+    assert len(table) == 1 << 20 > PACKED_BLOCK
+    rng = random.Random(7)
+    keys = [0, len(table) - 1] + [rng.randrange(len(table)) for _ in range(300)]
+    for lo in range(PACKED_BLOCK, len(table), PACKED_BLOCK):
+        keys += [lo - 1, lo]
+    for key in keys:
+        assert table[key] == rank_bits((key >> (4 * r)) & 15 for r in range(5))
