@@ -19,27 +19,25 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
-For q = 2 both exhaustive modes are callers of one numpy kernel over packed
-GF(2) keys (an m x N binary matrix is one integer, row r at bit r*N), which
-returns the first transfer matrix of a given key list that fails:
+For q = 2 both exhaustive modes call one numpy kernel over packed GF(2)
+keys (an m x N binary matrix is one integer, row r at bit r*N).  Per
+transfer key, in the order given, it scores every (message combo, error)
+pair, the least discrepancy over the combo's coset members, and yields each
+block of errors where a nonzero combo scores no worse than the true one.
+Combo c is the difference message whose symbol i is (c >> i*m) & (2^m - 1);
+combo 0 is the true coset.
 
-* the kernel takes the transfer keys in batches, builds the product keys
-  of every F_2 combination of C1's generators under a whole batch by
-  doubling over four-Russians slice tables, and scores every (message
-  combo, error) pair by rank-table lookups, the least discrepancy over the
-  combo's coset members.  Combo c is the difference message whose symbol i
-  is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
-* the row-space check passes one key per canonical A and reports the
-  first hit in (E, S) row-major order, S over the nonzero messages in
-  messages() order: the generic path's counterexample.
-* the raw full-matrix sweep (no row-space reduction) passes the key of
-  every transfer matrix in ascending order and reports the first hit in
-  (combo, E) row-major order.
+* the row-space check passes one key per canonical A and reports the first
+  hit in (E, S) row-major order, S in messages() order, as the generic
+  path does; the first failing block decides it.
+* the raw full sweep passes every transfer key in ascending order and
+  reports the failing A's first hit in (combo, E) row-major order, which
+  may take every block of that A.
 
-Batches are sized so that each temporary array holds at most PACKED_BLOCK
-elements, or one indivisible unit when that is larger: the |C2| x |errors|
-keys of one message combo under one A.  The scores the kernel returns take
-one byte per (message combo, error) of each A in a batch.
+Whole A go in batches when one fits in PACKED_BLOCK elements; otherwise an
+A is scored in blocks of errors and, within those, slices of message
+combos, so each temporary holds at most PACKED_BLOCK elements or the |C2|
+coset-member keys of one (combo, error) pair.
 
 The row-space loop on field arithmetic is the path for q > 2 and the
 reference that the packed path is tested against.
@@ -47,6 +45,7 @@ reference that the packed path is tested against.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -326,45 +325,49 @@ def _slice_tables(vectors: tuple[tuple[int, ...], ...], m: int, n: int,
     return tables
 
 
-def _first_failure(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray,
-                   N: int) -> tuple[int, np.ndarray] | None:
-    """(i, vals) for the first packed N x n transfer matrix a_keys[i] under
-    which some error of e_keys (packed m x N) makes a nonzero difference
-    combo score no worse than the true coset, or None (q = 2).
+def _span_keys(gen_keys: np.ndarray) -> np.ndarray:
+    """keys[A, c]: XOR of the columns of gen_keys[A] picked by the bits of c."""
+    keys = np.zeros((len(gen_keys), 1), dtype=np.uint32)
+    for k in range(gen_keys.shape[1]):
+        keys = np.concatenate([keys, keys ^ gen_keys[:, k:k + 1]], axis=1)
+    return keys
 
-    vals[c, E] is the least discrepancy over the coset members of message
-    combo c, whose symbol i is (c >> i*m) & (2^m - 1); combo 0 is the true
-    coset.  Transfer matrices go through in batches in the order given, so
-    the first failing A of the first failing batch is the first failing A."""
+
+def _failing_blocks(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray,
+                    N: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (i, lo, vals), in (A, block) order, for each block of errors
+    e_keys[lo:] (packed m x N) under which a nonzero combo scores no worse
+    than the true coset for the packed N x n transfer matrix a_keys[i]
+    (q = 2).  vals[c, k] is the least discrepancy of combo c's coset members
+    against error lo + k; combos are numbered as in the module docstring."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
     table = packed_rank_table(m, N).table
     e_keys = e_keys.astype(np.intp)
-    # F_2 generators of C1; C2 generators sit in the low combo bits so that
-    # combos reshape into [message combo, coset member combo]
-    gen_rows = list(scheme.c2.gen.rows) + list(scheme.delta_g.rows)
-    generators = [tuple(ctx.mul(1 << j, x) for x in row) for row in gen_rows for j in range(m)]
     n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
-    # many A per batch when a whole A fits in the block; otherwise one A per
-    # batch with its message combos in slices
+    # F_2 generators of C2, then of the messages: bit i*m + j of a combo
+    # picks alpha^j times row i
+    generators = [tuple(ctx.mul(1 << j, x) for x in row)
+                  for g in (scheme.c2.gen, scheme.delta_g) for row in g.rows for j in range(m)]
+    n_c2 = m * scheme.c2.k
+    # many A per batch when a whole A fits in the block; otherwise one A in
+    # blocks of errors, each scored in slices of message combos
     batch = max(1, PACKED_BLOCK // (n_msg * n_members * n_e))
-    step = max(1, PACKED_BLOCK // (n_members * n_e))
+    width = min(n_e, max(1, PACKED_BLOCK // (n_msg * n_members)))
+    step = max(1, PACKED_BLOCK // (batch * n_members * width))
     for start in range(0, len(a_keys), batch):
         chunk = a_keys[start:start + batch]
-        # combos[A, idx]: key of (sum of the generators in the bits of idx) A^T
         gen_keys = _product_keys(generators, chunk, m, n, N)
-        combos = np.zeros((len(chunk), 1), dtype=np.uint32)
-        for k in range(len(generators)):
-            combos = np.concatenate([combos, combos ^ gen_keys[:, k:k + 1]], axis=1)
-        grouped = combos.reshape(len(chunk), n_msg, n_members, 1)
-        vals = np.empty((len(chunk), n_msg, n_e), dtype=np.uint8)
-        for lo in range(0, n_msg, step):
-            np.take(table, grouped[:, lo:lo + step] ^ e_keys).min(
-                axis=2, out=vals[:, lo:lo + step])
-        failing = (vals[:, 1:] <= vals[:, :1]).reshape(len(chunk), -1).any(axis=1)
-        if failing.any():
-            i = int(failing.argmax())
-            return start + i, vals[i]
-    return None
+        member_keys = _span_keys(gen_keys[:, :n_c2])[:, None, :, None]
+        msg_keys = _span_keys(gen_keys[:, n_c2:])[:, :, None, None]
+        for lo in range(0, n_e, width):
+            errs = e_keys[lo:lo + width]
+            vals = np.empty((len(chunk), n_msg, len(errs)), dtype=np.uint8)
+            for c in range(0, n_msg, step):
+                keys = msg_keys[:, c:c + step] ^ member_keys
+                np.take(table, keys ^ errs).min(axis=2, out=vals[:, c:c + step])
+            failing = (vals[:, 1:] <= vals[:, :1]).reshape(len(chunk), -1).any(axis=1)
+            for a in np.flatnonzero(failing):
+                yield start + int(a), lo, vals[a]
 
 
 # -- capability verification ------------------------------------------------------
@@ -445,26 +448,30 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
                          error_cap: int) -> CapabilityReport:
     """Row-space check; for q = 2 the packed kernel decides one canonical A
-    per row space (N x n transfer keys are uint32)."""
-    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
-    if ctx.q != 2 or m * N > 22 or N * n > 32 or m * scheme.c1.k > 20:
+    per row space (N x n transfer keys are uint32).  Beyond 2^20 messages or
+    coset members the generic path refuses, as the enumeration caps do."""
+    ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
+    if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N, error_cap)
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
-    transfers = list(_canonical_transfers(ctx.q, n, N, rho))
-    a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in transfers],
-                      dtype=np.uint32)
-    hit = _first_failure(scheme, a_keys, _pack_vectors(errors, m, N), N)
+    a_keys = np.fromiter((pack_key([pack_row_bits(r) for r in A.rows], n)
+                          for A in _canonical_transfers(ctx.q, n, N, rho)), dtype=np.uint32)
+    hit = next(_failing_blocks(scheme, a_keys, _pack_vectors(errors, m, N), N), None)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive", t, rho, N,
-                                  len(transfers) * len(errors), len(errors), None)
-    i, vals = hit
-    nonzero_msgs = [S for S in scheme.messages() if any(S)]
-    combos = [sum(s << (j * m) for j, s in enumerate(S)) for S in nonzero_msgs]
-    # first hit in (E, S) row-major order, as the generic loop meets it
-    ei, si = divmod(int((vals[combos] <= vals[0]).T.argmax()), len(combos))
-    counterexample = _rowspace_counterexample(ctx, transfers[i], errors[ei], nonzero_msgs[si],
-                                              int(vals[0, ei]), int(vals[combos[si], ei]))
-    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(errors) + ei + 1,
+                                  len(a_keys) * len(errors), len(errors), None)
+    i, lo, vals = hit
+    # first hit in (E, S) row-major order, as the generic loop meets it:
+    # messages() order compares symbol 0 first
+    ei = int((vals[1:] <= vals[0]).any(axis=0).argmax())
+    combos = np.flatnonzero(vals[1:, ei] <= vals[0, ei]) + 1
+    symbols = [(combos >> (j * m)) & (ctx.order - 1) for j in range(l)]
+    c = int(np.lexsort(symbols[::-1])[0])
+    A = next(itertools.islice(_canonical_transfers(ctx.q, n, N, rho), i, None))
+    counterexample = _rowspace_counterexample(ctx, A, errors[lo + ei],
+                                              [int(s[c]) for s in symbols],
+                                              int(vals[0, ei]), int(vals[combos[c], ei]))
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(errors) + lo + ei + 1,
                               len(errors), counterexample)
 
 
@@ -502,16 +509,24 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
         raise EnumerationTooLarge("full sweep needs q=2 and packable dimensions")
     a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
-    hit = _first_failure(scheme, a_keys, _pack_vectors(errors, m, N), N)
+    e_keys = _pack_vectors(errors, m, N)
+    hit = next(_failing_blocks(scheme, a_keys, e_keys, N), None)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
                                   len(a_keys) * len(errors), len(errors), None)
-    i, vals = hit
-    # first hit in (combo, E) row-major order
-    ci, ei = divmod(int((vals[1:] <= vals[0]).argmax()), len(errors))
+    i, lo, _ = hit
+    # first hit in (combo, E) row-major order: the least of the first hits of
+    # the failing A's error blocks from its first failing block on
+    best = None
+    for _, k, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys[lo:], N):
+        c, e = divmod(int((vals[1:] <= vals[0]).argmax()), vals.shape[1])
+        best = min(best or (c + 1, lo + k + e), (c + 1, lo + k + e))
+        if best[0] == 1:  # no later block can hit a smaller combo
+            break
+    combo, ei = best
     return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(errors),
                               len(errors), {"A_key": int(a_keys[i]), "error_index": ei,
-                                            "difference_combo": ci + 1})
+                                            "difference_combo": combo})
 
 
 def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,15 @@ def test_packed_rowspace_beyond_rank_table_transfer_keys():
                 capability_report(scheme, t, rho, mode="exhaustive-full")
 
 
+def _assert_genuine_rowspace_counterexample(scheme, report):
+    ctx, ce = scheme.ctx, report.counterexample
+    A = Matrix(ctx.base, ce["A"]["entries"], ce["A"]["cols"])
+    E = tuple(ctx.from_coeffs(c) for c in ce["E"])
+    assert discrepancy_coherent(scheme, A, E, (0,) * scheme.l) == ce["true_discrepancy"]
+    other = discrepancy_coherent(scheme, A, E, tuple(ce["difference_message"]))
+    assert other == ce["other_discrepancy"] <= ce["true_discrepancy"]
+
+
 def test_q2_rowspace_check_takes_packed_path(monkeypatch):
     # a loosened guard would pass every equality test on the slow path
     def generic(*args):
@@ -309,6 +319,52 @@ def test_q2_rowspace_check_takes_packed_path(monkeypatch):
     for t in range(3):
         for rho in range(s.n + 1):
             assert capability_report(s, t, rho).verified == (2 * t + rho < 2)
+    # dim C1 = 3 over F_2^7: 2^21 codewords, but 2^14 messages and 2^7 coset
+    # members, within the enumeration caps
+    wide = build_proposed(ctx_new(2, 7), l=2, n=3, k=3)
+    assert first_rgrw(wide.c1, wide.c2) == 1
+    assert capability_report(wide, 0, 0).verified
+    for t, rho in [(0, 1), (1, 0)]:
+        report = capability_report(wide, t, rho)
+        assert not report.verified
+        _assert_genuine_rowspace_counterexample(wide, report)
+
+
+@pytest.mark.parametrize("block", [100, 2**10])
+def test_packed_kernel_blocks_keep_reports(monkeypatch, block):
+    # below the default block one A no longer fits: the kernel scores it in
+    # error blocks (2^10) and in message-combo slices as well (100)
+    cases = [(flagship(), 3), (_isometric_copy(random.Random(93), flagship()), 4)]
+    budgets = [(t, rho) for t in range(2) for rho in range(4)]
+    expected = [capability_report(s, t, rho, mode=mode, N=N).to_json()
+                for s, N in cases for t, rho in budgets
+                for mode in ("exhaustive", "exhaustive-full")]
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+    assert expected == [capability_report(s, t, rho, mode=mode, N=N).to_json()
+                        for s, N in cases for t, rho in budgets
+                        for mode in ("exhaustive", "exhaustive-full")]
+
+
+def test_early_refutation_stays_small_for_large_message_spaces():
+    # a [4,3] Gabidulin code over F_32 with C2 = {0}: 2^15 message combos
+    # and 33,016 errors at t = 2, about a billion scores per transfer
+    # matrix; the first failing block of errors decides
+    f32 = ctx_new(2, 5)
+    c1 = LinearCode(f32, Matrix(f32, [[f32.pow(g, 2**i) for g in (1, 2, 4, 8)]
+                                      for i in range(3)], 4))
+    scheme = NestedScheme(c1, LinearCode.zero(f32, 4), c1.gen)
+    assert first_rgrw(scheme.c1, scheme.c2) == 2
+    tracemalloc.start()
+    try:
+        rowspace = capability_report(scheme, 2, 0)
+        full = capability_report(scheme, 2, 0, mode="exhaustive-full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert not rowspace.verified and rowspace.trials == 2
+    _assert_genuine_rowspace_counterexample(scheme, rowspace)
+    assert full.counterexample == {"A_key": 4680, "error_index": 20, "difference_combo": 1}
 
 
 @pytest.mark.parametrize("m, n, N", [(4, 3, 3), (4, 3, 5), (5, 4, 2), (4, 5, 5), (11, 3, 2)])
