@@ -238,17 +238,28 @@ def test_data_processing_with_errors(scheme, uniform):
         assert _cond_entropy(noisy, 16) >= _cond_entropy(clean, 16) - 1e-12
 
 
-def _two_symbol_schemes():
-    # l = 2 with a nontrivial C2 over F_4, and the explicit construction over F_16
+def _hand_built_scheme(ctx):
+    # l = 2 over F_q^m with n = 3, C1 the full space and C2 = <(1, a, 1)>
     from rankguard.codes import LinearCode
     from rankguard.coset_scheme import NestedScheme
 
-    f4 = ctx_new(2, 2)
-    a = f4.alpha
-    c1 = LinearCode.full(f4, 3)
-    c2 = LinearCode(f4, [[1, a, 1]], 3)
-    small = NestedScheme(c1, c2, Matrix(f4, [[1, 0, 0], [0, 1, a]], 3))
-    return [small, build_proposed(F16, l=2, n=2, k=2)]
+    a = ctx.alpha
+    c1 = LinearCode.full(ctx, 3)
+    c2 = LinearCode(ctx, [[1, a, 1]], 3)
+    return NestedScheme(c1, c2, Matrix(ctx, [[1, 0, 0], [0, 1, a]], 3))
+
+
+# name -> scheme builder: two l = 2 schemes with a nontrivial C2 over F_4 and
+# F_9 (support 729), the explicit construction over F_16, and an l = 1
+# construction over F_125
+_RATIO_SCHEMES = {
+    "F4-n3": lambda: _hand_built_scheme(ctx_new(2, 2)),
+    "F16-n2": lambda: build_proposed(F16, l=2, n=2, k=2),
+    "F9-n3": lambda: _hand_built_scheme(ctx_new(3, 2)),
+    "F125-n2": lambda: build_proposed(ctx_new(5, 3), l=1, n=2, k=1),
+}
+_RATIO_CASES = [(name, z) for name in _RATIO_SCHEMES
+                for z in ([None, (0,), (1,), (0, 1)] if name != "F125-n2" else [None, (0,)])]
 
 
 def _ratio_product(terms):
@@ -283,10 +294,9 @@ def _reference_quantities(dist, z, B):
 
 
 @pytest.mark.parametrize("dist_kind", ["uniform", "seeded"])
-@pytest.mark.parametrize("z", [None, (0,), (1,), (0, 1)], ids=str)
-@pytest.mark.parametrize("which", [0, 1], ids=["F4-n3", "F16-n2"])
+@pytest.mark.parametrize("which, z", _RATIO_CASES, ids=[f"{w}-{z}" for w, z in _RATIO_CASES])
 def test_quantities_match_ratio_products(which, z, dist_kind):
-    scheme = _two_symbol_schemes()[which]
+    scheme = _RATIO_SCHEMES[which]()
     dist = (JointDistribution.uniform(scheme) if dist_kind == "uniform"
             else JointDistribution.seeded(scheme, random.Random(11)))
     for mu in range(scheme.n + 1):
@@ -296,6 +306,33 @@ def test_quantities_match_ratio_products(which, z, dist_kind):
         assert (report.equivocation + report.max_leakage).power == ref["H"]
         assert report.slack_s.power == ref["D_S"]
         assert report.slack_x.power == ref["D_X"]
-    for B in enumerate_wiretap(2, scheme.n, scheme.n):
+    for B in enumerate_wiretap(scheme.ctx.q, scheme.n, scheme.n):
         assert (dist.mutual_information(B, z).power
                 == _reference_quantities(dist, z, B)["I"])
+
+
+def _odd_scheme():
+    return build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+
+
+@pytest.mark.parametrize("dist_kind", ["uniform", "seeded"])
+def test_full_mode_leakage_matches_rowspace_q3(dist_kind):
+    scheme = _odd_scheme()
+    dist = (JointDistribution.uniform(scheme) if dist_kind == "uniform"
+            else JointDistribution.seeded(scheme, random.Random(5)))
+    for mu in range(3):
+        full = leakage_report(scheme, mu, dist, mode="full")
+        rowspace = leakage_report(scheme, mu, dist)
+        assert full.max_leakage == rowspace.max_leakage
+        assert full.max_leakage == dist.mutual_information(full.argmax_b)
+        assert full.argmax_b.nrows == mu
+        assert rowspace.predicted == min(mu, 1) and rowspace.sandwich_holds()
+        if dist_kind == "uniform":
+            assert full.max_leakage.as_integer() == rowspace.predicted
+
+
+def test_strength_empirical_q3():
+    scheme = _odd_scheme()
+    assert omega_exact(scheme) == 0
+    witness = verify_strength_empirically(scheme, 0)
+    assert witness.witness_mu == 1 and witness.witness_leakage > 0.5
