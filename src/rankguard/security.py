@@ -8,9 +8,11 @@ are all decided in exact arithmetic.  Entropies use log base q^m, which
 makes the dimensional identities integers.
 
 One primitive computes them all: `JointDistribution.entropy(key)`, the
-entropy of the weights grouped by a key of (S, X), whose exact power is
-T^T / prod c^c over the group masses c.  For a message index set Z and the
-observation W = X B^T, the chain rule gives every other quantity:
+entropy of the weights grouped by an integer key per support entry, whose
+exact power is T^T / prod c^c over the exact integer group masses c.  Keys
+of S_Z, X and W = X B^T come from numpy arrays built once per distribution;
+W's base-q digits are B times the digits of X, mod q.  For a message index
+set Z the chain rule gives every other quantity:
 
     D(S_Z || U)              = |Z| - H(S_Z)
     D(X || U_coset | S_Z)    = (dim C1 - |Z|) - H(S_Z, X) + H(S_Z)
@@ -27,14 +29,16 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Iterable, Sequence
 
+import numpy as np
+
+from .bitrank import PACKED_BLOCK
 from .coset_scheme import NestedScheme
-from .errors import EnumerationTooLarge, PreconditionError, require
-from .linalg import Matrix, ext_vec_times_base_transpose
+from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
+from .linalg import Matrix, vec_sub
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
 
@@ -114,23 +118,62 @@ class LogQuantity:
         return f"LogQuantity({self.value:.6f})"
 
 
+def _fold(size: int, columns: Iterable[np.ndarray], base: int) -> np.ndarray:
+    """Injective key per entry of its column values (each below base),
+    renumbered by np.unique after every column so that it stays below size."""
+    key = np.zeros(size, np.int64)
+    for col in columns:
+        key = np.unique(key * base + col, return_inverse=True)[1]
+    return key
+
+
+def _int_array(rows: list, width: int, bound: int, what: str) -> np.ndarray:
+    """rows as an int64 array of shape (len(rows), width), entries in 0..bound-1."""
+    try:
+        arr = np.array(rows).reshape(len(rows), width)
+    except ValueError as exc:  # ragged rows, or rows of another length
+        raise DimensionMismatch(f"every {what} must have length {width}") from exc
+    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= bound:
+        raise PreconditionError(f"{what} symbols must be integers in 0..{bound - 1}")
+    return arr.astype(np.int64)
+
+
 class JointDistribution:
     """Exact joint distribution of (message, transmitted packets).
 
     Entries carry integer weights over the common denominator T; the
     support is every coset member of every message, so uniform weights give
-    the canonical 'S uniform, X conditionally uniform' case.
+    the canonical 'S uniform, X conditionally uniform' case.  The support is
+    held as arrays: message symbols, weights (int64 while T fits, else
+    Python ints), a key of X, and the base-q digits of X (entries x n x m).
     """
 
     def __init__(self, scheme: NestedScheme, weights: dict, cap: int = DEFAULT_SUPPORT_CAP):
         self.scheme = scheme
         self.ctx = scheme.ctx
         _check_support_cap(scheme, cap)
-        self.entries: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [
-            (S, X, w) for (S, X), w in weights.items() if w]
-        self.total = sum(w for _, _, w in self.entries)
-        if self.total <= 0:
-            raise PreconditionError("distribution must have positive mass")
+        support = [(S, X, w) for (S, X), w in weights.items() if w]
+        self.total = sum(w for _, _, w in support)
+        if self.total <= 0 or any(w < 0 for _, _, w in support):
+            raise PreconditionError("weights must be nonnegative with a positive total")
+        order, q, m = self.ctx.order, self.ctx.q, self.ctx.m
+        self._symbols_arr = _int_array([S for S, _, _ in support], scheme.l, order, "S")
+        x = _int_array([X for _, X, _ in support], scheme.n, order, "X")
+        self._weights = np.array([w for _, _, w in support],
+                                 np.int64 if self.total < 2**63 else object)
+        self._x_key = _fold(len(x), x.T, order)
+        self._powers = q ** np.arange(m, dtype=np.int64)
+        self._digits = np.empty(x.shape + (m,), np.min_scalar_type(q - 1))
+        for d in range(m):
+            self._digits[:, :, d] = x // q**d % q
+        self._message_memo = None
+
+    @property
+    def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """The support as (S, X, weight) triples."""
+        x = self._digits @ self._powers
+        return list(zip(map(tuple, self._symbols_arr.tolist()), map(tuple, x.tolist()),
+                        self._weights.tolist()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -170,22 +213,30 @@ class JointDistribution:
 
     @staticmethod
     def point_mass(scheme: NestedScheme, S: tuple[int, ...], X: tuple[int, ...]) -> "JointDistribution":
-        return JointDistribution(scheme, {(S, X): 1})
+        dist = JointDistribution(scheme, {(tuple(S), tuple(X)): 1})
+        if not scheme.c2.contains_word(vec_sub(scheme.ctx, X, scheme.representative(S))):
+            raise PreconditionError("X is not in the coset of S")
+        return dist
 
     # -- exact quantities --------------------------------------------------------
 
     def integer(self, k: int) -> LogQuantity:
         return LogQuantity.from_integer(k, self.total, self.ctx.order)
 
-    def entropy(self, key: Callable[[tuple, tuple], Hashable]) -> LogQuantity:
-        """H of the weights grouped by key(S, X), exact: with group masses c
-        over the common denominator T, exp(T * H) = T^T / prod c^c."""
-        counts = Counter()
-        for S, X, w in self.entries:
-            counts[key(S, X)] += w
+    def _masses(self, key: np.ndarray) -> np.ndarray:
+        """Exact integer sum of the weights of each key value, in key order."""
+        by_key = np.argsort(key)
+        ranked = key[by_key]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        return np.add.reduceat(self._weights[by_key], starts)
+
+    def entropy(self, key: np.ndarray) -> LogQuantity:
+        """H of the weights grouped by an integer key per entry, exact: with
+        group masses c over the common denominator T, exp(T * H) = T^T / prod c^c."""
+        masses, groups = np.unique(self._masses(key), return_counts=True)
         den = 1
-        for c, groups in Counter(counts.values()).items():
-            den *= c ** (c * groups)
+        for c, g in zip(masses.tolist(), groups.tolist()):
+            den *= c ** (c * g)
         return LogQuantity(Fraction(self.total**self.total, den), self.total, self.ctx.order)
 
     def _symbols(self, z_indices: Sequence[int] | None) -> tuple[int, ...]:
@@ -197,10 +248,32 @@ class JointDistribution:
             raise PreconditionError("indices must lie in 0..l-1")
         return z
 
+    def _message(self, z: tuple[int, ...]) -> tuple[np.ndarray, LogQuantity]:
+        """The key of S_Z per entry and H(S_Z), kept for the last Z asked."""
+        if self._message_memo is None or self._message_memo[0] != z:
+            key = _fold(len(self._weights), self._symbols_arr[:, z].T, self.ctx.order)
+            self._message_memo = (z, key, self.entropy(key))
+        return self._message_memo[1:]
+
+    def _observation_key(self, B: Matrix) -> np.ndarray:
+        """Key of W = X B^T per entry.  Row r of W has the digits
+        B_r . digits mod q, formed in blocks of at most PACKED_BLOCK elements."""
+        q, n, size = self.ctx.q, self.scheme.n, len(self._weights)
+        if B.ncols != n:
+            raise DimensionMismatch(f"wiretap matrix needs {n} columns, got {B.ncols}")
+        if not all(isinstance(c, int) and 0 <= c < q for row in B.rows for c in row):
+            raise PreconditionError(f"wiretap entries must lie in F_{q}")
+        step = max(1, PACKED_BLOCK // (n * self.ctx.m))
+
+        def values(row):
+            return np.concatenate([np.tensordot(row, self._digits[lo:lo + step], axes=(0, 1))
+                                   % q @ self._powers for lo in range(0, size, step)])
+
+        return _fold(size, map(values, B.rows), self.ctx.order)
+
     def message_entropy(self, z_indices: Sequence[int] | None = None) -> LogQuantity:
         """H(S_Z)."""
-        z = self._symbols(z_indices)
-        return self.entropy(lambda S, X: tuple(S[i] for i in z))
+        return self._message(self._symbols(z_indices))[1]
 
     def divergence_message_from_uniform(
             self, z_indices: Sequence[int] | None = None) -> LogQuantity:
@@ -214,15 +287,16 @@ class JointDistribution:
         - H(S_Z, X) + H(S_Z); given S_Z, X ranges over a coset of the partial
         subcode, of dimension dim C1 - |Z|."""
         z = self._symbols(z_indices)
-        joint = self.entropy(lambda S, X: (tuple(S[i] for i in z), X))
-        return self.integer(self.scheme.c1.k - len(z)) - joint + self.message_entropy(z)
+        key, entropy = self._message(z)
+        joint = self.entropy(key * len(self._weights) + self._x_key)
+        return self.integer(self.scheme.c1.k - len(z)) - joint + entropy
 
     def mutual_information(self, B: Matrix, z_indices: Sequence[int] | None = None) -> LogQuantity:
         """I(S_Z ; W) = H(S_Z) + H(W) - H(S_Z, W) for W = X B^T."""
-        z = self._symbols(z_indices)
-        observed = {X: ext_vec_times_base_transpose(self.ctx, X, B) for _, X, _ in self.entries}
-        return (self.message_entropy(z) + self.entropy(lambda S, X: observed[X])
-                - self.entropy(lambda S, X: (tuple(S[i] for i in z), observed[X])))
+        key, entropy = self._message(self._symbols(z_indices))
+        observed = self._observation_key(B)
+        return (entropy + self.entropy(observed)
+                - self.entropy(key * len(self._weights) + observed))
 
     def conditional_message_entropy(self, B: Matrix) -> LogQuantity:
         return self.message_entropy() - self.mutual_information(B)

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rankguard import InvariantViolated, ctx_new
+from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new
 from rankguard.coset_scheme import build_proposed
 from rankguard.linalg import Matrix, Subspace, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
@@ -336,3 +338,86 @@ def test_strength_empirical_q3():
     assert omega_exact(scheme) == 0
     witness = verify_strength_empirically(scheme, 0)
     assert witness.witness_mu == 1 and witness.witness_leakage > 0.5
+
+
+def test_wiretap_entries_must_lie_in_base_field(scheme, uniform):
+    # alpha of F_16 is the int 2: not an element of F_2
+    with pytest.raises(PreconditionError):
+        uniform.mutual_information(Matrix(F16, [[F16.alpha, 0, 0]], 3))
+    odd = _odd_scheme()
+    with pytest.raises(PreconditionError):
+        JointDistribution.uniform(odd).mutual_information(Matrix(PrimeField(3), [[4, 0]], 2))
+    with pytest.raises(DimensionMismatch):
+        uniform.mutual_information(Matrix(GF2, [[1, 0]], 2))
+
+
+def test_support_is_validated(scheme):
+    S = (5,)
+    X = next(iter(scheme.coset_elements(S)))
+    with pytest.raises(DimensionMismatch):
+        JointDistribution(scheme, {(S, X[:2]): 1})
+    with pytest.raises(DimensionMismatch):
+        JointDistribution(scheme, {(S, X): 1, ((1, 2), X): 1})
+    with pytest.raises(PreconditionError):
+        JointDistribution(scheme, {((99,), X): 1})
+    with pytest.raises(PreconditionError):
+        JointDistribution(scheme, {(S, (16,) + X[1:]): 1})
+    with pytest.raises(PreconditionError):
+        JointDistribution(scheme, {(S, X): 2, ((6,), X): -1})
+    other = next(iter(scheme.coset_elements((6,))))
+    with pytest.raises(PreconditionError):
+        JointDistribution.point_mass(scheme, S, other)
+    with pytest.raises(DimensionMismatch):
+        JointDistribution.point_mass(scheme, S, X[:2])
+    assert JointDistribution.point_mass(scheme, S, X).entries == [(S, X, 1)]
+
+
+@pytest.mark.parametrize("base", [2**53, 2**63], ids=["int64", "bigint"])
+def test_group_masses_stay_exact(scheme, base):
+    # sums past 2^53 that a float64 bincount would round; past 2^63 the
+    # weights are Python ints.  (The exact power T^T of such a T has about
+    # T log2 T bits, so the quantities themselves are not computed here.)
+    rng = random.Random(17)
+    weights = {}
+    for S in scheme.messages():
+        for X in scheme.coset_elements(S):
+            weights[(S, X)] = base + 2 * rng.randrange(2**20) + 1
+    dist = JointDistribution(scheme, weights)
+    ref = Counter()
+    for (S, X), w in weights.items():
+        ref[S[0]] += w
+    key = np.array([S[0] for S, _, _ in dist.entries])
+    assert dist._masses(key).tolist() == [ref[s] for s in sorted(ref)]
+    assert dist.total == sum(weights.values())
+
+
+def test_mutual_information_memory_is_bounded():
+    # 2^16 support entries: the digits of X take 1.5 MiB, and one B . digits
+    # product over the whole support in int64 alone would take 12 MiB
+    big = build_proposed(ctx_new(2, 8), l=1, n=3, k=2)
+    dist = JointDistribution.uniform(big)
+    assert len(dist._weights) == 2**16
+    B = Matrix(GF2, [[1, 1, 1]], 3)
+    dist.message_entropy()
+    tracemalloc.start()
+    try:
+        leak = dist.mutual_information(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leak.as_integer() == 0
+    assert peak < 8 * 2**20
+
+
+def test_one_distribution_serves_every_index_set():
+    # H(S_Z) is kept for the last Z asked; alternating Z must not reuse it
+    scheme = _RATIO_SCHEMES["F4-n3"]()
+    dist = JointDistribution.seeded(scheme, random.Random(23))
+    wiretaps = list(enumerate_wiretap(2, scheme.n, 2))
+    for _ in range(2):
+        for z in [None, (0,), (1,), ()]:
+            for B in wiretaps[::3]:
+                ref = _reference_quantities(dist, z, B)
+                assert dist.mutual_information(B, z).power == ref["I"]
+                assert dist.message_entropy(z).power == ref["H"]
+                assert dist.divergence_packets_from_coset_uniform(z).power == ref["D_X"]
