@@ -9,14 +9,17 @@ here.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from rankguard import ctx_new
 from rankguard.cli import main
+from rankguard.codes import LinearCode
 from rankguard.coset_scheme import build_proposed, lift
 from rankguard.decoder import capability_report
 from rankguard.network import enumerate_wiretap
+from rankguard.rank_metrics import rdip, rdlp, rghw, rgrw
 
 F16 = ctx_new(2, 4)
 SCHEMES = {
@@ -138,3 +141,47 @@ def test_exhaustive_capability_report(name, mode, t, rho, trials, covered, count
         "counterexample": counterexample, "complete": True}
     # the report is what the CLI serializes
     assert json.loads(json.dumps(report.to_json())) == report.to_json()
+
+
+def _seeded_pair(q, m, n, k1, k2, entries):
+    """A nested pair C1 > C2 from a seeded rng: C1's generator entries come
+    from the base field ("base") or the whole extension ("ext"), and C2 is
+    spanned by k2 random codewords of C1."""
+    ctx = ctx_new(q, m)
+    rng = random.Random(f"pin:{q}:{m}:{n}:{k1}:{k2}:{entries}")
+    top = q if entries == "base" else ctx.order
+    while True:
+        c1 = LinearCode(ctx, [[rng.randrange(top) for _ in range(n)] for _ in range(k1)], n)
+        if c1.k != k1:
+            continue
+        rows = [c1.encode(tuple(rng.randrange(top) for _ in range(k1))) for _ in range(k2)]
+        c2 = LinearCode(ctx, rows, n)
+        if c2.k == k2:
+            return c1, c2
+
+
+# recorded from the Matrix-based gap kernel, before the families were cached
+# as row ids
+@pytest.mark.parametrize("q, m, n, k1, k2, entries, profile, weights, hamming_profile, "
+                         "hamming_weights", [
+    (2, 4, 4, 1, 0, "base", (0, 1, 1, 1, 1), (1,), (0, 0, 0, 1, 1), (3,)),
+    (2, 4, 4, 2, 1, "ext", (0, 0, 1, 1, 1), (2,), (0, 0, 1, 1, 1), (2,)),
+    (2, 4, 4, 3, 1, "base", (0, 1, 2, 2, 2), (1, 2), (0, 1, 1, 2, 2), (1, 3)),
+    (2, 4, 4, 3, 2, "ext", (0, 1, 1, 1, 1), (1,), (0, 0, 1, 1, 1), (2,)),
+    (2, 6, 6, 2, 0, "base", (0, 1, 2, 2, 2, 2, 2), (1, 2), (0, 0, 1, 2, 2, 2, 2), (2, 3)),
+    (2, 6, 6, 3, 1, "ext", (0, 0, 0, 1, 1, 2, 2), (3, 5), (0, 0, 0, 0, 1, 2, 2), (4, 5)),
+    (2, 6, 6, 4, 2, "base", (0, 1, 2, 2, 2, 2, 2), (1, 2), (0, 0, 1, 2, 2, 2, 2), (2, 3)),
+    (3, 2, 3, 1, 0, "base", (0, 1, 1, 1), (1,), (0, 0, 1, 1), (2,)),
+    (3, 2, 3, 2, 1, "ext", (0, 1, 1, 1), (1,), (0, 0, 1, 1), (2,)),
+    (3, 2, 3, 2, 0, "base", (0, 1, 2, 2), (1, 2), (0, 1, 1, 2), (1, 3)),
+    (5, 2, 3, 1, 0, "ext", (0, 0, 1, 1), (2,), (0, 0, 0, 1), (3,)),
+    (5, 2, 3, 2, 1, "base", (0, 1, 1, 1), (1,), (0, 1, 1, 1), (1,)),
+    (5, 2, 3, 2, 0, "ext", (0, 1, 1, 2), (1, 3), (0, 0, 1, 2), (2, 3)),
+])
+def test_profile_tables(q, m, n, k1, k2, entries, profile, weights, hamming_profile,
+                        hamming_weights):
+    c1, c2 = _seeded_pair(q, m, n, k1, k2, entries)
+    assert rdip(c1, c2).values == profile
+    assert rgrw(c1, c2).values == weights
+    assert rdlp(c1, c2).values == hamming_profile
+    assert rghw(c1, c2).values == hamming_weights
