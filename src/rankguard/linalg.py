@@ -12,6 +12,8 @@ Vectors are plain tuples and are always treated as row vectors.
 
 from __future__ import annotations
 
+from itertools import product
+from operator import xor
 from typing import Iterable, Sequence
 
 from .bitrank import rank_bits
@@ -245,6 +247,8 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
     """x A^T where x is over F_{q^m} and A is over the base field F_q."""
     if A.ncols != len(x):
         raise DimensionMismatch("A ncols must equal len(x)")
+    if not all(0 <= c < ctx.q for row in A.rows for c in row):
+        raise PreconditionError(f"A must have base-field entries in 0..{ctx.q - 1}")
     out = []
     for row in A.rows:
         acc = ctx.zero
@@ -253,6 +257,27 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
                 acc = ctx.add(acc, ctx.scalar_mul(c, xv))
         out.append(acc)
     return tuple(out)
+
+
+def rank_of_rows(field, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over any field of the small protocol, by elimination on plain lists
+    with no Matrix: each nonzero row in turn clears its leading column from the rest."""
+    mul, sub = field.mul, xor if field.q == 2 else field.sub  # in characteristic 2, a - b = a ^ b
+    rows, rank = [r for r in rows if any(r)], 0
+    while rows:
+        pivot = rows.pop()
+        c = 0
+        while not pivot[c]:
+            c += 1
+        scale, rank, left = field.inv(pivot[c]), rank + 1, []
+        for r in rows:
+            if r[c]:
+                f = mul(r[c], scale)
+                r = [sub(a, mul(f, b)) for a, b in zip(r, pivot)]
+            if any(r):
+                left.append(r)
+        rows = left
+    return rank
 
 
 # -- base <-> extension bridges ------------------------------------------------
@@ -326,19 +351,8 @@ class Subspace:
 
     def vectors(self):
         """Iterate every vector of the subspace (q^(m dim) of them)."""
-        ctx = self.ctx
-        rows = self.basis.rows
-        def rec(i, acc):
-            if i == len(rows):
-                yield tuple(acc)
-                return
-            for c in ctx.elements():
-                if c:
-                    nxt = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(acc, rows[i])]
-                else:
-                    nxt = acc
-                yield from rec(i + 1, nxt)
-        yield from rec(0, [ctx.zero] * self.n)
+        for coeffs in product(self.ctx.elements(), repeat=self.dim):
+            yield vec_mat(self.ctx, coeffs, self.basis)
 
     def _check(self, other: "Subspace") -> None:
         if other.n != self.n or other.ctx != self.ctx:

@@ -17,8 +17,10 @@ Both families consist of subspaces V = row(B) spanned by an i x n
 base-field RREF basis B, so one kernel serves them.  With H a parity check
 of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
-rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  For a
-coordinate set I, H B^T is just the columns of H at I.  The reference,
+rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
+give B as a tuple of row ids (see `subspaces`), and each code memoizes the
+column H b^T of every distinct row id, so a gap is two `rank_of_rows`
+calls on i memoized columns and builds no Matrix.  The reference,
 `intersection_dim`, works on any V through duals,
 dim(C cap V) = n - dim(C_dual + V_dual); tests compare the two.
 """
@@ -32,8 +34,8 @@ from .bitrank import rank_bits
 from .codes import LinearCode
 from .errors import LengthMismatch, NotASubcode, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import Matrix, Subspace, expand_to_base, ext_vec_times_base_transpose
-from .subspaces import DEFAULT_FAMILY_CAP, SubspaceFamily
+from .linalg import Subspace, expand_to_base, rank_of_rows, vec_mat
+from .subspaces import DEFAULT_FAMILY_CAP, SubspaceFamily, row_digits
 
 
 def rank_weight(ctx: FieldCtx, x) -> int:
@@ -55,30 +57,22 @@ class ProfileTable:
 
     kind: str
     values: tuple[int, ...]
+    first = 0  # the index of values[0]
 
     def at(self, i: int) -> int:
-        if not 0 <= i < len(self.values):
-            raise PreconditionError(f"profile index {i} out of range 0..{len(self.values) - 1}")
-        return self.values[i]
+        last = self.first + len(self.values) - 1
+        if not self.first <= i <= last:
+            raise PreconditionError(f"{self.kind} index {i} out of range {self.first}..{last}")
+        return self.values[i - self.first]
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(ProfileTable):
     """Minimal realizing dimensions indexed by gap level 1..dim(C1/C2)."""
 
-    kind: str
-    values: tuple[int, ...]
-
-    def at(self, i: int) -> int:
-        if not 1 <= i <= len(self.values):
-            raise PreconditionError(f"weight index {i} out of range 1..{len(self.values)}")
-        return self.values[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
+    first = 1
 
 
 def _check_nested(c1: LinearCode, c2: LinearCode) -> int:
@@ -94,30 +88,41 @@ def intersection_dim(code: LinearCode, V: Subspace) -> int:
     return code.n - stacked.rref()[1]
 
 
+class _Columns(dict):
+    """One code's memo: row id of a base-field row b -> the column H b^T
+    (a base-field digit is also its own embedding in F_{q^m})."""
+
+    def __init__(self, code: LinearCode):
+        super().__init__()
+        self.ctx, self.n = code.ctx, code.n
+        self.parity_t = code.dual().gen.transpose()
+
+    def __missing__(self, row_id: int) -> tuple[int, ...]:
+        b = row_digits(row_id, self.ctx.q, self.n)
+        col = self[row_id] = vec_mat(self.ctx, b, self.parity_t)
+        return col
+
+    def rank(self, ids: tuple[int, ...]) -> int:
+        """rank(H B^T) over F_{q^m}, B the base-field rows with these ids."""
+        return rank_of_rows(self.ctx, [self[b] for b in ids])
+
+
 class _PairEngine:
     """Shared enumeration state for one (C1, C2) pair."""
 
     def __init__(self, c1: LinearCode, c2: LinearCode, family: str, cap: int):
         self.quotient_dim = _check_nested(c1, c2)
-        self.ctx = c1.ctx
-        self.n = c1.n
-        self.h1 = c1.dual().gen.rows
-        self.h2 = c2.dual().gen.rows
-        self.family = family
-        self.cap = cap
+        self.ctx, self.n = c1.ctx, c1.n
+        self.cols1, self.cols2 = _Columns(c1), _Columns(c2)
+        self.family, self.cap = family, cap
 
-    def gap(self, B: Matrix) -> int:
-        """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows of B."""
-        return self._rank(self.h2, B) - self._rank(self.h1, B)
-
-    def _rank(self, h_rows, B: Matrix) -> int:
-        """rank(H B^T) over the extension field."""
-        rows = [ext_vec_times_base_transpose(self.ctx, h, B) for h in h_rows]
-        return Matrix(self.ctx, rows, B.nrows).rank()
+    def gap(self, ids: tuple[int, ...]) -> int:
+        """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows with these ids."""
+        return self.cols2.rank(ids) - self.cols1.rank(ids)
 
     def max_gap(self, i: int) -> int:
         family = SubspaceFamily(self.ctx, self.n, i, self.family, self.cap)
-        return max(self.gap(B) for B in family.base_bases())
+        return max(map(self.gap, family.bases))
 
 
 def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",

@@ -5,26 +5,32 @@ the subspaces admitting a basis of base-field vectors, so the i-dimensional
 family is enumerated as the F_q-subspaces of F_q^n, one canonical RREF basis
 each, lifted to the extension by the constant embedding.  Coordinate
 subspaces E_I (unit-vector spans) are the sub-family behind the classical
-Hamming-side profiles; both families stream as base-field RREF bases.
+Hamming-side profiles.
 
-Enumeration order is deterministic: lexicographic over RREF pivot patterns,
-then lexicographic over the free entries, so streamed reductions and golden
-files are reproducible.
+A family holds each basis as a tuple of row ids, the integers whose base-q
+digits (least significant first) are the rows; E_I has the ids q^c, c in I.
+The tuples are built once per (q, n, i, kind), after the cap check, into an
+LRU cache of FAMILY_CACHE_SIZE families.  Enumeration order is deterministic:
+lexicographic over RREF pivot patterns, then lexicographic over the free
+entries, so streamed reductions and golden files are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterator
 
 from .errors import EnumerationTooLarge, PreconditionError
 from .gf import FieldCtx, PrimeField
-from .linalg import Matrix, Subspace, embed_base_matrix
+from .linalg import Matrix, Subspace
 
 #: Families larger than this refuse to enumerate rather than silently sample.
 DEFAULT_FAMILY_CAP = 10**6
+#: Families whose row ids stay cached; the least recently used is evicted first.
+FAMILY_CACHE_SIZE = 64
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -50,32 +56,34 @@ def rank_r_count(q: int, nrows: int, ncols: int, r: int) -> int:
 def enumerate_base_subspaces(q: int, n: int, i: int) -> Iterator[Matrix]:
     """All i-dim subspaces of F_q^n as RREF basis matrices, canonical order."""
     base = PrimeField(q)
-    if i == 0:
-        yield Matrix(base, [], n)
-        return
-    if i > n:
-        return
     for pivots in combinations(range(n), i):
-        free_cols = [c for c in range(n) if c not in pivots
-                     and any(c > p for p in pivots)]
         # entry (r, c) is free iff c > pivots[r] and c is not a pivot column
-        slots = [(r, c) for r in range(i) for c in free_cols if c > pivots[r]]
+        slots = [(r, c) for r in range(i) for c in range(pivots[r] + 1, n) if c not in pivots]
         for assign in range(q ** len(slots)):
-            rows = [[0] * n for _ in range(i)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            x = assign
-            for (r, c) in slots:
-                rows[r][c] = x % q
-                x //= q
+            rows = [[int(c == p) for c in range(n)] for p in pivots]
+            for j, (r, c) in enumerate(slots):
+                rows[r][c] = assign // q**j % q
             yield Matrix(base, rows, n)
+
+
+def row_digits(row_id: int, q: int, n: int) -> tuple[int, ...]:
+    """The length-n base-field row whose base-q digits make up row_id."""
+    return tuple(row_id // q**c % q for c in range(n))
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _family_bases(q: int, n: int, i: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    if kind == "coordinate":
+        return tuple(tuple(q**c for c in idx) for idx in combinations(range(n), i))
+    return tuple(tuple(sum(v * q**c for c, v in enumerate(row)) for row in B.rows)
+                 for B in enumerate_base_subspaces(q, n, i))
 
 
 @dataclass
 class SubspaceFamily:
-    """Lazily enumerated family of i-dim subspaces spanned by base-field
-    vectors: every Frobenius-invariant subspace (kind "qinvariant") or the
-    coordinate subspaces E_I (kind "coordinate")."""
+    """Family of i-dim subspaces spanned by base-field vectors, with `bases`
+    one row-id tuple per subspace: every Frobenius-invariant subspace (kind
+    "qinvariant") or the coordinate subspaces E_I (kind "coordinate")."""
 
     ctx: FieldCtx
     n: int
@@ -96,19 +104,12 @@ class SubspaceFamily:
             raise EnumerationTooLarge(
                 f"{self.kind} family of {count} subspaces exceeds cap {self.cap}")
         self.count = count
-
-    def base_bases(self) -> Iterator[Matrix]:
-        """Base-field RREF bases; for coordinate sets I, unit rows at I."""
-        if self.kind == "qinvariant":
-            yield from enumerate_base_subspaces(self.ctx.q, self.n, self.i)
-            return
-        base = self.ctx.base
-        for idx in combinations(range(self.n), self.i):
-            yield Matrix(base, [[int(c == j) for c in range(self.n)] for j in idx], self.n)
+        self.bases = _family_bases(self.ctx.q, self.n, self.i, self.kind)
 
     def __iter__(self) -> Iterator[Subspace]:
-        for base_m in self.base_bases():
-            yield Subspace(self.ctx, self.n, embed_base_matrix(self.ctx, base_m))
+        ctx, n = self.ctx, self.n
+        for ids in self.bases:
+            yield Subspace(ctx, n, Matrix(ctx, [row_digits(b, ctx.q, n) for b in ids], n))
 
 
 def frobenius_image(V: Subspace, iterate: int = 1) -> Subspace:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankguard import AmbientMismatch, ctx_new
+from rankguard import AmbientMismatch, PreconditionError, ctx_new
 from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
 from rankguard.gf import PrimeField
 from rankguard.linalg import (
@@ -11,6 +11,7 @@ from rankguard.linalg import (
     embed_base_matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
+    rank_of_rows,
     solve_right,
     vec_mat,
 )
@@ -121,6 +122,44 @@ def test_ext_vec_times_base_transpose():
     assert y == (F16.add(1, F16.mul(A, A)), F16.add(A, F16.mul(A, A)))
     lifted = embed_base_matrix(F16, Amat)
     assert y == vec_mat(F16, x, lifted.transpose())
+
+
+def test_ext_vec_times_base_transpose_refuses_extension_entries():
+    # q = 2 scalar_mul reads only the low bit, so alpha used to act as 0
+    with pytest.raises(PreconditionError):
+        ext_vec_times_base_transpose(F16, (5, 7, 9), Matrix(F16, [[A, 0, 0]], 3))
+    # over F_27 the entry 4 = 1 + 1*3 used to act as 1
+    F27 = ctx_new(3, 3)
+    with pytest.raises(PreconditionError):
+        ext_vec_times_base_transpose(F27, (5, 7, 9), Matrix(F27, [[4, 0, 0]], 3))
+    with pytest.raises(PreconditionError):
+        ext_vec_times_base_transpose(F27, (5, 7, 9), Matrix(F27, [[0, -1, 0]], 3))
+    assert ext_vec_times_base_transpose(F27, (5, 7, 9), Matrix(F27, [[2, 0, 0]], 3)) == (
+        F27.add(5, 5),)
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_rank_of_rows_matches_rref(q, m):
+    ctx = ctx_new(q, m)
+    rng = random.Random(9 + q)
+    for nrows, ncols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 4), (5, 2), (7, 3)]:
+        for _ in range(25):
+            spanning = [[rng.randrange(ctx.order) for _ in range(ncols)]
+                        for _ in range(rng.randrange(1, 3))]
+            rows = []
+            for _ in range(nrows):
+                kind = rng.randrange(3)
+                if kind == 0:  # a zero row
+                    rows.append([0] * ncols)
+                elif kind == 1:  # a random row
+                    rows.append([rng.randrange(ctx.order) for _ in range(ncols)])
+                else:  # a combination of a few spanning rows, so ranks fall short
+                    row = [0] * ncols
+                    for s in spanning:
+                        c = rng.randrange(ctx.order)
+                        row = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row, s)]
+                    rows.append(row)
+            assert rank_of_rows(ctx, rows) == Matrix(ctx, rows, ncols).rref()[1]
 
 
 def test_rank_bits_matches_matrix_rank():

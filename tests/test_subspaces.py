@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -7,11 +8,15 @@ from rankguard import EnumerationTooLarge, ctx_new
 from rankguard.linalg import Subspace, expand_to_base
 from rankguard.network import all_matrices
 from rankguard.subspaces import (
+    FAMILY_CACHE_SIZE,
     SubspaceFamily,
+    _family_bases,
+    enumerate_base_subspaces,
     galois_closure,
     gaussian_binomial,
     is_qinvariant,
     rank_r_count,
+    row_digits,
 )
 
 F16 = ctx_new(2, 4)
@@ -56,6 +61,38 @@ def test_zero_dim_family_is_zero_space():
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2, cap=10)
+
+
+def test_cached_family_still_checks_cap():
+    assert SubspaceFamily(F16, 4, 2).count == 35  # cached under the default cap
+    hits = _family_bases.cache_info().hits
+    assert SubspaceFamily(F16, 4, 2, cap=35).count == 35
+    assert _family_bases.cache_info().hits == hits + 1
+    with pytest.raises(EnumerationTooLarge):
+        SubspaceFamily(F16, 4, 2, cap=10)
+    with pytest.raises(EnumerationTooLarge):
+        SubspaceFamily(F16, 4, 2, "coordinate", cap=5)
+
+
+def test_family_cache_is_bounded():
+    _family_bases.cache_clear()
+    for n in range(FAMILY_CACHE_SIZE + 10):
+        SubspaceFamily(F16, n, min(n, 1), "coordinate")
+    info = _family_bases.cache_info()
+    assert info.maxsize == FAMILY_CACHE_SIZE
+    assert info.currsize == FAMILY_CACHE_SIZE
+    _family_bases.cache_clear()
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 4), (3, 2, 3)])
+def test_row_ids_are_base_q_digits_in_enumeration_order(q, m, n):
+    ctx = ctx_new(q, m)
+    for i in range(n + 1):
+        bases = SubspaceFamily(ctx, n, i).bases
+        assert [tuple(row_digits(b, q, n) for b in ids) for ids in bases] == [
+            B.rows for B in enumerate_base_subspaces(q, n, i)]
+        coords = SubspaceFamily(ctx, n, i, "coordinate").bases
+        assert coords == tuple(tuple(q**c for c in idx) for idx in combinations(range(n), i))
 
 
 def test_coordinate_family_inside_qinvariant_family():
