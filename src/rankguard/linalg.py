@@ -262,14 +262,17 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
 def rank_of_rows(field, rows: Iterable[Sequence[int]]) -> int:
     """Rank over any field of the small protocol, by elimination on plain lists
     with no Matrix: each nonzero row in turn clears its leading column from the rest."""
-    mul, sub = field.mul, xor if field.q == 2 else field.sub  # in characteristic 2, a - b = a ^ b
+    mul = field.mul
+    sub = xor if field.q == 2 else field.sub  # in characteristic 2, a - b = a ^ b
     rows, rank = [r for r in rows if any(r)], 0
     while rows:
         pivot = rows.pop()
         c = 0
         while not pivot[c]:
             c += 1
-        scale, rank, left = field.inv(pivot[c]), rank + 1, []
+        scale = field.inv(pivot[c])
+        rank += 1
+        left = []
         for r in rows:
             if r[c]:
                 f = mul(r[c], scale)
