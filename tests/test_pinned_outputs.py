@@ -18,7 +18,7 @@ from rankguard.cli import main
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import build_proposed, lift
 from rankguard.decoder import capability_report
-from rankguard.network import enumerate_wiretap
+from rankguard.network import enumerate_errors, enumerate_wiretap
 from rankguard.rank_metrics import rdip, rdlp, rghw, rgrw
 
 F16 = ctx_new(2, 4)
@@ -85,6 +85,17 @@ def test_full_wiretap_order():
     ]
     assert mats[8] == ((0, 0, 0), (1, 0, 0))
     assert mats[-1] == ((1, 1, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize("q, m, N, t, count, digest", [
+    (3, 2, 3, 2, 729, "a6700660eb8f738f129bfab3f196f36ee8418cddd9670b7d3b2b7afa4d3d0345"),
+    (2, 4, 4, 3, 45376, "ed4191c9f17d9bfdad995f6c99a4bc1b7cf9e9199e383ee2fc3138285bb8c8f0"),
+])
+def test_error_stream_digest(q, m, N, t, count, digest):
+    # the capability sweeps report counterexamples by index into this stream
+    errors = list(enumerate_errors(ctx_new(q, m), N, t))
+    assert len(errors) == count
+    assert hashlib.sha256(json.dumps(errors).encode()).hexdigest() == digest
 
 
 def _rowspace_witness(a_entries, e_coeffs, message, true_val, other_val):
