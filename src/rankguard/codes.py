@@ -39,6 +39,7 @@ class LinearCode:
         self.n = gen.ncols
         self.gen = gen.row_basis()
         self.k = self.gen.nrows
+        self._dual: LinearCode | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -58,10 +59,10 @@ class LinearCode:
     def codeword_count(self) -> int:
         return self.ctx.order**self.k
 
-    def codewords(self, cap: int = DEFAULT_SCAN_CAP) -> Iterator[tuple[int, ...]]:
-        if self.codeword_count() > cap:
+    def codewords(self) -> Iterator[tuple[int, ...]]:
+        if self.codeword_count() > DEFAULT_SCAN_CAP:
             raise EnumerationTooLarge(
-                f"(q^m)^k = {self.codeword_count()} exceeds cap {cap}")
+                f"(q^m)^k = {self.codeword_count()} exceeds cap {DEFAULT_SCAN_CAP}")
         for u in self.messages():
             yield self.encode(u)
 
@@ -88,9 +89,12 @@ class LinearCode:
     # -- derived codes ---------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.full(self.ctx, self.n)
-        return LinearCode(self.ctx, self.gen.right_kernel())
+        """The dual code, computed once and kept, as a code never changes; it
+        holds no link back, so no reference cycle keeps the pair alive."""
+        if self._dual is None:
+            self._dual = (LinearCode.full(self.ctx, self.n) if self.k == 0
+                          else LinearCode(self.ctx, self.gen.right_kernel()))
+        return self._dual
 
     def puncture(self, keep: Sequence[int]) -> "LinearCode":
         keep = sorted(set(keep))
@@ -144,12 +148,12 @@ class LinearCode:
 
     # -- metrics -----------------------------------------------------------------
 
-    def min_rank_distance(self, method: str = "auto", cap: int = DEFAULT_SCAN_CAP) -> int:
+    def min_rank_distance(self, method: str = "auto") -> int:
         """Minimum rank weight of a nonzero codeword; zero code has none."""
         if self.k == 0:
             raise PreconditionError("the zero code has no minimum distance")
         if method == "auto":
-            method = "scan" if self.codeword_count() <= cap else "profile"
+            method = "scan" if self.codeword_count() <= DEFAULT_SCAN_CAP else "profile"
         if method == "scan":
             from .rank_metrics import rank_weight
             best = None

@@ -70,9 +70,10 @@ class NestedScheme:
 
     # -- the bijection ---------------------------------------------------------
 
-    def messages(self, cap: int = DEFAULT_MESSAGE_CAP) -> Iterator[tuple[int, ...]]:
-        if self.message_count() > cap:
-            raise EnumerationTooLarge(f"(q^m)^l = {self.message_count()} exceeds cap {cap}")
+    def messages(self) -> Iterator[tuple[int, ...]]:
+        if self.message_count() > DEFAULT_MESSAGE_CAP:
+            raise EnumerationTooLarge(
+                f"(q^m)^l = {self.message_count()} exceeds cap {DEFAULT_MESSAGE_CAP}")
         return itertools.product(self.ctx.elements(), repeat=self.l)
 
     def message_count(self) -> int:

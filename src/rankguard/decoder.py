@@ -82,7 +82,7 @@ DEFAULT_SAMPLED_BUDGET = 10**5
 
 @dataclass
 class DecodeResult:
-    status: str  # "decoded" | "ambiguous" | "failed"
+    status: str  # "decoded" | "ambiguous"
     message: tuple[int, ...] | None
     discrepancy: int
     runner_up: int | None
@@ -96,9 +96,9 @@ class DecodeResult:
 
 
 def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
-                         S: Sequence[int], cap: int = DEFAULT_COSET_CAP) -> int:
+                         S: Sequence[int]) -> int:
     """Fewest injected packets explaining Y if the coset of S was sent."""
-    if scheme.c2.codeword_count() > cap:
+    if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
         raise EnumerationTooLarge("coset too large to scan")
     ctx = scheme.ctx
     best = None
@@ -111,20 +111,17 @@ def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
     return best
 
 
-def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
-                    t_max: int | None = None,
-                    cap: int = DEFAULT_DECODE_CAP) -> DecodeResult:
+def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
     """Return the message of the unique closest coset; ties are reported as
     ambiguous rather than broken, so capability boundaries stay observable."""
-    if scheme.message_count() * scheme.c2.codeword_count() > cap:
+    if scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
         raise EnumerationTooLarge("coset family too large to scan")
-    return _closest(((S, discrepancy_coherent(scheme, A, Y, S)) for S in scheme.messages()),
-                    t_max)
+    return _closest((S, discrepancy_coherent(scheme, A, Y, S)) for S in scheme.messages())
 
 
-def _closest(scored, t_max: int | None) -> DecodeResult:
+def _closest(scored) -> DecodeResult:
     """Unique minimizer of (message, discrepancy) pairs; a tie for the
-    minimum is ambiguous, and a minimum above t_max is a failure."""
+    minimum is ambiguous."""
     best_val = best_msg = runner = None
     tie = False
     for S, val in scored:
@@ -138,21 +135,19 @@ def _closest(scored, t_max: int | None) -> DecodeResult:
             runner = val
     if tie:
         return DecodeResult("ambiguous", None, best_val, runner)
-    if t_max is not None and best_val > t_max:
-        return DecodeResult("failed", None, best_val, runner)
     return DecodeResult("decoded", best_msg, best_val, runner)
 
 
-def delta_distance(scheme: NestedScheme, A: Matrix, cap: int = DEFAULT_DECODE_CAP) -> int:
+def delta_distance(scheme: NestedScheme, A: Matrix) -> int:
     """Least rank of v A^T over codewords v of C1 outside C2."""
-    return _closest_difference(scheme, A, cap)[0]
+    return _closest_difference(scheme, A)[0]
 
 
-def _closest_difference(scheme: NestedScheme, A: Matrix, cap: int = DEFAULT_DECODE_CAP):
+def _closest_difference(scheme: NestedScheme, A: Matrix):
     """(least rank of v A^T, first codeword v of C1 outside C2 attaining it)."""
     ctx = scheme.ctx
     best = best_v = None
-    for v in scheme.c1.codewords(cap):
+    for v in scheme.c1.codewords():
         if scheme.c2.contains_word(v):
             continue
         d = rank_weight(ctx, ext_vec_times_base_transpose(ctx, v, A))
@@ -161,7 +156,7 @@ def _closest_difference(scheme: NestedScheme, A: Matrix, cap: int = DEFAULT_DECO
     return best, best_v
 
 
-def delta_min_over_A(scheme: NestedScheme, rho: int, cap: int = DEFAULT_DECODE_CAP) -> int:
+def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     """min over transfer matrices of rank >= n - rho of the coset delta
     distance.  v A^T has the same rank for every A with a given row space,
     so canonical representatives per row space suffice."""
@@ -174,7 +169,7 @@ def delta_min_over_A(scheme: NestedScheme, rho: int, cap: int = DEFAULT_DECODE_C
             if r == 0:
                 d = 0
             else:
-                d = delta_distance(scheme, Abase, cap)
+                d = delta_distance(scheme, Abase)
             if best is None or d < best:
                 best = d
         if best == 0:
@@ -208,8 +203,7 @@ def _member_discrepancy_fast(lifted: LiftedScheme, header: Matrix, payload: Matr
 
 
 def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[int],
-                            rho: int, mode: str = "fast",
-                            cap: int = DEFAULT_ORACLE_A_CAP) -> int:
+                            rho: int, mode: str = "fast") -> int:
     """Fewest injected packets explaining Y under some transfer matrix of
     rank >= n - rho, minimized over the coset of S."""
     if mode == "fast":
@@ -218,7 +212,7 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
                    for x in lifted.inner.coset_elements(S))
     if mode == "oracle":
         ctx, N, n = lifted.ctx, len(Y), lifted.n
-        if ctx.q ** (N * n) > cap:
+        if ctx.q ** (N * n) > DEFAULT_ORACLE_A_CAP:
             raise EnumerationTooLarge("oracle mode enumerates every transfer matrix")
         members = [lifted.lift_vector(x) for x in lifted.inner.coset_elements(S)]
         return min((rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
@@ -227,10 +221,9 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int,
-                       mode: str = "fast", t_max: int | None = None) -> DecodeResult:
-    return _closest(((S, discrepancy_noncoherent(lifted, Y, S, rho, mode))
-                     for S in lifted.inner.messages()), t_max)
+def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> DecodeResult:
+    return _closest((S, discrepancy_noncoherent(lifted, Y, S, rho))
+                    for S in lifted.inner.messages())
 
 
 def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed",
@@ -397,8 +390,7 @@ class CapabilityReport:
 
 def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
                       N: int | None = None, trials: int | None = None,
-                      budget: int = DEFAULT_SAMPLED_BUDGET, seed: int = 0,
-                      error_cap: int = 10**6) -> CapabilityReport:
+                      budget: int = DEFAULT_SAMPLED_BUDGET, seed: int = 0) -> CapabilityReport:
     """Verify (or refute) correction of every t-error pattern at every
     transfer matrix within the erasure budget rho."""
     if t < 0 or not 0 <= rho <= scheme.n:
@@ -413,9 +405,9 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
             raise PreconditionError("lifted schemes support sampled verification only")
         return _sampled(scheme, t, rho, N, trials or 200, budget, seed)
     if mode == "exhaustive":
-        return _exhaustive_coherent(scheme, t, rho, N, error_cap)
+        return _exhaustive_coherent(scheme, t, rho, N)
     if mode == "exhaustive-full":
-        return _full_sweep_coherent(scheme, t, rho, N, error_cap)
+        return _full_sweep_coherent(scheme, t, rho, N)
     if mode == "sampled":
         return _sampled(scheme, t, rho, N, trials or 1000, budget, seed)
     raise PreconditionError(f"unknown mode {mode!r}")
@@ -445,15 +437,14 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
             "true_discrepancy": true_val, "other_discrepancy": other}
 
 
-def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
-                         error_cap: int) -> CapabilityReport:
+def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Row-space check; for q = 2 the packed kernel decides one canonical A
     per row space (N x n transfer keys are uint32).  Beyond 2^20 messages or
     coset members the generic path refuses, as the enumeration caps do."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
-        return _exhaustive_coherent_generic(scheme, t, rho, N, error_cap)
-    errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
+        return _exhaustive_coherent_generic(scheme, t, rho, N)
+    errors = list(enumerate_errors(ctx, N, t))
     a_keys = np.fromiter((pack_key([pack_row_bits(r) for r in A.rows], n)
                           for A in _canonical_transfers(ctx.q, n, N, rho)), dtype=np.uint32)
     hit = next(_failing_blocks(scheme, a_keys, _pack_vectors(errors, m, N), N), None)
@@ -475,11 +466,11 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
                               len(errors), counterexample)
 
 
-def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
-                                 error_cap: int) -> CapabilityReport:
+def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
+                                 N: int) -> CapabilityReport:
     """Row-space check on field arithmetic: the q > 2 path and the reference."""
     ctx = scheme.ctx
-    errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
+    errors = list(enumerate_errors(ctx, N, t))
     c2_words = list(scheme.c2.codewords())
     nonzero_msgs = [S for S in scheme.messages() if any(S)]
     reps = {S: scheme.representative(S) for S in nonzero_msgs}
@@ -500,15 +491,14 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
     return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials, len(errors), None)
 
 
-def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int,
-                         error_cap: int) -> CapabilityReport:
+def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Every transfer matrix literally, in ascending packed key, through the
     packed kernel (q = 2)."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
     if ctx.q != 2 or m * N > 22 or N * n > 22 or m * scheme.c1.k > 20:
         raise EnumerationTooLarge("full sweep needs q=2 and packable dimensions")
     a_keys = _transfer_keys(N, n, rho)
-    errors = list(enumerate_errors(ctx, N, t, cap=error_cap))
+    errors = list(enumerate_errors(ctx, N, t))
     e_keys = _pack_vectors(errors, m, N)
     hit = next(_failing_blocks(scheme, a_keys, e_keys, N), None)
     if hit is None:

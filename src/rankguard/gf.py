@@ -174,14 +174,13 @@ class FieldCtx:
     context is safely shareable across concurrent tasks.
     """
 
-    def __init__(self, q: int, m: int, modulus: Sequence[int], *,
-                 max_order: int = DEFAULT_ORDER_CAP):
+    def __init__(self, q: int, m: int, modulus: Sequence[int]):
         if not is_prime(q):
             raise PreconditionError(f"q={q} is not prime (prime-power base fields are out of scope)")
         if m < 1:
             raise PreconditionError(f"extension degree m={m} must be >= 1")
-        if q**m > max_order:
-            raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {max_order}")
+        if q**m > DEFAULT_ORDER_CAP:
+            raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {DEFAULT_ORDER_CAP}")
         modulus = tuple(int(c) % q for c in modulus)
         if len(modulus) != m + 1:
             raise PreconditionError(f"modulus must have degree m={m} (got {len(modulus) - 1})")
@@ -368,21 +367,21 @@ def ctx_from_json(data: dict) -> FieldCtx:
     return ctx_new(q, m, None if modulus is None else json_ints(modulus, "modulus", q))
 
 
-def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None, *,
-            max_order: int = DEFAULT_ORDER_CAP) -> FieldCtx:
+def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None) -> FieldCtx:
     """Build a verified field context; modulus defaults to the built-in table."""
     if m < 1:
         raise PreconditionError(f"extension degree m={m} must be >= 1")
     # refused before the primality test and q**m, which a huge q or m would stall
-    if q > max_order or (q >= 2 and m >= max_order.bit_length()):
-        raise UnsupportedSize(f"q^m = {q}^{m} exceeds the cap {max_order}")
+    cap = DEFAULT_ORDER_CAP
+    if q > cap or (q >= 2 and m >= cap.bit_length()):
+        raise UnsupportedSize(f"q^m = {q}^{m} exceeds the cap {cap}")
     if modulus is None:
         if q == 2 and m in DEFAULT_MODULI_GF2:
             modulus = DEFAULT_MODULI_GF2[m]
         else:
             if not is_prime(q):
                 raise PreconditionError(f"q={q} is not prime")
-            if q**m > max_order:
-                raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {max_order}")
+            if q**m > cap:
+                raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {cap}")
             modulus = smallest_irreducible(q, m)
-    return FieldCtx(q, m, modulus, max_order=max_order)
+    return FieldCtx(q, m, modulus)

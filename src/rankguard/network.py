@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InfeasibleRank
 from .gf import FieldCtx, PrimeField
-from .linalg import Matrix, ext_vec_times_base_transpose, vec_add
+from .linalg import Matrix, ext_vec_times_base_transpose, vec_add, vec_mat
 from .rank_metrics import rank_weight
 from .subspaces import enumerate_base_subspaces, gaussian_binomial, rank_r_count
 
@@ -51,12 +51,11 @@ def sample_invertible(rng: random.Random, q: int, n: int) -> Matrix:
             return M
 
 
-def sample_transfer(rng: random.Random, q: int, N: int, n: int, rho_max: int,
-                    max_tries: int = FALLBACK_REJECTION_TRIES) -> Matrix:
+def sample_transfer(rng: random.Random, q: int, N: int, n: int, rho_max: int) -> Matrix:
     """Uniform over F_q^(N x n) conditioned on rank >= n - rho_max."""
     if rho_max < 0 or N < n - rho_max:
         raise InfeasibleRank(f"no {N}x{n} matrix has rank >= {n - rho_max}")
-    for _ in range(max_tries):
+    for _ in range(FALLBACK_REJECTION_TRIES):
         A = sample_matrix(rng, q, N, n)
         if A.rank() >= n - rho_max:
             return A
@@ -96,8 +95,7 @@ def transmit(ctx: FieldCtx, X: Sequence[int], real: ChannelRealization) -> tuple
     return Y, W
 
 
-def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace",
-                      cap: int = DEFAULT_ENUM_CAP) -> Iterator[Matrix]:
+def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace") -> Iterator[Matrix]:
     """Wiretap matrices to maximize over.
 
     Leakage depends on B only through its row space, so the default yields
@@ -106,14 +104,14 @@ def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace",
     """
     if mode == "rowspace":
         total = sum(gaussian_binomial(n, i, q) for i in range(min(mu, n) + 1))
-        if total > cap:
-            raise EnumerationTooLarge(f"{total} row spaces exceed cap {cap}")
+        if total > DEFAULT_ENUM_CAP:
+            raise EnumerationTooLarge(f"{total} row spaces exceed cap {DEFAULT_ENUM_CAP}")
         for i in range(min(mu, n) + 1):
             yield from enumerate_base_subspaces(q, n, i)
         return
     if mode == "full":
-        if q ** (mu * n) > cap:
-            raise EnumerationTooLarge(f"q^(mu*n) = {q**(mu*n)} exceeds cap {cap}")
+        if q ** (mu * n) > DEFAULT_ENUM_CAP:
+            raise EnumerationTooLarge(f"q^(mu*n) = {q**(mu*n)} exceeds cap {DEFAULT_ENUM_CAP}")
         yield from all_matrices(q, mu, n)
         return
     raise DimensionMismatch(f"unknown wiretap enumeration mode {mode!r}")
@@ -138,37 +136,18 @@ def error_count(ctx: FieldCtx, N: int, t: int) -> int:
     return sum(rank_r_count(ctx.q, ctx.m, N, r) for r in range(min(t, N) + 1))
 
 
-def enumerate_errors(ctx: FieldCtx, N: int, t: int,
-                     cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
+def enumerate_errors(ctx: FieldCtx, N: int, t: int) -> Iterator[tuple[int, ...]]:
     """Every distinct error contribution E = Z D^T with base rank <= t.
 
     Factored without duplicates: the expansion row space of E is a base
     subspace of dimension r <= t with canonical basis R, and E = z R for a
     unique z whose r components are F_q-independent.
     """
-    if error_count(ctx, N, t) > cap:
-        raise EnumerationTooLarge(f"{error_count(ctx, N, t)} errors exceed cap {cap}")
+    if error_count(ctx, N, t) > DEFAULT_ENUM_CAP:
+        raise EnumerationTooLarge(
+            f"{error_count(ctx, N, t)} errors exceed cap {DEFAULT_ENUM_CAP}")
     for r in range(min(t, N) + 1):
         for R in enumerate_base_subspaces(ctx.q, N, r):
-            for z in _independent_tuples(ctx, r):
-                E = [ctx.zero] * N
-                for zs, row in zip(z, R.rows):
-                    for j, c in enumerate(row):
-                        if c:
-                            E[j] = ctx.add(E[j], ctx.scalar_mul(c, zs))
-                yield tuple(E)
-
-
-def _independent_tuples(ctx: FieldCtx, r: int) -> Iterator[tuple[int, ...]]:
-    if r == 0:
-        yield ()
-        return
-    def rec(acc):
-        if len(acc) == r:
-            yield tuple(acc)
-            return
-        for z in ctx.nonzero():
-            cand = acc + [z]
-            if rank_weight(ctx, cand) == len(cand):
-                yield from rec(cand)
-    yield from rec([])
+            for z in itertools.product(ctx.nonzero(), repeat=r):
+                if rank_weight(ctx, z) == r:
+                    yield vec_mat(ctx, z, R)

@@ -46,10 +46,11 @@ DEFAULT_SUPPORT_CAP = 2**20
 MAX_STRENGTH_SUBSET_BITS = 12
 
 
-def _check_support_cap(scheme: NestedScheme, cap: int) -> None:
+def _check_support_cap(scheme: NestedScheme) -> None:
     support_size = scheme.message_count() * scheme.c2.codeword_count()
-    if support_size > cap:
-        raise EnumerationTooLarge(f"support of {support_size} pairs exceeds cap {cap}")
+    if support_size > DEFAULT_SUPPORT_CAP:
+        raise EnumerationTooLarge(
+            f"support of {support_size} pairs exceeds cap {DEFAULT_SUPPORT_CAP}")
 
 
 def _log_big(x: int) -> float:
@@ -148,10 +149,10 @@ class JointDistribution:
     Python ints), a key of X, and the base-q digits of X (entries x n x m).
     """
 
-    def __init__(self, scheme: NestedScheme, weights: dict, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, scheme: NestedScheme, weights: dict):
         self.scheme = scheme
         self.ctx = scheme.ctx
-        _check_support_cap(scheme, cap)
+        _check_support_cap(scheme)
         support = [(S, X, w) for (S, X), w in weights.items() if w]
         self.total = sum(w for _, _, w in support)
         if self.total <= 0 or any(w < 0 for _, _, w in support):
@@ -178,28 +179,28 @@ class JointDistribution:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def uniform(scheme: NestedScheme, cap: int = DEFAULT_SUPPORT_CAP) -> "JointDistribution":
-        _check_support_cap(scheme, cap)
+    def uniform(scheme: NestedScheme) -> "JointDistribution":
+        _check_support_cap(scheme)
         weights = {}
         for S in scheme.messages():
             for X in scheme.coset_elements(S):
                 weights[(S, X)] = 1
-        return JointDistribution(scheme, weights, cap)
+        return JointDistribution(scheme, weights)
 
     @staticmethod
-    def seeded(scheme: NestedScheme, rng: random.Random, max_weight: int = 4,
-               uniform_messages: bool = False, cap: int = DEFAULT_SUPPORT_CAP) -> "JointDistribution":
+    def seeded(scheme: NestedScheme, rng: random.Random,
+               max_weight: int = 4) -> "JointDistribution":
         """Random integer weights: message weight times per-coset weight.
 
         Per-coset weight patterns share a common sum so that one global
         denominator exists; weights are >= 1, keeping full support.
         """
-        _check_support_cap(scheme, cap)
+        _check_support_cap(scheme)
         coset_size = scheme.c2.codeword_count()
         pattern_sum = None
         weights = {}
         for S in scheme.messages():
-            sw = 1 if uniform_messages else rng.randrange(1, max_weight + 1)
+            sw = rng.randrange(1, max_weight + 1)
             while True:
                 pattern = [rng.randrange(1, max_weight + 1) for _ in range(coset_size)]
                 if pattern_sum is None:
@@ -209,7 +210,7 @@ class JointDistribution:
                     break
             for X, w in zip(scheme.coset_elements(S), pattern):
                 weights[(S, X)] = sw * w
-        return JointDistribution(scheme, weights, cap)
+        return JointDistribution(scheme, weights)
 
     @staticmethod
     def point_mass(scheme: NestedScheme, S: tuple[int, ...], X: tuple[int, ...]) -> "JointDistribution":

@@ -89,7 +89,6 @@ class SubspaceFamily:
     n: int
     i: int
     kind: str = "qinvariant"
-    cap: int = DEFAULT_FAMILY_CAP
 
     def __post_init__(self):
         if not 0 <= self.i <= self.n:
@@ -100,9 +99,9 @@ class SubspaceFamily:
             count = comb(self.n, self.i)
         else:
             raise PreconditionError(f"unknown family kind {self.kind!r}")
-        if count > self.cap:
+        if count > DEFAULT_FAMILY_CAP:
             raise EnumerationTooLarge(
-                f"{self.kind} family of {count} subspaces exceeds cap {self.cap}")
+                f"{self.kind} family of {count} subspaces exceeds cap {DEFAULT_FAMILY_CAP}")
         self.count = count
         self.bases = _family_bases(self.ctx.q, self.n, self.i, self.kind)
 

@@ -63,6 +63,19 @@ def test_dual_is_involution_and_dims():
                 assert acc == 0
 
 
+def test_dual_is_computed_once(monkeypatch):
+    c = rand_code(random.Random(24), F16, 4, 2)
+    kernels = []
+    right_kernel = Matrix.right_kernel
+    monkeypatch.setattr(Matrix, "right_kernel",
+                        lambda self: kernels.append(self) or right_kernel(self))
+    d = c.dual()
+    assert len(kernels) == 1
+    assert c.dual() is d and len(kernels) == 1
+    assert d.dual() == c and len(kernels) == 2
+    assert LinearCode.zero(F16, 4).dual() == LinearCode.full(F16, 4)
+
+
 def test_dual_of_mrd_is_mrd():
     c = gabidulin(F16, 4, 2)
     d = c.dual()

@@ -276,8 +276,8 @@ def test_packed_rowspace_matches_generic(case):
     verdicts = set()
     for t in range(3):
         for rho in range(scheme.n + 1):
-            packed = _exhaustive_coherent(scheme, t, rho, N, 10**6).to_json()
-            assert packed == _exhaustive_coherent_generic(scheme, t, rho, N, 10**6).to_json()
+            packed = _exhaustive_coherent(scheme, t, rho, N).to_json()
+            assert packed == _exhaustive_coherent_generic(scheme, t, rho, N).to_json()
             full = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
             assert full.verified == packed["verified"]
             assert full.covered_tuples == packed["covered_tuples"]
@@ -293,8 +293,8 @@ def test_packed_rowspace_beyond_rank_table_transfer_keys():
     assert first_rgrw(scheme.c1, scheme.c2) == 4
     for t in range(2):
         for rho in (0, 1, scheme.n):
-            packed = _exhaustive_coherent(scheme, t, rho, 5, 10**6).to_json()
-            assert packed == _exhaustive_coherent_generic(scheme, t, rho, 5, 10**6).to_json()
+            packed = _exhaustive_coherent(scheme, t, rho, 5).to_json()
+            assert packed == _exhaustive_coherent_generic(scheme, t, rho, 5).to_json()
             assert packed["verified"] == (2 * t + rho < 4)
             with pytest.raises(EnumerationTooLarge):
                 capability_report(scheme, t, rho, mode="exhaustive-full")
@@ -393,7 +393,7 @@ def test_rowspace_check_beyond_packed_transfer_keys():
     for t, rho in [(0, 1), (1, 0)]:
         report = capability_report(scheme, t, rho)
         assert report.verified == (2 * t + rho < 2)
-        assert report.to_json() == _exhaustive_coherent_generic(scheme, t, rho, 6, 10**6).to_json()
+        assert report.to_json() == _exhaustive_coherent_generic(scheme, t, rho, 6).to_json()
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "exhaustive-full", "sampled", "lifted"])
@@ -409,7 +409,7 @@ def test_capability_rejects_transfer_below_rank(mode):
     if mode == "exhaustive":
         # no row space of a 2 x 3 matrix has dimension 3: seven canonical A
         assert rep.trials == 7
-        assert rep.to_json() == _exhaustive_coherent_generic(scheme, 0, 1, 2, 10**6).to_json()
+        assert rep.to_json() == _exhaustive_coherent_generic(scheme, 0, 1, 2).to_json()
 
 
 def test_capability_sampled_matches():

@@ -48,3 +48,28 @@ def test_no_assert_statements(path):
              or isinstance(node, ast.Raise) and node.exc is not None
              and _raises_assertion_error(node)]
     assert lines == [], f"{path.name} uses assert or raises AssertionError at lines {lines}"
+
+
+def _is_cap_option(name: str) -> bool:
+    return name in ("cap", "max_order", "max_tries", "t_max") or name.endswith("_cap")
+
+
+def _parameters(node) -> list[str]:
+    """Parameter names of a function, or the fields of a (data)class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        a = node.args
+        return [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+    if isinstance(node, ast.ClassDef):
+        return [s.target.id for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_per_call_cap_parameters(path):
+    # enumeration caps are module constants read at call time, so a test
+    # lowers one with monkeypatch and no caller widens one per call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{node.name}({name})" for node in ast.walk(tree)
+             for name in _parameters(node) if _is_cap_option(name)]
+    assert found == [], f"{path.name} takes per-call caps: {found}"

@@ -127,7 +127,7 @@ def test_gap_kernel_matches_intersection_dim(q, m, n):
     for (k1, k2) in [(1, 0), (2, 1), (n - 1, 0), (n - 1, 1)]:
         c1, c2 = rand_nested_pair(rng, ctx, n, k1, k2)
         for kind in ("qinvariant", "coordinate"):
-            engine = _PairEngine(c1, c2, kind, 10**6)
+            engine = _PairEngine(c1, c2, kind)
             for i in range(n + 1):
                 family = SubspaceFamily(ctx, n, i, kind)
                 for ids, V in zip(family.bases, family, strict=True):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from rankguard import EnumerationTooLarge, ctx_new
+from rankguard import EnumerationTooLarge, ctx_new, subspaces
 from rankguard.linalg import Subspace, expand_to_base
 from rankguard.network import all_matrices
 from rankguard.subspaces import (
@@ -58,20 +58,24 @@ def test_zero_dim_family_is_zero_space():
     assert fam == [Subspace.zero(F16, 5)]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 10)
     with pytest.raises(EnumerationTooLarge):
-        SubspaceFamily(F16, 4, 2, cap=10)
+        SubspaceFamily(F16, 4, 2)
 
 
-def test_cached_family_still_checks_cap():
+def test_cached_family_still_checks_cap(monkeypatch):
     assert SubspaceFamily(F16, 4, 2).count == 35  # cached under the default cap
     hits = _family_bases.cache_info().hits
-    assert SubspaceFamily(F16, 4, 2, cap=35).count == 35
+    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 35)
+    assert SubspaceFamily(F16, 4, 2).count == 35
     assert _family_bases.cache_info().hits == hits + 1
+    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 10)
     with pytest.raises(EnumerationTooLarge):
-        SubspaceFamily(F16, 4, 2, cap=10)
+        SubspaceFamily(F16, 4, 2)
+    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 5)
     with pytest.raises(EnumerationTooLarge):
-        SubspaceFamily(F16, 4, 2, "coordinate", cap=5)
+        SubspaceFamily(F16, 4, 2, "coordinate")
 
 
 def test_family_cache_is_bounded():
