@@ -23,9 +23,9 @@ from .decoder import (
 )
 from .errors import PacketTooShort, SuiteUnknown
 from .gf import ctx_new
-from .linalg import Subspace, embed_base_matrix
+from .linalg import embed_base_matrix
 from .network import enumerate_wiretap
-from .rank_metrics import first_rgrw, intersection_dim, rdip, rgrw
+from .rank_metrics import first_rgrw, rdip, rgrw
 from .security import (
     JointDistribution,
     leakage_report,
@@ -148,12 +148,12 @@ def suite_duality() -> list[CriterionResult]:
         sub_rows = [c1.encode(tuple(rng.randrange(8) for _ in range(c1.k)))
                     for _ in range(rng.randrange(0, c1.k))]
         c2 = LinearCode(ctx, sub_rows, n)
-        V = Subspace.from_rows(
-            ctx, n, [[rng.randrange(8) for _ in range(n)] for _ in range(rng.randrange(n + 1))])
-        lhs = intersection_dim(c1, V) - intersection_dim(c2, V)
+        V = LinearCode(
+            ctx, [[rng.randrange(8) for _ in range(n)] for _ in range(rng.randrange(n + 1))], n)
+        lhs = c1.intersect(V).k - c2.intersect(V).k
         rhs = ((c1.k - c2.k)
-               - intersection_dim(c2.dual(), V.complement())
-               + intersection_dim(c1.dual(), V.complement()))
+               - c2.dual().intersect(V.dual()).k
+               + c1.dual().intersect(V.dual()).k)
         if lhs == rhs:
             holds += 1
     return [_result("duality-identity", "100 seeded (C1, C2, V) triples",
@@ -175,8 +175,8 @@ def suite_security_uniform() -> list[CriterionResult]:
     for B in enumerate_wiretap(2, 3, 3):
         checked += 1
         measured = dist.mutual_information(B)
-        rowspace = Subspace(ctx, 3, embed_base_matrix(ctx, B).row_basis())
-        expected = intersection_dim(d2, rowspace) - intersection_dim(d1, rowspace)
+        rowspace = LinearCode(ctx, embed_base_matrix(ctx, B))
+        expected = d2.intersect(rowspace).k - d1.intersect(rowspace).k
         exact = measured.as_integer()
         if exact != expected or abs(measured.value - expected) > 1e-9:
             mismatches += 1

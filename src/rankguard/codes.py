@@ -3,6 +3,9 @@
 A LinearCode stores its generator in canonical RREF, so codes compare and
 hash by value.  The zero code (k = 0) is a valid value: shortening may
 produce it and the second member of a nested pair is allowed to be {0}.
+It is also the one subspace type: a wiretap or Frobenius-invariant subspace
+V of F_{q^m}^n is a LinearCode, with sums, intersections and the dual
+(the orthogonal complement) defined here.
 """
 
 from __future__ import annotations
@@ -11,17 +14,19 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    AmbientMismatch,
     DegreeTooSmall,
     DependentPoints,
     DimensionMismatch,
     EmptyIndexSet,
     EnumerationTooLarge,
+    NotASubcode,
     NotSystematizable,
     PreconditionError,
     json_field,
 )
 from .gf import FieldCtx, ctx_from_json
-from .linalg import Matrix, Subspace, expand_to_base, solve_right, vec_mat
+from .linalg import Matrix, expand_to_base, solve_right, vec_mat
 
 #: Exhaustive codeword scans refuse above this many codewords.
 DEFAULT_SCAN_CAP = 2**20
@@ -79,12 +84,12 @@ class LinearCode:
         return solve_right(self.gen, v) is not None
 
     def contains(self, other: "LinearCode") -> bool:
-        if other.n != self.n or other.ctx != self.ctx:
-            raise DimensionMismatch("codes live in different spaces")
+        self._check(other)
         return all(self.contains_word(row) for row in other.gen.rows)
 
-    def row_space(self) -> Subspace:
-        return Subspace(self.ctx, self.n, self.gen)
+    def _check(self, other: "LinearCode") -> None:
+        if other.n != self.n or other.ctx != self.ctx:
+            raise AmbientMismatch("codes live in different spaces")
 
     # -- derived codes ---------------------------------------------------------
 
@@ -95,6 +100,15 @@ class LinearCode:
             self._dual = (LinearCode.full(self.ctx, self.n) if self.k == 0
                           else LinearCode(self.ctx, self.gen.right_kernel()))
         return self._dual
+
+    def sum_with(self, other: "LinearCode") -> "LinearCode":
+        self._check(other)
+        return LinearCode(self.ctx, self.gen.stack(other.gen))
+
+    def intersect(self, other: "LinearCode") -> "LinearCode":
+        """Computed through duals: the dual of the sum of the duals."""
+        self._check(other)
+        return self.dual().sum_with(other.dual()).dual()
 
     def puncture(self, keep: Sequence[int]) -> "LinearCode":
         keep = sorted(set(keep))
@@ -110,7 +124,7 @@ class LinearCode:
             raise PreconditionError("shorten indices out of range")
         drop = [j for j in range(self.n) if j not in keep]
         if self.k == 0 or not keep:
-            return LinearCode.zero(self.ctx, len(keep)) if keep else LinearCode.zero(self.ctx, 0)
+            return LinearCode.zero(self.ctx, len(keep))
         if not drop:
             return LinearCode(self.ctx, self.gen)
         # messages u with (u G) vanishing on the dropped coordinates
@@ -139,11 +153,7 @@ class LinearCode:
         if h.nrows == 0:
             return Matrix.identity(base, self.n)
         # each dual row gives m base-field equations in the n base unknowns
-        rows = []
-        for hrow in h.rows:
-            cols = [self.ctx.coeffs(a) for a in hrow]
-            for r in range(self.ctx.m):
-                rows.append([cols[j][r] for j in range(self.n)])
+        rows = [r for hrow in h.rows for r in expand_to_base(self.ctx, hrow).rows]
         return Matrix(base, rows, self.n).right_kernel()
 
     # -- metrics -----------------------------------------------------------------
@@ -192,6 +202,13 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}] over F_{self.ctx.q}^{self.ctx.m}"
+
+
+def quotient_dim(c1: LinearCode, c2: LinearCode) -> int:
+    """dim C1/C2 of a nested pair; C2 must be a proper subcode of C1."""
+    if not c1.contains(c2) or c2.k >= c1.k:
+        raise NotASubcode("need C2 a proper subcode of C1")
+    return c1.k - c2.k
 
 
 def gabidulin(ctx: FieldCtx, n: int, k: int, points: Sequence[int] | None = None) -> LinearCode:

@@ -21,13 +21,12 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .codes import LinearCode, gabidulin
+from .codes import LinearCode, gabidulin, quotient_dim
 from .errors import (
     BadDimensions,
     DegreeMismatch,
     DimensionMismatch,
     EnumerationTooLarge,
-    NotASubcode,
     PacketTooShort,
     PreconditionError,
     json_field,
@@ -45,13 +44,11 @@ class NestedScheme:
 
     def __init__(self, c1: LinearCode, c2: LinearCode, delta_g: Matrix,
                  coset_distribution: str | Sequence[int] = "uniform"):
-        if not c1.contains(c2) or c2.k >= c1.k:
-            raise NotASubcode("need C2 a proper subcode of C1")
+        self.l = quotient_dim(c1, c2)
         self.c1 = c1
         self.c2 = c2
         self.ctx = c1.ctx
         self.n = c1.n
-        self.l = c1.k - c2.k
         if delta_g.nrows != self.l or delta_g.ncols != self.n:
             raise DimensionMismatch("representative matrix must be l x n")
         self.delta_g = delta_g

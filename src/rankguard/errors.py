@@ -74,7 +74,7 @@ class DivisionByZero(PreconditionError, ZeroDivisionError):
 
 
 class AmbientMismatch(PreconditionError):
-    """Subspace operands live in different ambient spaces."""
+    """Code or subspace operands (LinearCode values) differ in length or field."""
 
 
 class LengthMismatch(PreconditionError):

@@ -1,23 +1,21 @@
-"""Matrix and subspace algebra over F_q and F_{q^m}.
+"""Matrix algebra over F_q and F_{q^m}.
 
 One Matrix class serves both field levels: anything exposing the small
 field protocol of gf.PrimeField / gf.FieldCtx (zero, one, add, sub, neg,
 mul, inv) can be the entry domain.  Rows are tuples of ints, matrices are
-immutable, RREF is the canonical form, and Subspace equality is literal
-equality of RREF bases, which makes subspaces usable as set/dict keys when
-enumerations must deduplicate.
+immutable, and RREF is the canonical form.  Subspaces of F_{q^m}^n are
+codes.LinearCode values, compared by their RREF bases.
 
 Vectors are plain tuples and are always treated as row vectors.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from operator import xor
 from typing import Iterable, Sequence
 
 from .bitrank import rank_bits
-from .errors import AmbientMismatch, DimensionMismatch, PreconditionError, json_field, json_ints
+from .errors import DimensionMismatch, PreconditionError, json_field, json_ints
 from .gf import FieldCtx, PrimeField
 
 
@@ -299,74 +297,3 @@ def embed_base_matrix(ctx: FieldCtx, M: Matrix) -> Matrix:
     """Lift a base-field matrix entrywise into the extension field."""
     return Matrix(ctx, [[ctx.embed(a) for a in row] for row in M.rows], M.ncols)
 
-
-# -- subspaces ------------------------------------------------------------------
-
-class Subspace:
-    """A subspace of F_{q^m}^n held as its canonical RREF basis.
-
-    Two subspaces are equal iff their basis matrices are identical, so
-    Subspace values hash and deduplicate correctly.
-    """
-
-    def __init__(self, ctx: FieldCtx, n: int, basis: Matrix):
-        self.ctx = ctx
-        self.n = n
-        self.basis = basis  # trusted canonical: RREF, no zero rows
-
-    @staticmethod
-    def from_rows(ctx: FieldCtx, n: int, rows: Iterable[Sequence[int]]) -> "Subspace":
-        return Subspace(ctx, n, Matrix(ctx, rows, n).row_basis())
-
-    @staticmethod
-    def zero(ctx: FieldCtx, n: int) -> "Subspace":
-        return Subspace(ctx, n, Matrix(ctx, [], n))
-
-    @staticmethod
-    def full(ctx: FieldCtx, n: int) -> "Subspace":
-        return Subspace(ctx, n, Matrix.identity(ctx, n))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return solve_right(self.basis, vec) is not None if self.dim else all(v == 0 for v in vec)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains(row) for row in other.basis.rows)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ctx, self.n, self.basis.stack(other.basis).row_basis())
-
-    def complement(self) -> "Subspace":
-        """Orthogonal complement under the standard form sum_i x_i y_i."""
-        if self.dim == 0:
-            return Subspace.full(self.ctx, self.n)
-        return Subspace(self.ctx, self.n, self.basis.right_kernel())
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Computed through duals: (U' + V')' where ' is the complement."""
-        self._check(other)
-        return self.complement().sum_with(other.complement()).complement()
-
-    def vectors(self):
-        """Iterate every vector of the subspace (q^(m dim) of them)."""
-        for coeffs in product(self.ctx.elements(), repeat=self.dim):
-            yield vec_mat(self.ctx, coeffs, self.basis)
-
-    def _check(self, other: "Subspace") -> None:
-        if other.n != self.n or other.ctx != self.ctx:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and other.n == self.n
-                and other.ctx == self.ctx and other.basis.rows == self.basis.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.basis.rows))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, n={self.n})"

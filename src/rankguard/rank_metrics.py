@@ -21,8 +21,8 @@ rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
 give B as a tuple of row ids (see `subspaces`), and each code memoizes the
 column H b^T of every distinct row id, so a gap is two `rank_of_rows`
 calls on i memoized columns and builds no Matrix.  The reference,
-`intersection_dim`, works on any V through duals,
-dim(C cap V) = n - dim(C_dual + V_dual); tests compare the two.
+`LinearCode.intersect`, works on any V through duals,
+C cap V = (C_dual + V_dual)_dual; tests compare the two.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitrank import rank_bits
-from .codes import LinearCode
-from .errors import LengthMismatch, NotASubcode, PreconditionError, require
+from .codes import LinearCode, quotient_dim
+from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import Subspace, expand_to_base, rank_of_rows, vec_mat
+from .linalg import expand_to_base, rank_of_rows, vec_mat
 from .subspaces import SubspaceFamily, row_digits
 
 
@@ -75,19 +75,6 @@ class WeightTable(ProfileTable):
     first = 1
 
 
-def _check_nested(c1: LinearCode, c2: LinearCode) -> int:
-    if not c1.contains(c2) or c2.k >= c1.k:
-        raise NotASubcode("need C2 a proper subcode of C1")
-    return c1.k - c2.k
-
-
-def intersection_dim(code: LinearCode, V: Subspace) -> int:
-    """Reference dim(C cap V) for any V, via the dual-sum identity."""
-    dual_gen = code.dual().gen
-    stacked = dual_gen.stack(V.complement().basis)
-    return code.n - stacked.rref()[1]
-
-
 class _Columns(dict):
     """One code's memo: row id of a base-field row b -> the column H b^T
     (a base-field digit is also its own embedding in F_{q^m})."""
@@ -111,7 +98,7 @@ class _PairEngine:
     """Shared enumeration state for one (C1, C2) pair."""
 
     def __init__(self, c1: LinearCode, c2: LinearCode, family: str):
-        self.quotient_dim = _check_nested(c1, c2)
+        self.quotient_dim = quotient_dim(c1, c2)
         self.ctx, self.n = c1.ctx, c1.n
         self.cols1, self.cols2 = _Columns(c1), _Columns(c2)
         self.family = family

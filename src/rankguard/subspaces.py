@@ -23,9 +23,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
+from .codes import LinearCode
 from .errors import EnumerationTooLarge, PreconditionError
 from .gf import FieldCtx, PrimeField
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 
 #: Families larger than this refuse to enumerate rather than silently sample.
 DEFAULT_FAMILY_CAP = 10**6
@@ -105,26 +106,26 @@ class SubspaceFamily:
         self.count = count
         self.bases = _family_bases(self.ctx.q, self.n, self.i, self.kind)
 
-    def __iter__(self) -> Iterator[Subspace]:
+    def __iter__(self) -> Iterator[LinearCode]:
         ctx, n = self.ctx, self.n
         for ids in self.bases:
-            yield Subspace(ctx, n, Matrix(ctx, [row_digits(b, ctx.q, n) for b in ids], n))
+            yield LinearCode(ctx, [row_digits(b, ctx.q, n) for b in ids], n)
 
 
-def frobenius_image(V: Subspace, iterate: int = 1) -> Subspace:
+def frobenius_image(V: LinearCode, iterate: int = 1) -> LinearCode:
     ctx = V.ctx
-    rows = [[ctx.frobenius(a, iterate) for a in row] for row in V.basis.rows]
-    return Subspace.from_rows(ctx, V.n, rows)
+    rows = [[ctx.frobenius(a, iterate) for a in row] for row in V.gen.rows]
+    return LinearCode(ctx, rows, V.n)
 
 
-def is_qinvariant(V: Subspace) -> bool:
+def is_qinvariant(V: LinearCode) -> bool:
     """True iff the Frobenius image of every basis row stays inside V."""
     ctx = V.ctx
-    return all(V.contains(tuple(ctx.frobenius(a) for a in row))
-               for row in V.basis.rows)
+    return all(V.contains_word(tuple(ctx.frobenius(a) for a in row))
+               for row in V.gen.rows)
 
 
-def galois_closure(V: Subspace) -> Subspace:
+def galois_closure(V: LinearCode) -> LinearCode:
     """Smallest Frobenius-invariant subspace containing V: sum of V^(q^i)."""
     acc = V
     for i in range(1, V.ctx.m):

@@ -4,10 +4,10 @@ import pytest
 
 from rankguard import AmbientMismatch, PreconditionError, ctx_new
 from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
+from rankguard.codes import LinearCode
 from rankguard.gf import PrimeField
 from rankguard.linalg import (
     Matrix,
-    Subspace,
     embed_base_matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
@@ -81,38 +81,45 @@ def test_expand_to_base_rank():
 
 
 def test_subspace_sum_intersect_complement():
-    e1 = Subspace.from_rows(F16, 3, [(1, 0, 0)])
-    e2 = Subspace.from_rows(F16, 3, [(0, 1, 0)])
-    assert e1.intersect(e2).dim == 0
-    assert e1.sum_with(e2).dim == 2
+    e1 = LinearCode(F16, [(1, 0, 0)], 3)
+    e2 = LinearCode(F16, [(0, 1, 0)], 3)
+    assert e1.intersect(e2).k == 0
+    assert e1.sum_with(e2).k == 2
     assert e1.sum_with(e1) == e1
     assert e1.intersect(e1) == e1
-    with pytest.raises(AmbientMismatch):
-        e1.sum_with(Subspace.zero(F16, 4))
+
+
+@pytest.mark.parametrize("op", ["contains", "sum_with", "intersect"])
+@pytest.mark.parametrize("other", [LinearCode.zero(F16, 4), LinearCode.zero(ctx_new(3, 2), 3)],
+                         ids=["length", "field"])
+def test_ambient_mismatch(op, other):
+    e1 = LinearCode(F16, [(1, 0, 0)], 3)
+    with pytest.raises(AmbientMismatch, match="codes live in different spaces"):
+        getattr(e1, op)(other)
 
 
 def test_subspace_duality_involution_and_dims():
     rng = random.Random(3)
     for _ in range(30):
-        V = Subspace.from_rows(F16, 4, rand_matrix(rng, F16, rng.randrange(5), 4).rows or [])
-        Vc = V.complement()
-        assert V.dim + Vc.dim == 4
-        assert Vc.complement() == V
+        V = LinearCode(F16, rand_matrix(rng, F16, rng.randrange(5), 4).rows or [], 4)
+        Vc = V.dual()
+        assert V.k + Vc.k == 4
+        assert Vc.dual() == V
 
 
 def test_dim_modular_law():
     rng = random.Random(4)
     for _ in range(100):
-        U = Subspace.from_rows(F16, 4, rand_matrix(rng, F16, rng.randrange(1, 4), 4).rows)
-        V = Subspace.from_rows(F16, 4, rand_matrix(rng, F16, rng.randrange(1, 4), 4).rows)
-        assert U.sum_with(V).dim + U.intersect(V).dim == U.dim + V.dim
+        U = LinearCode(F16, rand_matrix(rng, F16, rng.randrange(1, 4), 4).rows, 4)
+        V = LinearCode(F16, rand_matrix(rng, F16, rng.randrange(1, 4), 4).rows, 4)
+        assert U.sum_with(V).k + U.intersect(V).k == U.k + V.k
 
 
 def test_subspace_vectors_count():
-    V = Subspace.from_rows(F16, 3, [(1, 0, A), (0, 1, 0)])
-    vecs = set(V.vectors())
+    V = LinearCode(F16, [(1, 0, A), (0, 1, 0)], 3)
+    vecs = set(V.codewords())
     assert len(vecs) == 16**2
-    assert all(V.contains(v) for v in vecs)
+    assert all(V.contains_word(v) for v in vecs)
 
 
 def test_ext_vec_times_base_transpose():

@@ -4,11 +4,9 @@ import pytest
 
 from rankguard import LengthMismatch, NotASubcode, ctx_new
 from rankguard.codes import LinearCode, gabidulin
-from rankguard.linalg import Subspace
 from rankguard.rank_metrics import (
     _PairEngine,
     first_rgrw,
-    intersection_dim,
     rank_distance,
     rank_weight,
     rdip,
@@ -111,11 +109,10 @@ def test_rdip_independent_oracle():
     for ctx in (F8, ctx_new(3, 2)):
         c1, c2 = rand_nested_pair(rng, ctx, 3, 2, 1)
         table = rdip(c1, c2)
-        s1, s2 = c1.row_space(), c2.row_space()
         for i in range(4):
             best = 0
             for V in SubspaceFamily(ctx, 3, i):
-                gap = s1.intersect(V).dim - s2.intersect(V).dim
+                gap = c1.intersect(V).k - c2.intersect(V).k
                 best = max(best, gap)
             assert best == table.at(i)
 
@@ -131,17 +128,26 @@ def test_gap_kernel_matches_intersection_dim(q, m, n):
             for i in range(n + 1):
                 family = SubspaceFamily(ctx, n, i, kind)
                 for ids, V in zip(family.bases, family, strict=True):
-                    assert V.dim == i
-                    assert engine.gap(ids) == intersection_dim(c1, V) - intersection_dim(c2, V)
+                    assert V.k == i
+                    assert engine.gap(ids) == c1.intersect(V).k - c2.intersect(V).k
 
 
 def test_intersection_dim_matches_direct():
+    # brute force: C cap V has (q^m)^dim(C cap V) words, counted over V's words
     rng = random.Random(36)
-    c = gabidulin(F16, 4, 2)
-    for _ in range(20):
-        V = Subspace.from_rows(
-            F16, 4, [[rng.randrange(16) for _ in range(4)] for _ in range(rng.randrange(1, 4))])
-        assert intersection_dim(c, V) == c.row_space().intersect(V).dim
+    for c in (gabidulin(F16, 4, 2), rand_nested_pair(rng, ctx_new(3, 2), 4, 2, 0)[0]):
+        ctx, n, dims = c.ctx, c.n, set()
+        for trial in range(21):
+            # V spans `trial % 3` random codewords and random words up to two rows,
+            # so dim V <= 2 and every dim(C cap V) from 0 to 2 occurs
+            words = trial % 3
+            rows = ([c.encode([rng.randrange(ctx.order) for _ in range(c.k)]) for _ in range(words)]
+                    + [[rng.randrange(ctx.order) for _ in range(n)] for _ in range(2 - words)])
+            V = LinearCode(ctx, rows, n)
+            dim = c.intersect(V).k
+            assert sum(c.contains_word(v) for v in V.codewords()) == ctx.order**dim
+            dims.add(dim)
+        assert dims == {0, 1, 2}
 
 
 @pytest.mark.parametrize("ctx", [F8, ctx_new(3, 2)], ids=["F8", "F9"])
@@ -149,13 +155,13 @@ def test_duality_identity_random_triples(ctx):
     rng = random.Random(37)
     for _ in range(100):
         c1, c2 = rand_nested_pair(rng, ctx, 3, 2, rng.choice([0, 1]))
-        V = Subspace.from_rows(ctx, 3, [[rng.randrange(ctx.order) for _ in range(3)]
-                                        for _ in range(rng.randrange(4))])
+        V = LinearCode(ctx, [[rng.randrange(ctx.order) for _ in range(3)]
+                             for _ in range(rng.randrange(4))], 3)
         l = c1.k - c2.k
-        lhs = intersection_dim(c1, V) - intersection_dim(c2, V)
+        lhs = c1.intersect(V).k - c2.intersect(V).k
         rhs = (l
-               - intersection_dim(c2.dual(), V.complement())
-               + intersection_dim(c1.dual(), V.complement()))
+               - c2.dual().intersect(V.dual()).k
+               + c1.dual().intersect(V.dual()).k)
         assert lhs == rhs
 
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new
+from rankguard.codes import LinearCode
 from rankguard.coset_scheme import build_proposed
-from rankguard.linalg import Matrix, Subspace, embed_base_matrix, ext_vec_times_base_transpose
+from rankguard.linalg import Matrix, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
 from rankguard.network import enumerate_wiretap, sample_matrix
-from rankguard.rank_metrics import intersection_dim
 from rankguard.security import (
     JointDistribution,
     LogQuantity,
@@ -82,8 +82,8 @@ def test_uniform_mi_equals_dual_dimension_gap(scheme, uniform):
     d1 = scheme.c1.dual()
     for B in enumerate_wiretap(2, 3, 3):
         measured = uniform.mutual_information(B).as_integer()
-        rowspace = Subspace(F16, 3, embed_base_matrix(F16, B).row_basis())
-        expected = intersection_dim(d2, rowspace) - intersection_dim(d1, rowspace)
+        rowspace = LinearCode(F16, embed_base_matrix(F16, B))
+        expected = d2.intersect(rowspace).k - d1.intersect(rowspace).k
         assert measured == expected
 
 
@@ -242,7 +242,6 @@ def test_data_processing_with_errors(scheme, uniform):
 
 def _hand_built_scheme(ctx):
     # l = 2 over F_q^m with n = 3, C1 the full space and C2 = <(1, a, 1)>
-    from rankguard.codes import LinearCode
     from rankguard.coset_scheme import NestedScheme
 
     a = ctx.alpha

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from rankguard import EnumerationTooLarge, ctx_new, subspaces
-from rankguard.linalg import Subspace, expand_to_base
+from rankguard.codes import LinearCode
+from rankguard.linalg import expand_to_base
 from rankguard.network import all_matrices
 from rankguard.subspaces import (
     FAMILY_CACHE_SIZE,
@@ -49,13 +50,13 @@ def test_enumerate_counts_match_gaussian_binomial():
 
 def test_enumerated_subspaces_are_qinvariant_with_right_dim():
     for V in SubspaceFamily(F16, 4, 2):
-        assert V.dim == 2
+        assert V.k == 2
         assert is_qinvariant(V)
 
 
 def test_zero_dim_family_is_zero_space():
     fam = list(SubspaceFamily(F16, 5, 0))
-    assert fam == [Subspace.zero(F16, 5)]
+    assert fam == [LinearCode.zero(F16, 5)]
 
 
 def test_enumeration_cap(monkeypatch):
@@ -109,21 +110,21 @@ def test_coordinate_family_inside_qinvariant_family():
 
 
 def test_is_qinvariant_examples():
-    assert is_qinvariant(Subspace.from_rows(F16, 3, [(1, 0, 0), (0, 0, 1)]))
-    assert is_qinvariant(Subspace.zero(F16, 3))
-    V = Subspace.from_rows(F16, 2, [(1, A)])
+    assert is_qinvariant(LinearCode(F16, [(1, 0, 0), (0, 0, 1)], 3))
+    assert is_qinvariant(LinearCode.zero(F16, 3))
+    V = LinearCode(F16, [(1, A)], 2)
     assert not is_qinvariant(V)
 
 
 def test_galois_closure_fixed_points_and_examples():
     for V in SubspaceFamily(F16, 3, 1):
         assert galois_closure(V) == V
-    assert galois_closure(Subspace.zero(F16, 3)) == Subspace.zero(F16, 3)
+    assert galois_closure(LinearCode.zero(F16, 3)) == LinearCode.zero(F16, 3)
     a2 = F16.mul(A, A)
-    V = Subspace.from_rows(F16, 3, [(1, A, a2)])
+    V = LinearCode(F16, [(1, A, a2)], 3)
     closure = galois_closure(V)
-    assert closure.dim == 3
-    assert closure.dim == expand_to_base(F16, (1, A, a2)).rank()
+    assert closure.k == 3
+    assert closure.k == expand_to_base(F16, (1, A, a2)).rank()
 
 
 def test_galois_closure_is_a_closure_operator():
@@ -131,14 +132,14 @@ def test_galois_closure_is_a_closure_operator():
     for _ in range(25):
         rows = [[rng.randrange(16) for _ in range(4)]
                 for _ in range(rng.randrange(1, 3))]
-        V = Subspace.from_rows(F16, 4, rows)
+        V = LinearCode(F16, rows, 4)
         W = galois_closure(V)
-        assert W.contains_subspace(V)            # extensive
+        assert W.contains(V)                     # extensive
         assert galois_closure(W) == W            # idempotent
         assert is_qinvariant(W)
-        U = V.sum_with(Subspace.from_rows(F16, 4, [[rng.randrange(16) for _ in range(4)]]))
-        assert galois_closure(U).contains_subspace(W)  # monotone
-        assert W.dim <= F16.m * V.dim
+        U = V.sum_with(LinearCode(F16, [[rng.randrange(16) for _ in range(4)]], 4))
+        assert galois_closure(U).contains(W)  # monotone
+        assert W.k <= F16.m * V.k
 
 
 def test_closure_dim_equals_rank_weight_of_spanning_vector():
@@ -147,5 +148,5 @@ def test_closure_dim_equals_rank_weight_of_spanning_vector():
         b = tuple(rng.randrange(8) for _ in range(4))
         if all(v == 0 for v in b):
             continue
-        V = Subspace.from_rows(F8, 4, [b])
-        assert galois_closure(V).dim == expand_to_base(F8, b).rank()
+        V = LinearCode(F8, [b], 4)
+        assert galois_closure(V).k == expand_to_base(F8, b).rank()
