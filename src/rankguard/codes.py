@@ -85,7 +85,8 @@ class LinearCode:
 
     def contains(self, other: "LinearCode") -> bool:
         self._check(other)
-        return all(self.contains_word(row) for row in other.gen.rows)
+        parity_t = self.dual().gen.transpose()  # other <= self iff G_other H^T = 0
+        return not any(any(vec_mat(self.ctx, row, parity_t)) for row in other.gen.rows)
 
     def _check(self, other: "LinearCode") -> None:
         if other.n != self.n or other.ctx != self.ctx:

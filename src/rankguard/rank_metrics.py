@@ -23,11 +23,17 @@ column H b^T of every distinct row id, so a gap is two `rank_of_rows`
 calls on i memoized columns and builds no Matrix.  The reference,
 `LinearCode.intersect`, works on any V through duals,
 C cap V = (C_dual + V_dual)_dual; tests compare the two.
+
+`rdip` takes each K_i as a bounded maximum: K_0 = 0 and K rises by unit
+steps to dim C1/C2, so level i stops at the first basis whose gap reaches
+min(K_{i-1} + 1, dim C1/C2), keeps it as the level's witness, and raises
+InvariantViolated on a gap above that bound.  The reference,
+`rgrw(method="direct")`, is the plain maximum over every basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bitrank import rank_bits
@@ -53,10 +59,11 @@ def rank_distance(ctx: FieldCtx, x, y) -> int:
 
 @dataclass(frozen=True)
 class ProfileTable:
-    """Intersection-gap maxima indexed by subspace dimension 0..n."""
+    """Intersection-gap maxima by subspace dimension 0..n, and rdip's witnesses."""
 
     kind: str
     values: tuple[int, ...]
+    witnesses: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
     first = 0  # the index of values[0]
 
     def at(self, i: int) -> int:
@@ -107,17 +114,32 @@ class _PairEngine:
         """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows with these ids."""
         return self.cols2.rank(ids) - self.cols1.rank(ids)
 
-    def max_gap(self, i: int) -> int:
-        family = SubspaceFamily(self.ctx, self.n, i, self.family)
-        return max(map(self.gap, family.bases))
+    def max_gap(self, i: int, bound: int) -> tuple[int, tuple[int, ...]]:
+        """(K_i, the first basis reaching it), stopping at a gap of `bound`."""
+        best, witness = -1, ()
+        for ids in SubspaceFamily(self.ctx, self.n, i, self.family).bases:
+            rank2 = self.cols2.rank(ids)
+            if rank2 <= best:  # the gap is at most rank(H2 B^T)
+                continue
+            gap = rank2 - self.cols1.rank(ids)
+            if gap > best:
+                require(gap <= bound, f"gap {gap} at level {i} exceeds the unit-step bound {bound}")
+                best, witness = gap, ids
+                if gap == bound:
+                    break
+        return best, witness
 
 
 def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant") -> ProfileTable:
-    """Profile table K_0..K_n of the pair, by streaming max over each family."""
+    """Profile table K_0..K_n of the pair, each level a bounded maximum with its witness."""
     engine = _PairEngine(c1, c2, family)
-    values = tuple(engine.max_gap(i) for i in range(engine.n + 1))
+    levels = []
+    for i in range(engine.n + 1):
+        bound = min(levels[-1][0] + 1, engine.quotient_dim) if levels else 0
+        levels.append(engine.max_gap(i, bound))
+    values, witnesses = zip(*levels)
     kind = "RDIP" if family == "qinvariant" else "RDLP"
-    table = ProfileTable(kind, values)
+    table = ProfileTable(kind, values, witnesses)
     _validate_profile(table, engine.quotient_dim)
     return table
 
@@ -149,7 +171,9 @@ def rgrw(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
     if method != "direct":
         raise PreconditionError(f"unknown method {method!r}")
     engine = _PairEngine(c1, c2, family)
-    values = tuple(next(j for j in range(engine.n + 1) if engine.max_gap(j) >= i)
+    maxima = [max(map(engine.gap, SubspaceFamily(c1.ctx, c1.n, j, family).bases))
+              for j in range(engine.n + 1)]
+    values = tuple(next(j for j, v in enumerate(maxima) if v >= i)
                    for i in range(1, engine.quotient_dim + 1))
     return _weight_table("RGRW" if family == "qinvariant" else "RGHW", values)
 

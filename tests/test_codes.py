@@ -138,6 +138,26 @@ def test_contains():
     assert c1.contains(LinearCode.zero(F16, 4))
 
 
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_contains_matches_row_by_row(q, m):
+    # the parity-check test against contains_word on each generator row, over
+    # random codes, subcodes of them, the zero code and the full space
+    ctx, n = ctx_new(q, m), 4
+    rng = random.Random(50 + q)
+    codes = [LinearCode.zero(ctx, n), LinearCode.full(ctx, n)]
+    for k in (1, 2, 3):
+        code = rand_code(rng, ctx, n, k)
+        words = [code.encode([rng.randrange(ctx.order) for _ in range(k)]) for _ in range(k - 1)]
+        codes += [code, LinearCode(ctx, words, n)]
+    outcomes = set()
+    for a in codes:
+        for b in codes:
+            expect = all(a.contains_word(row) for row in b.gen.rows)
+            assert a.contains(b) == expect
+            outcomes.add((expect, b.k > 0 and a.k < n))
+    assert outcomes == {(True, True), (False, True), (True, False)}
+
+
 def test_subfield_subcode():
     c = LinearCode(F16, [[1, 1, 0], [1, 0, 1]], 3)
     sub = c.subfield_subcode()

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rankguard import LengthMismatch, NotASubcode, ctx_new
+from rankguard import LengthMismatch, NotASubcode, ctx_new, rank_metrics
 from rankguard.codes import LinearCode, gabidulin
 from rankguard.rank_metrics import (
+    ProfileTable,
     _PairEngine,
     first_rgrw,
     rank_distance,
@@ -14,8 +19,9 @@ from rankguard.rank_metrics import (
     rghw,
     rgrw,
     verify_bounds,
+    weights_from_profile,
 )
-from rankguard.subspaces import SubspaceFamily
+from rankguard.subspaces import SubspaceFamily, row_digits
 
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
@@ -96,11 +102,101 @@ def test_first_rgrw_equals_min_rank_distance():
         assert first_rgrw(c, zero) == c.min_rank_distance(method="scan")
 
 
-def test_rgrw_profile_vs_direct():
-    rng = random.Random(34)
-    for _ in range(6):
-        c1, c2 = rand_nested_pair(rng, F8, 3, 2, 1)
-        assert rgrw(c1, c2, method="profile") == rgrw(c1, c2, method="direct")
+@pytest.mark.parametrize("q, m, n", [(2, 3, 3), (2, 4, 4), (2, 3, 5), (3, 2, 3), (3, 2, 4),
+                                     (3, 2, 5), (5, 2, 3), (5, 2, 4), (5, 1, 4)])
+def test_rgrw_profile_vs_direct(q, m, n):
+    # the bounded search against the full scans: rgrw(method="direct") and a
+    # plain maximum of the gap over every basis of every level
+    ctx = ctx_new(q, m)
+    rng = random.Random(34 + q * m * n)
+    for k1, k2 in [(1, 0), (2, 1), (n - 1, 0), (n - 1, n - 3)]:
+        c1, c2 = rand_nested_pair(rng, ctx, n, k1, k2)
+        for kind in ("qinvariant", "coordinate"):
+            profile = rdip(c1, c2, family=kind)
+            engine = _PairEngine(c1, c2, kind)
+            assert profile.values == tuple(
+                max(map(engine.gap, SubspaceFamily(ctx, n, i, kind).bases)) for i in range(n + 1))
+            direct = rgrw(c1, c2, family=kind, method="direct")
+            assert rgrw(c1, c2, family=kind) == weights_from_profile(profile) == direct
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 4), (3, 2, 4), (5, 2, 3)])
+def test_profile_witnesses(q, m, n):
+    # each level's witness spans an i-dim member of its family realizing K_i,
+    # and it is the first basis in the family's order that does
+    ctx = ctx_new(q, m)
+    rng = random.Random(43 + q * m * n)
+    pairs = [rand_nested_pair(rng, ctx, n, 2, 0), rand_nested_pair(rng, ctx, n, n - 1, 1),
+             (LinearCode.full(ctx, n), LinearCode.zero(ctx, n))]
+    for c1, c2 in pairs:
+        for kind in ("qinvariant", "coordinate"):
+            table = rdip(c1, c2, family=kind)
+            engine = _PairEngine(c1, c2, kind)
+            assert len(table.witnesses) == n + 1
+            for i, (ids, k) in enumerate(zip(table.witnesses, table.values)):
+                V = LinearCode(ctx, [row_digits(b, q, n) for b in ids], n)
+                assert V.k == i
+                assert c1.intersect(V).k - c2.intersect(V).k == k
+                bases = SubspaceFamily(ctx, n, i, kind).bases
+                assert ids == next(b for b in bases if engine.gap(b) == k)
+            # equality and repr ignore the witnesses
+            assert table == ProfileTable(table.kind, table.values)
+            assert repr(table) == repr(ProfileTable(table.kind, table.values))
+
+
+def test_bounded_search_skips_bases(monkeypatch):
+    # [4,2] MRD against {0}: K = 0, 0, 0, 1, 2, so levels 0-2 never reach their
+    # bound of 1 and scan fully, while every 3-dim V meets the code
+    # (dim >= 2 + 3 - 4), so level 3 stops at its first basis
+    visited = []
+
+    class CountingEngine(rank_metrics._PairEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rank2 = self.cols2.rank
+            self.cols2.rank = lambda ids: visited.append(ids) or rank2(ids)
+
+    monkeypatch.setattr(rank_metrics, "_PairEngine", CountingEngine)
+    assert rdip(gabidulin(F16, 4, 2), LinearCode.zero(F16, 4)).values == (0, 0, 0, 1, 2)
+    family_sizes = [SubspaceFamily(F16, 4, i).count for i in range(5)]
+    assert len(visited) < sum(family_sizes)
+    assert len(visited) == sum(family_sizes[:3]) + 1 + 1
+
+
+FAULT_SCRIPT = """
+from rankguard import InvariantViolated, ctx_new, rank_metrics
+from rankguard.codes import LinearCode, gabidulin
+from rankguard.subspaces import SubspaceFamily
+
+ctx = ctx_new(2, 4)
+c1, c2 = gabidulin(ctx, 4, 2), LinearCode.zero(ctx, 4)
+truth = rank_metrics.rdip(c1, c2).values
+target = SubspaceFamily(ctx, 4, 2).bases[0]
+
+
+class FaultyEngine(rank_metrics._PairEngine):
+    # the first basis of level 2 reports a gap of K_1 + 2
+    def __init__(self, *args):
+        super().__init__(*args)
+        rank1, rank2 = self.cols1.rank, self.cols2.rank
+        self.cols1.rank = lambda ids: rank2(ids) - truth[1] - 2 if ids == target else rank1(ids)
+
+
+rank_metrics._PairEngine = FaultyEngine
+try:
+    rank_metrics.rdip(c1, c2)
+except InvariantViolated as exc:
+    print("InvariantViolated:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_gap_above_unit_step_raises(flags):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "InvariantViolated: gap 2 at level 2 exceeds the unit-step bound 1\n"
 
 
 def test_rdip_independent_oracle():
