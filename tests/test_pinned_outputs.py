@@ -196,3 +196,33 @@ def test_profile_tables(q, m, n, k1, k2, entries, profile, weights, hamming_prof
     assert rgrw(c1, c2).values == weights
     assert rdlp(c1, c2).values == hamming_profile
     assert rghw(c1, c2).values == hamming_weights
+
+
+# build-scheme arguments and n for one q = 2 and one q = 3 scheme
+EQUIVOCATION_SCHEMES = {
+    "q2": (["--m", "4", "--l", "1", "--n", "3", "--k", "2"], 3),
+    "q3": (["--q", "3", "--m", "3", "--l", "1", "--n", "2", "--k", "2"], 2),
+}
+
+
+# the stdout of `equivocation` at every mu from 0 to n, byte for byte: the
+# reported floats must not drift by an ulp when the exact arithmetic changes
+@pytest.mark.parametrize("name, dist, digest", [
+    ("q2", ["--dist", "uniform"],
+     "ec9a62255e1c9cb992034dacf5155c17671690c102eae8b3aee7250552393a9d"),
+    ("q2", ["--dist", "seeded", "--seed", "3"],
+     "e6a51d0339bec2e14b67784a44f302d35466f75aa67360108bfc54d8db07bb5e"),
+    ("q3", ["--dist", "uniform"],
+     "4b05d366c7e074048aeb83859f668d271137946291b3042bf9e9a93316f02f76"),
+    ("q3", ["--dist", "seeded", "--seed", "3"],
+     "401ef427150e6b9773a895ea80dd5c4a47827db9b055513c4d73926ca6c31c7e"),
+], ids=["q2-uniform", "q2-seeded", "q3-uniform", "q3-seeded"])
+def test_equivocation_stdout(tmp_path, capsys, name, dist, digest):
+    build, n = EQUIVOCATION_SCHEMES[name]
+    path = tmp_path / "scheme.json"
+    assert main(["build-scheme", *build, "--out", str(path)]) == 0
+    stdout = []
+    for mu in range(n + 1):
+        assert main(["equivocation", "--scheme", str(path), "--mu", str(mu), *dist]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(stdout).encode()).hexdigest() == digest
