@@ -1,11 +1,11 @@
 """Exact leakage measurement and the profile-table predictions it must match.
 
 Probabilities are integer counts over one common denominator T, and every
-information quantity is carried as a LogQuantity: alongside a float for
-reporting it stores the exact rational (q^m)^(T * value), so comparisons,
-the uniform-case integer identities, and the non-uniform sandwich bounds
-are all decided in exact arithmetic.  Entropies use log base q^m, which
-makes the dimensional identities integers.
+information quantity is carried as a LogQuantity: the prime exponents of
+the exact rational (q^m)^(T * value), merged by sums and differences.
+Equality and the integer identities are decided on the exponents, orders by
+a float sum of e * log p when it clears rounding and by integers otherwise.
+Entropies use log base q^m, which makes the dimensional identities integers.
 
 One primitive computes them all: `JointDistribution.entropy(key)`, the
 entropy of the weights grouped by an integer key per support entry, whose
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,8 +56,6 @@ def _check_support_cap(scheme: NestedScheme) -> None:
 
 
 def _log_big(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log of nonpositive")
     bits = x.bit_length()
     if bits <= 900:
         return math.log(x)
@@ -63,57 +63,95 @@ def _log_big(x: int) -> float:
     return math.log(x >> shift) + shift * math.log(2)
 
 
-def _log_fraction(f: Fraction) -> float:
-    return _log_big(f.numerator) - _log_big(f.denominator)
+# A float sum of e * log p decides an order only when it clears this share of
+# sum |e * log p|.  Each term is within about 2 ulps (math.log within one,
+# converting e and multiplying within half each) and fsum rounds once, so the
+# float is off by under 3 * 2^-52 < 1e-15 of that share: a 1000-fold margin.
+ORDER_TOLERANCE = 1e-12
+
+
+@lru_cache(maxsize=2**14)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    return tuple(Counter(primes + [n] * (n > 1)).items())
 
 
 @dataclass(frozen=True)
 class LogQuantity:
-    """(1/T) * log_order(power), kept exact through `power`."""
+    """(1/T) * log_order(power), kept exact as the prime factorization of
+    power: sorted (prime, exponent) pairs without zero exponents, so that
+    equal quantities have equal fields and equal hashes."""
 
-    power: Fraction
+    exponents: tuple[tuple[int, int], ...]
     denom: int
     order: int
 
     @staticmethod
+    def _of(exps: dict, denom: int, order: int) -> "LogQuantity":
+        return LogQuantity(tuple(sorted((p, e) for p, e in exps.items() if e)), denom, order)
+
+    @staticmethod
     def from_integer(k: int, denom: int, order: int) -> "LogQuantity":
-        return LogQuantity(Fraction(order) ** (denom * k), denom, order)
+        return LogQuantity._of({p: e * denom * k for p, e in _factor(order)}, denom, order)
+
+    def _parts(self) -> tuple[int, int]:
+        """The numerator and denominator of power, coprime as built."""
+        return (math.prod(p**e for p, e in self.exponents if e > 0),
+                math.prod(p**-e for p, e in self.exponents if e < 0))
+
+    @property
+    def power(self) -> Fraction:
+        num, den = self._parts()
+        power = Fraction(num)  # an int alone skips the gcd, and num, den share no prime
+        power._denominator = den
+        return power
 
     @property
     def value(self) -> float:
-        return _log_fraction(self.power) / (self.denom * math.log(self.order))
+        num, den = self._parts()
+        return (_log_big(num) - _log_big(den)) / (self.denom * math.log(self.order))
 
     def as_integer(self) -> int | None:
         """The exact integer this equals, or None."""
-        k = round(self.value)
-        if self.power == Fraction(self.order) ** (self.denom * k):
-            return k
-        return None
+        log_power = math.fsum(e * math.log(p) for p, e in self.exponents)
+        k = round(log_power / (self.denom * math.log(self.order)))
+        return k if self == LogQuantity.from_integer(k, self.denom, self.order) else None
 
-    def _check(self, other: "LogQuantity") -> None:
+    def _combine(self, other: "LogQuantity", sign: int) -> "LogQuantity":
         if (self.denom, self.order) != (other.denom, other.order):
             raise PreconditionError("quantities live on different denominators")
+        exps = dict(self.exponents)
+        for p, e in other.exponents:
+            exps[p] = exps.get(p, 0) + sign * e
+        return LogQuantity._of(exps, self.denom, self.order)
 
     def __add__(self, other: "LogQuantity") -> "LogQuantity":
-        self._check(other)
-        return LogQuantity(self.power * other.power, self.denom, self.order)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LogQuantity") -> "LogQuantity":
-        self._check(other)
-        return LogQuantity(self.power / other.power, self.denom, self.order)
+        return self._combine(other, -1)
+
+    def _sign(self, other: "LogQuantity") -> int:
+        """Sign of self - other; exact integers decide inside ORDER_TOLERANCE."""
+        diff = self - other
+        terms = [e * math.log(p) for p, e in diff.exponents]
+        total = math.fsum(terms)
+        if abs(total) > ORDER_TOLERANCE * math.fsum(map(abs, terms)):
+            return 1 if total > 0 else -1
+        num, den = diff._parts()
+        return (num > den) - (num < den)
 
     def __le__(self, other: "LogQuantity") -> bool:
-        self._check(other)
-        return self.power <= other.power
+        return self._sign(other) <= 0
 
     def __lt__(self, other: "LogQuantity") -> bool:
-        self._check(other)
-        return self.power < other.power
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LogQuantity)
-                and (self.denom, self.order) == (other.denom, other.order)
-                and self.power == other.power)
+        return self._sign(other) < 0
 
     def __repr__(self) -> str:
         return f"LogQuantity({self.value:.6f})"
@@ -233,12 +271,14 @@ class JointDistribution:
 
     def entropy(self, key: np.ndarray) -> LogQuantity:
         """H of the weights grouped by an integer key per entry, exact: with
-        group masses c over the common denominator T, exp(T * H) = T^T / prod c^c."""
+        group masses c over the common denominator T, exp(T * H) = T^T / prod c^c,
+        so each prime p has exponent T v_p(T) - sum c v_p(c)."""
         masses, groups = np.unique(self._masses(key), return_counts=True)
-        den = 1
+        exps = {p: self.total * e for p, e in _factor(self.total)}
         for c, g in zip(masses.tolist(), groups.tolist()):
-            den *= c ** (c * g)
-        return LogQuantity(Fraction(self.total**self.total, den), self.total, self.ctx.order)
+            for p, e in _factor(c):
+                exps[p] = exps.get(p, 0) - c * g * e
+        return LogQuantity._of(exps, self.total, self.ctx.order)
 
     def _symbols(self, z_indices: Sequence[int] | None) -> tuple[int, ...]:
         """The message index set Z; None means all l symbols."""

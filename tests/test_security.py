@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new
 from rankguard.codes import LinearCode
@@ -13,6 +19,7 @@ from rankguard.coset_scheme import build_proposed
 from rankguard.linalg import Matrix, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
 from rankguard.network import enumerate_wiretap, sample_matrix
+from rankguard import security
 from rankguard.security import (
     JointDistribution,
     LogQuantity,
@@ -50,6 +57,76 @@ def test_logquantity_arithmetic():
     assert (a - b).as_integer() == 1
     assert (a + b).as_integer() == 3
     assert b < a and b <= a and a == a
+
+
+@st.composite
+def _quantity_pairs(draw):
+    # exponent maps over a few primes, whole numbers from_integer, and their
+    # sums, which land on or next to whole numbers; one (denom, order) per pair
+    denom, order = draw(st.sampled_from([1, 3, 6])), draw(st.sampled_from([4, 9, 25]))
+    maps = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(-40, 40), max_size=4)
+    raw = maps.map(lambda exps: LogQuantity._of(exps, denom, order))
+    whole = st.integers(-3, 3).map(lambda k: LogQuantity.from_integer(k, denom, order))
+    pick = st.one_of(raw, whole, st.tuples(raw, whole).map(lambda pair: pair[0] + pair[1]))
+    return draw(pick), draw(pick)
+
+
+@given(_quantity_pairs())
+def test_logquantity_agrees_with_its_power(pair):
+    a, b = pair
+    for x in pair:
+        # the power is the reduced product of the prime powers
+        ref = math.prod((Fraction(p) ** e for p, e in x.exponents), start=Fraction(1))
+        assert x.power == ref
+        assert (x.power.numerator, x.power.denominator) == (ref.numerator, ref.denominator)
+    assert (a < b) == (a.power < b.power) and (b < a) == (b.power < a.power)
+    assert (a <= b) == (a.power <= b.power) and (b <= a) == (b.power <= a.power)
+    assert (a == b) == (a.power == b.power)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert (a - b) + b == a and hash((a - b) + b) == hash(a)
+    for x in (a, b, a + b, a - b):
+        whole = [k for k in range(math.floor(x.value) - 1, math.ceil(x.value) + 2)
+                 if x.power == Fraction(x.order) ** (x.denom * k)]
+        assert [x.as_integer()] == (whole or [None])
+
+
+def test_near_tie_is_ordered_by_exact_integers(monkeypatch):
+    # 2^64 + 1 = 274177 * 67280421310721, both prime: the logs differ by about
+    # 5e-20, far inside the tolerance, so only the exact fallback can order them
+    low = LogQuantity(((2, 64),), 1, 4)
+    high = LogQuantity(((274177, 1), (67280421310721, 1)), 1, 4)
+    terms = [64 * math.log(2), -math.log(274177), -math.log(67280421310721)]
+    assert abs(math.fsum(terms)) <= security.ORDER_TOLERANCE * math.fsum(map(abs, terms))
+    exact = []
+    parts = LogQuantity._parts
+    monkeypatch.setattr(LogQuantity, "_parts", lambda self: exact.append(self) or parts(self))
+    assert low < high and low <= high
+    assert not high < low and not high <= low
+    assert len(exact) == 4
+    assert low != high and low.power < high.power
+
+
+MIXED_SCRIPT = """
+from rankguard import PreconditionError
+from rankguard.security import LogQuantity
+
+a = LogQuantity.from_integer(1, 5, 16)
+for b in (LogQuantity.from_integer(1, 6, 16), LogQuantity.from_integer(1, 5, 9)):
+    for op in (a.__add__, a.__sub__, a.__lt__, a.__le__):
+        try:
+            op(b)
+        except PreconditionError as exc:
+            print("PreconditionError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_mixed_denominators_raise(flags):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, *flags, "-c", MIXED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "PreconditionError: quantities live on different denominators\n" * 8
 
 
 def test_uniform_entropy_is_l(scheme, uniform):
@@ -264,14 +341,25 @@ _RATIO_CASES = [(name, z) for name in _RATIO_SCHEMES
 
 
 def _ratio_product(terms):
-    power = Fraction(1)
-    for ratio, count in terms:
-        power *= ratio**count
-    return power
+    """prod (num / den)^count over (num, den, count) terms, as an unreduced
+    integer pair; equal bases are gathered first to keep the products few."""
+    num, den = Counter(), Counter()
+    for n, d, count in terms:
+        num[n] += count
+        den[d] += count
+    return (math.prod(base**e for base, e in num.items()),
+            math.prod(base**e for base, e in den.items()))
+
+
+def _matches(quantity, ratio):
+    # cross-multiplied, so that the reference needs no gcd
+    power = quantity.power
+    return power.numerator * ratio[1] == ratio[0] * power.denominator
 
 
 def _reference_quantities(dist, z, B):
-    """Each quantity as its own ratio product over the counts of S_Z and X."""
+    """Each quantity as its own ratio product over the counts of S_Z and X,
+    in integers only: nothing is shared with the exponent maps."""
     scheme, order, total = dist.scheme, dist.ctx.order, dist.total
     z = tuple(range(scheme.l)) if z is None else z
     sz, sx, cells = Counter(), Counter(), Counter()
@@ -286,10 +374,10 @@ def _reference_quantities(dist, z, B):
         w_marg[o] += c
     coset_size = scheme.c2.codeword_count() * order ** (scheme.l - len(z))
     return {
-        "H": _ratio_product((Fraction(total, c), c) for c in sz.values()),
-        "D_S": _ratio_product((Fraction(c * order ** len(z), total), c) for c in sz.values()),
-        "D_X": _ratio_product((Fraction(c * coset_size, sz[s]), c) for (s, _), c in sx.items()),
-        "I": _ratio_product((Fraction(c * total, s_marg[s] * w_marg[o]), c)
+        "H": _ratio_product((total, c, c) for c in sz.values()),
+        "D_S": _ratio_product((c * order ** len(z), total, c) for c in sz.values()),
+        "D_X": _ratio_product((c * coset_size, sz[s], c) for (s, _), c in sx.items()),
+        "I": _ratio_product((c * total, s_marg[s] * w_marg[o], c)
                             for (s, o), c in cells.items()),
     }
 
@@ -303,13 +391,12 @@ def test_quantities_match_ratio_products(which, z, dist_kind):
     for mu in range(scheme.n + 1):
         report = leakage_report(scheme, mu, dist, z)
         ref = _reference_quantities(dist, z, report.argmax_b)
-        assert report.max_leakage.power == ref["I"]
-        assert (report.equivocation + report.max_leakage).power == ref["H"]
-        assert report.slack_s.power == ref["D_S"]
-        assert report.slack_x.power == ref["D_X"]
+        assert _matches(report.max_leakage, ref["I"])
+        assert _matches(report.equivocation + report.max_leakage, ref["H"])
+        assert _matches(report.slack_s, ref["D_S"])
+        assert _matches(report.slack_x, ref["D_X"])
     for B in enumerate_wiretap(scheme.ctx.q, scheme.n, scheme.n):
-        assert (dist.mutual_information(B, z).power
-                == _reference_quantities(dist, z, B)["I"])
+        assert _matches(dist.mutual_information(B, z), _reference_quantities(dist, z, B)["I"])
 
 
 def _odd_scheme():
@@ -374,8 +461,9 @@ def test_support_is_validated(scheme):
 @pytest.mark.parametrize("base", [2**53, 2**63], ids=["int64", "bigint"])
 def test_group_masses_stay_exact(scheme, base):
     # sums past 2^53 that a float64 bincount would round; past 2^63 the
-    # weights are Python ints.  (The exact power T^T of such a T has about
-    # T log2 T bits, so the quantities themselves are not computed here.)
+    # weights are Python ints.  (The quantities themselves are not computed
+    # here: their exponents need every mass factored, and trial division of
+    # a prime mass near 2^53 takes about 5e7 divisions.)
     rng = random.Random(17)
     weights = {}
     for S in scheme.messages():
@@ -417,6 +505,6 @@ def test_one_distribution_serves_every_index_set():
         for z in [None, (0,), (1,), ()]:
             for B in wiretaps[::3]:
                 ref = _reference_quantities(dist, z, B)
-                assert dist.mutual_information(B, z).power == ref["I"]
-                assert dist.message_entropy(z).power == ref["H"]
-                assert dist.divergence_packets_from_coset_uniform(z).power == ref["D_X"]
+                assert _matches(dist.mutual_information(B, z), ref["I"])
+                assert _matches(dist.message_entropy(z), ref["H"])
+                assert _matches(dist.divergence_packets_from_coset_uniform(z), ref["D_X"])
