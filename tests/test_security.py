@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new
+from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new, security
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import build_proposed
 from rankguard.linalg import Matrix, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
 from rankguard.network import enumerate_wiretap, sample_matrix
-from rankguard import security
 from rankguard.security import (
     JointDistribution,
     LogQuantity,
