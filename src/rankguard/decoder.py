@@ -33,6 +33,11 @@ combo 0 is the true coset.
 * the raw full sweep passes every transfer key in ascending order and
   reports the failing A's first hit in (combo, E) row-major order, which
   may take every block of that A.
+* the raw full sweep with C2 = {0} finds the failing A without the kernel:
+  the true coset scores rank(E) whatever A is, so combo c fails at A exactly
+  when its difference key (l_c A^T) lies in one bitmap of failing keys,
+  built per call from the errors alone.  Each A costs one lookup per nonzero
+  combo; only the failing A is scored by the kernel, for its report.
 
 Whole A go in batches when one fits in PACKED_BLOCK elements; otherwise an
 A is scored in blocks of errors and, within those, slices of message
@@ -241,10 +246,8 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
     N = n if N is None else N
     if N < n - rho:
         raise PreconditionError("N too small for the rank constraint")
-    q = lifted.ctx.q
     m = lifted.ctx.m
-    if q != 2 or m * N > 22 or N * n > 22:
-        raise EnumerationTooLarge("bruteforce path needs q=2 and m*N, N*n <= 22 bits")
+    _require_packable(lifted.ctx.q, "bruteforce path", [("m*N", m * N, 22), ("N*n", N * n, 22)])
     table = packed_rank_table(m, N).table
     a_keys = _transfer_keys(N, n, rho)
     inner = lifted.inner
@@ -265,6 +268,16 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
 
 
 # -- packed q = 2 keys ---------------------------------------------------------------
+
+
+def _require_packable(q: int, what: str, bounds: list[tuple[str, int, int]]) -> None:
+    """Refuse a packed q = 2 enumeration: PreconditionError unless q = 2,
+    EnumerationTooLarge naming the first (name, bits, cap) bound exceeded."""
+    if q != 2:
+        raise PreconditionError(f"{what} needs q = 2, got q = {q}")
+    for name, bits, cap in bounds:
+        if bits > cap:
+            raise EnumerationTooLarge(f"{what}: {name} = {bits} > {cap} bits")
 
 
 def _pack_vectors(vectors: Sequence[Sequence[int]], m: int, width: int) -> np.ndarray:
@@ -326,6 +339,49 @@ def _span_keys(gen_keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _f2_generators(ctx, gen: Matrix) -> list[tuple[int, ...]]:
+    """F_2 generators of the row span of gen: entry i*m + j is alpha^j times
+    row i, so bit i*m + j of a combo picks it."""
+    return [tuple(ctx.mul(1 << j, x) for x in row) for row in gen.rows for j in range(ctx.m)]
+
+
+def _failing_keys(m: int, N: int, e_keys: np.ndarray) -> np.ndarray | None:
+    """bad[K] for every packed m x N key K: whether rank(K ^ E) <= rank(E)
+    for some error key E, so that a rival coset at difference key K ties or
+    beats the true one when C2 = {0}.  bad is the union over ranks r of
+    (errors of rank r) ^ (keys of rank <= r); None when that takes more than
+    PACKED_BLOCK XORs."""
+    table = packed_rank_table(m, N).table
+    e_ranks = table[e_keys]
+    spheres = np.bincount(e_ranks)
+    balls = np.cumsum([rank_r_count(2, m, N, r) for r in range(len(spheres))])
+    if int(spheres @ balls) > PACKED_BLOCK:
+        return None
+    bad = np.zeros(len(table), dtype=bool)
+    for r in np.flatnonzero(spheres):
+        sphere = e_keys[e_ranks == r].astype(np.intp)[:, None]
+        ball = np.flatnonzero(table <= r)
+        step = max(1, PACKED_BLOCK // len(ball))
+        for lo in range(0, len(sphere), step):
+            bad[sphere[lo:lo + step] ^ ball] = True
+    return bad
+
+
+def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, bad: np.ndarray,
+                            N: int) -> int | None:
+    """Index of the first transfer key under which some nonzero message
+    combo's difference key is in bad (C2 = {0}), or None."""
+    generators = _f2_generators(scheme.ctx, scheme.delta_g)
+    batch = max(1, PACKED_BLOCK >> len(generators))
+    for start in range(0, len(a_keys), batch):
+        gen_keys = _product_keys(generators, a_keys[start:start + batch], scheme.ctx.m,
+                                 scheme.n, N)
+        failing = bad[_span_keys(gen_keys)[:, 1:]].any(axis=1)
+        if failing.any():
+            return start + int(failing.argmax())
+    return None
+
+
 def _failing_blocks(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray,
                     N: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (i, lo, vals), in (A, block) order, for each block of errors
@@ -337,10 +393,7 @@ def _failing_blocks(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray
     table = packed_rank_table(m, N).table
     e_keys = e_keys.astype(np.intp)
     n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
-    # F_2 generators of C2, then of the messages: bit i*m + j of a combo
-    # picks alpha^j times row i
-    generators = [tuple(ctx.mul(1 << j, x) for x in row)
-                  for g in (scheme.c2.gen, scheme.delta_g) for row in g.rows for j in range(m)]
+    generators = _f2_generators(ctx, scheme.c2.gen) + _f2_generators(ctx, scheme.delta_g)
     n_c2 = m * scheme.c2.k
     # many A per batch when a whole A fits in the block; otherwise one A in
     # blocks of errors, each scored in slices of message combos
@@ -492,25 +545,33 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
-    """Every transfer matrix literally, in ascending packed key, through the
-    packed kernel (q = 2)."""
+    """Every transfer matrix literally, in ascending packed key (q = 2).
+
+    With C2 = {0} the bitmap of failing difference keys finds the first
+    failing A whenever building it takes at most PACKED_BLOCK XORs: the true
+    coset scores rank(E) at every A, so the bitmap holds exactly the keys
+    that tie or beat it under some error.  Otherwise the packed kernel
+    decides.  Either way the kernel scores the failing A for its report."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
-    if ctx.q != 2 or m * N > 22 or N * n > 22 or m * scheme.c1.k > 20:
-        raise EnumerationTooLarge("full sweep needs q=2 and packable dimensions")
+    _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22),
+                                            ("m*dim C1", m * scheme.c1.k, 20)])
     a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t))
     e_keys = _pack_vectors(errors, m, N)
-    hit = next(_failing_blocks(scheme, a_keys, e_keys, N), None)
-    if hit is None:
+    bad = _failing_keys(m, N, e_keys) if scheme.c2.k == 0 else None
+    if bad is not None:
+        i = _first_failing_transfer(scheme, a_keys, bad, N)
+    else:
+        i = next(_failing_blocks(scheme, a_keys, e_keys, N), (None,))[0]
+    if i is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
                                   len(a_keys) * len(errors), len(errors), None)
-    i, lo, _ = hit
     # first hit in (combo, E) row-major order: the least of the first hits of
-    # the failing A's error blocks from its first failing block on
+    # the failing A's error blocks
     best = None
-    for _, k, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys[lo:], N):
+    for _, lo, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys, N):
         c, e = divmod(int((vals[1:] <= vals[0]).argmax()), vals.shape[1])
-        best = min(best or (c + 1, lo + k + e), (c + 1, lo + k + e))
+        best = min(best or (c + 1, lo + e), (c + 1, lo + e))
         if best[0] == 1:  # no later block can hit a smaller combo
             break
     combo, ei = best

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
-from rankguard.coset_scheme import build_proposed
+from rankguard.coset_scheme import NestedScheme, build_proposed
 from rankguard import ctx_new
 
 
@@ -153,6 +153,25 @@ def test_exit_code_enumeration(tmp_path, capsys):
     assert run(["equivocation", "--scheme", str(scheme_path), "--mu", "1",
                 "--dist", "uniform"]) == 3
     assert "enumeration too large" in capsys.readouterr().err
+
+
+def test_exit_codes_full_sweep(tmp_path, capsys):
+    # q = 3 is a precondition of the packed full sweep, not an overflow
+    scheme_path = tmp_path / "q3.json"
+    assert run(["build-scheme", "--q", "3", "--m", "3", "--l", "1", "--n", "2", "--k", "1",
+                "--out", str(scheme_path)]) == 0
+    assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "0", "--rho", "0",
+                "--mode", "exhaustive-full"]) == 2
+    err = capsys.readouterr().err
+    assert "q = 2" in err and "enumeration too large" not in err
+    # 5 x 5 transfer keys take 25 bits: the bound is named
+    f16 = ctx_new(2, 4)
+    c1 = LinearCode(f16, [[1, 2, 4, 8, 3]], 5)
+    wide = NestedScheme(c1, LinearCode.zero(f16, 5), c1.gen)
+    scheme_path.write_text(json.dumps(wide.to_json()))
+    assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "0", "--rho", "0",
+                "--mode", "exhaustive-full"]) == 3
+    assert "N*n = 25 > 22 bits" in capsys.readouterr().err
 
 
 def test_unknown_suite(capsys):

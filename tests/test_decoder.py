@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -11,8 +12,12 @@ from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
+    _failing_blocks,
+    _failing_keys,
+    _first_failing_transfer,
     _pack_vectors,
     _product_keys,
+    _transfer_keys,
     capability_report,
     construct_failure_witness,
     decode_coherent,
@@ -34,7 +39,7 @@ from rankguard.linalg import (
     vec_add,
     vec_sub,
 )
-from rankguard.network import sample_invertible, sample_matrix, sample_transfer
+from rankguard.network import enumerate_errors, sample_invertible, sample_matrix, sample_transfer
 from rankguard.rank_metrics import first_rgrw, rank_weight
 
 F16 = ctx_new(2, 4)
@@ -296,7 +301,7 @@ def test_packed_rowspace_beyond_rank_table_transfer_keys():
             packed = _exhaustive_coherent(scheme, t, rho, 5).to_json()
             assert packed == _exhaustive_coherent_generic(scheme, t, rho, 5).to_json()
             assert packed["verified"] == (2 * t + rho < 4)
-            with pytest.raises(EnumerationTooLarge):
+            with pytest.raises(EnumerationTooLarge, match="N\\*n = 25 > 22 bits"):
                 capability_report(scheme, t, rho, mode="exhaustive-full")
 
 
@@ -343,6 +348,87 @@ def test_packed_kernel_blocks_keep_reports(monkeypatch, block):
     assert expected == [capability_report(s, t, rho, mode=mode, N=N).to_json()
                         for s, N in cases for t, rho in budgets
                         for mode in ("exhaustive", "exhaustive-full")]
+
+
+def _word_scheme(*words):
+    """C1 spanned by words over F_16 with C2 = {0}; message symbol i picks word i."""
+    gen = Matrix(F16, list(words), 3)
+    return NestedScheme(LinearCode(F16, gen), LinearCode.zero(F16, 3), gen)
+
+
+BITMAP_CASES = {
+    # C2 = {0} throughout, with N = n and N = n + 1
+    "[3,1]": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)), (3, 4)),
+    "[2,1] F8": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(2, 3), l=1, n=2, k=1)),
+                 (2, 3)),
+    "[2,2] l=2": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=2, n=2, k=2)), (2, 3)),
+    "[3,2] l=2": (lambda rng: _isometric_copy(
+        rng, build_proposed(ctx_new(2, 5), l=2, n=3, k=2)), (3, 4)),
+    # low-weight words: the MRD cases all fail at the first A
+    "[1,0,0]": (lambda rng: _word_scheme([1, 0, 0]), (3,)),
+    "[0,1,1]": (lambda rng: _word_scheme([0, 1, 1]), (3,)),
+    # l = 2 where only the messages with symbol 0 zero reach rank 1
+    "[1,2,4]+[1,0,0]": (lambda rng: _word_scheme([1, 2, 4], [1, 0, 0]), (3, 4)),
+}
+
+
+def _sweep_inputs(scheme, t, rho, N):
+    errors = list(enumerate_errors(scheme.ctx, N, t))
+    return _transfer_keys(N, scheme.n, rho), _pack_vectors(errors, scheme.ctx.m, N)
+
+
+@pytest.mark.parametrize("case", sorted(BITMAP_CASES))
+def test_failing_key_bitmap_matches_kernel(monkeypatch, case):
+    build, sizes = BITMAP_CASES[case]
+    scheme = build(random.Random(94))
+    budgets, firsts = [], []
+    for N, t, rho in itertools.product(sizes, range(3), range(scheme.n + 1)):
+        a_keys, e_keys = _sweep_inputs(scheme, t, rho, N)
+        bad = _failing_keys(scheme.ctx.m, N, e_keys)
+        if bad is None:
+            continue
+        first = _first_failing_transfer(scheme, a_keys, bad, N)
+        assert first == next(_failing_blocks(scheme, a_keys, e_keys, N), (None,))[0]
+        budgets.append((t, rho, N))
+        firsts.append(first)
+    assert {t for t, _, _ in budgets} >= {0, 1}
+    assert None in firsts and set(firsts) != {None}
+    reports = [capability_report(scheme, t, rho, mode="exhaustive-full", N=N).to_json()
+               for t, rho, N in budgets]
+    monkeypatch.setattr(decoder, "_failing_keys", lambda *args: None)
+    assert reports == [capability_report(scheme, t, rho, mode="exhaustive-full", N=N).to_json()
+                       for t, rho, N in budgets]
+
+
+@pytest.mark.parametrize("word, first, a_key", [([1, 0, 0], 8, 20), ([0, 1, 1], 4, 14)])
+def test_failing_key_bitmap_past_first_batch(monkeypatch, word, first, a_key):
+    scheme = _word_scheme(word)
+    expected = capability_report(scheme, 0, 1, mode="exhaustive-full").to_json()
+    assert expected["counterexample"]["A_key"] == a_key
+    assert expected["trials"] == first + 1
+    # 16 message combos: one transfer matrix per batch
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", 16)
+    a_keys, e_keys = _sweep_inputs(scheme, 0, 1, 3)
+    bad = _failing_keys(4, 3, e_keys)
+    assert bad is not None
+    assert _first_failing_transfer(scheme, a_keys, bad, 3) == first
+    assert capability_report(scheme, 0, 1, mode="exhaustive-full").to_json() == expected
+
+
+def test_full_sweep_takes_bitmap_path(monkeypatch):
+    # a loosened admission rule would pass every equality test on the kernel
+    def kernel(*args):
+        pytest.fail("C2 = {0} full sweep fell back to the packed kernel")
+
+    scheme = build_proposed(ctx_new(2, 5), l=1, n=4, k=1)
+    monkeypatch.setattr(decoder, "_failing_blocks", kernel)
+    for rho in (0, 1):
+        assert capability_report(scheme, 1, rho, mode="exhaustive-full").verified
+    monkeypatch.undo()
+    # at t = 2 the bitmap would take about 10^9 XORs, so the kernel decides
+    assert _failing_keys(5, 4, _sweep_inputs(scheme, 2, 0, 4)[1]) is None
+    report = capability_report(scheme, 2, 0, mode="exhaustive-full")
+    assert report.counterexample == {"A_key": 4680, "error_index": 923, "difference_combo": 1}
 
 
 def test_early_refutation_stays_small_for_large_message_spaces():
@@ -481,6 +567,11 @@ def test_noncoherent_delta_rejects_bad_budgets():
     # no 2 x 3 transfer matrix has rank 3
     with pytest.raises(PreconditionError, match="N too small"):
         delta_min_noncoherent(lifted, 0, method="bruteforce", N=2)
+    ternary = lift(build_proposed(ctx_new(3, 3), l=1, n=2, k=1), ctx_new(3, 5))
+    with pytest.raises(PreconditionError, match="q = 2"):
+        delta_min_noncoherent(ternary, 0, method="bruteforce")
+    with pytest.raises(EnumerationTooLarge, match="m\\*N = 28 > 22 bits"):
+        delta_min_noncoherent(lifted, 0, method="bruteforce", N=4)
 
 
 def test_noncoherent_capability_sampled():
