@@ -35,9 +35,9 @@ combo 0 is the true coset.
   may take every block of that A.
 * the raw full sweep with C2 = {0} finds the failing A without the kernel:
   the true coset scores rank(E) whatever A is, so combo c fails at A exactly
-  when its difference key (l_c A^T) lies in one bitmap of failing keys,
-  built per call from the errors alone.  Each A costs one lookup per nonzero
-  combo; only the failing A is scored by the kernel, for its report.
+  when its difference key K = key(l_c A^T) has rank(K) <= 2t, one lookup in
+  the rank table per nonzero combo; only the failing A is scored by the
+  kernel, for its report.
 
 Whole A go in batches when one fits in PACKED_BLOCK elements; otherwise an
 A is scored in blocks of errors and, within those, slices of message
@@ -345,32 +345,12 @@ def _f2_generators(ctx, gen: Matrix) -> list[tuple[int, ...]]:
     return [tuple(ctx.mul(1 << j, x) for x in row) for row in gen.rows for j in range(ctx.m)]
 
 
-def _failing_keys(m: int, N: int, e_keys: np.ndarray) -> np.ndarray | None:
-    """bad[K] for every packed m x N key K: whether rank(K ^ E) <= rank(E)
-    for some error key E, so that a rival coset at difference key K ties or
-    beats the true one when C2 = {0}.  bad is the union over ranks r of
-    (errors of rank r) ^ (keys of rank <= r); None when that takes more than
-    PACKED_BLOCK XORs."""
-    table = packed_rank_table(m, N).table
-    e_ranks = table[e_keys]
-    spheres = np.bincount(e_ranks)
-    balls = np.cumsum([rank_r_count(2, m, N, r) for r in range(len(spheres))])
-    if int(spheres @ balls) > PACKED_BLOCK:
-        return None
-    bad = np.zeros(len(table), dtype=bool)
-    for r in np.flatnonzero(spheres):
-        sphere = e_keys[e_ranks == r].astype(np.intp)[:, None]
-        ball = np.flatnonzero(table <= r)
-        step = max(1, PACKED_BLOCK // len(ball))
-        for lo in range(0, len(sphere), step):
-            bad[sphere[lo:lo + step] ^ ball] = True
-    return bad
-
-
-def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, bad: np.ndarray,
+def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
                             N: int) -> int | None:
     """Index of the first transfer key under which some nonzero message
-    combo's difference key is in bad (C2 = {0}), or None."""
+    combo's difference key has rank <= 2t (C2 = {0}, where that is failure:
+    see _full_sweep_coherent), or None."""
+    bad = packed_rank_table(scheme.ctx.m, N).table <= 2 * t
     generators = _f2_generators(scheme.ctx, scheme.delta_g)
     batch = max(1, PACKED_BLOCK >> len(generators))
     for start in range(0, len(a_keys), batch):
@@ -547,31 +527,33 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Every transfer matrix literally, in ascending packed key (q = 2).
 
-    With C2 = {0} the bitmap of failing difference keys finds the first
-    failing A whenever building it takes at most PACKED_BLOCK XORs: the true
-    coset scores rank(E) at every A, so the bitmap holds exactly the keys
-    that tie or beat it under some error.  Otherwise the packed kernel
-    decides.  Either way the kernel scores the failing A for its report."""
+    With C2 = {0} the true coset scores rank(E) at every A, so combo c fails
+    at A exactly when rank(K ^ E) <= rank(E) for some error E of rank <= t,
+    K its difference key; that holds exactly when rank(K) <= 2t.  One way,
+    rank(K) <= rank(K ^ E) + rank(E) <= 2t.  The other, split a rank-s
+    decomposition of K into ceil(s/2) and floor(s/2) rank-one terms and take
+    E as the first part.  So the rank table alone finds the failing A;
+    otherwise the packed kernel decides.  Either way the kernel scores the
+    failing A for its report."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
     _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22),
                                             ("m*dim C1", m * scheme.c1.k, 20)])
     a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t))
     e_keys = _pack_vectors(errors, m, N)
-    bad = _failing_keys(m, N, e_keys) if scheme.c2.k == 0 else None
-    if bad is not None:
-        i = _first_failing_transfer(scheme, a_keys, bad, N)
+    if scheme.c2.k == 0:
+        i, lo = _first_failing_transfer(scheme, a_keys, t, N), 0
     else:
-        i = next(_failing_blocks(scheme, a_keys, e_keys, N), (None,))[0]
+        i, lo, _ = next(_failing_blocks(scheme, a_keys, e_keys, N), (None, 0, None))
     if i is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
                                   len(a_keys) * len(errors), len(errors), None)
     # first hit in (combo, E) row-major order: the least of the first hits of
-    # the failing A's error blocks
+    # the failing A's error blocks from its first failing block on
     best = None
-    for _, lo, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys, N):
+    for _, k, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys[lo:], N):
         c, e = divmod(int((vals[1:] <= vals[0]).argmax()), vals.shape[1])
-        best = min(best or (c + 1, lo + e), (c + 1, lo + e))
+        best = min(best or (c + 1, lo + k + e), (c + 1, lo + k + e))
         if best[0] == 1:  # no later block can hit a smaller combo
             break
     combo, ei = best

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from rankguard import BudgetExceeded, EnumerationTooLarge, PreconditionError, ctx_new, decoder
-from rankguard.bitrank import pack_key
+from rankguard.bitrank import pack_key, packed_rank_table
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
+    _f2_generators,
     _failing_blocks,
-    _failing_keys,
     _first_failing_transfer,
     _pack_vectors,
     _product_keys,
+    _span_keys,
     _transfer_keys,
     capability_report,
     construct_failure_witness,
@@ -377,27 +378,51 @@ def _sweep_inputs(scheme, t, rho, N):
     return _transfer_keys(N, scheme.n, rho), _pack_vectors(errors, scheme.ctx.m, N)
 
 
+@pytest.mark.parametrize("m, N", [(3, 3), (4, 2), (4, 3), (3, 4)])
+def test_failing_keys_are_the_keys_of_rank_at_most_2t(m, N):
+    # the union over errors E of {K : rank(K ^ E) <= rank(E)}, key by key
+    table = packed_rank_table(m, N).table
+    keys = np.arange(len(table))[:, None]
+    for t in range(3):
+        e_keys = _pack_vectors(list(enumerate_errors(ctx_new(2, m), N, t)), m, N)
+        e_keys = e_keys.astype(np.intp)
+        bad = np.concatenate([(table[keys[lo:lo + 256] ^ e_keys] <= table[e_keys]).any(axis=1)
+                              for lo in range(0, len(table), 256)])
+        assert np.array_equal(bad, table <= 2 * t)
+
+
+def _reference_counterexample(scheme, a_keys, e_keys, i, N):
+    """The first hit at a_keys[i] in (combo, E) row-major order with C2 = {0},
+    by rank-table lookups alone."""
+    m, e_keys = scheme.ctx.m, e_keys.astype(np.intp)
+    table = packed_rank_table(m, N).table
+    gen_keys = _product_keys(_f2_generators(scheme.ctx, scheme.delta_g), a_keys[i:i + 1], m,
+                             scheme.n, N)
+    for combo, key in enumerate(_span_keys(gen_keys)[0][1:], start=1):
+        hits = table[int(key) ^ e_keys] <= table[e_keys]
+        if hits.any():
+            return {"A_key": int(a_keys[i]), "error_index": int(hits.argmax()),
+                    "difference_combo": combo}
+
+
 @pytest.mark.parametrize("case", sorted(BITMAP_CASES))
-def test_failing_key_bitmap_matches_kernel(monkeypatch, case):
+def test_failing_key_bitmap_matches_kernel(case):
     build, sizes = BITMAP_CASES[case]
     scheme = build(random.Random(94))
-    budgets, firsts = [], []
+    firsts = []
     for N, t, rho in itertools.product(sizes, range(3), range(scheme.n + 1)):
         a_keys, e_keys = _sweep_inputs(scheme, t, rho, N)
-        bad = _failing_keys(scheme.ctx.m, N, e_keys)
-        if bad is None:
-            continue
-        first = _first_failing_transfer(scheme, a_keys, bad, N)
+        first = _first_failing_transfer(scheme, a_keys, t, N)
         assert first == next(_failing_blocks(scheme, a_keys, e_keys, N), (None,))[0]
-        budgets.append((t, rho, N))
         firsts.append(first)
-    assert {t for t, _, _ in budgets} >= {0, 1}
+        report = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
+        if first is None:
+            assert report.verified and report.trials == len(a_keys) * len(e_keys)
+        else:
+            assert report.trials == (first + 1) * len(e_keys)
+            assert report.counterexample == _reference_counterexample(scheme, a_keys, e_keys,
+                                                                      first, N)
     assert None in firsts and set(firsts) != {None}
-    reports = [capability_report(scheme, t, rho, mode="exhaustive-full", N=N).to_json()
-               for t, rho, N in budgets]
-    monkeypatch.setattr(decoder, "_failing_keys", lambda *args: None)
-    assert reports == [capability_report(scheme, t, rho, mode="exhaustive-full", N=N).to_json()
-                       for t, rho, N in budgets]
 
 
 @pytest.mark.parametrize("word, first, a_key", [([1, 0, 0], 8, 20), ([0, 1, 1], 4, 14)])
@@ -408,25 +433,25 @@ def test_failing_key_bitmap_past_first_batch(monkeypatch, word, first, a_key):
     assert expected["trials"] == first + 1
     # 16 message combos: one transfer matrix per batch
     monkeypatch.setattr(decoder, "PACKED_BLOCK", 16)
-    a_keys, e_keys = _sweep_inputs(scheme, 0, 1, 3)
-    bad = _failing_keys(4, 3, e_keys)
-    assert bad is not None
-    assert _first_failing_transfer(scheme, a_keys, bad, 3) == first
+    a_keys, _ = _sweep_inputs(scheme, 0, 1, 3)
+    assert _first_failing_transfer(scheme, a_keys, 0, 3) == first
     assert capability_report(scheme, 0, 1, mode="exhaustive-full").to_json() == expected
 
 
 def test_full_sweep_takes_bitmap_path(monkeypatch):
-    # a loosened admission rule would pass every equality test on the kernel
-    def kernel(*args):
-        pytest.fail("C2 = {0} full sweep fell back to the packed kernel")
+    # a kernel pass over more than the failing A would pass every equality
+    # test on the slow path
+    kernel = decoder._failing_blocks
+
+    def report_pass_only(scheme, a_keys, e_keys, N):
+        if len(a_keys) > 1:
+            pytest.fail("C2 = {0} full sweep fell back to the packed kernel")
+        return kernel(scheme, a_keys, e_keys, N)
 
     scheme = build_proposed(ctx_new(2, 5), l=1, n=4, k=1)
-    monkeypatch.setattr(decoder, "_failing_blocks", kernel)
+    monkeypatch.setattr(decoder, "_failing_blocks", report_pass_only)
     for rho in (0, 1):
         assert capability_report(scheme, 1, rho, mode="exhaustive-full").verified
-    monkeypatch.undo()
-    # at t = 2 the bitmap would take about 10^9 XORs, so the kernel decides
-    assert _failing_keys(5, 4, _sweep_inputs(scheme, 2, 0, 4)[1]) is None
     report = capability_report(scheme, 2, 0, mode="exhaustive-full")
     assert report.counterexample == {"A_key": 4680, "error_index": 923, "difference_combo": 1}
 
