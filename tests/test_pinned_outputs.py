@@ -16,17 +16,31 @@ import pytest
 from rankguard import ctx_new
 from rankguard.cli import main
 from rankguard.codes import LinearCode
-from rankguard.coset_scheme import build_proposed, lift
+from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import capability_report
+from rankguard.linalg import Matrix
 from rankguard.network import enumerate_errors, enumerate_wiretap
 from rankguard.rank_metrics import rdip, rdlp, rghw, rgrw
 
 F16 = ctx_new(2, 4)
+
+
+def _two_symbol_scheme():
+    """C2 = <[1,2,4]> over F_16 with message rows [1,0,0] and [0,1,1]: its
+    least failing difference combo is not 1."""
+    c2 = Matrix(F16, [[1, 2, 4]], 3)
+    delta = Matrix(F16, [[1, 0, 0], [0, 1, 1]], 3)
+    return NestedScheme(LinearCode(F16, c2.stack(delta)), LinearCode(F16, c2), delta)
+
+
 SCHEMES = {
     # C2 = {0}: first weight 4
     "f32": lambda: build_proposed(ctx_new(2, 5), l=1, n=4, k=1),
     # one-dimensional C2: first weight 2, and the min over C2 members matters
     "flagship": lambda: build_proposed(F16, l=1, n=3, k=2),
+    # one-dimensional C2 over F_32 at n = 4
+    "f32 k=2": lambda: build_proposed(ctx_new(2, 5), l=1, n=4, k=2),
+    "two-symbol": _two_symbol_scheme,
 }
 
 SIMULATE_BASE = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
@@ -142,6 +156,27 @@ def _sweep_witness(a_key, error_index, difference_combo):
     ("flagship", "exhaustive-full", 1, 1, 106, 12536832, _sweep_witness(10, 1, 1)),
     ("flagship", "exhaustive-full", 1, 2, 106, 13866496, _sweep_witness(1, 0, 1)),
     ("flagship", "exhaustive-full", 2, 0, 1576, 67780608, _sweep_witness(84, 2, 1)),
+    ("f32 k=2", "exhaustive", 1, 1, 2, 27657584640, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [3], 1, 1)),
+    ("f32 k=2", "exhaustive", 1, 2, 2, 31164887040, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [1], 1, 1)),
+    ("f32 k=2", "exhaustive", 0, 3, 1, 67107840, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [1], 0, 0)),
+    ("f32 k=2", "exhaustive", 2, 0, 467, 681577021440, _rowspace_witness(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], [1], 2, 2)),
+    ("f32 k=2", "exhaustive-full", 1, 1, 466, 27657584640, _sweep_witness(292, 3, 1)),
+    ("f32 k=2", "exhaustive-full", 1, 2, 466, 31164887040, _sweep_witness(18, 1, 1)),
+    ("f32 k=2", "exhaustive-full", 0, 3, 1, 67107840, _sweep_witness(1, 0, 1)),
+    # the failing error lies past the first 256 of the 33,016
+    ("f32 k=2", "exhaustive-full", 2, 0, 33016, 681577021440, _sweep_witness(4680, 466, 1)),
+    ("two-symbol", "exhaustive", 0, 1, 1, 1892352, _rowspace_witness(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [1, 2], 0, 0)),
+    ("two-symbol", "exhaustive-full", 0, 1, 1, 1892352, _sweep_witness(10, 0, 25)),
 ])
 def test_exhaustive_capability_report(name, mode, t, rho, trials, covered, counterexample):
     scheme = SCHEMES[name]()
