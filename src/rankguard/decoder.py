@@ -19,33 +19,38 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
-For q = 2 both exhaustive modes call one numpy kernel over packed GF(2)
-keys (an m x N binary matrix is one integer, row r at bit r*N).  Per
-transfer key, in the order given, it scores every (message combo, error)
-pair, the least discrepancy over the combo's coset members, and yields each
-block of errors where a nonzero combo scores no worse than the true one.
-Combo c is the difference message whose symbol i is (c >> i*m) & (2^m - 1);
+For q = 2 both exhaustive modes work on packed GF(2) keys (an m x N binary
+matrix is one integer, row r at bit r*N).  Combo c is the difference
+message whose symbol i is (c >> i*m) & (2^m - 1), l_c its coset leader;
 combo 0 is the true coset.
 
-* the row-space check passes one key per canonical A and reports the first
-  hit in (E, S) row-major order, S in messages() order, as the generic
-  path does; the first failing block decides it.
-* the raw full sweep passes every transfer key in ascending order and
-  reports the failing A's first hit in (combo, E) row-major order, which
-  may take every block of that A.
-* the raw full sweep with C2 = {0} finds the failing A without the kernel:
-  the true coset scores rank(E) whatever A is, so combo c fails at A exactly
-  when its difference key K = key(l_c A^T) has rank(K) <= 2t, one lookup in
-  the rank table per nonzero combo; only the failing A is scored by the
-  kernel, for its report.
+* One decider finds, over transfer keys in the order given, the first A
+  under which min-discrepancy decoding fails for some error of rank <= t,
+  and the least combo c that wins or ties there: combo c fails at A exactly
+  when some member u of (l_c + C2) A^T has rank(u) <= 2t, one rank-table
+  lookup per (A, codeword of C1 outside C2).  Only if: if c ties or beats
+  the true coset at Y = E, the true coset scores s <= rank(E) <= t, so the
+  two cosets' images lie within 2s <= 2t of each other.  If: take u of least
+  rank d <= 2t in c's coset and Y its first ceil(d/2) rank-one terms; c
+  scores at most floor(d/2) at Y, and if C2 A^T scored less through some w,
+  u - w would be a member of c's coset of rank below d.  So c fails at the
+  error Y, of rank ceil(d/2) <= t.
+* One numpy kernel scores the failing A alone, for its report: the least
+  discrepancy of each combo's coset members against each error, per block
+  of errors where a nonzero combo scores no worse than the true one.  The
+  row-space check (one canonical A per row space) reports the first hit in
+  (E, S) row-major order, S in messages() order, as the generic path does;
+  the raw full sweep (every transfer key, ascending) reports combo c's
+  first failing error.
 
-Whole A go in batches when one fits in PACKED_BLOCK elements; otherwise an
-A is scored in blocks of errors and, within those, slices of message
-combos, so each temporary holds at most PACKED_BLOCK elements or the |C2|
-coset-member keys of one (combo, error) pair.
+The decider spans C1's codewords under many A at once when all of C1 fits
+in PACKED_BLOCK elements, else under one A in runs of codewords; the kernel
+scores blocks of errors in slices of combos.  Each temporary holds at most
+PACKED_BLOCK elements or the |C2| coset-member keys of one combo.
 
 The row-space loop on field arithmetic is the path for q > 2 and the
-reference that the packed path is tested against.
+reference for the packed reports; the kernel, one A at a time, is the
+reference for the decider.
 """
 
 from __future__ import annotations
@@ -255,11 +260,12 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
     keys = [_product_keys([lifted.lift_vector(x) for x in inner.coset_elements(S)],
                           a_keys, m, n, N).ravel()
             for S in inner.messages()]
+    # slices of keys[i]: each XOR table holds at most PACKED_BLOCK keys, or one row
+    step = max(1, PACKED_BLOCK // len(keys[0]))
     best = None
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            xo = keys[i][:, None] ^ keys[j][None, :]
-            d = int(table[xo].min())
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        for lo in range(0, len(keys[i]), step):
+            d = int(table[keys[i][lo:lo + step, None] ^ keys[j]].min())
             if best is None or d < best:
                 best = d
             if best == 0:
@@ -345,55 +351,62 @@ def _f2_generators(ctx, gen: Matrix) -> list[tuple[int, ...]]:
     return [tuple(ctx.mul(1 << j, x) for x in row) for row in gen.rows for j in range(ctx.m)]
 
 
+def _generator_keys(scheme: NestedScheme, a_keys: np.ndarray, N: int) -> np.ndarray:
+    """keys[A, k]: packed key of F_2 generator k of C1 times A^T, C2's first:
+    codeword i of C1 sums those picked by the bits of i, so it lies in the
+    coset of combo i >> (m * dim C2)."""
+    generators = (_f2_generators(scheme.ctx, scheme.c2.gen)
+                  + _f2_generators(scheme.ctx, scheme.delta_g))
+    return _product_keys(generators, a_keys, scheme.ctx.m, scheme.n, N)
+
+
 def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
-                            N: int) -> int | None:
-    """Index of the first transfer key under which some nonzero message
-    combo's difference key has rank <= 2t (C2 = {0}, where that is failure:
-    see _full_sweep_coherent), or None."""
-    bad = packed_rank_table(scheme.ctx.m, N).table <= 2 * t
-    generators = _f2_generators(scheme.ctx, scheme.delta_g)
-    batch = max(1, PACKED_BLOCK >> len(generators))
+                            N: int) -> tuple[int, int] | None:
+    """(i, c) for the first transfer key a_keys[i] under which some nonzero
+    combo fails for an error of rank <= t, c the least such combo; or None.
+    Combo c fails exactly when a member of (l_c + C2) A^T has rank <= 2t."""
+    table = packed_rank_table(scheme.ctx.m, N).table
+    n_c2, bits = scheme.ctx.m * scheme.c2.k, scheme.ctx.m * scheme.c1.k
+    # many A at once when all of C1 fits in the block; else one A in runs of
+    # 2^low codewords, the low generators' span plus each sum of the high ones
+    low = min(bits, PACKED_BLOCK.bit_length() - 1)
+    batch = max(1, PACKED_BLOCK >> bits)
     for start in range(0, len(a_keys), batch):
-        gen_keys = _product_keys(generators, a_keys[start:start + batch], scheme.ctx.m,
-                                 scheme.n, N)
-        failing = bad[_span_keys(gen_keys)[:, 1:]].any(axis=1)
-        if failing.any():
-            return start + int(failing.argmax())
+        gen_keys = _generator_keys(scheme, a_keys[start:start + batch], N)
+        span = _span_keys(gen_keys[:, :low])
+        for high, offsets in enumerate(_span_keys(gen_keys[:, low:]).T):
+            failing = table[span ^ offsets[:, None] if high else span] <= 2 * t
+            failing[:, :max(0, (1 << n_c2) - (high << low))] = False  # true coset
+            if failing.any():
+                a, i = divmod(int(failing.argmax()), failing.shape[1])
+                return start + a, ((high << low) + i) >> n_c2
     return None
 
 
-def _failing_blocks(scheme: NestedScheme, a_keys: np.ndarray, e_keys: np.ndarray,
-                    N: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (i, lo, vals), in (A, block) order, for each block of errors
-    e_keys[lo:] (packed m x N) under which a nonzero combo scores no worse
-    than the true coset for the packed N x n transfer matrix a_keys[i]
-    (q = 2).  vals[c, k] is the least discrepancy of combo c's coset members
-    against error lo + k; combos are numbered as in the module docstring."""
-    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
-    table = packed_rank_table(m, N).table
+def _failing_blocks(scheme: NestedScheme, a_key: int, e_keys: np.ndarray,
+                    N: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, vals), in order, for each block of errors e_keys[lo:]
+    (packed m x N) under which a nonzero combo scores no worse than the true
+    coset for the packed N x n transfer matrix a_key (q = 2).  vals[c, k] is
+    the least discrepancy of combo c's coset members against error lo + k."""
+    table = packed_rank_table(scheme.ctx.m, N).table
     e_keys = e_keys.astype(np.intp)
-    n_msg, n_members, n_e = 1 << (m * scheme.l), 1 << (m * scheme.c2.k), len(e_keys)
-    generators = _f2_generators(ctx, scheme.c2.gen) + _f2_generators(ctx, scheme.delta_g)
-    n_c2 = m * scheme.c2.k
-    # many A per batch when a whole A fits in the block; otherwise one A in
+    n_c2 = scheme.ctx.m * scheme.c2.k
+    gen_keys = _generator_keys(scheme, np.array([a_key], dtype=np.uint32), N)
+    msg_keys = _span_keys(gen_keys[:, n_c2:])[0, :, None, None]
+    member_keys = _span_keys(gen_keys[:, :n_c2])[0, None, :, None]
+    n_msg, n_members, n_e = len(msg_keys), member_keys.shape[1], len(e_keys)
     # blocks of errors, each scored in slices of message combos
-    batch = max(1, PACKED_BLOCK // (n_msg * n_members * n_e))
     width = min(n_e, max(1, PACKED_BLOCK // (n_msg * n_members)))
-    step = max(1, PACKED_BLOCK // (batch * n_members * width))
-    for start in range(0, len(a_keys), batch):
-        chunk = a_keys[start:start + batch]
-        gen_keys = _product_keys(generators, chunk, m, n, N)
-        member_keys = _span_keys(gen_keys[:, :n_c2])[:, None, :, None]
-        msg_keys = _span_keys(gen_keys[:, n_c2:])[:, :, None, None]
-        for lo in range(0, n_e, width):
-            errs = e_keys[lo:lo + width]
-            vals = np.empty((len(chunk), n_msg, len(errs)), dtype=np.uint8)
-            for c in range(0, n_msg, step):
-                keys = msg_keys[:, c:c + step] ^ member_keys
-                np.take(table, keys ^ errs).min(axis=2, out=vals[:, c:c + step])
-            failing = (vals[:, 1:] <= vals[:, :1]).reshape(len(chunk), -1).any(axis=1)
-            for a in np.flatnonzero(failing):
-                yield start + int(a), lo, vals[a]
+    step = max(1, PACKED_BLOCK // (n_members * width))
+    for lo in range(0, n_e, width):
+        errs = e_keys[lo:lo + width]
+        vals = np.empty((n_msg, len(errs)), dtype=np.uint8)
+        for c in range(0, n_msg, step):
+            keys = msg_keys[c:c + step] ^ member_keys
+            np.take(table, keys ^ errs).min(axis=1, out=vals[c:c + step])
+        if (vals[1:] <= vals[:1]).any():
+            yield lo, vals
 
 
 # -- capability verification ------------------------------------------------------
@@ -471,7 +484,7 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
 
 
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
-    """Row-space check; for q = 2 the packed kernel decides one canonical A
+    """Row-space check; for q = 2 the packed decider visits one canonical A
     per row space (N x n transfer keys are uint32).  Beyond 2^20 messages or
     coset members the generic path refuses, as the enumeration caps do."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
@@ -480,11 +493,12 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     errors = list(enumerate_errors(ctx, N, t))
     a_keys = np.fromiter((pack_key([pack_row_bits(r) for r in A.rows], n)
                           for A in _canonical_transfers(ctx.q, n, N, rho)), dtype=np.uint32)
-    hit = next(_failing_blocks(scheme, a_keys, _pack_vectors(errors, m, N), N), None)
+    hit = _first_failing_transfer(scheme, a_keys, t, N)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive", t, rho, N,
                                   len(a_keys) * len(errors), len(errors), None)
-    i, lo, vals = hit
+    i = hit[0]
+    lo, vals = next(_failing_blocks(scheme, int(a_keys[i]), _pack_vectors(errors, m, N), N))
     # first hit in (E, S) row-major order, as the generic loop meets it:
     # messages() order compares symbol 0 first
     ei = int((vals[1:] <= vals[0]).any(axis=0).argmax())
@@ -525,41 +539,26 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
-    """Every transfer matrix literally, in ascending packed key (q = 2).
-
-    With C2 = {0} the true coset scores rank(E) at every A, so combo c fails
-    at A exactly when rank(K ^ E) <= rank(E) for some error E of rank <= t,
-    K its difference key; that holds exactly when rank(K) <= 2t.  One way,
-    rank(K) <= rank(K ^ E) + rank(E) <= 2t.  The other, split a rank-s
-    decomposition of K into ceil(s/2) and floor(s/2) rank-one terms and take
-    E as the first part.  So the rank table alone finds the failing A;
-    otherwise the packed kernel decides.  Either way the kernel scores the
-    failing A for its report."""
+    """Every transfer matrix literally, in ascending packed key (q = 2).  The
+    decider finds the first failing A and its least failing combo c; the
+    kernel scores that A alone, for c's first failing error."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
     _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22),
                                             ("m*dim C1", m * scheme.c1.k, 20)])
     a_keys = _transfer_keys(N, n, rho)
     errors = list(enumerate_errors(ctx, N, t))
-    e_keys = _pack_vectors(errors, m, N)
-    if scheme.c2.k == 0:
-        i, lo = _first_failing_transfer(scheme, a_keys, t, N), 0
-    else:
-        i, lo, _ = next(_failing_blocks(scheme, a_keys, e_keys, N), (None, 0, None))
-    if i is None:
+    hit = _first_failing_transfer(scheme, a_keys, t, N)
+    if hit is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
                                   len(a_keys) * len(errors), len(errors), None)
-    # first hit in (combo, E) row-major order: the least of the first hits of
-    # the failing A's error blocks from its first failing block on
-    best = None
-    for _, k, vals in _failing_blocks(scheme, a_keys[i:i + 1], e_keys[lo:], N):
-        c, e = divmod(int((vals[1:] <= vals[0]).argmax()), vals.shape[1])
-        best = min(best or (c + 1, lo + k + e), (c + 1, lo + k + e))
-        if best[0] == 1:  # no later block can hit a smaller combo
-            break
-    combo, ei = best
+    # first hit in (combo, E) row-major order: combo c's first failing error
+    i, c = hit
+    blocks = _failing_blocks(scheme, int(a_keys[i]), _pack_vectors(errors, m, N), N)
+    ei = next(lo + int(hits.argmax()) for lo, vals in blocks
+              for hits in [vals[c] <= vals[0]] if hits.any())
     return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(errors),
                               len(errors), {"A_key": int(a_keys[i]), "error_index": ei,
-                                            "difference_combo": combo})
+                                            "difference_combo": c})
 
 
 def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):

@@ -12,12 +12,10 @@ from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
-    _f2_generators,
     _failing_blocks,
     _first_failing_transfer,
     _pack_vectors,
     _product_keys,
-    _span_keys,
     _transfer_keys,
     capability_report,
     construct_failure_witness,
@@ -358,7 +356,7 @@ def _word_scheme(*words):
 
 
 BITMAP_CASES = {
-    # C2 = {0} throughout, with N = n and N = n + 1
+    # C2 = {0}, with N = n and N = n + 1
     "[3,1]": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)), (3, 4)),
     "[2,1] F8": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(2, 3), l=1, n=2, k=1)),
                  (2, 3)),
@@ -370,12 +368,29 @@ BITMAP_CASES = {
     "[0,1,1]": (lambda rng: _word_scheme([0, 1, 1]), (3,)),
     # l = 2 where only the messages with symbol 0 zero reach rank 1
     "[1,2,4]+[1,0,0]": (lambda rng: _word_scheme([1, 2, 4], [1, 0, 0]), (3, 4)),
+    # one-dimensional C2: a combo fails through its least-rank coset member
+    "flagship": (lambda rng: flagship(), (3,)),
+    "[3,2]": (lambda rng: _isometric_copy(rng, flagship()), (3,)),
+    "two-symbol": (lambda rng: _two_symbol_scheme(), (3,)),
 }
+
+
+def _two_symbol_scheme():
+    """C2 = <[1,2,4]> over F_16 with message rows [1,0,0] and [0,1,1]."""
+    c2 = Matrix(F16, [[1, 2, 4]], 3)
+    delta = Matrix(F16, [[1, 0, 0], [0, 1, 1]], 3)
+    return NestedScheme(LinearCode(F16, c2.stack(delta)), LinearCode(F16, c2), delta)
 
 
 def _sweep_inputs(scheme, t, rho, N):
     errors = list(enumerate_errors(scheme.ctx, N, t))
     return _transfer_keys(N, scheme.n, rho), _pack_vectors(errors, scheme.ctx.m, N)
+
+
+def _canonical_keys(scheme, rho, N):
+    return np.array([pack_key([pack_row_bits(r) for r in A.rows], scheme.n)
+                     for A in decoder._canonical_transfers(2, scheme.n, N, rho)],
+                    dtype=np.uint32)
 
 
 @pytest.mark.parametrize("m, N", [(3, 3), (4, 2), (4, 3), (3, 4)])
@@ -391,37 +406,51 @@ def test_failing_keys_are_the_keys_of_rank_at_most_2t(m, N):
         assert np.array_equal(bad, table <= 2 * t)
 
 
-def _reference_counterexample(scheme, a_keys, e_keys, i, N):
-    """The first hit at a_keys[i] in (combo, E) row-major order with C2 = {0},
-    by rank-table lookups alone."""
-    m, e_keys = scheme.ctx.m, e_keys.astype(np.intp)
-    table = packed_rank_table(m, N).table
-    gen_keys = _product_keys(_f2_generators(scheme.ctx, scheme.delta_g), a_keys[i:i + 1], m,
-                             scheme.n, N)
-    for combo, key in enumerate(_span_keys(gen_keys)[0][1:], start=1):
-        hits = table[int(key) ^ e_keys] <= table[e_keys]
-        if hits.any():
-            return {"A_key": int(a_keys[i]), "error_index": int(hits.argmax()),
-                    "difference_combo": combo}
+def _kernel_failures(scheme, a_key, e_keys, N):
+    """{combo: its first failing error index} under one transfer key, from
+    every block the error-scoring kernel yields."""
+    first = {}
+    for lo, vals in _failing_blocks(scheme, int(a_key), e_keys, N):
+        for c in np.flatnonzero((vals[1:] <= vals[0]).any(axis=1)) + 1:
+            first.setdefault(int(c), lo + int((vals[c] <= vals[0]).argmax()))
+    return first
 
 
 @pytest.mark.parametrize("case", sorted(BITMAP_CASES))
 def test_failing_key_bitmap_matches_kernel(case):
+    # the decider against the per-A kernel, over raw and canonical keys
     build, sizes = BITMAP_CASES[case]
     scheme = build(random.Random(94))
-    firsts = []
-    for N, t, rho in itertools.product(sizes, range(3), range(scheme.n + 1)):
-        a_keys, e_keys = _sweep_inputs(scheme, t, rho, N)
-        first = _first_failing_transfer(scheme, a_keys, t, N)
-        assert first == next(_failing_blocks(scheme, a_keys, e_keys, N), (None,))[0]
-        firsts.append(first)
-        report = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
-        if first is None:
-            assert report.verified and report.trials == len(a_keys) * len(e_keys)
-        else:
-            assert report.trials == (first + 1) * len(e_keys)
-            assert report.counterexample == _reference_counterexample(scheme, a_keys, e_keys,
-                                                                      first, N)
+    firsts, deltas = [], {rho: delta_min_over_A(scheme, rho) for rho in range(scheme.n + 1)}
+    for N, t in itertools.product(sizes, range(3)):
+        e_keys = _sweep_inputs(scheme, t, 0, N)[1]
+        failures = {}  # per transfer key, computed on first use
+        for rho in range(scheme.n + 1):
+            raw = _transfer_keys(N, scheme.n, rho)
+            for a_keys in (raw, _canonical_keys(scheme, rho, N)):
+                expected = None
+                for i, a_key in enumerate(a_keys):
+                    if int(a_key) not in failures:
+                        failures[int(a_key)] = _kernel_failures(scheme, a_key, e_keys, N)
+                    if failures[int(a_key)]:
+                        expected = i, min(failures[int(a_key)])
+                        break
+                assert _first_failing_transfer(scheme, a_keys, t, N) == expected
+            first = _first_failing_transfer(scheme, raw, t, N)
+            firsts.append(first)
+            report = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
+            if first is None:
+                assert report.verified and report.trials == len(raw) * len(e_keys)
+            else:
+                i, c = first
+                assert report.trials == (i + 1) * len(e_keys)
+                assert report.counterexample == {
+                    "A_key": int(raw[i]), "error_index": failures[int(raw[i])][c],
+                    "difference_combo": c}
+            if N == scheme.n:
+                verified = 2 * t < deltas[rho]
+                assert report.verified == verified
+                assert capability_report(scheme, t, rho, N=N).verified == verified
     assert None in firsts and set(firsts) != {None}
 
 
@@ -434,26 +463,55 @@ def test_failing_key_bitmap_past_first_batch(monkeypatch, word, first, a_key):
     # 16 message combos: one transfer matrix per batch
     monkeypatch.setattr(decoder, "PACKED_BLOCK", 16)
     a_keys, _ = _sweep_inputs(scheme, 0, 1, 3)
-    assert _first_failing_transfer(scheme, a_keys, 0, 3) == first
+    assert _first_failing_transfer(scheme, a_keys, 0, 3) == (first, 1)
     assert capability_report(scheme, 0, 1, mode="exhaustive-full").to_json() == expected
 
 
+@pytest.mark.parametrize("block", [8, 16, 2**10])
+def test_least_failing_combo_past_first_slice(monkeypatch, block):
+    # 256 combos of 16 coset members each: below 2^12 one A is decided in
+    # runs of block codewords, C2 spanning two runs at 8, and combo 25 is
+    # the least that fails
+    scheme = _two_symbol_scheme()
+    expected = [capability_report(scheme, 0, 1, mode=mode).to_json()
+                for mode in ("exhaustive", "exhaustive-full")]
+    assert expected[1]["counterexample"]["difference_combo"] == 25
+    a_keys, _ = _sweep_inputs(scheme, 0, 1, 3)
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+    i, c = _first_failing_transfer(scheme, a_keys, 0, 3)
+    assert (int(a_keys[i]), c) == (10, 25)
+    assert expected == [capability_report(scheme, 0, 1, mode=mode).to_json()
+                        for mode in ("exhaustive", "exhaustive-full")]
+
+
 def test_full_sweep_takes_bitmap_path(monkeypatch):
-    # a kernel pass over more than the failing A would pass every equality
-    # test on the slow path
-    kernel = decoder._failing_blocks
+    # verification scores no error: a kernel pass over any A would pass
+    # every equality test on the slow path
+    def no_kernel(*args):
+        pytest.fail("a verified budget scored errors")
 
-    def report_pass_only(scheme, a_keys, e_keys, N):
-        if len(a_keys) > 1:
-            pytest.fail("C2 = {0} full sweep fell back to the packed kernel")
-        return kernel(scheme, a_keys, e_keys, N)
+    f32 = ctx_new(2, 5)
+    cases = [(build_proposed(f32, l=1, n=4, k=1), 4),  # C2 = {0}
+             (flagship(), 2), (build_proposed(f32, l=1, n=4, k=2), 3)]
+    kernel, calls = decoder._failing_blocks, []
+    monkeypatch.setattr(decoder, "_failing_blocks", no_kernel)
+    for scheme, weight in cases:
+        assert first_rgrw(scheme.c1, scheme.c2) == weight
+        for t, rho in itertools.product(range(2), range(scheme.n + 1)):
+            if 2 * t + rho < weight:
+                for mode in ("exhaustive", "exhaustive-full"):
+                    assert capability_report(scheme, t, rho, mode=mode).verified
+    assert capability_report(cases[2][0], 1, 0, mode="exhaustive-full").trials == 9394560
+    # a refuted report scores the failing A alone
 
-    scheme = build_proposed(ctx_new(2, 5), l=1, n=4, k=1)
-    monkeypatch.setattr(decoder, "_failing_blocks", report_pass_only)
-    for rho in (0, 1):
-        assert capability_report(scheme, 1, rho, mode="exhaustive-full").verified
-    report = capability_report(scheme, 2, 0, mode="exhaustive-full")
-    assert report.counterexample == {"A_key": 4680, "error_index": 923, "difference_combo": 1}
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(decoder, "_failing_blocks", counted)
+    for mode in ("exhaustive", "exhaustive-full"):
+        assert not capability_report(cases[2][0], 2, 0, mode=mode).verified
+    assert len(calls) == 2
 
 
 def test_early_refutation_stays_small_for_large_message_spaces():
@@ -581,6 +639,23 @@ def test_noncoherent_delta_identity():
     for rho in (0, 1):
         assert delta_min_noncoherent(lifted, rho, method="closed") == m1 - rho
         assert delta_min_noncoherent(lifted, rho, method="bruteforce") == m1 - rho
+
+
+def test_noncoherent_bruteforce_stays_within_block(monkeypatch):
+    # one-dimensional C2: 16 messages of 16 lifted members each; at rho = 0
+    # the unsliced XOR table of a message pair held 96 x 96 keys
+    lifted = lift(build_proposed(F16, l=1, n=2, k=2), ctx_new(2, 6))
+    assert lifted.inner.c2.k == 1 and first_rgrw(lifted.inner.c1, lifted.inner.c2) == 1
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", 2**10)
+    for rho in range(3):
+        assert delta_min_noncoherent(lifted, rho, method="bruteforce") == max(0, 1 - rho)
+    tracemalloc.start()
+    try:
+        assert delta_min_noncoherent(lifted, 0, method="bruteforce") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_noncoherent_delta_rejects_bad_budgets():
