@@ -502,12 +502,12 @@ def test_full_sweep_takes_bitmap_path(monkeypatch):
                 for mode in ("exhaustive", "exhaustive-full"):
                     assert capability_report(scheme, t, rho, mode=mode).verified
     assert capability_report(cases[2][0], 1, 0, mode="exhaustive-full").trials == 9394560
-    # a refuted report scores the failing A alone
 
     def counted(*args):
         calls.append(args[1])
         return kernel(*args)
 
+    # a refuted report scores the failing A alone
     monkeypatch.setattr(decoder, "_failing_blocks", counted)
     for mode in ("exhaustive", "exhaustive-full"):
         assert not capability_report(cases[2][0], 2, 0, mode=mode).verified
@@ -643,7 +643,7 @@ def test_noncoherent_delta_identity():
 
 def test_noncoherent_bruteforce_stays_within_block(monkeypatch):
     # one-dimensional C2: 16 messages of 16 lifted members each; at rho = 0
-    # the unsliced XOR table of a message pair held 96 x 96 keys
+    # a message pair has 96 x 96 key pairs, nine blocks of 2^10
     lifted = lift(build_proposed(F16, l=1, n=2, k=2), ctx_new(2, 6))
     assert lifted.inner.c2.k == 1 and first_rgrw(lifted.inner.c1, lifted.inner.c2) == 1
     monkeypatch.setattr(decoder, "PACKED_BLOCK", 2**10)
