@@ -35,6 +35,9 @@ combo 0 is the true coset.
   scores at most floor(d/2) at Y, and if C2 A^T scored less through some w,
   u - w would be a member of c's coset of rank below d.  So c fails at the
   error Y, of rank ceil(d/2) <= t.
+* The error keys are built directly, in enumerate_errors order: E = z R,
+  R the canonical basis of a subspace of dimension r, has key XOR_s
+  spread(z_s) * rowbits(R_s), kept when that key has rank r.
 * One numpy kernel scores the failing A alone, for its report: the least
   discrepancy of each combo's coset members against each error, per block
   of errors where a nonzero combo scores no worse than the true one.  The
@@ -50,7 +53,7 @@ PACKED_BLOCK elements or the |C2| coset-member keys of one combo.
 
 The row-space loop on field arithmetic is the path for q > 2 and the
 reference for the packed reports; the kernel, one A at a time, is the
-reference for the decider.
+reference for the decider; enumerate_errors is the reference for the keys.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from .network import (
     ChannelRealization,
     all_matrices,
     enumerate_errors,
+    require_error_cap,
     sample_error_pair,
     sample_transfer,
     transmit,
@@ -150,16 +154,18 @@ def _closest(scored) -> DecodeResult:
 
 def delta_distance(scheme: NestedScheme, A: Matrix) -> int:
     """Least rank of v A^T over codewords v of C1 outside C2."""
-    return _closest_difference(scheme, A)[0]
+    return _closest_difference(scheme.ctx, _difference_words(scheme), A)[0]
 
 
-def _closest_difference(scheme: NestedScheme, A: Matrix):
-    """(least rank of v A^T, first codeword v of C1 outside C2 attaining it)."""
-    ctx = scheme.ctx
+def _difference_words(scheme: NestedScheme) -> list[tuple[int, ...]]:
+    """C1's codewords outside C2, in codewords() order; no A changes them."""
+    return [v for v in scheme.c1.codewords() if not scheme.c2.contains_word(v)]
+
+
+def _closest_difference(ctx, words: list[tuple[int, ...]], A: Matrix):
+    """(least rank of v A^T over words, the first v attaining it)."""
     best = best_v = None
-    for v in scheme.c1.codewords():
-        if scheme.c2.contains_word(v):
-            continue
+    for v in words:
         d = rank_weight(ctx, ext_vec_times_base_transpose(ctx, v, A))
         if best is None or d < best:
             best, best_v = d, v
@@ -173,13 +179,11 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     n = scheme.n
     if not 0 <= rho <= n:
         raise PreconditionError("need 0 <= rho <= n")
+    words = _difference_words(scheme)
     best = None
     for r in range(n - rho, n + 1):
         for Abase in enumerate_base_subspaces(scheme.ctx.q, n, r):
-            if r == 0:
-                d = 0
-            else:
-                d = delta_distance(scheme, Abase)
+            d = _closest_difference(scheme.ctx, words, Abase)[0] if r else 0
             if best is None or d < best:
                 best = d
         if best == 0:
@@ -295,6 +299,36 @@ def _pack_vectors(vectors: Sequence[Sequence[int]], m: int, width: int) -> np.nd
         for j in range(width):
             keys |= ((V[:, j] >> np.uint32(r)) & np.uint32(1)) << np.uint32(r * width + j)
     return keys
+
+
+def _error_keys(ctx, N: int, t: int) -> np.ndarray:
+    """Packed m x N keys of enumerate_errors(ctx, N, t), in its order (q = 2).
+
+    E = z R has key XOR_s spread(z_s) * rowbits(R_s), where spread puts bit b
+    of z_s at bit b*N; carry-free, as rowbits(R_s) < 2^N.  The candidates run
+    over subspaces, then z in product order, in slices of PACKED_BLOCK; the
+    errors are those of key rank r (z's components F_2-independent)."""
+    require_error_cap(ctx, N, t)
+    table = packed_rank_table(ctx.m, N).table
+    # spread[z - 1]: the key of (z, 0, ..., 0)
+    spread = _pack_vectors(np.outer(ctx.nonzero(), np.arange(N) == 0), ctx.m, N)
+    parts, nz = [np.zeros(1, dtype=np.uint32)], len(spread)
+    for r in range(1, min(t, N, ctx.m) + 1):
+        rows = np.array([[pack_row_bits(row) for row in R.rows]
+                         for R in enumerate_base_subspaces(2, N, r)], dtype=np.uint32)
+        count = len(rows) * nz ** r
+        for lo in range(0, count, PACKED_BLOCK):
+            idx = np.arange(lo, min(lo + PACKED_BLOCK, count), dtype=np.int64)
+            keys = np.zeros(len(idx), dtype=np.uint32)
+            for s in range(r):  # z_s - 1 is digit r - 1 - s of idx in base 2^m - 1
+                keys ^= spread[idx // nz ** (r - 1 - s) % nz] * rows[idx // nz ** r, s]
+            parts.append(keys[table[keys] == r])
+    return np.concatenate(parts)
+
+
+def _unpack_key(key: int, m: int, N: int) -> tuple[int, ...]:
+    """The F_{2^m} vector of length N whose packed m x N key is key."""
+    return tuple(sum(((key >> (r * N + j)) & 1) << r for r in range(m)) for j in range(N))
 
 
 def _transfer_keys(N: int, n: int, rho: int) -> np.ndarray:
@@ -490,15 +524,15 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N)
-    errors = list(enumerate_errors(ctx, N, t))
+    e_keys = _error_keys(ctx, N, t)
     a_keys = np.fromiter((pack_key([pack_row_bits(r) for r in A.rows], n)
                           for A in _canonical_transfers(ctx.q, n, N, rho)), dtype=np.uint32)
     hit = _first_failing_transfer(scheme, a_keys, t, N)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive", t, rho, N,
-                                  len(a_keys) * len(errors), len(errors), None)
+                                  len(a_keys) * len(e_keys), len(e_keys), None)
     i = hit[0]
-    lo, vals = next(_failing_blocks(scheme, int(a_keys[i]), _pack_vectors(errors, m, N), N))
+    lo, vals = next(_failing_blocks(scheme, int(a_keys[i]), e_keys, N))
     # first hit in (E, S) row-major order, as the generic loop meets it:
     # messages() order compares symbol 0 first
     ei = int((vals[1:] <= vals[0]).any(axis=0).argmax())
@@ -506,11 +540,11 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     symbols = [(combos >> (j * m)) & (ctx.order - 1) for j in range(l)]
     c = int(np.lexsort(symbols[::-1])[0])
     A = next(itertools.islice(_canonical_transfers(ctx.q, n, N, rho), i, None))
-    counterexample = _rowspace_counterexample(ctx, A, errors[lo + ei],
+    counterexample = _rowspace_counterexample(ctx, A, _unpack_key(int(e_keys[lo + ei]), m, N),
                                               [int(s[c]) for s in symbols],
                                               int(vals[0, ei]), int(vals[combos[c], ei]))
-    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(errors) + lo + ei + 1,
-                              len(errors), counterexample)
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(e_keys) + lo + ei + 1,
+                              len(e_keys), counterexample)
 
 
 def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
@@ -546,18 +580,18 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22),
                                             ("m*dim C1", m * scheme.c1.k, 20)])
     a_keys = _transfer_keys(N, n, rho)
-    errors = list(enumerate_errors(ctx, N, t))
+    e_keys = _error_keys(ctx, N, t)
     hit = _first_failing_transfer(scheme, a_keys, t, N)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
-                                  len(a_keys) * len(errors), len(errors), None)
+                                  len(a_keys) * len(e_keys), len(e_keys), None)
     # first hit in (combo, E) row-major order: combo c's first failing error
     i, c = hit
-    blocks = _failing_blocks(scheme, int(a_keys[i]), _pack_vectors(errors, m, N), N)
+    blocks = _failing_blocks(scheme, int(a_keys[i]), e_keys, N)
     ei = next(lo + int(hits.argmax()) for lo, vals in blocks
               for hits in [vals[c] <= vals[0]] if hits.any())
-    return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(errors),
-                              len(errors), {"A_key": int(a_keys[i]), "error_index": ei,
+    return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(e_keys),
+                              len(e_keys), {"A_key": int(a_keys[i]), "error_index": ei,
                                             "difference_combo": c})
 
 
@@ -648,8 +682,8 @@ def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,
     m1 = first_rgrw(scheme.c1, scheme.c2)
     if 2 * t + rho < m1:
         raise PreconditionError("within capability: no failure witness exists")
-    v = next(w for w in scheme.c1.codewords()
-             if not scheme.c2.contains_word(w) and rank_weight(ctx, w) == m1)
+    words = _difference_words(scheme)
+    v = next(w for w in words if rank_weight(ctx, w) == m1)
     base = ctx.base
     # transfer matrix whose row space contains the support complement of v
     # and has rank exactly max(n - rho, n - m1): then rank(v A^T) = [m1-rho]^+
@@ -669,7 +703,7 @@ def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,
     A = Matrix(base, a_rows, n)
     require(A.rank() >= n - rho, "witness transfer matrix lost rank")
     # the achieving difference codeword under this A, and its exact distance
-    d_pair, w_best = _closest_difference(scheme, A)
+    d_pair, w_best = _closest_difference(ctx, words, A)
     require(d_pair <= max(0, m1 - rho) <= 2 * t, "compressed difference exceeds 2t")
     u = ext_vec_times_base_transpose(ctx, w_best, A)
     part = (d_pair + 1) // 2

@@ -136,6 +136,12 @@ def error_count(ctx: FieldCtx, N: int, t: int) -> int:
     return sum(rank_r_count(ctx.q, ctx.m, N, r) for r in range(min(t, N) + 1))
 
 
+def require_error_cap(ctx: FieldCtx, N: int, t: int) -> None:
+    """Refuse an error ball larger than DEFAULT_ENUM_CAP."""
+    if (count := error_count(ctx, N, t)) > DEFAULT_ENUM_CAP:
+        raise EnumerationTooLarge(f"{count} errors exceed cap {DEFAULT_ENUM_CAP}")
+
+
 def enumerate_errors(ctx: FieldCtx, N: int, t: int) -> Iterator[tuple[int, ...]]:
     """Every distinct error contribution E = Z D^T with base rank <= t.
 
@@ -143,9 +149,7 @@ def enumerate_errors(ctx: FieldCtx, N: int, t: int) -> Iterator[tuple[int, ...]]
     subspace of dimension r <= t with canonical basis R, and E = z R for a
     unique z whose r components are F_q-independent.
     """
-    if error_count(ctx, N, t) > DEFAULT_ENUM_CAP:
-        raise EnumerationTooLarge(
-            f"{error_count(ctx, N, t)} errors exceed cap {DEFAULT_ENUM_CAP}")
+    require_error_cap(ctx, N, t)
     for r in range(min(t, N) + 1):
         for R in enumerate_base_subspaces(ctx.q, N, r):
             for z in itertools.product(ctx.nonzero(), repeat=r):

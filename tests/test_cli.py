@@ -174,6 +174,17 @@ def test_exit_codes_full_sweep(tmp_path, capsys):
     assert "N*n = 25 > 22 bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "exhaustive-full"])
+def test_exit_code_error_cap(tmp_path, capsys, mode):
+    # at t = 99 every 5 x 4 binary matrix is an error: 2^20 > 10^6
+    scheme_path = tmp_path / "f32.json"
+    assert run(["build-scheme", "--q", "2", "--m", "5", "--l", "1", "--n", "4", "--k", "1",
+                "--out", str(scheme_path)]) == 0
+    assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "99", "--rho", "0",
+                "--mode", mode]) == 3
+    assert "1048576 errors exceed cap 1000000" in capsys.readouterr().err
+
+
 def test_unknown_suite(capsys):
     assert run(["acceptance", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from rankguard.bitrank import pack_key, packed_rank_table
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.decoder import (
+    _error_keys,
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
     _failing_blocks,
@@ -38,7 +39,13 @@ from rankguard.linalg import (
     vec_add,
     vec_sub,
 )
-from rankguard.network import enumerate_errors, sample_invertible, sample_matrix, sample_transfer
+from rankguard.network import (
+    all_matrices,
+    enumerate_errors,
+    sample_invertible,
+    sample_matrix,
+    sample_transfer,
+)
 from rankguard.rank_metrics import first_rgrw, rank_weight
 
 F16 = ctx_new(2, 4)
@@ -391,6 +398,73 @@ def _canonical_keys(scheme, rho, N):
     return np.array([pack_key([pack_row_bits(r) for r in A.rows], scheme.n)
                      for A in decoder._canonical_transfers(2, scheme.n, N, rho)],
                     dtype=np.uint32)
+
+
+@pytest.mark.parametrize("m, N", [(3, 3), (4, 2), (4, 3), (3, 4), (5, 4), (2, 3)])
+def test_error_keys_match_error_stream(m, N):
+    # t > N at (4, 2) and (2, 3), and t > m at (2, 3): no key of rank 3
+    ctx = ctx_new(2, m)
+    for t in range(4):
+        expected = _pack_vectors(list(enumerate_errors(ctx, N, t)), m, N)
+        assert _error_keys(ctx, N, t).tolist() == expected.tolist()
+
+
+def test_error_keys_in_slices(monkeypatch):
+    # 15 subspaces of dimension 3 times 7^3 candidates: slices of 100 cross
+    # subspace boundaries
+    ctx = ctx_new(2, 3)
+    expected = _pack_vectors(list(enumerate_errors(ctx, 4, 3)), 3, 4)
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", 100)
+    assert _error_keys(ctx, 4, 3).tolist() == expected.tolist()
+
+
+def test_q2_exhaustive_reports_skip_error_stream(monkeypatch):
+    # the packed paths build error keys; a fallback would pass every
+    # equality test on the field-arithmetic stream
+    def no_stream(*args):
+        pytest.fail("a q = 2 exhaustive report enumerated the error stream")
+
+    stream, streamed = decoder.enumerate_errors, []
+    monkeypatch.setattr(decoder, "enumerate_errors", no_stream)
+    s = flagship()  # first weight 2
+    for mode in ("exhaustive", "exhaustive-full"):
+        for t, rho in [(0, 0), (0, 1), (1, 0), (2, 0), (0, 2)]:
+            report = capability_report(s, t, rho, mode=mode)
+            assert report.verified == (2 * t + rho < 2)
+            if not report.verified:
+                assert report.counterexample is not None
+
+    def counted(*args):
+        streamed.append(args)
+        return stream(*args)
+
+    # q = 3 stays on the generic path
+    monkeypatch.setattr(decoder, "enumerate_errors", counted)
+    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+    assert not capability_report(ternary, 1, 0).verified
+    assert len(streamed) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_generic_capability_identity_q3(k):
+    # q = 3 takes the field-arithmetic path: k = 1 gives C2 = {0}, k = 2 a
+    # one-dimensional C2
+    ctx = ctx_new(3, 3)
+    scheme = build_proposed(ctx, l=1, n=2, k=k)
+    weight = first_rgrw(scheme.c1, scheme.c2)
+    n = N = scheme.n
+    transfer_ranks = [A.rank() for A in all_matrices(3, N, n)]
+    verdicts = set()
+    for t in range(3):
+        errors = sum(M.rank() <= t for M in all_matrices(3, ctx.m, N))
+        for rho in range(n + 1):
+            report = capability_report(scheme, t, rho)
+            assert report.verified == (2 * t + rho < weight)
+            transfers = sum(r >= n - rho for r in transfer_ranks)
+            # messages times coset members: every codeword of C1
+            assert report.covered_tuples == transfers * 3 ** (ctx.m * scheme.c1.k) * errors
+            verdicts.add(report.verified)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("m, N", [(3, 3), (4, 2), (4, 3), (3, 4)])

@@ -17,7 +17,7 @@ from rankguard import ctx_new
 from rankguard.cli import main
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
-from rankguard.decoder import capability_report
+from rankguard.decoder import _error_keys, _unpack_key, capability_report
 from rankguard.linalg import Matrix
 from rankguard.network import enumerate_errors, enumerate_wiretap
 from rankguard.rank_metrics import rdip, rdlp, rghw, rgrw
@@ -110,6 +110,10 @@ def test_error_stream_digest(q, m, N, t, count, digest):
     errors = list(enumerate_errors(ctx_new(q, m), N, t))
     assert len(errors) == count
     assert hashlib.sha256(json.dumps(errors).encode()).hexdigest() == digest
+    if q == 2:
+        # the packed sweeps' error keys, unpacked, are the same stream
+        keys = [_unpack_key(int(key), m, N) for key in _error_keys(ctx_new(q, m), N, t)]
+        assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == digest
 
 
 def _rowspace_witness(a_entries, e_coeffs, message, true_val, other_val):

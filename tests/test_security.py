@@ -262,6 +262,14 @@ def test_strength_depends_on_coset_map():
     assert seen == Counter({1: 6, 2: 2})
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_omega_bounds_sandwich_q3(k):
+    # k = 1 gives C2 = {0}, k = n = 2 a one-dimensional C2
+    scheme = build_proposed(ctx_new(3, 3), l=1, n=2, k=k)
+    low, high = omega_bounds(scheme)
+    assert low <= omega_exact(scheme) == scheme.c1.k - 1 <= high
+
+
 def test_entropy_divergence_identity(scheme):
     # H(S) = log|space| - D(S || uniform), exact and after float conversion
     rng = random.Random(75)
