@@ -15,7 +15,6 @@ Exact (no floating point in the algebra) tooling for:
 from .errors import (
     AmbientMismatch,
     BadDimensions,
-    BudgetExceeded,
     DegreeMismatch,
     DegreeTooSmall,
     DependentPoints,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatch",
     "BadDimensions",
-    "BudgetExceeded",
     "DEFAULT_MODULI_GF2",
     "DegreeMismatch",
     "DegreeTooSmall",

@@ -368,10 +368,7 @@ def short_packet_search() -> dict:
         if c1.k != k or c2.k != k - l or not c1.contains(c2):
             continue
         delta_g = parent.gen.submatrix(rows=range(l), cols=span)
-        try:
-            scheme = NestedScheme(c1, c2, delta_g)
-        except Exception:
-            continue
+        scheme = NestedScheme(c1, c2, delta_g)
         valid += 1
         profile = rdip(c2.dual(), c1.dual())
         eq_ok = all(profile.at(mu) == min(l, max(0, mu - c2.k))

@@ -58,8 +58,10 @@ class PackedRankTable:
 
     Built by a subspace DP: scanning the rows of a key in order, the only
     state that matters is the row space seen so far, and subspaces of
-    F_2^ncols are few.  The table itself is filled with vectorized
-    transition lookups instead of per-key elimination.
+    F_2^ncols are few.  A key wider than tall is scanned by columns instead
+    (rank M = rank M^T), so the states are subspaces of F_2^min(nrows, ncols).
+    The table itself is filled with vectorized transition lookups instead of
+    per-key elimination.
     """
 
     def __init__(self, nrows: int, ncols: int):
@@ -67,6 +69,7 @@ class PackedRankTable:
             raise ValueError("packed table limited to 22 bits")
         self.nrows = nrows
         self.ncols = ncols
+        length, width = max(nrows, ncols), min(nrows, ncols)
         states: dict[tuple[int, ...], int] = {(): 0}
         bases: list[tuple[int, ...]] = [()]
         trans_rows: list[list[int]] = []
@@ -74,7 +77,7 @@ class PackedRankTable:
         while i < len(bases):
             basis = bases[i]
             row_out = []
-            for row in range(1 << ncols):
+            for row in range(1 << width):
                 new = _insert_canonical(basis, row)
                 if new not in states:
                     states[new] = len(bases)
@@ -87,13 +90,19 @@ class PackedRankTable:
 
         # filled in blocks of keys, so the transients stay at PACKED_BLOCK
         # elements each instead of one per key of the table
-        mask = np.uint32((1 << ncols) - 1)
+        mask = np.uint32((1 << width) - 1)
         self.table = np.empty(1 << (nrows * ncols), dtype=np.uint8)
         for lo in range(0, len(self.table), PACKED_BLOCK):
             keys = np.arange(lo, min(lo + PACKED_BLOCK, len(self.table)), dtype=np.uint32)
+            if ncols > nrows:  # the key of M^T: bit r*ncols + s moves to bit s*nrows + r
+                moved = np.zeros_like(keys)
+                for b in range(nrows * ncols):
+                    moved |= ((keys >> np.uint32(b)) & np.uint32(1)) << np.uint32(
+                        b % ncols * nrows + b // ncols)
+                keys = moved
             state = np.zeros(len(keys), dtype=np.int32)
-            for r in range(nrows):
-                state = trans[state, (keys >> np.uint32(r * ncols)) & mask]
+            for r in range(length):
+                state = trans[state, (keys >> np.uint32(r * width)) & mask]
             self.table[lo:lo + len(keys)] = ranks[state]
 
 

@@ -123,7 +123,7 @@ def cmd_strength(args) -> int:
 def cmd_verify_capability(args) -> int:
     scheme = NestedScheme.from_json(_load_json(args.scheme))
     report = capability_report(scheme, args.t, args.rho, mode=args.mode,
-                               trials=args.trials, budget=args.budget, seed=args.seed)
+                               trials=args.trials, seed=args.seed)
     _write_text(args.out, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exhaustive",
                    choices=["exhaustive", "exhaustive-full", "sampled"])
     p.add_argument("--trials", type=int)
-    p.add_argument("--budget", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify_capability)

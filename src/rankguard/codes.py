@@ -147,16 +147,6 @@ class LinearCode:
         transform = red.submatrix(cols=range(self.k, 2 * self.k))
         return LinearCode(self.ctx, transform.matmul(self.gen)), transform
 
-    def subfield_subcode(self) -> Matrix:
-        """Basis (rows, over F_q) of the base-field words lying in the code."""
-        base = self.ctx.base
-        h = self.dual().gen
-        if h.nrows == 0:
-            return Matrix.identity(base, self.n)
-        # each dual row gives m base-field equations in the n base unknowns
-        rows = [r for hrow in h.rows for r in expand_to_base(self.ctx, hrow).rows]
-        return Matrix(base, rows, self.n).right_kernel()
-
     # -- metrics -----------------------------------------------------------------
 
     def min_rank_distance(self, method: str = "auto") -> int:

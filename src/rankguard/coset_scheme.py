@@ -30,7 +30,6 @@ from .errors import (
     PacketTooShort,
     PreconditionError,
     json_field,
-    json_ints,
     require,
 )
 from .gf import FieldCtx, ctx_from_json
@@ -42,8 +41,7 @@ DEFAULT_MESSAGE_CAP = 2**20
 class NestedScheme:
     """(C1, C2, psi) with encode/decode of the coset map itself."""
 
-    def __init__(self, c1: LinearCode, c2: LinearCode, delta_g: Matrix,
-                 coset_distribution: str | Sequence[int] = "uniform"):
+    def __init__(self, c1: LinearCode, c2: LinearCode, delta_g: Matrix):
         self.l = quotient_dim(c1, c2)
         self.c1 = c1
         self.c2 = c2
@@ -56,14 +54,6 @@ class NestedScheme:
         if stacked.rref()[1] != c1.k or not all(c1.contains_word(r) for r in delta_g.rows):
             raise PreconditionError(
                 "representative rows plus a basis of C2 must form a basis of C1")
-        if coset_distribution != "uniform":
-            coset_distribution = tuple(int(w) for w in coset_distribution)
-            if len(coset_distribution) != self.c2.codeword_count():
-                raise DimensionMismatch(
-                    "explicit coset table needs one weight per C2 codeword")
-            if min(coset_distribution) < 0 or sum(coset_distribution) == 0:
-                raise PreconditionError("weights must be nonnegative and not all zero")
-        self.coset_distribution = coset_distribution
 
     # -- the bijection ---------------------------------------------------------
 
@@ -87,35 +77,10 @@ class NestedScheme:
             yield vec_add(self.ctx, rep, c)
 
     def encode(self, S: Sequence[int], rng: random.Random) -> tuple[int, ...]:
-        """A random element of the coset of S, per the coset distribution."""
+        """A uniformly random element of the coset of S."""
         rep = self.representative(S)
-        k2 = self.c2.k
-        if self.coset_distribution == "uniform":
-            u = tuple(rng.randrange(self.ctx.order) for _ in range(k2))
-            mask = self.c2.encode(u)
-        else:
-            idx = rng.choices(range(self.c2.codeword_count()),
-                              weights=self.coset_distribution, k=1)[0]
-            mask = self._codeword_by_index(idx)
-        return vec_add(self.ctx, rep, mask)
-
-    def _codeword_by_index(self, idx: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.c2.k):
-            digits.append(idx % self.ctx.order)
-            idx //= self.ctx.order
-        return self.c2.encode(tuple(digits))
-
-    def coset_label(self, X: Sequence[int]) -> tuple[int, ...]:
-        """Canonical coset representative: X reduced modulo C2's RREF basis."""
-        ctx = self.ctx
-        x = list(X)
-        _, _, pivots = self.c2.gen.rref()
-        for row, p in zip(self.c2.gen.rows, pivots):
-            c = x[p]
-            if c:
-                x = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(x, row)]
-        return tuple(x)
+        u = tuple(rng.randrange(self.ctx.order) for _ in range(self.c2.k))
+        return vec_add(self.ctx, rep, self.c2.encode(u))
 
     def decode_message_of(self, X: Sequence[int]) -> tuple[int, ...]:
         """The unique S with X in psi(S); X must lie in C1."""
@@ -155,12 +120,9 @@ class NestedScheme:
     # -- plumbing -------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        data = {"version": 1, **self.ctx.params(), "n": self.n, "l": self.l,
+        return {"version": 1, **self.ctx.params(), "n": self.n, "l": self.l,
                 "k": self.c1.k, "c1": self.c1.to_json(), "c2": self.c2.to_json(),
                 "delta_g": self.delta_g.to_json()}
-        if self.coset_distribution != "uniform":
-            data["coset_distribution"] = list(self.coset_distribution)
-        return data
 
     @staticmethod
     def from_json(data: dict) -> "NestedScheme":
@@ -168,10 +130,7 @@ class NestedScheme:
         c1 = LinearCode.from_json(json_field(data, "c1", dict), ctx)
         c2 = LinearCode.from_json(json_field(data, "c2", dict), ctx)
         delta_g = Matrix.from_json(ctx, json_field(data, "delta_g", dict))
-        weights = data.get("coset_distribution", "uniform")
-        if weights != "uniform":
-            weights = json_ints(weights, "coset_distribution")
-        return NestedScheme(c1, c2, delta_g, weights)
+        return NestedScheme(c1, c2, delta_g)
 
     def __repr__(self) -> str:
         return (f"NestedScheme(n={self.n}, dim C1={self.c1.k}, dim C2={self.c2.k},"
@@ -221,11 +180,6 @@ class LiftedScheme:
             coeffs[j] = 1
             out.append(self.ctx.from_coeffs(coeffs))
         return tuple(out)
-
-    def inner_of(self, x_lifted: Sequence[int]) -> tuple[int, ...]:
-        inner_ctx = self.inner.ctx
-        return tuple(inner_ctx.from_coeffs(self.ctx.coeffs(v)[self.n:])
-                     for v in x_lifted)
 
     def lift_encode(self, S: Sequence[int], rng: random.Random) -> tuple[int, ...]:
         return self.lift_vector(self.inner.encode(S, rng))

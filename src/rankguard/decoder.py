@@ -68,7 +68,7 @@ import numpy as np
 
 from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table
 from .coset_scheme import LiftedScheme, NestedScheme
-from .errors import BudgetExceeded, EnumerationTooLarge, PreconditionError, require
+from .errors import EnumerationTooLarge, PreconditionError, require
 from .linalg import (
     Matrix,
     expand_to_base,
@@ -152,11 +152,6 @@ def _closest(scored) -> DecodeResult:
     return DecodeResult("decoded", best_msg, best_val, runner)
 
 
-def delta_distance(scheme: NestedScheme, A: Matrix) -> int:
-    """Least rank of v A^T over codewords v of C1 outside C2."""
-    return _closest_difference(scheme.ctx, _difference_words(scheme), A)[0]
-
-
 def _difference_words(scheme: NestedScheme) -> list[tuple[int, ...]]:
     """C1's codewords outside C2, in codewords() order; no A changes them."""
     return [v for v in scheme.c1.codewords() if not scheme.c2.contains_word(v)]
@@ -201,19 +196,22 @@ def _split_received(lifted: LiftedScheme, Y: Sequence[int]) -> tuple[Matrix, Mat
     return header, payload
 
 
-def _member_discrepancy_fast(lifted: LiftedScheme, header: Matrix, payload: Matrix,
-                             x_inner: Sequence[int], rho: int) -> int:
-    """Closed form for one lifted coset member.
+def _coset_discrepancy_fast(lifted: LiftedScheme, header: Matrix, payload: Matrix,
+                            S: Sequence[int], rho: int) -> int:
+    """Closed form, minimized over the lifted coset of S.
 
     Minimizing rank(M_X A^T - M_Y) over A within the erasure budget: row
     operations cancel the header block, leaving the residual
     C = phi(x) * Y_header - Y_payload plus however many fresh dimensions are
     needed to push the transfer rank up to n - rho."""
-    inner = expand_to_base(lifted.inner.ctx, x_inner)
-    residual = inner.matmul(header).add(payload.scale(payload.field.neg(1)))
-    c_rank = residual.rank()
-    span = header.stack(residual).rank()
-    return c_rank + max(0, lifted.n - rho - span)
+    minus_payload = payload.scale(payload.field.neg(1))
+    best = None
+    for x in lifted.inner.coset_elements(S):
+        residual = expand_to_base(lifted.inner.ctx, x).matmul(header).add(minus_payload)
+        d = residual.rank() + max(0, lifted.n - rho - header.stack(residual).rank())
+        if best is None or d < best:
+            best = d
+    return best
 
 
 def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[int],
@@ -221,9 +219,7 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
     """Fewest injected packets explaining Y under some transfer matrix of
     rank >= n - rho, minimized over the coset of S."""
     if mode == "fast":
-        header, payload = _split_received(lifted, Y)
-        return min(_member_discrepancy_fast(lifted, header, payload, x, rho)
-                   for x in lifted.inner.coset_elements(S))
+        return _coset_discrepancy_fast(lifted, *_split_received(lifted, Y), S, rho)
     if mode == "oracle":
         ctx, N, n = lifted.ctx, len(Y), lifted.n
         if ctx.q ** (N * n) > DEFAULT_ORACLE_A_CAP:
@@ -236,7 +232,8 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
 
 
 def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> DecodeResult:
-    return _closest((S, discrepancy_noncoherent(lifted, Y, S, rho))
+    header, payload = _split_received(lifted, Y)
+    return _closest((S, _coset_discrepancy_fast(lifted, header, payload, S, rho))
                     for S in lifted.inner.messages())
 
 
@@ -470,9 +467,11 @@ class CapabilityReport:
 
 def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
                       N: int | None = None, trials: int | None = None,
-                      budget: int = DEFAULT_SAMPLED_BUDGET, seed: int = 0) -> CapabilityReport:
+                      seed: int = 0) -> CapabilityReport:
     """Verify (or refute) correction of every t-error pattern at every
-    transfer matrix within the erasure budget rho."""
+    transfer matrix within the erasure budget rho.  Sampled mode runs
+    trials seeded rounds (default 1000, or 200 for a lifted scheme) and
+    refuses more than DEFAULT_SAMPLED_BUDGET before the first one."""
     if t < 0 or not 0 <= rho <= scheme.n:
         raise PreconditionError(f"need t >= 0 and 0 <= rho <= n, got t={t}, rho={rho}")
     if trials is not None and trials < 1:
@@ -483,13 +482,13 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
     if isinstance(scheme, LiftedScheme):
         if mode != "sampled":
             raise PreconditionError("lifted schemes support sampled verification only")
-        return _sampled(scheme, t, rho, N, trials or 200, budget, seed)
+        return _sampled(scheme, t, rho, N, trials or 200, seed)
     if mode == "exhaustive":
         return _exhaustive_coherent(scheme, t, rho, N)
     if mode == "exhaustive-full":
         return _full_sweep_coherent(scheme, t, rho, N)
     if mode == "sampled":
-        return _sampled(scheme, t, rho, N, trials or 1000, budget, seed)
+        return _sampled(scheme, t, rho, N, trials or 1000, seed)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -614,26 +613,21 @@ def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
     return A, S, result
 
 
-def _sampled(scheme, t: int, rho: int, N: int, trials: int, budget: int,
-             seed) -> CapabilityReport:
-    n = scheme.n
+def _sampled(scheme, t: int, rho: int, N: int, trials: int, seed) -> CapabilityReport:
+    if trials > DEFAULT_SAMPLED_BUDGET:
+        raise EnumerationTooLarge(
+            f"requested {trials} trials exceeds cap {DEFAULT_SAMPLED_BUDGET}")
     rng = random.Random(seed)
-    run = min(trials, budget)
     counterexample = None
-    for i in range(run):
+    for i in range(trials):
         A, S, result = run_trial(rng, scheme, N, t, rho)
         if not (result.ok and result.message == S):
             counterexample = {"trial": i, "A": A.to_json(), "S": list(S),
                               "status": result.status}
             break
-    report = CapabilityReport(
-        verified=counterexample is None, mode="sampled", t=t, rho=rho, n=n, N=N,
-        trials=run, covered_tuples=None, counterexample=counterexample,
-        complete=trials <= budget)
-    if trials > budget:
-        raise BudgetExceeded(f"requested {trials} trials exceeds budget {budget}",
-                             report=report)
-    return report
+    return CapabilityReport(
+        verified=counterexample is None, mode="sampled", t=t, rho=rho, n=scheme.n, N=N,
+        trials=trials, covered_tuples=None, counterexample=counterexample)
 
 
 # -- constructive failure witnesses -------------------------------------------------

@@ -53,14 +53,6 @@ def json_ints(value, what: str, bound: int | None = None) -> list[int]:
     return value
 
 
-class BudgetExceeded(RankguardError):
-    """A sampled run hit its trial budget; carries the partial report."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class NotIrreducible(PreconditionError):
     """The supplied modulus polynomial factors over the base field."""
 

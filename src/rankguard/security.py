@@ -40,7 +40,7 @@ import numpy as np
 from .bitrank import PACKED_BLOCK
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
-from .linalg import Matrix, vec_sub
+from .linalg import Matrix
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
 
@@ -250,13 +250,6 @@ class JointDistribution:
                 weights[(S, X)] = sw * w
         return JointDistribution(scheme, weights)
 
-    @staticmethod
-    def point_mass(scheme: NestedScheme, S: tuple[int, ...], X: tuple[int, ...]) -> "JointDistribution":
-        dist = JointDistribution(scheme, {(tuple(S), tuple(X)): 1})
-        if not scheme.c2.contains_word(vec_sub(scheme.ctx, X, scheme.representative(S))):
-            raise PreconditionError("X is not in the coset of S")
-        return dist
-
     # -- exact quantities --------------------------------------------------------
 
     def integer(self, k: int) -> LogQuantity:
@@ -341,18 +334,6 @@ class JointDistribution:
 
     def conditional_message_entropy(self, B: Matrix) -> LogQuantity:
         return self.message_entropy() - self.mutual_information(B)
-
-
-def entropy_tools(dist: JointDistribution, B: Matrix | None = None) -> dict[str, LogQuantity]:
-    out = {
-        "H_S": dist.message_entropy(),
-        "D_S_uniform": dist.divergence_message_from_uniform(),
-        "D_X_coset_uniform_given_S": dist.divergence_packets_from_coset_uniform(),
-    }
-    if B is not None:
-        out["I_S_W"] = dist.mutual_information(B)
-        out["H_S_given_W"] = dist.conditional_message_entropy(B)
-    return out
 
 
 # -- leakage over all wiretap matrices ----------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed
-from rankguard import ctx_new
+from rankguard import ctx_new, decoder
 
 
 def run(args):
@@ -185,6 +185,14 @@ def test_exit_code_error_cap(tmp_path, capsys, mode):
     assert "1048576 errors exceed cap 1000000" in capsys.readouterr().err
 
 
+def test_exit_code_trial_cap(scheme_file, capsys, monkeypatch):
+    # one trial over decoder.DEFAULT_SAMPLED_BUDGET is refused before any runs
+    monkeypatch.setattr(decoder, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    assert run(["verify-capability", "--scheme", str(scheme_file), "--t", "0", "--rho", "0",
+                "--mode", "sampled", "--trials", "100001"]) == 3
+    assert "100001 trials exceeds cap 100000" in capsys.readouterr().err
+
+
 def test_unknown_suite(capsys):
     assert run(["acceptance", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -223,10 +231,9 @@ def test_out_of_range_numbers(scheme_file, tmp_path, capsys, args, code):
     lambda d: d["delta_g"].__setitem__("entries", [[[3, 0, 0, 0]] * 3]),
     lambda d: d.__setitem__("q", "2"),
     lambda d: d.__setitem__("modulus", "11001"),
-    lambda d: d.__setitem__("coset_distribution", {"w": 1}),
     lambda d: d.pop("c2"),
 ], ids=["generator-int", "entries-str", "entry-not-coeffs", "coeff-out-of-range",
-        "q-str", "modulus-str", "weights-dict", "c2-missing"])
+        "q-str", "modulus-str", "c2-missing"])
 def test_malformed_scheme_json(scheme_file, capsys, corrupt):
     data = json.loads(scheme_file.read_text())
     corrupt(data)
@@ -372,7 +379,7 @@ def test_fuzz_scenario_fields(mutations):
 
 
 @settings(max_examples=150)
-@given(_mutations(list(_paths(SCHEME)) + [("coset_distribution",)]))
+@given(_mutations(list(_paths(SCHEME))))
 def test_fuzz_scheme_fields(mutations):
     scheme = SCHEME
     for path, value in mutations:

@@ -158,19 +158,6 @@ def test_contains_matches_row_by_row(q, m):
     assert outcomes == {(True, True), (False, True), (True, False)}
 
 
-def test_subfield_subcode():
-    c = LinearCode(F16, [[1, 1, 0], [1, 0, 1]], 3)
-    sub = c.subfield_subcode()
-    assert sub.nrows == 2
-    # oracle: enumerate codewords, keep base-field words, compare spans
-    base_words = [w for w in c.codewords() if all(x < 2 for x in w)]
-    from rankguard.bitrank import rank_bits
-    from rankguard.linalg import pack_row_bits
-    assert rank_bits(pack_row_bits(w) for w in base_words) == sub.nrows
-    for row in sub.rows:
-        assert c.contains_word(tuple(row))
-
-
 def test_min_rank_distance_scan_vs_profile():
     rng = random.Random(24)
     for _ in range(6):

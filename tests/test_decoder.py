@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankguard import BudgetExceeded, EnumerationTooLarge, PreconditionError, ctx_new, decoder
+from rankguard import EnumerationTooLarge, PreconditionError, ctx_new, decoder
 from rankguard.bitrank import pack_key, packed_rank_table
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
@@ -22,7 +22,6 @@ from rankguard.decoder import (
     construct_failure_witness,
     decode_coherent,
     decode_noncoherent,
-    delta_distance,
     delta_min_noncoherent,
     delta_min_over_A,
     discrepancy_coherent,
@@ -189,8 +188,9 @@ def test_decode_translation_reduction():
 
 
 def test_delta_distance_identity_is_first_weight():
+    # at rho = 0 the only canonical transfer matrix is the identity
     s = flagship()
-    assert delta_distance(s, Matrix.identity(GF2, 3)) == first_rgrw(s.c1, s.c2) == 2
+    assert delta_min_over_A(s, 0) == first_rgrw(s.c1, s.c2) == 2
 
 
 def test_delta_min_over_A():
@@ -655,13 +655,15 @@ def test_capability_rejects_transfer_below_rank(mode):
         assert rep.to_json() == _exhaustive_coherent_generic(scheme, 0, 1, 2).to_json()
 
 
-def test_capability_sampled_matches():
+def test_capability_sampled_matches(monkeypatch):
     s = flagship()
     rep = capability_report(s, t=0, rho=1, mode="sampled", trials=200, seed=5)
     assert rep.verified and rep.trials == 200
-    with pytest.raises(BudgetExceeded) as exc:
-        capability_report(s, t=0, rho=0, mode="sampled", trials=50, budget=10, seed=5)
-    assert exc.value.report.trials == 10
+    # more trials than the cap are refused before the first one runs
+    monkeypatch.setattr(decoder, "DEFAULT_SAMPLED_BUDGET", 10)
+    monkeypatch.setattr(decoder, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(EnumerationTooLarge, match="50 trials exceeds cap 10"):
+        capability_report(s, t=0, rho=0, mode="sampled", trials=50, seed=5)
 
 
 def test_failure_witness_flagship():

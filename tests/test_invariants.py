@@ -51,7 +51,8 @@ def test_no_assert_statements(path):
 
 
 def _is_cap_option(name: str) -> bool:
-    return name in ("cap", "max_order", "max_tries", "t_max") or name.endswith("_cap")
+    return (name in ("cap", "budget", "max_order", "max_tries", "t_max")
+            or name.endswith(("_cap", "_budget")))
 
 
 def _parameters(node) -> list[str]:

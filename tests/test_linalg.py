@@ -186,6 +186,15 @@ def test_packed_rank_table():
         assert table.table[pack_key(rows, 4)] == rank_bits(rows)
 
 
+@pytest.mark.parametrize("nrows, ncols", [(2, 7), (2, 8), (1, 8), (8, 1), (3, 5)])
+def test_packed_rank_table_every_key(nrows, ncols):
+    # tables wider than tall are built from the key's columns
+    table = PackedRankTable(nrows, ncols).table
+    mask = (1 << ncols) - 1
+    assert [int(v) for v in table] == [rank_bits((key >> (ncols * r)) & mask for r in range(nrows))
+                                       for key in range(len(table))]
+
+
 def test_packed_rank_table_blocks():
     # the 2^20-key table is filled in blocks of PACKED_BLOCK keys: check the
     # keys on either side of every block boundary, the ends, and a sample
