@@ -19,12 +19,12 @@ for vec in [(0, 0, 0), (1, 1, 1), (1, a, ctx.pow(a, 2))]:
 print("\nGabidulin [n,k] over F_2^4 achieves minimum rank distance n-k+1:")
 for k in (1, 2, 3, 4):
     code = gabidulin(ctx, 4, k)
-    print(f"  [4,{k}]: exhaustive scan gives d_R = {code.min_rank_distance(method='scan')}")
+    print(f"  [4,{k}]: exhaustive scan gives d_R = {code.min_rank_distance()}")
 
 print("\nDuals of MRD codes are MRD again:")
 code = gabidulin(ctx, 4, 2)
 dual = code.dual()
-print(f"  dual of [4,2] is [4,{dual.k}] with d_R = {dual.min_rank_distance(method='scan')}")
+print(f"  dual of [4,2] is [4,{dual.k}] with d_R = {dual.min_rank_distance()}")
 
 print("\nPuncturing and shortening interact with duality the classical way:")
 keep = [1, 2, 3]

@@ -2,9 +2,10 @@
 
 When the sink does not know the transfer matrix, each packet matrix gets an
 identity header (the lifting construction).  The minimum-discrepancy
-decoder then searches over all sufficiently-high-rank transfer matrices; a
-closed form collapses that search, and the correction boundary matches the
-coherent one of the inner scheme.
+decoder then searches over all sufficiently-high-rank transfer matrices;
+that search reduces to coherent decoding of the inner scheme with the
+received header as the transfer matrix, and the correction boundary matches
+the coherent one of the inner scheme.
 """
 
 import random
@@ -38,7 +39,8 @@ print(f"\nsent {S} through an unknown rank-{A.rank()} transfer: decoded {res.mes
 D, Z = sample_error_pair(rng, lifted.ctx, 3, 0)
 fast = discrepancy_noncoherent(lifted, Y, S, rho=1, mode="fast")
 oracle = discrepancy_noncoherent(lifted, Y, S, rho=1, mode="oracle")
-print(f"closed-form discrepancy {fast} == brute force over all transfer matrices {oracle}")
+print(f"coherent-reduction discrepancy {fast} == brute force over all transfer matrices"
+      f" {oracle}")
 
 small_inner = build_proposed(ctx_new(2, 4), l=1, n=3, k=1)
 small = lift(small_inner, ctx_new(2, 7))

@@ -68,7 +68,7 @@ def suite_mrd() -> list[CriterionResult]:
     for (m, n, k) in [(4, 4, 1), (4, 4, 2), (4, 4, 3), (5, 4, 2)]:
         started = time.time()
         code = gabidulin(ctx_new(2, m), n, k)
-        measured = code.min_rank_distance(method="scan")
+        measured = code.min_rank_distance()
         out.append(_result("mrd-distance", f"[{n},{k}] over F_2^{m}",
                            n - k + 1, measured, started))
     return out
@@ -124,7 +124,7 @@ def suite_bridge() -> list[CriterionResult]:
         made += 1
         started = time.time()
         via_profile = first_rgrw(code, LinearCode.zero(ctx, n))
-        via_scan = code.min_rank_distance(method="scan")
+        via_scan = code.min_rank_distance()
         out.append(_result("first-weight-bridge", f"code #{made} [n={n},k={code.k},m={m}]",
                            via_scan, via_profile, started))
     return out

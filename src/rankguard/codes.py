@@ -149,28 +149,21 @@ class LinearCode:
 
     # -- metrics -----------------------------------------------------------------
 
-    def min_rank_distance(self, method: str = "auto") -> int:
-        """Minimum rank weight of a nonzero codeword; zero code has none."""
+    def min_rank_distance(self) -> int:
+        """Minimum rank weight of a nonzero codeword, by a scan of codewords()
+        (refused past DEFAULT_SCAN_CAP); the zero code has none."""
         if self.k == 0:
             raise PreconditionError("the zero code has no minimum distance")
-        if method == "auto":
-            method = "scan" if self.codeword_count() <= DEFAULT_SCAN_CAP else "profile"
-        if method == "scan":
-            from .rank_metrics import rank_weight
-            best = None
-            for u in self.messages():
-                if all(x == 0 for x in u):
-                    continue
-                w = rank_weight(self.ctx, self.encode(u))
+        from .rank_metrics import rank_weight
+        best = None
+        for v in self.codewords():
+            if any(v):
+                w = rank_weight(self.ctx, v)
                 if best is None or w < best:
                     best = w
                     if best == 1:
                         break
-            return best
-        if method == "profile":
-            from .rank_metrics import rgrw
-            return rgrw(self, LinearCode.zero(self.ctx, self.n)).at(1)
-        raise PreconditionError(f"unknown method {method!r}")
+        return best
 
     # -- plumbing ------------------------------------------------------------------
 

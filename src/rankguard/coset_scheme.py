@@ -188,9 +188,6 @@ class LiftedScheme:
         for x in self.inner.coset_elements(S):
             yield self.lift_vector(x)
 
-    def messages(self) -> Iterator[tuple[int, ...]]:
-        return self.inner.messages()
-
 
 def lift(scheme: NestedScheme, outer_ctx: FieldCtx) -> LiftedScheme:
     return LiftedScheme(scheme, outer_ctx)

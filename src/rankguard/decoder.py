@@ -5,8 +5,10 @@ packets that could turn some coset member into the received word under the
 known transfer matrix; that count equals the rank distance between the
 transformed member and the received word.  Noncoherent decoding minimizes
 the same quantity over every transfer matrix within the erasure budget;
-for identity-header (lifted) packets the inner minimum collapses to a
-closed form checked against brute force over enumerated transfer matrices.
+for identity-header (lifted) packets it is coherent decoding of the inner
+scheme with the received header as the transfer matrix, every discrepancy
+raised by one shift (_as_coherent states the proof).  Coherent decoding and
+the row-space check score cosets through _coset_images and _coset_score.
 
 Exhaustive capability verification covers the full quantifier space of the
 correction definition through two exact reductions, each property-tested
@@ -60,9 +62,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +79,6 @@ from .linalg import (
     vec_sub,
 )
 from .network import (
-    ChannelRealization,
     all_matrices,
     enumerate_errors,
     require_error_cap,
@@ -109,28 +110,44 @@ class DecodeResult:
 # -- coherent ------------------------------------------------------------------
 
 
+def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """(messages, each message's coset members), in messages() order: the
+    zero message, whose coset is C2, comes first."""
+    if scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
+        raise EnumerationTooLarge("coset family too large to scan")
+    if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
+        raise EnumerationTooLarge("coset too large to scan")
+    messages = list(scheme.messages())
+    return messages, [list(scheme.coset_elements(S)) for S in messages]
+
+
+def _coset_images(ctx, cosets: Iterable[Iterable[tuple[int, ...]]],
+                  A: Matrix) -> list[list[tuple[int, ...]]]:
+    """X A^T for every member X of every coset."""
+    return [[ext_vec_times_base_transpose(ctx, X, A) for X in members] for members in cosets]
+
+
+def _coset_score(ctx, images: Sequence[tuple[int, ...]], Y: Sequence[int]) -> int:
+    """Least rank(Y - image) over one coset's images: the fewest injected
+    packets explaining Y if that coset was sent."""
+    return min(rank_weight(ctx, vec_sub(ctx, Y, image)) for image in images)
+
+
 def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
                          S: Sequence[int]) -> int:
     """Fewest injected packets explaining Y if the coset of S was sent."""
     if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
         raise EnumerationTooLarge("coset too large to scan")
-    ctx = scheme.ctx
-    best = None
-    for X in scheme.coset_elements(S):
-        d = rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    return best
+    [images] = _coset_images(scheme.ctx, [scheme.coset_elements(S)], A)
+    return _coset_score(scheme.ctx, images, Y)
 
 
 def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
     """Return the message of the unique closest coset; ties are reported as
     ambiguous rather than broken, so capability boundaries stay observable."""
-    if scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
-        raise EnumerationTooLarge("coset family too large to scan")
-    return _closest((S, discrepancy_coherent(scheme, A, Y, S)) for S in scheme.messages())
+    messages, cosets = _cosets(scheme)
+    images = _coset_images(scheme.ctx, cosets, A)
+    return _closest(zip(messages, (_coset_score(scheme.ctx, im, Y) for im in images)))
 
 
 def _closest(scored) -> DecodeResult:
@@ -189,42 +206,47 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
 # -- noncoherent -----------------------------------------------------------------
 
 
-def _split_received(lifted: LiftedScheme, Y: Sequence[int]) -> tuple[Matrix, Matrix]:
+def _vector_from_expansion(ctx, M: Matrix) -> tuple[int, ...]:
+    return tuple(ctx.from_coeffs([M.rows[r][j] for r in range(M.nrows)])
+                 for j in range(M.ncols))
+
+
+def _as_coherent(lifted: LiftedScheme, Y: Sequence[int],
+                 rho: int) -> tuple[Matrix, tuple[int, ...], int]:
+    """(A, y, shift): noncoherent decoding of Y is coherent decoding of the
+    inner scheme under A, y, every discrepancy raised by shift.
+
+    M_Y = expand_to_base(Y) stacks the n header rows H over the payload rows
+    P; A = H^T, y is P read as an inner-field vector, and shift =
+    [n - rho - rank M_Y]^+ (after Silva, Kschischang and Koetter, IEEE Trans.
+    IT 2008).  Over transfer matrices A' of rank >= n - rho, the least
+    rank(M_X A'^T - M_Y) for the lifted member X of x is rank(R) +
+    [n - rho - rank [H; R]]^+, with the residual R = phi(x) H - P and phi(x)
+    the expansion of x; mode="oracle" of discrepancy_noncoherent checks this
+    by brute force.  R is the expansion of x A^T - y, so rank(R) is the
+    coherent discrepancy of x at y.  Adding -phi(x) times the header block
+    to R takes [H; R] to [H; -P], so rank [H; R] = rank M_Y for every x: the
+    second term is one shift for every member of every coset."""
     MY = expand_to_base(lifted.ctx, Y)
-    header = MY.submatrix(rows=range(lifted.n))
-    payload = MY.submatrix(rows=range(lifted.n, lifted.ctx.m))
-    return header, payload
-
-
-def _coset_discrepancy_fast(lifted: LiftedScheme, header: Matrix, payload: Matrix,
-                            S: Sequence[int], rho: int) -> int:
-    """Closed form, minimized over the lifted coset of S.
-
-    Minimizing rank(M_X A^T - M_Y) over A within the erasure budget: row
-    operations cancel the header block, leaving the residual
-    C = phi(x) * Y_header - Y_payload plus however many fresh dimensions are
-    needed to push the transfer rank up to n - rho."""
-    minus_payload = payload.scale(payload.field.neg(1))
-    best = None
-    for x in lifted.inner.coset_elements(S):
-        residual = expand_to_base(lifted.inner.ctx, x).matmul(header).add(minus_payload)
-        d = residual.rank() + max(0, lifted.n - rho - header.stack(residual).rank())
-        if best is None or d < best:
-            best = d
-    return best
+    n = lifted.n
+    A = MY.submatrix(rows=range(n)).transpose()
+    y = _vector_from_expansion(lifted.inner.ctx, MY.submatrix(rows=range(n, lifted.ctx.m)))
+    return A, y, max(0, n - rho - MY.rank())
 
 
 def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[int],
                             rho: int, mode: str = "fast") -> int:
     """Fewest injected packets explaining Y under some transfer matrix of
-    rank >= n - rho, minimized over the coset of S."""
+    rank >= n - rho, minimized over the coset of S.  The oracle mode
+    minimizes over every transfer matrix by brute force."""
     if mode == "fast":
-        return _coset_discrepancy_fast(lifted, *_split_received(lifted, Y), S, rho)
+        A, y, shift = _as_coherent(lifted, Y, rho)
+        return discrepancy_coherent(lifted.inner, A, y, S) + shift
     if mode == "oracle":
         ctx, N, n = lifted.ctx, len(Y), lifted.n
         if ctx.q ** (N * n) > DEFAULT_ORACLE_A_CAP:
             raise EnumerationTooLarge("oracle mode enumerates every transfer matrix")
-        members = [lifted.lift_vector(x) for x in lifted.inner.coset_elements(S)]
+        members = list(lifted.coset_elements(S))
         return min((rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
                     for A in all_matrices(ctx.q, N, n) if A.rank() >= n - rho
                     for X in members), default=None)
@@ -232,9 +254,12 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
 
 
 def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> DecodeResult:
-    header, payload = _split_received(lifted, Y)
-    return _closest((S, _coset_discrepancy_fast(lifted, header, payload, S, rho))
-                    for S in lifted.inner.messages())
+    """decode_coherent of the inner scheme under _as_coherent(Y), with its
+    discrepancies shifted."""
+    A, y, shift = _as_coherent(lifted, Y, rho)
+    result = decode_coherent(lifted.inner, A, y)
+    return replace(result, discrepancy=result.discrepancy + shift,
+                   runner_up=result.runner_up + shift)
 
 
 def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed",
@@ -256,11 +281,9 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
     _require_packable(lifted.ctx.q, "bruteforce path", [("m*N", m * N, 22), ("N*n", N * n, 22)])
     table = packed_rank_table(m, N).table
     a_keys = _transfer_keys(N, n, rho)
-    inner = lifted.inner
     # keys[message index] = np.array over (A, member)
-    keys = [_product_keys([lifted.lift_vector(x) for x in inner.coset_elements(S)],
-                          a_keys, m, n, N).ravel()
-            for S in inner.messages()]
+    keys = [_product_keys(list(lifted.coset_elements(S)), a_keys, m, n, N).ravel()
+            for S in lifted.inner.messages()]
     # slices of keys[i]: each XOR table holds at most PACKED_BLOCK keys, or one row
     step = max(1, PACKED_BLOCK // len(keys[0]))
     best = None
@@ -551,19 +574,15 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
     """Row-space check on field arithmetic: the q > 2 path and the reference."""
     ctx = scheme.ctx
     errors = list(enumerate_errors(ctx, N, t))
-    c2_words = list(scheme.c2.codewords())
-    nonzero_msgs = [S for S in scheme.messages() if any(S)]
-    reps = {S: scheme.representative(S) for S in nonzero_msgs}
+    messages, cosets = _cosets(scheme)
     trials = 0
     for A in _canonical_transfers(ctx.q, scheme.n, N, rho):
-        c2_at = [ext_vec_times_base_transpose(ctx, c, A) for c in c2_words]
-        rep_at = {S: ext_vec_times_base_transpose(ctx, reps[S], A) for S in nonzero_msgs}
+        true_at, *others = _coset_images(ctx, cosets, A)
         for E in errors:
             trials += 1
-            true_val = min(rank_weight(ctx, vec_sub(ctx, E, cat)) for cat in c2_at)
-            for S in nonzero_msgs:
-                base_vec = vec_sub(ctx, E, rep_at[S])
-                other = min(rank_weight(ctx, vec_sub(ctx, base_vec, cat)) for cat in c2_at)
+            true_val = _coset_score(ctx, true_at, E)
+            for S, images in zip(messages[1:], others):
+                other = _coset_score(ctx, images, E)
                 if other <= true_val:
                     counterexample = _rowspace_counterexample(ctx, A, E, S, true_val, other)
                     return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials,
@@ -607,8 +626,7 @@ def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
     order = scheme.inner.ctx.order if lifted else ctx.order
     S = tuple(rng.randrange(order) for _ in range(scheme.l))
     X = scheme.lift_encode(S, rng) if lifted else scheme.encode(S, rng)
-    real = ChannelRealization(A, Matrix.zeros(ctx.base, 0, n), D, Matrix.zeros(ctx.base, 0, t), Z)
-    Y, _ = transmit(ctx, X, real)
+    Y = transmit(ctx, X, A, D, Z)
     result = decode_noncoherent(scheme, Y, rho) if lifted else decode_coherent(scheme, A, Y)
     return A, S, result
 
@@ -640,24 +658,9 @@ def split_error_by_rank(base_field, M_rows: list[Sequence[int]], ncols: int,
     red, rank, pivots = M.rref()
     if not 0 <= part <= rank:
         raise PreconditionError("part must lie within the rank")
-    basis = red.rows[:rank]
-    coeffs = [[row[p] for p in pivots] for row in M.rows]  # M = coeffs * basis
-    first = [[base_field.zero] * ncols for _ in M.rows]
-    second = [[base_field.zero] * ncols for _ in M.rows]
-    for i, crow in enumerate(coeffs):
-        for s, c in enumerate(crow):
-            if not c:
-                continue
-            target = first if s < part else second
-            for j, b in enumerate(basis[s]):
-                if b:
-                    target[i][j] = base_field.add(target[i][j], base_field.mul(c, b))
-    return Matrix(base_field, first, ncols), Matrix(base_field, second, ncols)
-
-
-def _vector_from_expansion(ctx, M: Matrix) -> tuple[int, ...]:
-    return tuple(ctx.from_coeffs([M.rows[r][j] for r in range(M.nrows)])
-                 for j in range(M.ncols))
+    C = M.submatrix(cols=pivots)  # M = C * red[:rank]
+    return (C.submatrix(cols=range(part)).matmul(red.submatrix(rows=range(part))),
+            C.submatrix(cols=range(part, rank)).matmul(red.submatrix(rows=range(part, rank))))
 
 
 def construct_failure_witness(scheme: NestedScheme, t: int, rho: int,

@@ -2,16 +2,16 @@
 
 No graph topology is simulated: the universal statements quantify over
 transfer/wiretap matrices directly, so realizations are sampled or
-enumerated as matrices.  Received packets follow Y = X A^T + Z D^T and the
-adversary sees W = X B^T + Z F^T, all over the tower (base-field matrices
-acting on extension-field row vectors).
+enumerated as matrices.  Received packets follow Y = X A^T + Z D^T over
+the tower (base-field matrices acting on extension-field row vectors).  The
+adversary's observation is not simulated: security computes the leakage
+exactly, over every wiretap row space.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InfeasibleRank
@@ -22,21 +22,6 @@ from .subspaces import enumerate_base_subspaces, gaussian_binomial, rank_r_count
 
 DEFAULT_ENUM_CAP = 10**6
 FALLBACK_REJECTION_TRIES = 10**4
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One network instance: transfer, wiretap and error-routing matrices."""
-
-    A: Matrix
-    B: Matrix
-    D: Matrix
-    Fw: Matrix
-    Z: tuple[int, ...]
-
-    @property
-    def rho(self) -> int:
-        return self.A.ncols - self.A.rank()
 
 
 def sample_matrix(rng: random.Random, q: int, nrows: int, ncols: int) -> Matrix:
@@ -74,25 +59,15 @@ def sample_error_pair(rng: random.Random, ctx: FieldCtx, N: int, t: int) -> tupl
     return D, Z
 
 
-def sample_realization(rng: random.Random, ctx: FieldCtx, n: int, N: int, mu: int,
-                       t: int, rho_max: int) -> ChannelRealization:
-    A = sample_transfer(rng, ctx.q, N, n, rho_max)
-    B = sample_matrix(rng, ctx.q, mu, n)
-    D, Z = sample_error_pair(rng, ctx, N, t)
-    Fw = sample_matrix(rng, ctx.q, mu, t)
-    return ChannelRealization(A, B, D, Fw, Z)
-
-
-def transmit(ctx: FieldCtx, X: Sequence[int], real: ChannelRealization) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(Y, W): the sink's packets and the adversary's observation."""
-    if real.A.ncols != len(X) or real.B.ncols != len(X):
+def transmit(ctx: FieldCtx, X: Sequence[int], A: Matrix, D: Matrix,
+             Z: Sequence[int]) -> tuple[int, ...]:
+    """The sink's packets Y = X A^T + Z D^T."""
+    if A.ncols != len(X):
         raise DimensionMismatch("transfer width must equal the packet count")
-    Y = ext_vec_times_base_transpose(ctx, X, real.A)
-    W = ext_vec_times_base_transpose(ctx, X, real.B)
-    if real.Z:
-        Y = vec_add(ctx, Y, ext_vec_times_base_transpose(ctx, real.Z, real.D))
-        W = vec_add(ctx, W, ext_vec_times_base_transpose(ctx, real.Z, real.Fw))
-    return Y, W
+    Y = ext_vec_times_base_transpose(ctx, X, A)
+    if Z:
+        Y = vec_add(ctx, Y, ext_vec_times_base_transpose(ctx, Z, D))
+    return Y
 
 
 def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace") -> Iterator[Matrix]:

@@ -6,7 +6,9 @@ from rankguard import (
     DegreeTooSmall,
     DependentPoints,
     EmptyIndexSet,
+    EnumerationTooLarge,
     NotSystematizable,
+    codes,
     ctx_new,
 )
 from rankguard.codes import LinearCode, gabidulin
@@ -38,7 +40,7 @@ def test_gabidulin_full_space():
 def test_gabidulin_is_mrd(ctx, n, k, expect):
     c = gabidulin(ctx, n, k)
     assert c.k == k
-    assert c.min_rank_distance(method="scan") == expect == n - k + 1
+    assert c.min_rank_distance() == expect == n - k + 1
 
 
 def test_gabidulin_rejects_bad_inputs():
@@ -80,7 +82,7 @@ def test_dual_of_mrd_is_mrd():
     c = gabidulin(F16, 4, 2)
     d = c.dual()
     assert d.k == 2
-    assert d.min_rank_distance(method="scan") == 3
+    assert d.min_rank_distance() == 3
 
 
 def test_puncture_identity_and_errors():
@@ -158,11 +160,15 @@ def test_contains_matches_row_by_row(q, m):
     assert outcomes == {(True, True), (False, True), (True, False)}
 
 
-def test_min_rank_distance_scan_vs_profile():
-    rng = random.Random(24)
-    for _ in range(6):
-        c = rand_code(rng, F16, 3, rng.randrange(1, 3))
-        assert c.min_rank_distance(method="scan") == c.min_rank_distance(method="profile")
+def test_min_rank_distance_refuses_past_scan_cap(monkeypatch):
+    # the scan goes through codewords(), so it refuses before the first
+    # codeword instead of running through 2^32 of them
+    with pytest.raises(EnumerationTooLarge):
+        gabidulin(ctx_new(2, 16), 4, 2).min_rank_distance()
+    c = gabidulin(F16, 4, 2)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_CAP", c.codeword_count() - 1)
+    with pytest.raises(EnumerationTooLarge):
+        c.min_rank_distance()
 
 
 def test_zero_code_and_full_code():

@@ -34,8 +34,8 @@ def test_build_proposed_rejects_short_packets_and_bad_dims():
 
 def test_component_codes_are_mrd():
     s = flagship()
-    assert s.c1.min_rank_distance(method="scan") == 3 - 2 + 1
-    assert s.c2.min_rank_distance(method="scan") == 3 - 1 + 1
+    assert s.c1.min_rank_distance() == 3 - 2 + 1
+    assert s.c2.min_rank_distance() == 3 - 1 + 1
     assert s.c1.contains(s.c2)
 
 
@@ -84,7 +84,7 @@ def test_partial_subcode():
     assert s2.c1.contains(c3) and c3.contains(s2.c2)
     assert c3.k == s2.c1.k - 1
     # the explicit construction keeps every partial subcode MRD
-    assert c3.min_rank_distance(method="scan") == 4 - 3 + 1 + 1
+    assert c3.min_rank_distance() == 4 - 3 + 1 + 1
 
 
 def test_partial_subcode_is_union_of_cosets():

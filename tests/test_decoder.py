@@ -41,9 +41,11 @@ from rankguard.linalg import (
 from rankguard.network import (
     all_matrices,
     enumerate_errors,
+    sample_error_pair,
     sample_invertible,
     sample_matrix,
     sample_transfer,
+    transmit,
 )
 from rankguard.rank_metrics import first_rgrw, rank_weight
 
@@ -692,20 +694,64 @@ def test_noncoherent_clean_decode():
         assert res.ok and res.message == S
 
 
-def test_noncoherent_fast_equals_oracle():
-    lifted = _lifted_instance()
+@pytest.mark.parametrize("lifted", [
+    _lifted_instance(),
+    lift(build_proposed(ctx_new(3, 3), l=1, n=2, k=1), ctx_new(3, 5)),
+], ids=["q2", "q3"])
+def test_noncoherent_fast_equals_oracle(lifted):
+    ctx, inner_order, n = lifted.ctx, lifted.inner.ctx.order, lifted.n
     rng = random.Random(90)
     for rho in (0, 1):
         for _ in range(4):
-            S = (rng.randrange(16),)
+            S = (rng.randrange(inner_order),)
             X = lifted.lift_encode(S, rng)
-            A = sample_transfer(rng, 2, 3, 3, rho)
-            E = tuple(rng.randrange(128) for _ in range(3))
-            Y = vec_add(lifted.ctx, ext_vec_times_base_transpose(lifted.ctx, X, A), E)
-            for S2 in [(0,), S, (rng.randrange(16),)]:
+            A = sample_transfer(rng, ctx.q, n, n, rho)
+            E = tuple(rng.randrange(ctx.order) for _ in range(n))
+            Y = vec_add(ctx, ext_vec_times_base_transpose(ctx, X, A), E)
+            for S2 in [(0,), S, (rng.randrange(inner_order),)]:
                 fast = discrepancy_noncoherent(lifted, Y, S2, rho, mode="fast")
                 oracle = discrepancy_noncoherent(lifted, Y, S2, rho, mode="oracle")
                 assert fast == oracle
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["N=n", "N=n+1"])
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 4, 3, 2), (3, 3, 2, 1), (3, 3, 2, 2)],
+                         ids=["q2-C2=0", "q2-C2", "q3-C2=0", "q3-C2"])
+def test_noncoherent_decode_is_shifted_coherent_decode(q, m, n, k, extra):
+    # the inner scheme decoded coherently under A = H^T and the payload y,
+    # H the header rows of the received expansion, with every discrepancy
+    # raised by [n - rho - rank]^+; a transfer with a zero column and no
+    # error leaves rank n - 1, so rho = 0 shifts
+    inner = build_proposed(ctx_new(q, m), l=1, n=n, k=k)
+    assert (inner.c2.k == 0) == (k == 1)
+    lifted = lift(inner, ctx_new(q, m + n))
+    ctx, N = lifted.ctx, n + extra
+    # the brute force over every N x n transfer matrix, where it stays small
+    oracle_fits = q ** (N * n) * inner.c2.codeword_count() <= 2**14
+    rng = random.Random(93)
+    shifts = set()
+    for draw, (t, deficient) in enumerate(itertools.product((0, 1), (False, True))):
+        S = (rng.randrange(inner.ctx.order),)
+        A = sample_transfer(rng, q, N, n, 0)
+        if deficient:
+            A = Matrix(A.field, [row[:-1] + (0,) for row in A.rows], n)
+        D, Z = sample_error_pair(rng, ctx, N, t)
+        Y = transmit(ctx, lifted.lift_encode(S, rng), A, D, Z)
+        MY = expand_to_base(ctx, Y)
+        H = Matrix(MY.field, MY.rows[:n], N)
+        y = tuple(inner.ctx.from_coeffs(col) for col in zip(*MY.rows[n:]))
+        coherent = decode_coherent(inner, H.transpose(), y)
+        for rho in range(n + 1):
+            shift = max(0, n - rho - MY.rank())
+            shifts.add(shift)
+            got = decode_noncoherent(lifted, Y, rho)
+            assert (got.status, got.message, got.discrepancy, got.runner_up) == (
+                coherent.status, coherent.message, coherent.discrepancy + shift,
+                coherent.runner_up + shift)
+            if oracle_fits and rho == draw % (n + 1):
+                oracle = discrepancy_noncoherent(lifted, Y, S, rho, mode="oracle")
+                assert oracle == discrepancy_coherent(inner, H.transpose(), y, S) + shift
+    assert len(shifts) > 1
 
 
 def test_noncoherent_delta_identity():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,22 @@ def test_no_per_call_cap_parameters(path):
     found = [f"{node.name}({name})" for node in ast.walk(tree)
              for name in _parameters(node) if _is_cap_option(name)]
     assert found == [], f"{path.name} takes per-call caps: {found}"
+
+
+def test_traced_names_resolve():
+    # the perfbench tracer counts calls by name, and a name that no longer
+    # resolves only warns on stderr and counts 0; read its table, not import it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    [counts] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COUNTS"]]
+    missing = []
+    for name in sorted({n.removeprefix("yields:") for names in counts.values() for n in names}):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"rankguard.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == [], f"traced names that no longer resolve: {missing}"

@@ -6,11 +6,10 @@ from rankguard import EnumerationTooLarge, InfeasibleRank, ctx_new, network
 from rankguard.gf import PrimeField
 from rankguard.linalg import Matrix, expand_to_base, vec_mat, embed_base_matrix
 from rankguard.network import (
-    ChannelRealization,
     enumerate_errors,
     enumerate_wiretap,
     error_count,
-    sample_realization,
+    sample_error_pair,
     sample_transfer,
     transmit,
 )
@@ -53,38 +52,30 @@ def test_sample_transfer_infeasible():
 
 def test_transmit_identity_no_errors():
     A = Matrix.identity(GF2, 3)
-    real = ChannelRealization(A, Matrix(GF2, [], 3), Matrix(GF2, [[0]] * 3, 1),
-                              Matrix(GF2, [], 1), (0,))
     X = (1, F16.alpha, 7)
-    Y, W = transmit(F16, X, real)
-    assert Y == X and W == ()
+    assert transmit(F16, X, A, Matrix(GF2, [[0]] * 3, 1), (0,)) == X
 
 
 def test_transmit_zero_input_reveals_error_image():
     rng = random.Random(63)
-    real = sample_realization(rng, F16, n=3, N=3, mu=2, t=1, rho_max=0)
-    Y, W = transmit(F16, (0, 0, 0), real)
-    d_col = [row[0] for row in real.D.rows]
-    assert Y == tuple(F16.scalar_mul(c, real.Z[0]) for c in d_col)
+    A = sample_transfer(rng, 2, 3, 3, 0)
+    D, Z = sample_error_pair(rng, F16, 3, 1)
+    Y = transmit(F16, (0, 0, 0), A, D, Z)
+    d_col = [row[0] for row in D.rows]
+    assert Y == tuple(F16.scalar_mul(c, Z[0]) for c in d_col)
 
 
 def test_transmit_matches_dense_lifted_multiply():
     rng = random.Random(64)
     for _ in range(20):
-        real = sample_realization(rng, F16, n=3, N=3, mu=2, t=1, rho_max=1)
+        A = sample_transfer(rng, 2, 3, 3, 1)
+        D, Z = sample_error_pair(rng, F16, 3, 1)
         X = tuple(rng.randrange(16) for _ in range(3))
-        Y, W = transmit(F16, X, real)
+        Y = transmit(F16, X, A, D, Z)
         # oracle: run the same product through embedded extension matrices
-        A_ext = embed_base_matrix(F16, real.A).transpose()
-        D_ext = embed_base_matrix(F16, real.D).transpose()
-        y2 = vec_mat(F16, X, A_ext)
-        e2 = vec_mat(F16, real.Z, D_ext)
+        y2 = vec_mat(F16, X, embed_base_matrix(F16, A).transpose())
+        e2 = vec_mat(F16, Z, embed_base_matrix(F16, D).transpose())
         assert Y == tuple(F16.add(a, b) for a, b in zip(y2, e2))
-        B_ext = embed_base_matrix(F16, real.B).transpose()
-        F_ext = embed_base_matrix(F16, real.Fw).transpose()
-        w2 = vec_mat(F16, X, B_ext)
-        f2 = vec_mat(F16, real.Z, F_ext)
-        assert W == tuple(F16.add(a, b) for a, b in zip(w2, f2))
 
 
 def test_enumerate_wiretap_rowspace_counts():
@@ -123,13 +114,10 @@ def test_enumerate_errors_rank_two_complete():
 def test_error_factorization_invariance():
     # Y depends on (D, Z) only through E = Z D^T
     rng = random.Random(65)
-    real = sample_realization(rng, F16, n=3, N=3, mu=1, t=2, rho_max=0)
+    A = sample_transfer(rng, 2, 3, 3, 0)
+    D, Z = sample_error_pair(rng, F16, 3, 2)
     X = tuple(rng.randrange(16) for _ in range(3))
-    Y1, _ = transmit(F16, X, real)
     # refactor: E as a single rank-<=2 burst through a different routing
     from rankguard.linalg import ext_vec_times_base_transpose
-    E = ext_vec_times_base_transpose(F16, real.Z, real.D)
-    eye_routing = Matrix.identity(GF2, 3)
-    real2 = ChannelRealization(real.A, real.B, eye_routing, Matrix.zeros(GF2, 1, 3), E)
-    Y2, _ = transmit(F16, X, real2)
-    assert Y1 == Y2
+    E = ext_vec_times_base_transpose(F16, Z, D)
+    assert transmit(F16, X, A, D, Z) == transmit(F16, X, A, Matrix.identity(GF2, 3), E)

@@ -99,7 +99,7 @@ def test_first_rgrw_equals_min_rank_distance():
         n = rng.choice([3, 4])
         k = rng.randrange(1, n)
         c, zero = rand_nested_pair(rng, F8, n, k, 0)
-        assert first_rgrw(c, zero) == c.min_rank_distance(method="scan")
+        assert first_rgrw(c, zero) == c.min_rank_distance()
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 3, 3), (2, 4, 4), (2, 3, 5), (3, 2, 3), (3, 2, 4),
@@ -297,6 +297,6 @@ def test_small_m_distance_bound():
         c = LinearCode(f4, [[rng.randrange(4) for _ in range(4)]], 4)
         if c.k == 0:
             continue
-        assert c.min_rank_distance(method="scan") <= 2
+        assert c.min_rank_distance() <= 2
         report = verify_bounds(c, LinearCode.zero(f4, 4))
         assert report["distance_case_split"]
