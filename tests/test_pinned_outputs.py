@@ -60,9 +60,9 @@ def test_simulate_csv_digest(tmp_path, extra, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _sampled(t, rho, counterexample):
+def _sampled(t, rho, counterexample, n=3, N=3):
     return {"verified": counterexample is None, "mode": "sampled", "t": t, "rho": rho,
-            "n": 3, "N": 3, "trials": 30, "covered_tuples": None,
+            "n": n, "N": N, "trials": 30, "covered_tuples": None,
             "counterexample": counterexample, "complete": True}
 
 
@@ -82,6 +82,31 @@ def test_sampled_capability_report(lifted, t, rho, seed, counterexample):
         scheme = lift(scheme, ctx_new(2, 7))
     report = capability_report(scheme, t, rho, mode="sampled", trials=30, seed=seed)
     assert report.to_json() == _sampled(t, rho, counterexample)
+
+
+def _two_symbol_refutation(trial, entries, S, status):
+    return {"trial": trial, "S": S, "status": status,
+            "A": {"rows": 3, "cols": 2, "entries": entries}}
+
+
+# two message symbols over F_16 with C2 = {0} at N = n + 1: the order of the
+# decoded symbols and the extra transfer row both reach these reports
+@pytest.mark.parametrize("lifted", [False, True], ids=["coherent", "lifted"])
+@pytest.mark.parametrize("t, rho, seed", [(0, 0, 0), (0, 1, 1), (1, 0, 0)],
+                         ids=["verified", "refuted-rho", "refuted-t"])
+def test_sampled_two_symbol_report(lifted, t, rho, seed):
+    scheme = build_proposed(F16, l=2, n=2, k=2)
+    if lifted:
+        scheme = lift(scheme, ctx_new(2, 6))
+    counterexample = {
+        (0, 0): None,
+        (0, 1): _two_symbol_refutation(9, [[0, 0], [0, 0], [1, 1]], [11, 14], "ambiguous"),
+        # a wrong message coherently; the lifted decode ties
+        (1, 0): _two_symbol_refutation(0, [[1, 1], [0, 1], [1, 1]], [4, 9],
+                                       "ambiguous" if lifted else "decoded"),
+    }[t, rho]
+    report = capability_report(scheme, t, rho, mode="sampled", N=3, trials=30, seed=seed)
+    assert report.to_json() == _sampled(t, rho, counterexample, n=2, N=3)
 
 
 def test_full_wiretap_order():
