@@ -7,8 +7,8 @@ transformed member and the received word.  Noncoherent decoding minimizes
 the same quantity over every transfer matrix within the erasure budget;
 for identity-header (lifted) packets it is coherent decoding of the inner
 scheme with the received header as the transfer matrix, every discrepancy
-raised by one shift (_as_coherent states the proof).  Coherent decoding and
-the row-space check score cosets through _coset_images and _coset_score.
+raised by one shift (_as_coherent states the proof).  On field arithmetic,
+decoding and the row-space check score cosets by _coset_images/_coset_score.
 
 Exhaustive capability verification covers the full quantifier space of the
 correction definition through two exact reductions, each property-tested
@@ -21,10 +21,10 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
-For q = 2 both exhaustive modes work on packed GF(2) keys (an m x N binary
-matrix is one integer, row r at bit r*N).  Combo c is the difference
-message whose symbol i is (c >> i*m) & (2^m - 1), l_c its coset leader;
-combo 0 is the true coset.
+For q = 2 both exhaustive modes and coherent decoding work on packed GF(2)
+keys (an m x N binary matrix is one integer, row r at bit r*N).  Combo c is
+the difference message whose symbol i is (c >> i*m) & (2^m - 1), l_c its
+coset leader; combo 0 is the true coset.
 
 * One decider finds, over transfer keys in the order given, the first A
   under which min-discrepancy decoding fails for some error of rank <= t,
@@ -40,6 +40,12 @@ combo 0 is the true coset.
 * The error keys are built directly, in enumerate_errors order: E = z R,
   R the canonical basis of a subspace of dimension r, has key XOR_s
   spread(z_s) * rowbits(R_s), kept when that key has rank r.
+* Coherent decoding packs A and Y and XORs the key of Y into C1's codeword
+  keys under A; codeword i lies in the coset of combo i >> (m * dim C2), so
+  one rank-table lookup per codeword, reshaped to (messages, |C2|) and
+  minimized per row, scores every coset.  The two least scores give the
+  result, and the winning combo c decodes to the message whose symbol i is
+  (c >> i*m) & (2^m - 1).
 * One numpy kernel scores the failing A alone, for its report: the least
   discrepancy of each combo's coset members against each error, per block
   of errors where a nonzero combo scores no worse than the true one.  The
@@ -48,14 +54,15 @@ combo 0 is the true coset.
   the raw full sweep (every transfer key, ascending) reports combo c's
   first failing error.
 
-The decider spans C1's codewords under many A at once when all of C1 fits
-in PACKED_BLOCK elements, else under one A in runs of codewords; the kernel
-scores blocks of errors in slices of combos.  Each temporary holds at most
-PACKED_BLOCK elements or the |C2| coset-member keys of one combo.
+The decider and the decode span C1's codewords under many A at once when
+all of C1 fits in PACKED_BLOCK elements, else under one A in runs of
+codewords; the kernel scores blocks of errors in slices of combos.  Each
+temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
+one combo, or the decode's uint8 scores, one per codeword of C1.
 
-The row-space loop on field arithmetic is the path for q > 2 and the
-reference for the packed reports; the kernel, one A at a time, is the
-reference for the decider; enumerate_errors is the reference for the keys.
+The field-arithmetic row-space loop and coset scans are the q > 2 paths and
+the references for the packed reports and decode; the kernel, one A at a
+time, is the reference for the decider; enumerate_errors, for the keys.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ import numpy as np
 
 from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table
 from .coset_scheme import LiftedScheme, NestedScheme
-from .errors import EnumerationTooLarge, PreconditionError, require
+from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
     Matrix,
     expand_to_base,
@@ -110,13 +117,28 @@ class DecodeResult:
 # -- coherent ------------------------------------------------------------------
 
 
-def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
-    """(messages, each message's coset members), in messages() order: the
-    zero message, whose coset is C2, comes first."""
-    if scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
+def _require_word(ctx, Y: Sequence[int]) -> None:
+    """Refuse a received word with a symbol outside 0..q^m - 1."""
+    if not all(isinstance(y, (int, np.integer)) and 0 <= y < ctx.order for y in Y):
+        raise PreconditionError(f"received symbols must be integers in 0..{ctx.order - 1}")
+
+
+def _require_decode_caps(scheme: NestedScheme, whole: bool = True) -> None:
+    """Refuse a coset past DEFAULT_COSET_CAP and, when every coset is scored
+    (whole), C1 past DEFAULT_DECODE_CAP or the messages past the messages()
+    cap, as the coset scans would."""
+    if whole and scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
         raise EnumerationTooLarge("coset family too large to scan")
     if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
         raise EnumerationTooLarge("coset too large to scan")
+    if whole:
+        scheme.messages()  # raises past coset_scheme.DEFAULT_MESSAGE_CAP
+
+
+def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """(messages, each message's coset members), in messages() order: the
+    zero message, whose coset is C2, comes first."""
+    _require_decode_caps(scheme)
     messages = list(scheme.messages())
     return messages, [list(scheme.coset_elements(S)) for S in messages]
 
@@ -136,8 +158,8 @@ def _coset_score(ctx, images: Sequence[tuple[int, ...]], Y: Sequence[int]) -> in
 def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
                          S: Sequence[int]) -> int:
     """Fewest injected packets explaining Y if the coset of S was sent."""
-    if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
-        raise EnumerationTooLarge("coset too large to scan")
+    _require_word(scheme.ctx, Y)
+    _require_decode_caps(scheme, whole=False)
     [images] = _coset_images(scheme.ctx, [scheme.coset_elements(S)], A)
     return _coset_score(scheme.ctx, images, Y)
 
@@ -145,28 +167,22 @@ def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
 def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
     """Return the message of the unique closest coset; ties are reported as
     ambiguous rather than broken, so capability boundaries stay observable."""
+    _require_word(scheme.ctx, Y)
+    m, N = scheme.ctx.m, A.nrows
+    if scheme.ctx.q == 2 and m * N <= 22 and N * scheme.n <= 32 and m * scheme.c1.k <= 20:
+        return _decode_packed(scheme, A, Y)
     messages, cosets = _cosets(scheme)
     images = _coset_images(scheme.ctx, cosets, A)
     return _closest(zip(messages, (_coset_score(scheme.ctx, im, Y) for im in images)))
 
 
 def _closest(scored) -> DecodeResult:
-    """Unique minimizer of (message, discrepancy) pairs; a tie for the
-    minimum is ambiguous."""
-    best_val = best_msg = runner = None
-    tie = False
-    for S, val in scored:
-        if best_val is None or val < best_val:
-            runner = best_val
-            best_val, best_msg, tie = val, S, False
-        elif val == best_val:
-            tie = True
-            runner = val
-        elif runner is None or val < runner:
-            runner = val
-    if tie:
-        return DecodeResult("ambiguous", None, best_val, runner)
-    return DecodeResult("decoded", best_msg, best_val, runner)
+    """Unique minimizer of (message, discrepancy) pairs, runner_up the second
+    least discrepancy; a tie for the minimum is ambiguous."""
+    (message, best), (_, runner) = sorted(scored, key=lambda pair: pair[1])[:2]
+    if best == runner:
+        return DecodeResult("ambiguous", None, best, runner)
+    return DecodeResult("decoded", message, best, runner)
 
 
 def _difference_words(scheme: NestedScheme) -> list[tuple[int, ...]]:
@@ -239,6 +255,7 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
     """Fewest injected packets explaining Y under some transfer matrix of
     rank >= n - rho, minimized over the coset of S.  The oracle mode
     minimizes over every transfer matrix by brute force."""
+    _require_word(lifted.ctx, Y)
     if mode == "fast":
         A, y, shift = _as_coherent(lifted, Y, rho)
         return discrepancy_coherent(lifted.inner, A, y, S) + shift
@@ -256,6 +273,7 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
 def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> DecodeResult:
     """decode_coherent of the inner scheme under _as_coherent(Y), with its
     discrepancies shifted."""
+    _require_word(lifted.ctx, Y)
     A, y, shift = _as_coherent(lifted, Y, rho)
     result = decode_coherent(lifted.inner, A, y)
     return replace(result, discrepancy=result.discrepancy + shift,
@@ -381,7 +399,8 @@ def _slice_tables(vectors: tuple[tuple[int, ...], ...], m: int, n: int,
     images = np.zeros((N * n, len(vectors), N), dtype=np.uint32)
     for b in range(N * n):
         images[b, :, b // n] = X[:, b % n]
-    unit = _pack_vectors(images.reshape(-1, N), m, N).reshape(N * n, len(vectors))
+    unit = _pack_vectors(images.reshape(N * n * len(vectors), N), m, N)  # N = 0 too
+    unit = unit.reshape(N * n, len(vectors))
     tables = []
     for shift in range(0, N * n, 8):
         table = np.zeros((1, len(vectors)), dtype=np.uint32)
@@ -414,13 +433,11 @@ def _generator_keys(scheme: NestedScheme, a_keys: np.ndarray, N: int) -> np.ndar
     return _product_keys(generators, a_keys, scheme.ctx.m, scheme.n, N)
 
 
-def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
-                            N: int) -> tuple[int, int] | None:
-    """(i, c) for the first transfer key a_keys[i] under which some nonzero
-    combo fails for an error of rank <= t, c the least such combo; or None.
-    Combo c fails exactly when a member of (l_c + C2) A^T has rank <= 2t."""
-    table = packed_rank_table(scheme.ctx.m, N).table
-    n_c2, bits = scheme.ctx.m * scheme.c2.k, scheme.ctx.m * scheme.c1.k
+def _codeword_runs(scheme: NestedScheme, a_keys: np.ndarray,
+                   N: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, first, keys) in order: keys[a, i] is the packed key of
+    codeword first + i of C1 (_generator_keys order) under a_keys[start + a]."""
+    bits = scheme.ctx.m * scheme.c1.k
     # many A at once when all of C1 fits in the block; else one A in runs of
     # 2^low codewords, the low generators' span plus each sum of the high ones
     low = min(bits, PACKED_BLOCK.bit_length() - 1)
@@ -429,12 +446,50 @@ def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
         gen_keys = _generator_keys(scheme, a_keys[start:start + batch], N)
         span = _span_keys(gen_keys[:, :low])
         for high, offsets in enumerate(_span_keys(gen_keys[:, low:]).T):
-            failing = table[span ^ offsets[:, None] if high else span] <= 2 * t
-            failing[:, :max(0, (1 << n_c2) - (high << low))] = False  # true coset
-            if failing.any():
-                a, i = divmod(int(failing.argmax()), failing.shape[1])
-                return start + a, ((high << low) + i) >> n_c2
+            yield start, high << low, span ^ offsets[:, None] if high else span
+
+
+def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
+                            N: int) -> tuple[int, int] | None:
+    """(i, c) for the first transfer key a_keys[i] under which some nonzero
+    combo fails for an error of rank <= t, c the least such combo; or None.
+    Combo c fails exactly when a member of (l_c + C2) A^T has rank <= 2t."""
+    table = packed_rank_table(scheme.ctx.m, N).table
+    n_c2 = scheme.ctx.m * scheme.c2.k
+    for start, first, keys in _codeword_runs(scheme, a_keys, N):
+        failing = table[keys] <= 2 * t
+        failing[:, :max(0, (1 << n_c2) - first)] = False  # true coset
+        if failing.any():
+            a, i = divmod(int(failing.argmax()), failing.shape[1])
+            return start + a, (first + i) >> n_c2
     return None
+
+
+def _decode_packed(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
+    """decode_coherent at q = 2: every codeword key of C1 under A XOR the key
+    of Y, one rank-table lookup each, least per coset of C2."""
+    ctx, n, N = scheme.ctx, scheme.n, A.nrows
+    _require_decode_caps(scheme)
+    if A.ncols != n:
+        raise DimensionMismatch("A ncols must equal len(x)")
+    if not all(c in (0, 1) for row in A.rows for c in row):
+        raise PreconditionError("A must have base-field entries in 0..1")
+    if len(Y) != N:
+        raise DimensionMismatch("vector lengths differ")
+    a_key = np.array([pack_key([pack_row_bits(row) for row in A.rows], n)], dtype=np.uint32)
+    # one word: plain ints, 20 times faster here than _pack_vectors' numpy passes
+    y_key = np.uint32(pack_key([pack_row_bits([(y >> r) & 1 for y in Y])
+                                for r in range(ctx.m)], N))
+    table = packed_rank_table(ctx.m, N).table
+    scores = np.concatenate([table[keys[0] ^ y_key]
+                             for _, _, keys in _codeword_runs(scheme, a_key, N)])
+    scores = scores.reshape(-1, scheme.c2.codeword_count()).min(axis=1)
+    best, runner = map(int, np.partition(scores, 1)[:2])
+    if best == runner:
+        return DecodeResult("ambiguous", None, best, runner)
+    c = int(scores.argmin())
+    message = tuple((c >> (i * ctx.m)) & (ctx.order - 1) for i in range(scheme.l))
+    return DecodeResult("decoded", message, best, runner)
 
 
 def _failing_blocks(scheme: NestedScheme, a_key: int, e_keys: np.ndarray,

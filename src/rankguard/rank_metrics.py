@@ -34,7 +34,6 @@ InvariantViolated on a gap above that bound.  The reference,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bitrank import rank_bits
 from .codes import LinearCode, quotient_dim
@@ -190,34 +189,3 @@ def first_rgrw(c1: LinearCode, c2: LinearCode, **kw) -> int:
     """Smallest rank weight over C1 \\ C2 (the first entry of the weight table)."""
     return rgrw(c1, c2, **kw).at(1)
 
-
-def verify_bounds(c1: LinearCode, c2: LinearCode) -> dict:
-    """Check every structural bound the weights must satisfy; all should pass
-    for any correctly computed pair, so a failure flags an implementation bug.
-    The profile's endpoints and unit steps, and strictly increasing weights,
-    are not reported: rdip and weights_from_profile raise on them."""
-    ctx = c1.ctx
-    n, m = c1.n, ctx.m
-    profile = rdip(c1, c2)
-    weights = weights_from_profile(profile)
-    l = c1.k - c2.k
-    report: dict[str, bool] = {}
-    cap_term = min(n - c1.k, (m - 1) * l)
-    report["generalized_singleton"] = all(
-        weights.at(i) <= cap_term + i for i in range(1, l + 1))
-    # first-weight refinement with the m(n-k1)/(n-k2) term, compared exactly
-    extra = Fraction(m * (n - c1.k), n - c2.k)
-    report["first_weight_bound"] = Fraction(weights.at(1) - 1) <= min(
-        Fraction(cap_term), extra)
-    if c2.k == 0 and m >= 2:
-        d = weights.at(1)
-        k = c1.k
-        if n <= m:
-            ok = d <= n - k + 1
-        elif k == 1:
-            ok = d <= (m - 1) * k + 1
-        else:
-            ok = Fraction(d - 1) <= Fraction(m * (n - k), n)
-        report["distance_case_split"] = ok
-    report["all"] = all(report.values())
-    return report

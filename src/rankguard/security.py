@@ -332,9 +332,6 @@ class JointDistribution:
         return (entropy + self.entropy(observed)
                 - self.entropy(key * len(self._weights) + observed))
 
-    def conditional_message_entropy(self, B: Matrix) -> LogQuantity:
-        return self.message_entropy() - self.mutual_information(B)
-
 
 # -- leakage over all wiretap matrices ----------------------------------------
 

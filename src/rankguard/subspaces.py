@@ -111,23 +111,3 @@ class SubspaceFamily:
         for ids in self.bases:
             yield LinearCode(ctx, [row_digits(b, ctx.q, n) for b in ids], n)
 
-
-def frobenius_image(V: LinearCode, iterate: int = 1) -> LinearCode:
-    ctx = V.ctx
-    rows = [[ctx.frobenius(a, iterate) for a in row] for row in V.gen.rows]
-    return LinearCode(ctx, rows, V.n)
-
-
-def is_qinvariant(V: LinearCode) -> bool:
-    """True iff the Frobenius image of every basis row stays inside V."""
-    ctx = V.ctx
-    return all(V.contains_word(tuple(ctx.frobenius(a) for a in row))
-               for row in V.gen.rows)
-
-
-def galois_closure(V: LinearCode) -> LinearCode:
-    """Smallest Frobenius-invariant subspace containing V: sum of V^(q^i)."""
-    acc = V
-    for i in range(1, V.ctx.m):
-        acc = acc.sum_with(frobenius_image(V, i))
-    return acc

@@ -53,6 +53,7 @@ def test_build_scheme_and_reports(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["rgrw", "rdip"])
 def test_tables_profile_the_pair_once(tmp_path, monkeypatch, command):
     from rankguard import rank_metrics
+    from test_rank_metrics import verify_bounds
 
     built = []
 
@@ -72,7 +73,7 @@ def test_tables_profile_the_pair_once(tmp_path, monkeypatch, command):
                 "--out", str(tmp_path / "table.csv")]) == 0
     assert len(built) == 1
     built.clear()
-    assert rank_metrics.verify_bounds(c1, c2)["all"]
+    assert verify_bounds(c1, c2)["all"]
     assert len(built) == 1
 
 

@@ -5,10 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankguard import EnumerationTooLarge, PreconditionError, ctx_new, decoder
+from rankguard import (
+    EnumerationTooLarge,
+    PreconditionError,
+    RankguardError,
+    coset_scheme,
+    ctx_new,
+    decoder,
+)
 from rankguard.bitrank import pack_key, packed_rank_table
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
+from rankguard.errors import DimensionMismatch
 from rankguard.decoder import (
     _error_keys,
     _exhaustive_coherent,
@@ -675,6 +683,165 @@ def test_failure_witness_flagship():
     wit = construct_failure_witness(s, t=1, rho=0)
     assert wit["demonstrates_failure"]
     assert rank_weight(F16, wit["injected"]) <= 1
+
+
+def _field_decode(scheme, A, Y):
+    """decode_coherent on field arithmetic: every coset member's image scored."""
+    ctx = scheme.ctx
+    messages, cosets = decoder._cosets(scheme)
+    images = decoder._coset_images(ctx, cosets, A)
+    return decoder._closest(zip(messages, (decoder._coset_score(ctx, im, Y) for im in images)))
+
+
+DECODE_CASES = {
+    # (inner scheme, outer field of its lifting or None): C2 = {0} and
+    # C2 != {0}, one and two message symbols
+    "[3,1]": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)), None),
+    "[3,2]": (lambda rng: _isometric_copy(rng, flagship()), None),
+    "[2,2] l=2": (lambda rng: _isometric_copy(rng, build_proposed(F16, l=2, n=2, k=2)), None),
+    "two-symbol": (lambda rng: _isometric_copy(rng, _two_symbol_scheme()), None),
+    "lifted [3,2]": (lambda rng: _isometric_copy(rng, flagship()), ctx_new(2, 7)),
+    "lifted [2,2] l=2": (lambda rng: build_proposed(F16, l=2, n=2, k=2), ctx_new(2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_CASES))
+def test_packed_decode_matches_field_decode(case):
+    # the whole DecodeResult, runner-up and ties included, at every budget;
+    # a lifted case compares the inner decode under the received header
+    build, outer = DECODE_CASES[case]
+    rng = random.Random(95)
+    inner = build(rng)
+    scheme = inner if outer is None else lift(inner, outer)
+    ctx, n = scheme.ctx, scheme.n
+    outcomes = set()
+    for N, t, rho in itertools.product((n, n + 1), range(3), range(n + 1)):
+        A = sample_transfer(rng, 2, N, n, rho)
+        D, Z = sample_error_pair(rng, ctx, N, t)
+        S = tuple(rng.randrange(inner.ctx.order) for _ in range(scheme.l))
+        X = inner.encode(S, rng) if outer is None else scheme.lift_encode(S, rng)
+        Y = transmit(ctx, X, A, D, Z)
+        if outer is not None:
+            A, Y, _ = decoder._as_coherent(scheme, Y, rho)
+        got = decode_coherent(inner, A, Y)
+        assert got == _field_decode(inner, A, Y)
+        outcomes.add((got.status, got.message == S))
+    assert outcomes == {("decoded", True), ("decoded", False), ("ambiguous", False)}
+
+
+def test_decode_with_no_received_packet():
+    # rho = n admits the 0 x n transfer matrix: nothing arrives, every coset
+    # ties, and both exhaustive modes refute at the empty error
+    s = flagship()
+    A = Matrix(GF2, [], s.n)
+    assert decode_coherent(s, A, ()) == _field_decode(s, A, ()) == decoder.DecodeResult(
+        "ambiguous", None, 0, 0)
+    generic = _exhaustive_coherent_generic(s, 0, s.n, 0).to_json()
+    assert capability_report(s, 0, s.n, N=0).to_json() == generic
+    for mode in ("exhaustive-full", "sampled"):
+        assert not capability_report(s, 0, s.n, mode=mode, N=0, trials=3).verified
+
+
+def test_q2_decodes_skip_field_scoring(monkeypatch):
+    # the packed decode scores C1's codeword keys; a fallback to the coset
+    # images would pass every equality test on the slow path
+    def no_images(*args):
+        pytest.fail("a q = 2 decode scored coset images")
+
+    images, imaged = decoder._coset_images, []
+    monkeypatch.setattr(decoder, "_coset_images", no_images)
+    s, lifted = flagship(), _lifted_instance()  # first weight 2
+    for scheme in (s, lifted):
+        for t, rho in [(0, 1), (1, 0)]:
+            report = capability_report(scheme, t, rho, mode="sampled", trials=30, seed=5)
+            assert report.verified == (2 * t + rho < 2)
+    assert construct_failure_witness(s, t=1, rho=0)["demonstrates_failure"]
+
+    def counted(*args):
+        imaged.append(args)
+        return images(*args)
+
+    # q = 3 stays on the field path
+    monkeypatch.setattr(decoder, "_coset_images", counted)
+    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+    X = ternary.encode((5,), random.Random(0))
+    assert decode_coherent(ternary, Matrix.identity(ternary.ctx.base, 2), X).message == (5,)
+    assert len(imaged) == 1
+
+
+RECEIVED_CASES = {
+    "q2": (flagship, ctx_new(2, 7)),
+    "q3": (lambda: build_proposed(ctx_new(3, 3), l=1, n=2, k=2), ctx_new(3, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
+def test_decoders_refuse_symbols_outside_the_field(case):
+    # -1 once looped forever in rank_bits, q^m decoded as its low digits,
+    # and either would spill into the next row of a packed key
+    build, outer = RECEIVED_CASES[case]
+    scheme = build()
+    lifted = lift(scheme, outer)
+    ctx, n, S = scheme.ctx, scheme.n, (0,) * scheme.l
+    A = Matrix.identity(ctx.base, n)
+    for bad in (-1, ctx.order):
+        Y = (bad,) + (0,) * (n - 1)
+        for call in (lambda: decode_coherent(scheme, A, Y),
+                     lambda: discrepancy_coherent(scheme, A, Y, S)):
+            with pytest.raises(PreconditionError, match="received symbols"):
+                call()
+    for bad in (-1, outer.order):
+        Y = (bad,) + lifted.lift_vector((0,) * n)[1:]
+        for call in (lambda: decode_noncoherent(lifted, Y, 0),
+                     lambda: discrepancy_noncoherent(lifted, Y, S, 0),
+                     lambda: discrepancy_noncoherent(lifted, Y, S, 0, mode="oracle")):
+            with pytest.raises(PreconditionError, match="received symbols"):
+                call()
+
+
+def _refusal(call):
+    """(exception type, message) of a refused call."""
+    with pytest.raises(RankguardError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+REFUSALS = ["decode cap", "coset cap", "message cap", "A cols", "A entry", "Y length"]
+
+
+@pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
+    # each refusal of the coset scans, raised by the packed path at q = 2
+    # with the field path's exception and message
+    scheme = RECEIVED_CASES[case][0]()
+    ctx, n, S = scheme.ctx, scheme.n, (0,) * scheme.l
+    A, Y = Matrix.identity(ctx.base, n), (1,) + (0,) * (n - 1)
+    expected = {"A cols": DimensionMismatch, "A entry": PreconditionError,
+                "Y length": DimensionMismatch}.get(refusal, EnumerationTooLarge)
+    if refusal == "decode cap":
+        monkeypatch.setattr(decoder, "DEFAULT_DECODE_CAP", scheme.c1.codeword_count() - 1)
+    elif refusal == "coset cap":
+        monkeypatch.setattr(decoder, "DEFAULT_COSET_CAP", scheme.c2.codeword_count() - 1)
+    elif refusal == "message cap":
+        monkeypatch.setattr(coset_scheme, "DEFAULT_MESSAGE_CAP", scheme.message_count() - 1)
+    elif refusal == "A cols":
+        A = Matrix(ctx.base, [[1] * (n + 1)] * n, n + 1)
+    elif refusal == "A entry":
+        A = Matrix(ctx.base, [[ctx.q] + [0] * (n - 1)] + list(A.rows[1:]), n)
+    else:
+        Y += (0,)
+    field = _refusal(lambda: _field_decode(scheme, A, Y))
+    assert field[0] is expected
+    # one coset: the decode and message caps do not apply
+    if refusal in ("decode cap", "message cap"):
+        assert discrepancy_coherent(scheme, A, Y, S) == 1
+    else:
+        assert _refusal(lambda: discrepancy_coherent(scheme, A, Y, S))[0] is expected
+    if ctx.q == 2:
+        for name in ("_cosets", "_coset_images"):
+            monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("fell back"))
+    assert _refusal(lambda: decode_coherent(scheme, A, Y)) == field
 
 
 def _lifted_instance():

@@ -77,16 +77,26 @@ def test_no_per_call_cap_parameters(path):
     assert found == [], f"{path.name} takes per-call caps: {found}"
 
 
+def _module_value(tree, name: str):
+    """The literal assigned to a module-level name; frozenset({...}) reads
+    as its set."""
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]]
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "frozenset":
+        [value] = value.args
+    return ast.literal_eval(value)
+
+
 def test_traced_names_resolve():
-    # the perfbench tracer counts calls by name, and a name that no longer
-    # resolves only warns on stderr and counts 0; read its table, not import it
+    # the perfbench tracer names the functions it counts and those it keeps
+    # out of its spans; a stale name only warns on stderr and counts 0, or
+    # lets the renamed function open spans; read its tables, not import them
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    [counts] = [ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COUNTS"]]
+    counted = {n.removeprefix("yields:") for names in _module_value(tree, "COUNTS").values()
+               for n in names}
     missing = []
-    for name in sorted({n.removeprefix("yields:") for names in counts.values() for n in names}):
+    for name in sorted(counted | _module_value(tree, "NOT_SPANNED")):
         module, *attrs = name.split(".")
         obj = importlib.import_module(f"rankguard.{module}")
         for attr in attrs:

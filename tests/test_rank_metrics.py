@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ from rankguard.rank_metrics import (
     rdlp,
     rghw,
     rgrw,
-    verify_bounds,
     weights_from_profile,
 )
 from rankguard.subspaces import SubspaceFamily, row_digits
@@ -277,6 +277,38 @@ def test_rgrw_never_exceeds_rghw():
         rank_w = rgrw(c1, c2)
         ham_w = rghw(c1, c2)
         assert all(r <= h for r, h in zip(rank_w.values, ham_w.values))
+
+
+def verify_bounds(c1: LinearCode, c2: LinearCode) -> dict:
+    """Check every structural bound the weights must satisfy; all should pass
+    for any correctly computed pair, so a failure flags an implementation bug.
+    The profile's endpoints and unit steps, and strictly increasing weights,
+    are not reported: rdip and weights_from_profile raise on them."""
+    ctx = c1.ctx
+    n, m = c1.n, ctx.m
+    profile = rdip(c1, c2)
+    weights = weights_from_profile(profile)
+    l = c1.k - c2.k
+    report: dict[str, bool] = {}
+    cap_term = min(n - c1.k, (m - 1) * l)
+    report["generalized_singleton"] = all(
+        weights.at(i) <= cap_term + i for i in range(1, l + 1))
+    # first-weight refinement with the m(n-k1)/(n-k2) term, compared exactly
+    extra = Fraction(m * (n - c1.k), n - c2.k)
+    report["first_weight_bound"] = Fraction(weights.at(1) - 1) <= min(
+        Fraction(cap_term), extra)
+    if c2.k == 0 and m >= 2:
+        d = weights.at(1)
+        k = c1.k
+        if n <= m:
+            ok = d <= n - k + 1
+        elif k == 1:
+            ok = d <= (m - 1) * k + 1
+        else:
+            ok = Fraction(d - 1) <= Fraction(m * (n - k), n)
+        report["distance_case_split"] = ok
+    report["all"] = all(report.values())
+    return report
 
 
 def test_verify_bounds_all_pass():

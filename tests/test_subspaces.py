@@ -13,9 +13,7 @@ from rankguard.subspaces import (
     SubspaceFamily,
     _family_bases,
     enumerate_base_subspaces,
-    galois_closure,
     gaussian_binomial,
-    is_qinvariant,
     rank_r_count,
     row_digits,
 )
@@ -23,6 +21,27 @@ from rankguard.subspaces import (
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
 A = F16.alpha
+
+
+def frobenius_image(V: LinearCode, iterate: int = 1) -> LinearCode:
+    ctx = V.ctx
+    rows = [[ctx.frobenius(a, iterate) for a in row] for row in V.gen.rows]
+    return LinearCode(ctx, rows, V.n)
+
+
+def is_qinvariant(V: LinearCode) -> bool:
+    """True iff the Frobenius image of every basis row stays inside V."""
+    ctx = V.ctx
+    return all(V.contains_word(tuple(ctx.frobenius(a) for a in row))
+               for row in V.gen.rows)
+
+
+def galois_closure(V: LinearCode) -> LinearCode:
+    """Smallest Frobenius-invariant subspace containing V: sum of V^(q^i)."""
+    acc = V
+    for i in range(1, V.ctx.m):
+        acc = acc.sum_with(frobenius_image(V, i))
+    return acc
 
 
 def test_gaussian_binomial_values():
