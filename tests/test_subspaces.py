@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -106,6 +108,49 @@ def test_family_cache_is_bounded():
     assert info.maxsize == FAMILY_CACHE_SIZE
     assert info.currsize == FAMILY_CACHE_SIZE
     _family_bases.cache_clear()
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# (q, n) -> digests of the canonical bases as matrices, and of the row ids of
+# both family kinds, each over every dimension i = 0..n
+ORDER_DIGESTS = {
+    (2, 5): ("0a64f04db8d4f3138a616db8558dc3c93390dd1ca395e29e9b230cff28f7ac0f",
+             "1afaf18a0ee3153bfceb0851c05ddae08e91a2af15161823d4166647e25ad877",
+             "218352adf252a8c9ce41382c2866e6d7b95f76a99873d27991bde882d6a376ad"),
+    (2, 6): ("10482c4bc59dc90f72534e5a7cf342024bf142f0a4499677bda8a4bf970fef90",
+             "7b8dc36409a34c5d7c500f8f0be41d14293d23945224cb0eb2354951f8d94a52",
+             "8b9b4411bbef0f5d2eef266497cc876aae6fcef742f2228d17349bd9d270ff38"),
+    (3, 4): ("7b4364c58d6f5f136b26ebbc8f039267f3d86ad588e00f792ba05af8f75436a2",
+             "d1839a75268776f94ed8976f526f6b57fe89a95480f06aa3740e7cffd1e0e67c",
+             "3a95cdde678e21a7a2c47e852d017cf603e099150793bb45e4ef472d1671a202"),
+    (5, 3): ("8826f1ba3e2600a59321dac14e07cfb7f996a3c9c3e27e43c0b3fee78973ec09",
+             "126db5c159b3ca2174d3c11ec2b810a9cb592535a62b4d928eace3ddec7d4c3f",
+             "e016716eccfe3fd6ce6bfc2b0db397c943ca14f3ce30042052e9e4533272dca9"),
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(ORDER_DIGESTS))
+def test_enumeration_order_digest(q, n):
+    # profile witnesses, wiretap maximizers and counterexample indices all
+    # follow this order
+    ctx, dims = ctx_new(q, 1), range(n + 1)
+    rows, qinvariant, coordinate = ORDER_DIGESTS[q, n]
+    assert _digest([[B.rows for B in enumerate_base_subspaces(q, n, i)] for i in dims]) == rows
+    for kind, digest in [("qinvariant", qinvariant), ("coordinate", coordinate)]:
+        assert _digest([list(SubspaceFamily(ctx, n, i, kind).bases) for i in dims]) == digest
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_enumeration_is_complete(q, n):
+    # every rank-i matrix has its row space's canonical basis yielded, once
+    for i in range(n + 1):
+        yielded = Counter(B.rows for B in enumerate_base_subspaces(q, n, i))
+        assert set(yielded.values()) == {1}
+        spans = {M.row_basis().rows for M in all_matrices(q, i, n) if M.rank() == i}
+        assert set(yielded) == spans
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 4, 4), (3, 2, 3)])
