@@ -94,7 +94,7 @@ from .network import (
     transmit,
 )
 from .rank_metrics import first_rgrw, rank_weight
-from .subspaces import enumerate_base_subspaces, rank_r_count
+from .subspaces import base_subspace_ids, enumerate_base_subspaces, rank_r_count
 
 DEFAULT_COSET_CAP = 2**16
 DEFAULT_DECODE_CAP = 2**20
@@ -208,12 +208,9 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     if not 0 <= rho <= n:
         raise PreconditionError("need 0 <= rho <= n")
     words = _difference_words(scheme)
-    best = None
-    for r in range(n - rho, n + 1):
-        for Abase in enumerate_base_subspaces(scheme.ctx.q, n, r):
-            d = _closest_difference(scheme.ctx, words, Abase)[0] if r else 0
-            if best is None or d < best:
-                best = d
+    best = n  # no v A^T has rank above n
+    for A in _canonical_transfers(scheme.ctx.q, n, n, rho):
+        best = min(best, _closest_difference(scheme.ctx, words, A)[0])
         if best == 0:
             break
     return best
@@ -352,8 +349,7 @@ def _error_keys(ctx, N: int, t: int) -> np.ndarray:
     spread = _pack_vectors(np.outer(ctx.nonzero(), np.arange(N) == 0), ctx.m, N)
     parts, nz = [np.zeros(1, dtype=np.uint32)], len(spread)
     for r in range(1, min(t, N, ctx.m) + 1):
-        rows = np.array([[pack_row_bits(row) for row in R.rows]
-                         for R in enumerate_base_subspaces(2, N, r)], dtype=np.uint32)
+        rows = np.array(list(base_subspace_ids(2, N, r)), dtype=np.uint32)
         count = len(rows) * nz ** r
         for lo in range(0, count, PACKED_BLOCK):
             idx = np.arange(lo, min(lo + PACKED_BLOCK, count), dtype=np.int64)
@@ -602,8 +598,9 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N)
     e_keys = _error_keys(ctx, N, t)
-    a_keys = np.fromiter((pack_key([pack_row_bits(r) for r in A.rows], n)
-                          for A in _canonical_transfers(ctx.q, n, N, rho)), dtype=np.uint32)
+    # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
+    a_keys = np.fromiter((pack_key(ids, n) for r in range(n - rho, min(n, N) + 1)
+                          for ids in base_subspace_ids(2, n, r)), dtype=np.uint32)
     hit = _first_failing_transfer(scheme, a_keys, t, N)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive", t, rho, N,

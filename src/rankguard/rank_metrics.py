@@ -18,7 +18,7 @@ base-field RREF basis B, so one kernel serves them.  With H a parity check
 of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
-give B as a tuple of row ids (see `subspaces`), and each code memoizes the
+stream B as a tuple of row ids (see `subspaces`), and each code memoizes the
 column H b^T of every distinct row id, so a gap is two `rank_of_rows`
 calls on i memoized columns and builds no Matrix.  The reference,
 `LinearCode.intersect`, works on any V through duals,

@@ -7,19 +7,18 @@ each, lifted to the extension by the constant embedding.  Coordinate
 subspaces E_I (unit-vector spans) are the sub-family behind the classical
 Hamming-side profiles.
 
-A family holds each basis as a tuple of row ids, the integers whose base-q
-digits (least significant first) are the rows; E_I has the ids q^c, c in I.
-The tuples are built once per (q, n, i, kind), after the cap check, into an
-LRU cache of FAMILY_CACHE_SIZE families.  Enumeration order is deterministic:
-lexicographic over RREF pivot patterns, then lexicographic over the free
-entries, so streamed reductions and golden files are reproducible.
+A basis is a tuple of row ids, the integers whose base-q digits (least
+significant first) are the rows; E_I has the ids q^c, c in I.  One generator,
+`base_subspace_ids`, yields them, a family streams them afresh on each pass,
+and `enumerate_base_subspaces` lifts them to matrices.  The order is fixed:
+RREF pivot patterns lexicographically, then a counter over the free entries
+(row 0's first free column fastest), so reductions and golden files repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
@@ -30,8 +29,6 @@ from .linalg import Matrix
 
 #: Families larger than this refuse to enumerate rather than silently sample.
 DEFAULT_FAMILY_CAP = 10**6
-#: Families whose row ids stay cached; the least recently used is evicted first.
-FAMILY_CACHE_SIZE = 64
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -54,17 +51,26 @@ def rank_r_count(q: int, nrows: int, ncols: int, r: int) -> int:
     return count
 
 
+def base_subspace_ids(q: int, n: int, i: int) -> Iterator[tuple[int, ...]]:
+    """Row ids of the RREF basis of every i-dim subspace of F_q^n, canonical order."""
+    for pivots in combinations(range(n), i):
+        # each row: a one at its pivot, then free later non-pivot columns, first fastest
+        rows = []
+        for p in pivots:
+            ids = [q**p]
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    ids = [b + d * q**c for d in range(q) for b in ids]
+            rows.append(ids)
+        for ids in product(*rows[::-1]):  # row 0 fastest
+            yield ids[::-1]
+
+
 def enumerate_base_subspaces(q: int, n: int, i: int) -> Iterator[Matrix]:
     """All i-dim subspaces of F_q^n as RREF basis matrices, canonical order."""
     base = PrimeField(q)
-    for pivots in combinations(range(n), i):
-        # entry (r, c) is free iff c > pivots[r] and c is not a pivot column
-        slots = [(r, c) for r in range(i) for c in range(pivots[r] + 1, n) if c not in pivots]
-        for assign in range(q ** len(slots)):
-            rows = [[int(c == p) for c in range(n)] for p in pivots]
-            for j, (r, c) in enumerate(slots):
-                rows[r][c] = assign // q**j % q
-            yield Matrix(base, rows, n)
+    for ids in base_subspace_ids(q, n, i):
+        yield Matrix(base, [row_digits(b, q, n) for b in ids], n)
 
 
 def row_digits(row_id: int, q: int, n: int) -> tuple[int, ...]:
@@ -72,17 +78,9 @@ def row_digits(row_id: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(row_id // q**c % q for c in range(n))
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family_bases(q: int, n: int, i: int, kind: str) -> tuple[tuple[int, ...], ...]:
-    if kind == "coordinate":
-        return tuple(tuple(q**c for c in idx) for idx in combinations(range(n), i))
-    return tuple(tuple(sum(v * q**c for c, v in enumerate(row)) for row in B.rows)
-                 for B in enumerate_base_subspaces(q, n, i))
-
-
 @dataclass
 class SubspaceFamily:
-    """Family of i-dim subspaces spanned by base-field vectors, with `bases`
+    """Family of i-dim subspaces spanned by base-field vectors; `bases` streams
     one row-id tuple per subspace: every Frobenius-invariant subspace (kind
     "qinvariant") or the coordinate subspaces E_I (kind "coordinate")."""
 
@@ -104,7 +102,12 @@ class SubspaceFamily:
             raise EnumerationTooLarge(
                 f"{self.kind} family of {count} subspaces exceeds cap {DEFAULT_FAMILY_CAP}")
         self.count = count
-        self.bases = _family_bases(self.ctx.q, self.n, self.i, self.kind)
+
+    @property
+    def bases(self) -> Iterator[tuple[int, ...]]:
+        if self.kind == "coordinate":
+            return combinations([self.ctx.q**c for c in range(self.n)], self.i)
+        return base_subspace_ids(self.ctx.q, self.n, self.i)
 
     def __iter__(self) -> Iterator[LinearCode]:
         ctx, n = self.ctx, self.n

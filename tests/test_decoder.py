@@ -49,6 +49,7 @@ from rankguard.linalg import (
 from rankguard.network import (
     all_matrices,
     enumerate_errors,
+    error_count,
     sample_error_pair,
     sample_invertible,
     sample_matrix,
@@ -453,6 +454,30 @@ def test_q2_exhaustive_reports_skip_error_stream(monkeypatch):
     ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
     assert not capability_report(ternary, 1, 0).verified
     assert len(streamed) == 1
+
+
+def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
+    # at q = 2 row ids are the rows' bits: error and transfer keys come from
+    # the id stream; only a counterexample rebuilds its A as a Matrix
+    def no_matrices(*args):
+        pytest.fail("a q = 2 packed path built subspace matrices")
+
+    enumerate_matrices, built = decoder.enumerate_base_subspaces, []
+    monkeypatch.setattr(decoder, "enumerate_base_subspaces", no_matrices)
+    assert len(_error_keys(ctx_new(2, 3), 4, 2)) == error_count(ctx_new(2, 3), 4, 2)
+    s = flagship()  # first weight 2
+    for mode in ("exhaustive", "exhaustive-full"):
+        for t, rho in [(0, 0), (0, 1)]:
+            assert capability_report(s, t, rho, mode=mode).verified
+
+    def counted(*args):
+        built.append(args)
+        return enumerate_matrices(*args)
+
+    # q = 3 stays on the generic path, which visits transfer matrices
+    monkeypatch.setattr(decoder, "enumerate_base_subspaces", counted)
+    assert not capability_report(build_proposed(ctx_new(3, 3), l=1, n=2, k=1), 1, 0).verified
+    assert built
 
 
 @pytest.mark.parametrize("k", [1, 2])

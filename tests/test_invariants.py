@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,12 @@ def test_profile_index_out_of_range():
             table.at(i)
 
 
-def _raises_assertion_error(node) -> bool:
+def _raises(node, name: str) -> bool:
+    """True iff node is a raise statement of the exception class `name`."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(exc, ast.Name) and exc.id == name
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -46,8 +50,7 @@ def test_no_assert_statements(path):
     # handling as a traceback; invariants must raise InvariantViolated
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
-             or isinstance(node, ast.Raise) and node.exc is not None
-             and _raises_assertion_error(node)]
+             or _raises(node, "AssertionError")]
     assert lines == [], f"{path.name} uses assert or raises AssertionError at lines {lines}"
 
 
@@ -75,6 +78,21 @@ def test_no_per_call_cap_parameters(path):
     found = [f"{node.name}({name})" for node in ast.walk(tree)
              for name in _parameters(node) if _is_cap_option(name)]
     assert found == [], f"{path.name} takes per-call caps: {found}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_enumeration_caps_are_in_readme(path):
+    # the caps a user can hit (EnumerationTooLarge, exit 3) are the module
+    # constants that the raising functions read; README lists each one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+    read = {node.id for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(_raises(node, "EnumerationTooLarge") for node in ast.walk(fn))
+            for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id in constants}
+    missing = sorted(name for name in read if not re.search(rf"\b{name}\b", readme))
+    assert missing == [], f"README does not list the caps {missing} of {path.name}"
 
 
 def _module_value(tree, name: str):

@@ -171,7 +171,7 @@ from rankguard.subspaces import SubspaceFamily
 ctx = ctx_new(2, 4)
 c1, c2 = gabidulin(ctx, 4, 2), LinearCode.zero(ctx, 4)
 truth = rank_metrics.rdip(c1, c2).values
-target = SubspaceFamily(ctx, 4, 2).bases[0]
+target = next(iter(SubspaceFamily(ctx, 4, 2).bases))
 
 
 class FaultyEngine(rank_metrics._PairEngine):
@@ -190,13 +190,43 @@ except InvariantViolated as exc:
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
-def test_gap_above_unit_step_raises(flags):
+def _run_script(script: str, flags=()) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "InvariantViolated: gap 2 at level 2 exceeds the unit-step bound 1\n"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_gap_above_unit_step_raises(flags):
+    assert _run_script(FAULT_SCRIPT, flags) == (
+        "InvariantViolated: gap 2 at level 2 exceeds the unit-step bound 1\n")
+
+
+RESIDENT_SCRIPT = """
+import gc
+import tracemalloc
+
+from rankguard import ctx_new, rank_metrics
+from rankguard.codes import gabidulin
+
+ctx = ctx_new(2, 6)
+c1, c2 = gabidulin(ctx, 6, 3), gabidulin(ctx, 6, 1)
+c1.dual(), c2.dual()  # each code keeps its dual
+tracemalloc.start()
+print(rank_metrics.rdip(c1, c2).values)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_no_family_resident_after_rdip():
+    # the seven families of n = 6 hold 2825 bases; a profile streams them and
+    # keeps none once it returns
+    values, retained = _run_script(RESIDENT_SCRIPT).splitlines()
+    assert values == "(0, 0, 0, 0, 1, 2, 2)"
+    assert int(retained) < 64 * 1024
 
 
 def test_rdip_independent_oracle():

@@ -11,9 +11,7 @@ from rankguard.codes import LinearCode
 from rankguard.linalg import expand_to_base
 from rankguard.network import all_matrices
 from rankguard.subspaces import (
-    FAMILY_CACHE_SIZE,
     SubspaceFamily,
-    _family_bases,
     enumerate_base_subspaces,
     gaussian_binomial,
     rank_r_count,
@@ -86,28 +84,17 @@ def test_enumeration_cap(monkeypatch):
         SubspaceFamily(F16, 4, 2)
 
 
-def test_cached_family_still_checks_cap(monkeypatch):
-    assert SubspaceFamily(F16, 4, 2).count == 35  # cached under the default cap
-    hits = _family_bases.cache_info().hits
+def test_every_family_checks_cap(monkeypatch):
+    # nothing is kept between constructions, so each one checks the cap
+    assert SubspaceFamily(F16, 4, 2).count == 35
     monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 35)
     assert SubspaceFamily(F16, 4, 2).count == 35
-    assert _family_bases.cache_info().hits == hits + 1
     monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 10)
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2)
     monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 5)
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2, "coordinate")
-
-
-def test_family_cache_is_bounded():
-    _family_bases.cache_clear()
-    for n in range(FAMILY_CACHE_SIZE + 10):
-        SubspaceFamily(F16, n, min(n, 1), "coordinate")
-    info = _family_bases.cache_info()
-    assert info.maxsize == FAMILY_CACHE_SIZE
-    assert info.currsize == FAMILY_CACHE_SIZE
-    _family_bases.cache_clear()
 
 
 def _digest(obj) -> str:
@@ -161,7 +148,7 @@ def test_row_ids_are_base_q_digits_in_enumeration_order(q, m, n):
         assert [tuple(row_digits(b, q, n) for b in ids) for ids in bases] == [
             B.rows for B in enumerate_base_subspaces(q, n, i)]
         coords = SubspaceFamily(ctx, n, i, "coordinate").bases
-        assert coords == tuple(tuple(q**c for c in idx) for idx in combinations(range(n), i))
+        assert tuple(coords) == tuple(tuple(q**c for c in idx) for idx in combinations(range(n), i))
 
 
 def test_coordinate_family_inside_qinvariant_family():
