@@ -89,7 +89,7 @@ def test_enumeration_caps_are_in_readme(path):
     constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
                  for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
     read = {node.id for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-            and any(_raises(node, "EnumerationTooLarge") for node in ast.walk(fn))
+            and any(_raises(stmt, "EnumerationTooLarge") for stmt in ast.walk(fn))
             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id in constants}
     missing = sorted(name for name in read if not re.search(rf"\b{name}\b", readme))
     assert missing == [], f"README does not list the caps {missing} of {path.name}"
