@@ -11,6 +11,7 @@ V of F_{q^m}^n is a LinearCode, with sums, intersections and the dual
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -26,10 +27,18 @@ from .errors import (
     json_field,
 )
 from .gf import FieldCtx, ctx_from_json
-from .linalg import Matrix, expand_to_base, solve_right, vec_mat
+from .linalg import Matrix, expand_to_base, vec_mat
 
-#: Exhaustive codeword scans refuse above this many codewords.
+#: Listings of F_{q^m} vectors (codewords, messages, coset members, a joint
+#: support) refuse above this many vectors.
 DEFAULT_SCAN_CAP = 2**20
+
+
+def require_scan_cap(count: int) -> None:
+    """Refuse a listing of count vectors of F_{q^m} past DEFAULT_SCAN_CAP."""
+    if count > DEFAULT_SCAN_CAP:
+        raise EnumerationTooLarge(
+            f"scan cap: {count} vectors over F_(q^m) exceed cap {DEFAULT_SCAN_CAP}")
 
 
 class LinearCode:
@@ -65,9 +74,7 @@ class LinearCode:
         return self.ctx.order**self.k
 
     def codewords(self) -> Iterator[tuple[int, ...]]:
-        if self.codeword_count() > DEFAULT_SCAN_CAP:
-            raise EnumerationTooLarge(
-                f"(q^m)^k = {self.codeword_count()} exceeds cap {DEFAULT_SCAN_CAP}")
+        require_scan_cap(self.codeword_count())
         for u in self.messages():
             yield self.encode(u)
 
@@ -77,16 +84,16 @@ class LinearCode:
         return vec_mat(self.ctx, u, self.gen)
 
     def contains_word(self, v: Sequence[int]) -> bool:
+        """v lies in the code iff v H^T = 0, H the cached dual's generator."""
         if len(v) != self.n:
             raise DimensionMismatch("word length must be n")
-        if self.k == 0:
-            return all(x == 0 for x in v)
-        return solve_right(self.gen, v) is not None
+        ctx = self.ctx
+        return not any(reduce(ctx.add, map(ctx.mul, v, h), ctx.zero)
+                       for h in self.dual().gen.rows)
 
     def contains(self, other: "LinearCode") -> bool:
         self._check(other)
-        parity_t = self.dual().gen.transpose()  # other <= self iff G_other H^T = 0
-        return not any(any(vec_mat(self.ctx, row, parity_t)) for row in other.gen.rows)
+        return all(self.contains_word(row) for row in other.gen.rows)
 
     def _check(self, other: "LinearCode") -> None:
         if other.n != self.n or other.ctx != self.ctx:

@@ -21,12 +21,11 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .codes import LinearCode, gabidulin, quotient_dim
+from .codes import LinearCode, gabidulin, quotient_dim, require_scan_cap
 from .errors import (
     BadDimensions,
     DegreeMismatch,
     DimensionMismatch,
-    EnumerationTooLarge,
     PacketTooShort,
     PreconditionError,
     json_field,
@@ -34,8 +33,6 @@ from .errors import (
 )
 from .gf import FieldCtx, ctx_from_json
 from .linalg import Matrix, solve_right, vec_add, vec_mat
-
-DEFAULT_MESSAGE_CAP = 2**20
 
 
 class NestedScheme:
@@ -58,9 +55,7 @@ class NestedScheme:
     # -- the bijection ---------------------------------------------------------
 
     def messages(self) -> Iterator[tuple[int, ...]]:
-        if self.message_count() > DEFAULT_MESSAGE_CAP:
-            raise EnumerationTooLarge(
-                f"(q^m)^l = {self.message_count()} exceeds cap {DEFAULT_MESSAGE_CAP}")
+        require_scan_cap(self.message_count())
         return itertools.product(self.ctx.elements(), repeat=self.l)
 
     def message_count(self) -> int:

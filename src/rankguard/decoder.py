@@ -76,6 +76,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table
+from .codes import require_scan_cap
 from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
@@ -96,9 +97,6 @@ from .network import (
 from .rank_metrics import first_rgrw, rank_weight
 from .subspaces import base_subspace_ids, enumerate_base_subspaces, rank_r_count
 
-DEFAULT_COSET_CAP = 2**16
-DEFAULT_DECODE_CAP = 2**20
-DEFAULT_ORACLE_A_CAP = 2**18
 DEFAULT_SAMPLED_BUDGET = 10**5
 
 
@@ -123,22 +121,10 @@ def _require_word(ctx, Y: Sequence[int]) -> None:
         raise PreconditionError(f"received symbols must be integers in 0..{ctx.order - 1}")
 
 
-def _require_decode_caps(scheme: NestedScheme, whole: bool = True) -> None:
-    """Refuse a coset past DEFAULT_COSET_CAP and, when every coset is scored
-    (whole), C1 past DEFAULT_DECODE_CAP or the messages past the messages()
-    cap, as the coset scans would."""
-    if whole and scheme.message_count() * scheme.c2.codeword_count() > DEFAULT_DECODE_CAP:
-        raise EnumerationTooLarge("coset family too large to scan")
-    if scheme.c2.codeword_count() > DEFAULT_COSET_CAP:
-        raise EnumerationTooLarge("coset too large to scan")
-    if whole:
-        scheme.messages()  # raises past coset_scheme.DEFAULT_MESSAGE_CAP
-
-
 def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
     """(messages, each message's coset members), in messages() order: the
-    zero message, whose coset is C2, comes first."""
-    _require_decode_caps(scheme)
+    zero message, whose coset is C2, comes first.  Together they list C1."""
+    require_scan_cap(scheme.c1.codeword_count())
     messages = list(scheme.messages())
     return messages, [list(scheme.coset_elements(S)) for S in messages]
 
@@ -159,7 +145,6 @@ def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
                          S: Sequence[int]) -> int:
     """Fewest injected packets explaining Y if the coset of S was sent."""
     _require_word(scheme.ctx, Y)
-    _require_decode_caps(scheme, whole=False)
     [images] = _coset_images(scheme.ctx, [scheme.coset_elements(S)], A)
     return _coset_score(scheme.ctx, images, Y)
 
@@ -169,7 +154,7 @@ def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> Decode
     ambiguous rather than broken, so capability boundaries stay observable."""
     _require_word(scheme.ctx, Y)
     m, N = scheme.ctx.m, A.nrows
-    if scheme.ctx.q == 2 and m * N <= 22 and N * scheme.n <= 32 and m * scheme.c1.k <= 20:
+    if scheme.ctx.q == 2 and m * N <= 22 and N * scheme.n <= 32:
         return _decode_packed(scheme, A, Y)
     messages, cosets = _cosets(scheme)
     images = _coset_images(scheme.ctx, cosets, A)
@@ -258,11 +243,10 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
         return discrepancy_coherent(lifted.inner, A, y, S) + shift
     if mode == "oracle":
         ctx, N, n = lifted.ctx, len(Y), lifted.n
-        if ctx.q ** (N * n) > DEFAULT_ORACLE_A_CAP:
-            raise EnumerationTooLarge("oracle mode enumerates every transfer matrix")
+        transfers = all_matrices(ctx.q, N, n)
         members = list(lifted.coset_elements(S))
         return min((rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
-                    for A in all_matrices(ctx.q, N, n) if A.rank() >= n - rho
+                    for A in transfers if A.rank() >= n - rho
                     for X in members), default=None)
     raise PreconditionError(f"unknown mode {mode!r}")
 
@@ -465,7 +449,7 @@ def _decode_packed(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeR
     """decode_coherent at q = 2: every codeword key of C1 under A XOR the key
     of Y, one rank-table lookup each, least per coset of C2."""
     ctx, n, N = scheme.ctx, scheme.n, A.nrows
-    _require_decode_caps(scheme)
+    require_scan_cap(scheme.c1.codeword_count())
     if A.ncols != n:
         raise DimensionMismatch("A ncols must equal len(x)")
     if not all(c in (0, 1) for row in A.rows for c in row):
@@ -592,8 +576,9 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
 
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Row-space check; for q = 2 the packed decider visits one canonical A
-    per row space (N x n transfer keys are uint32).  Beyond 2^20 messages or
-    coset members the generic path refuses, as the enumeration caps do."""
+    per row space (N x n transfer keys are uint32).  It lists no vector on
+    field arithmetic, so its bit bounds alone apply; past 2^20 messages or
+    coset members the generic path takes over, refusing C1 past the scan cap."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N)
@@ -647,8 +632,8 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     decider finds the first failing A and its least failing combo c; the
     kernel scores that A alone, for c's first failing error."""
     ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
-    _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22),
-                                            ("m*dim C1", m * scheme.c1.k, 20)])
+    _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22)])
+    require_scan_cap(scheme.c1.codeword_count())
     a_keys = _transfer_keys(N, n, rho)
     e_keys = _error_keys(ctx, N, t)
     hit = _first_failing_transfer(scheme, a_keys, t, N)

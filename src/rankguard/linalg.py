@@ -100,10 +100,6 @@ class Matrix:
             out.append(out_row)
         return Matrix(f, out, other.ncols)
 
-    def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
-
     # -- canonical form -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:

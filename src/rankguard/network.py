@@ -14,14 +14,11 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatch, EnumerationTooLarge, InfeasibleRank
+from .errors import DimensionMismatch, InfeasibleRank
 from .gf import FieldCtx, PrimeField
 from .linalg import Matrix, ext_vec_times_base_transpose, vec_add, vec_mat
 from .rank_metrics import rank_weight
-from .subspaces import enumerate_base_subspaces, gaussian_binomial, rank_r_count
-
-DEFAULT_ENUM_CAP = 10**6
-FALLBACK_REJECTION_TRIES = 10**4
+from .subspaces import enumerate_base_subspaces, gaussian_binomial, rank_r_count, require_enum_cap
 
 
 def sample_matrix(rng: random.Random, q: int, nrows: int, ncols: int) -> Matrix:
@@ -40,16 +37,12 @@ def sample_transfer(rng: random.Random, q: int, N: int, n: int, rho_max: int) ->
     """Uniform over F_q^(N x n) conditioned on rank >= n - rho_max."""
     if rho_max < 0 or N < n - rho_max:
         raise InfeasibleRank(f"no {N}x{n} matrix has rank >= {n - rho_max}")
-    for _ in range(FALLBACK_REJECTION_TRIES):
+    # a draw is kept with probability >= prod_{j>=1} (1 - 2^-j) > 0.28, as
+    # n - rho_max <= min(N, n), so rejection ends after few draws
+    while True:
         A = sample_matrix(rng, q, N, n)
         if A.rank() >= n - rho_max:
             return A
-    # q=2 desk scale essentially never gets here; build rank n-rho directly
-    r = n - rho_max
-    base = PrimeField(q)
-    core = Matrix(base, [[1 if i == j else 0 for j in range(n)] for i in range(r)]
-                  + [[0] * n for _ in range(N - r)], n)
-    return sample_invertible(rng, q, N).matmul(core).matmul(sample_invertible(rng, q, n))
 
 
 def sample_error_pair(rng: random.Random, ctx: FieldCtx, N: int, t: int) -> tuple[Matrix, tuple[int, ...]]:
@@ -78,15 +71,12 @@ def enumerate_wiretap(q: int, n: int, mu: int, mode: str = "rowspace") -> Iterat
     yields every raw mu x n matrix (cap permitting).
     """
     if mode == "rowspace":
-        total = sum(gaussian_binomial(n, i, q) for i in range(min(mu, n) + 1))
-        if total > DEFAULT_ENUM_CAP:
-            raise EnumerationTooLarge(f"{total} row spaces exceed cap {DEFAULT_ENUM_CAP}")
+        require_enum_cap(sum(gaussian_binomial(n, i, q) for i in range(min(mu, n) + 1)),
+                         "row spaces")
         for i in range(min(mu, n) + 1):
             yield from enumerate_base_subspaces(q, n, i)
         return
     if mode == "full":
-        if q ** (mu * n) > DEFAULT_ENUM_CAP:
-            raise EnumerationTooLarge(f"q^(mu*n) = {q**(mu*n)} exceeds cap {DEFAULT_ENUM_CAP}")
         yield from all_matrices(q, mu, n)
         return
     raise DimensionMismatch(f"unknown wiretap enumeration mode {mode!r}")
@@ -97,12 +87,14 @@ def all_matrices(q: int, nrows: int, ncols: int) -> Iterator[Matrix]:
 
     This is the order of a counter whose base-q digits fill the entries
     row-major, least significant first.  Callers that keep the first
-    maximizer (full-mode leakage) depend on it.  No cap: callers check theirs.
+    maximizer (full-mode leakage) depend on it.  The cap is checked at the
+    call, before the first matrix is asked for.
     """
+    require_enum_cap(q ** (nrows * ncols), "matrices")
     base = PrimeField(q)
-    for digits in itertools.product(range(q), repeat=nrows * ncols):
-        flat = digits[::-1]
-        yield Matrix(base, [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
+    return (Matrix(base, [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
+            for digits in itertools.product(range(q), repeat=nrows * ncols)
+            for flat in [digits[::-1]])
 
 
 def error_count(ctx: FieldCtx, N: int, t: int) -> int:
@@ -112,9 +104,8 @@ def error_count(ctx: FieldCtx, N: int, t: int) -> int:
 
 
 def require_error_cap(ctx: FieldCtx, N: int, t: int) -> None:
-    """Refuse an error ball larger than DEFAULT_ENUM_CAP."""
-    if (count := error_count(ctx, N, t)) > DEFAULT_ENUM_CAP:
-        raise EnumerationTooLarge(f"{count} errors exceed cap {DEFAULT_ENUM_CAP}")
+    """Refuse an error ball past the enumeration cap."""
+    require_enum_cap(error_count(ctx, N, t), "errors")
 
 
 def enumerate_errors(ctx: FieldCtx, N: int, t: int) -> Iterator[tuple[int, ...]]:

@@ -38,21 +38,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitrank import PACKED_BLOCK
+from .codes import require_scan_cap
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .linalg import Matrix
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
 
-DEFAULT_SUPPORT_CAP = 2**20
 MAX_STRENGTH_SUBSET_BITS = 12
-
-
-def _check_support_cap(scheme: NestedScheme) -> None:
-    support_size = scheme.message_count() * scheme.c2.codeword_count()
-    if support_size > DEFAULT_SUPPORT_CAP:
-        raise EnumerationTooLarge(
-            f"support of {support_size} pairs exceeds cap {DEFAULT_SUPPORT_CAP}")
 
 
 def _log_big(x: int) -> float:
@@ -182,15 +175,16 @@ class JointDistribution:
 
     Entries carry integer weights over the common denominator T; the
     support is every coset member of every message, so uniform weights give
-    the canonical 'S uniform, X conditionally uniform' case.  The support is
-    held as arrays: message symbols, weights (int64 while T fits, else
-    Python ints), a key of X, and the base-q digits of X (entries x n x m).
+    the canonical 'S uniform, X conditionally uniform' case; the support is
+    C1, so the scan cap bounds it.  The support is held as arrays: message
+    symbols, weights (int64 while T fits, else Python ints), a key of X, and
+    the base-q digits of X (entries x n x m).
     """
 
     def __init__(self, scheme: NestedScheme, weights: dict):
         self.scheme = scheme
         self.ctx = scheme.ctx
-        _check_support_cap(scheme)
+        require_scan_cap(scheme.c1.codeword_count())
         support = [(S, X, w) for (S, X), w in weights.items() if w]
         self.total = sum(w for _, _, w in support)
         if self.total <= 0 or any(w < 0 for _, _, w in support):
@@ -218,7 +212,7 @@ class JointDistribution:
 
     @staticmethod
     def uniform(scheme: NestedScheme) -> "JointDistribution":
-        _check_support_cap(scheme)
+        require_scan_cap(scheme.c1.codeword_count())
         weights = {}
         for S in scheme.messages():
             for X in scheme.coset_elements(S):
@@ -233,7 +227,7 @@ class JointDistribution:
         Per-coset weight patterns share a common sum so that one global
         denominator exists; weights are >= 1, keeping full support.
         """
-        _check_support_cap(scheme)
+        require_scan_cap(scheme.c1.codeword_count())
         coset_size = scheme.c2.codeword_count()
         pattern_sum = None
         weights = {}

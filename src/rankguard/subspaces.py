@@ -27,8 +27,15 @@ from .errors import EnumerationTooLarge, PreconditionError
 from .gf import FieldCtx, PrimeField
 from .linalg import Matrix
 
-#: Families larger than this refuse to enumerate rather than silently sample.
-DEFAULT_FAMILY_CAP = 10**6
+#: Enumerations of base-field objects (subspace families, wiretap row spaces,
+#: error balls, raw matrices) refuse above this many rather than sample.
+DEFAULT_ENUM_CAP = 10**6
+
+
+def require_enum_cap(count: int, what: str) -> None:
+    """Refuse an enumeration of count base-field objects past DEFAULT_ENUM_CAP."""
+    if count > DEFAULT_ENUM_CAP:
+        raise EnumerationTooLarge(f"enumeration cap: {count} {what} exceed cap {DEFAULT_ENUM_CAP}")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -98,9 +105,7 @@ class SubspaceFamily:
             count = comb(self.n, self.i)
         else:
             raise PreconditionError(f"unknown family kind {self.kind!r}")
-        if count > DEFAULT_FAMILY_CAP:
-            raise EnumerationTooLarge(
-                f"{self.kind} family of {count} subspaces exceeds cap {DEFAULT_FAMILY_CAP}")
+        require_enum_cap(count, f"{self.kind} subspaces")
         self.count = count
 
     @property

@@ -12,7 +12,7 @@ from rankguard import (
     ctx_new,
 )
 from rankguard.codes import LinearCode, gabidulin
-from rankguard.linalg import Matrix
+from rankguard.linalg import Matrix, solve_right
 from rankguard.rank_metrics import rank_weight
 
 F16 = ctx_new(2, 4)
@@ -142,8 +142,8 @@ def test_contains():
 
 @pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
 def test_contains_matches_row_by_row(q, m):
-    # the parity-check test against contains_word on each generator row, over
-    # random codes, subcodes of them, the zero code and the full space
+    # the parity-check test against solving x G = row for each generator row,
+    # over random codes, subcodes of them, the zero code and the full space
     ctx, n = ctx_new(q, m), 4
     rng = random.Random(50 + q)
     codes = [LinearCode.zero(ctx, n), LinearCode.full(ctx, n)]
@@ -154,10 +154,26 @@ def test_contains_matches_row_by_row(q, m):
     outcomes = set()
     for a in codes:
         for b in codes:
-            expect = all(a.contains_word(row) for row in b.gen.rows)
+            expect = all(solve_right(a.gen, row) is not None for row in b.gen.rows)
             assert a.contains(b) == expect
             outcomes.add((expect, b.k > 0 and a.k < n))
     assert outcomes == {(True, True), (False, True), (True, False)}
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("k", range(4))
+def test_contains_word_matches_solve_right(q, m, k):
+    # the syndrome test against solving x G = v, on random words and on
+    # codewords, from the zero code (k = 0) to the full space (k = n)
+    ctx, n = ctx_new(q, m), 3
+    rng = random.Random(10 * q + k)
+    code = rand_code(rng, ctx, n, k)
+    words = [tuple(rng.randrange(ctx.order) for _ in range(n)) for _ in range(40)]
+    words += [code.encode([rng.randrange(ctx.order) for _ in range(k)]) for _ in range(10)]
+    outcomes = {code.contains_word(v) for v in words}
+    assert outcomes == ({True} if k == n else {True, False})
+    for v in words:
+        assert code.contains_word(v) == (solve_right(code.gen, v) is not None)
 
 
 def test_min_rank_distance_refuses_past_scan_cap(monkeypatch):

@@ -9,7 +9,7 @@ from rankguard import (
     EnumerationTooLarge,
     PreconditionError,
     RankguardError,
-    coset_scheme,
+    codes,
     ctx_new,
     decoder,
 )
@@ -341,9 +341,11 @@ def test_q2_rowspace_check_takes_packed_path(monkeypatch):
     for t in range(3):
         for rho in range(s.n + 1):
             assert capability_report(s, t, rho).verified == (2 * t + rho < 2)
-    # dim C1 = 3 over F_2^7: 2^21 codewords, but 2^14 messages and 2^7 coset
-    # members, within the enumeration caps
+    # dim C1 = 3 over F_2^7: 2^21 codewords, past the scan cap, but 2^14
+    # messages and 2^7 coset members, within the packed bit bounds
     wide = build_proposed(ctx_new(2, 7), l=2, n=3, k=3)
+    with pytest.raises(EnumerationTooLarge, match="scan cap: 2097152 vectors"):
+        _exhaustive_coherent_generic(wide, 0, 0, wide.n)
     assert first_rgrw(wide.c1, wide.c2) == 1
     assert capability_report(wide, 0, 0).verified
     for t, rho in [(0, 1), (1, 0)]:
@@ -831,7 +833,7 @@ def _refusal(call):
     return type(info.value), str(info.value)
 
 
-REFUSALS = ["decode cap", "coset cap", "message cap", "A cols", "A entry", "Y length"]
+REFUSALS = ["decode cap", "coset cap", "A cols", "A entry", "Y length"]
 
 
 @pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
@@ -844,12 +846,11 @@ def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
     A, Y = Matrix.identity(ctx.base, n), (1,) + (0,) * (n - 1)
     expected = {"A cols": DimensionMismatch, "A entry": PreconditionError,
                 "Y length": DimensionMismatch}.get(refusal, EnumerationTooLarge)
+    # the scan cap just below |C1| refuses whole decodes, just below |C2| a lone coset too
     if refusal == "decode cap":
-        monkeypatch.setattr(decoder, "DEFAULT_DECODE_CAP", scheme.c1.codeword_count() - 1)
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_CAP", scheme.c1.codeword_count() - 1)
     elif refusal == "coset cap":
-        monkeypatch.setattr(decoder, "DEFAULT_COSET_CAP", scheme.c2.codeword_count() - 1)
-    elif refusal == "message cap":
-        monkeypatch.setattr(coset_scheme, "DEFAULT_MESSAGE_CAP", scheme.message_count() - 1)
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_CAP", scheme.c2.codeword_count() - 1)
     elif refusal == "A cols":
         A = Matrix(ctx.base, [[1] * (n + 1)] * n, n + 1)
     elif refusal == "A entry":
@@ -858,8 +859,8 @@ def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
         Y += (0,)
     field = _refusal(lambda: _field_decode(scheme, A, Y))
     assert field[0] is expected
-    # one coset: the decode and message caps do not apply
-    if refusal in ("decode cap", "message cap"):
+    # one coset lists C2 alone
+    if refusal == "decode cap":
         assert discrepancy_coherent(scheme, A, Y, S) == 1
     else:
         assert _refusal(lambda: discrepancy_coherent(scheme, A, Y, S))[0] is expected

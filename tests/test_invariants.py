@@ -6,8 +6,22 @@ from pathlib import Path
 import pytest
 
 import rankguard
-from rankguard import InvariantViolated, RankguardError
+from rankguard import (
+    EnumerationTooLarge,
+    InvariantViolated,
+    RankguardError,
+    codes,
+    ctx_new,
+    decoder,
+    subspaces,
+)
+from rankguard.coset_scheme import build_proposed, lift
+from rankguard.decoder import capability_report, decode_coherent, discrepancy_noncoherent
+from rankguard.linalg import Matrix
+from rankguard.network import all_matrices, enumerate_errors, enumerate_wiretap
 from rankguard.rank_metrics import ProfileTable, _validate_profile
+from rankguard.security import JointDistribution
+from rankguard.subspaces import SubspaceFamily
 
 SRC = Path(rankguard.__file__).parent
 
@@ -95,6 +109,30 @@ def test_enumeration_caps_are_in_readme(path):
     assert missing == [], f"README does not list the caps {missing} of {path.name}"
 
 
+def _module_constants() -> dict[str, set[str]]:
+    """The upper-case module-level names each src module assigns."""
+    constants = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants[path.stem] = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                                for t in node.targets if isinstance(t, ast.Name)
+                                and t.id.isupper()}
+    return constants
+
+
+def test_readme_caps_are_constants():
+    # the other direction: a constant README names in backticks, bare or as
+    # module.NAME, is still assigned by that module (or by some module)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    constants = _module_constants()
+    named = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9]*_[A-Z0-9_]+)`", readme)
+    assert len(named) >= 5
+    stale = [f"{module}.{name}" if module else name for module, name in named
+             if name not in (constants.get(module, set()) if module
+                             else set().union(*constants.values()))]
+    assert stale == [], f"README names constants that no module defines: {stale}"
+
+
 def _module_value(tree, name: str):
     """The literal assigned to a module-level name; frozenset({...}) reads
     as its set."""
@@ -122,3 +160,68 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(name)
     assert missing == [], f"traced names that no longer resolve: {missing}"
+
+
+# -- one cap per kind of enumeration --------------------------------------------
+
+
+def _refusal(call) -> str:
+    with pytest.raises(EnumerationTooLarge) as info:
+        call()
+    return str(info.value)
+
+
+def test_every_vector_listing_reads_the_scan_cap(monkeypatch):
+    # codes.DEFAULT_SCAN_CAP, lowered once, refuses every listing of F_{q^m}
+    # vectors with one message: the count listed, then the cap
+    q2 = build_proposed(ctx_new(2, 4), l=1, n=3, k=2)  # |C1| = 256, 16 messages
+    q3 = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)  # |C1| = 27
+    A3, Y3 = Matrix.identity(q3.ctx.base, 2), (1, 0)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_CAP", 10)
+    refused = {
+        "codewords": (lambda: next(q2.c1.codewords()), 256),
+        "messages": (q2.messages, 16),
+        "uniform": (lambda: JointDistribution.uniform(q2), 256),
+        "decode q3": (lambda: decode_coherent(q3, A3, Y3), 27),
+        "capability q3": (lambda: capability_report(q3, 0, 0), 27),
+    }
+    messages = {what: _refusal(call) for what, (call, _) in refused.items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(decoder, "_cosets", lambda *args: pytest.fail("fell back"))
+        A2 = Matrix.identity(q2.ctx.base, 3)
+        messages["packed decode q2"] = _refusal(lambda: decode_coherent(q2, A2, (1, 0, 0)))
+    refused["packed decode q2"] = (None, 256)
+    assert messages == {what: f"scan cap: {count} vectors over F_(q^m) exceed cap 10"
+                        for what, (_, count) in refused.items()}
+
+
+def test_one_refusal_for_a_scheme_past_the_scan_cap():
+    # |C1| = 2^21 over F_2^7: leakage, a decode and the full sweep refuse it
+    # with one message (the packed row-space check still verifies it)
+    wide = build_proposed(ctx_new(2, 7), l=2, n=3, k=3)
+    A, Y = Matrix.identity(wide.ctx.base, 3), (0, 0, 0)
+    messages = {_refusal(lambda: JointDistribution.uniform(wide)),
+                _refusal(lambda: decode_coherent(wide, A, Y)),
+                _refusal(lambda: capability_report(wide, 0, 0, mode="exhaustive-full"))}
+    assert messages == {"scan cap: 2097152 vectors over F_(q^m) exceed cap 1048576"}
+
+
+def test_every_base_field_enumeration_reads_the_enum_cap(monkeypatch):
+    # subspaces.DEFAULT_ENUM_CAP, lowered once, refuses every enumeration of
+    # base-field objects, all_matrices at the call, with one message format
+    f16 = ctx_new(2, 4)
+    lifted = lift(build_proposed(f16, l=1, n=3, k=2), ctx_new(2, 7))
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 10)
+    refused = [  # (call, count, what is counted)
+        (lambda: SubspaceFamily(f16, 4, 2), 35, "qinvariant subspaces"),
+        (lambda: SubspaceFamily(f16, 6, 2, "coordinate"), 15, "coordinate subspaces"),
+        (lambda: list(enumerate_wiretap(2, 4, 2)), 1 + 15 + 35, "row spaces"),
+        (lambda: list(enumerate_wiretap(2, 2, 2, mode="full")), 16, "matrices"),
+        (lambda: list(enumerate_errors(f16, 3, 1)), 1 + 7 * 15, "errors"),
+        (lambda: decoder._error_keys(f16, 3, 1), 1 + 7 * 15, "errors"),
+        (lambda: all_matrices(2, 2, 2), 16, "matrices"),
+        (lambda: discrepancy_noncoherent(lifted, (1, 2, 3), (0,), 0, mode="oracle"), 2**9,
+         "matrices"),
+    ]
+    assert [_refusal(call) for call, _, _ in refused] == [
+        f"enumeration cap: {count} {what} exceed cap 10" for _, count, what in refused]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankguard import EnumerationTooLarge, InfeasibleRank, ctx_new, network
+from rankguard import EnumerationTooLarge, InfeasibleRank, ctx_new
 from rankguard.gf import PrimeField
 from rankguard.linalg import Matrix, expand_to_base, vec_mat, embed_base_matrix
 from rankguard.network import (
@@ -31,18 +31,6 @@ def test_sample_transfer_full_rank_forced():
     for _ in range(50):
         A = sample_transfer(rng, 2, 3, 3, 0)
         assert A.rank() == 3
-
-
-@pytest.mark.parametrize("q, N, n, rho", [(2, 4, 3, 1), (3, 3, 4, 1), (2, 2, 4, 2),
-                                          (5, 2, 2, 0)])
-def test_sample_transfer_fallback(monkeypatch, q, N, n, rho):
-    # no rejection draw: the direct construction of rank n - rho answers
-    monkeypatch.setattr(network, "FALLBACK_REJECTION_TRIES", 0)
-    rng = random.Random(65)
-    for _ in range(20):
-        A = sample_transfer(rng, q, N, n, rho)
-        assert (A.nrows, A.ncols) == (N, n)
-        assert A.rank() == n - rho
 
 
 def test_sample_transfer_infeasible():

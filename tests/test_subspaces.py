@@ -79,7 +79,7 @@ def test_zero_dim_family_is_zero_space():
 
 
 def test_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 10)
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2)
 
@@ -87,12 +87,12 @@ def test_enumeration_cap(monkeypatch):
 def test_every_family_checks_cap(monkeypatch):
     # nothing is kept between constructions, so each one checks the cap
     assert SubspaceFamily(F16, 4, 2).count == 35
-    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 35)
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 35)
     assert SubspaceFamily(F16, 4, 2).count == 35
-    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 10)
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2)
-    monkeypatch.setattr(subspaces, "DEFAULT_FAMILY_CAP", 5)
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 5)
     with pytest.raises(EnumerationTooLarge):
         SubspaceFamily(F16, 4, 2, "coordinate")
 
