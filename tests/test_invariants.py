@@ -176,23 +176,23 @@ def test_every_vector_listing_reads_the_scan_cap(monkeypatch):
     # vectors with one message: the count listed, then the cap
     q2 = build_proposed(ctx_new(2, 4), l=1, n=3, k=2)  # |C1| = 256, 16 messages
     q3 = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)  # |C1| = 27
-    A3, Y3 = Matrix.identity(q3.ctx.base, 2), (1, 0)
     monkeypatch.setattr(codes, "DEFAULT_SCAN_CAP", 10)
-    refused = {
-        "codewords": (lambda: next(q2.c1.codewords()), 256),
-        "messages": (q2.messages, 16),
-        "uniform": (lambda: JointDistribution.uniform(q2), 256),
-        "decode q3": (lambda: decode_coherent(q3, A3, Y3), 27),
-        "capability q3": (lambda: capability_report(q3, 0, 0), 27),
-    }
-    messages = {what: _refusal(call) for what, (call, _) in refused.items()}
-    with monkeypatch.context() as patch:
-        patch.setattr(decoder, "_cosets", lambda *args: pytest.fail("fell back"))
-        A2 = Matrix.identity(q2.ctx.base, 3)
-        messages["packed decode q2"] = _refusal(lambda: decode_coherent(q2, A2, (1, 0, 0)))
-    refused["packed decode q2"] = (None, 256)
-    assert messages == {what: f"scan cap: {count} vectors over F_(q^m) exceed cap 10"
-                        for what, (_, count) in refused.items()}
+
+    def packed_decode():
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "_cosets", lambda *args: pytest.fail("fell back"))
+            decode_coherent(q2, Matrix.identity(q2.ctx.base, 3), (1, 0, 0))
+
+    refused = [  # (call, vectors it would list)
+        (lambda: next(q2.c1.codewords()), 256),
+        (q2.messages, 16),
+        (lambda: JointDistribution.uniform(q2), 256),
+        (packed_decode, 256),
+        (lambda: decode_coherent(q3, Matrix.identity(q3.ctx.base, 2), (1, 0)), 27),
+        (lambda: capability_report(q3, 0, 0), 27),
+    ]
+    assert [_refusal(call) for call, _ in refused] == [
+        f"scan cap: {count} vectors over F_(q^m) exceed cap 10" for _, count in refused]
 
 
 def test_one_refusal_for_a_scheme_past_the_scan_cap():
