@@ -95,7 +95,8 @@ from .network import (
     transmit,
 )
 from .rank_metrics import first_rgrw, rank_weight
-from .subspaces import base_subspace_ids, enumerate_base_subspaces, rank_r_count
+from .subspaces import (base_subspace_ids, enumerate_base_subspaces, gaussian_binomial,
+                        rank_r_count, require_enum_cap)
 
 DEFAULT_SAMPLED_BUDGET = 10**5
 
@@ -560,9 +561,17 @@ def _exhaustive_report(scheme, mode: str, t: int, rho: int, N: int, trials: int,
         counterexample=counterexample)
 
 
+def _require_transfer_cap(q: int, n: int, N: int, rho: int) -> None:
+    """Admit the transfer family, every row space of F_q^n of dimension
+    n - rho .. min(n, N), before its first member is listed."""
+    require_enum_cap(sum(gaussian_binomial(n, r, q) for r in range(n - rho, min(n, N) + 1)),
+                     "transfer row spaces")
+
+
 def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
     """One N x n transfer matrix per row space of dimension >= n - rho: the
     canonical basis padded with zero rows."""
+    _require_transfer_cap(q, n, N, rho)
     for r in range(n - rho, min(n, N) + 1):
         for Abase in enumerate_base_subspaces(q, n, r):
             yield Matrix(Abase.field, list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
@@ -577,12 +586,14 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Row-space check; for q = 2 the packed decider visits one canonical A
     per row space (N x n transfer keys are uint32).  It lists no vector on
-    field arithmetic, so its bit bounds alone apply; past 2^20 messages or
-    coset members the generic path takes over, refusing C1 past the scan cap."""
+    field arithmetic, so its bit bounds and the transfer family's enumeration
+    cap apply, not the scan cap; past 2^20 messages or coset members the
+    generic path takes over, refusing C1 past the scan cap."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         return _exhaustive_coherent_generic(scheme, t, rho, N)
     e_keys = _error_keys(ctx, N, t)
+    _require_transfer_cap(2, n, N, rho)
     # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
     a_keys = np.fromiter((pack_key(ids, n) for r in range(n - rho, min(n, N) + 1)
                           for ids in base_subspace_ids(2, n, r)), dtype=np.uint32)

@@ -11,6 +11,7 @@ Vectors are plain tuples and are always treated as row vectors.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -253,28 +254,27 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
     return tuple(out)
 
 
-def rank_of_rows(field, rows: Iterable[Sequence[int]]) -> int:
-    """Rank over any field of the small protocol, by elimination on plain lists
-    with no Matrix: each nonzero row in turn clears its leading column from the rest."""
+def extend_echelon(field, pivots: tuple, row: Sequence[int]) -> tuple:
+    """Add row to pivots, (leading column, row with a one there) pairs sorted
+    by column: clear it at each pivot in that order, which never refills a
+    cleared column, and insert what is left at its leading column, scaled to
+    one.  A dependent row returns pivots itself."""
     mul = field.mul
     sub = xor if field.q == 2 else field.sub  # in characteristic 2, a - b = a ^ b
-    rows, rank = [r for r in rows if any(r)], 0
-    while rows:
-        pivot = rows.pop()
-        c = 0
-        while not pivot[c]:
-            c += 1
-        scale = field.inv(pivot[c])
-        rank += 1
-        left = []
-        for r in rows:
-            if r[c]:
-                f = mul(r[c], scale)
-                r = [sub(a, mul(f, b)) for a, b in zip(r, pivot)]
-            if any(r):
-                left.append(r)
-        rows = left
-    return rank
+    for c, pivot in pivots:
+        f = row[c]
+        if f:
+            row = [sub(a, mul(f, b)) if b else a for a, b in zip(row, pivot)]
+    for c, a in enumerate(row):
+        if a:  # no two pivots share a leading column, so sorting compares columns only
+            scale = field.inv(a)
+            return tuple(sorted((*pivots, (c, [mul(scale, b) for b in row]))))
+    return pivots
+
+
+def rank_of_rows(field, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over any field of the small protocol, on plain lists with no Matrix."""
+    return len(reduce(lambda pivots, row: extend_echelon(field, pivots, row), rows, ()))
 
 
 # -- base <-> extension bridges ------------------------------------------------

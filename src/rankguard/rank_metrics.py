@@ -19,16 +19,20 @@ of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
 stream B as a tuple of row ids (see `subspaces`), and each code memoizes the
-column H b^T of every distinct row id, so a gap is two `rank_of_rows`
-calls on i memoized columns and builds no Matrix.  The reference,
-`LinearCode.intersect`, works on any V through duals,
-C cap V = (C_dual + V_dual)_dual; tests compare the two.
+column H b^T of every distinct row id and builds no Matrix.  It also keeps
+the echelon (`linalg.extend_echelon`) of every suffix of the last basis it
+ranked and adds rows last to first; canonical bases vary row 0 fastest, so
+most cost one row reduction.  The reference, `LinearCode.intersect`, takes
+C cap V = (C_dual + V_dual)_dual for any V; tests compare the two.
 
 `rdip` takes each K_i as a bounded maximum: K_0 = 0 and K rises by unit
 steps to dim C1/C2, so level i stops at the first basis whose gap reaches
 min(K_{i-1} + 1, dim C1/C2), keeps it as the level's witness, and raises
-InvariantViolated on a gap above that bound.  The reference,
-`rgrw(method="direct")`, is the plain maximum over every basis.
+InvariantViolated on a gap above that bound.  A gap is at most
+dim(C1 cap V), 0 below C1's first weight, so C2 is ranked only where that
+beats the best gap so far: no skipped basis could be the witness or break
+the bound.  The reference, `rgrw(method="direct")`, is the plain maximum
+over every basis.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .bitrank import rank_bits
 from .codes import LinearCode, quotient_dim
 from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import expand_to_base, rank_of_rows, vec_mat
+from .linalg import extend_echelon, rank_of_rows, vec_mat
 from .subspaces import SubspaceFamily, row_digits
 
 
@@ -47,7 +51,7 @@ def rank_weight(ctx: FieldCtx, x) -> int:
     """Number of F_q-linearly-independent coordinates of x."""
     if ctx.q == 2:
         return rank_bits(x)
-    return expand_to_base(ctx, x).rank()
+    return rank_of_rows(ctx.base, [ctx.coeffs(v) for v in x])
 
 
 def rank_distance(ctx: FieldCtx, x, y) -> int:
@@ -89,6 +93,7 @@ class _Columns(dict):
         super().__init__()
         self.ctx, self.n = code.ctx, code.n
         self.parity_t = code.dual().gen.transpose()
+        self.ids, self.echelons = (), [()]  # echelons[k] spans the columns of ids[k:]
 
     def __missing__(self, row_id: int) -> tuple[int, ...]:
         b = row_digits(row_id, self.ctx.q, self.n)
@@ -96,8 +101,19 @@ class _Columns(dict):
         return col
 
     def rank(self, ids: tuple[int, ...]) -> int:
-        """rank(H B^T) over F_{q^m}, B the base-field rows with these ids."""
-        return rank_of_rows(self.ctx, [self[b] for b in ids])
+        """rank(H B^T) over F_{q^m}, B the base-field rows with these ids; only
+        the rows before the suffix shared with the last basis are reduced."""
+        k = len(ids)
+        if k != len(self.ids):
+            self.echelons = [()] * (k + 1)
+        else:
+            while k and ids[k - 1] == self.ids[k - 1]:
+                k -= 1
+        echelons = self.echelons
+        for j in range(k - 1, -1, -1):
+            echelons[j] = extend_echelon(self.ctx, echelons[j + 1], self[ids[j]])
+        self.ids = ids
+        return len(echelons[0])
 
 
 class _PairEngine:
@@ -117,10 +133,10 @@ class _PairEngine:
         """(K_i, the first basis reaching it), stopping at a gap of `bound`."""
         best, witness = -1, ()
         for ids in SubspaceFamily(self.ctx, self.n, i, self.family).bases:
-            rank2 = self.cols2.rank(ids)
-            if rank2 <= best:  # the gap is at most rank(H2 B^T)
+            meet1 = i - self.cols1.rank(ids)
+            if meet1 <= best:  # the gap is at most dim(C1 cap V)
                 continue
-            gap = rank2 - self.cols1.rank(ids)
+            gap = meet1 - (i - self.cols2.rank(ids))
             if gap > best:
                 require(gap <= bound, f"gap {gap} at level {i} exceeds the unit-step bound {bound}")
                 best, witness = gap, ids

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed
-from rankguard import ctx_new, decoder
+from rankguard import EnumerationTooLarge, ctx_new, decoder
 
 
 def run(args):
@@ -184,6 +184,24 @@ def test_exit_code_error_cap(tmp_path, capsys, mode):
     assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "99", "--rho", "0",
                 "--mode", mode]) == 3
     assert "1048576 errors exceed cap 1000000" in capsys.readouterr().err
+
+
+def test_exit_code_transfer_cap(tmp_path, capsys):
+    # a [12,1] code over F_2^4 at t = 0, rho = 10: the transfer family, every
+    # row space of F_2^12 of dimension >= 2, is refused before it is listed.
+    # At N = 2 the packed check would list all 2,794,155 row spaces; the CLI
+    # takes N = n = 12, which the field-arithmetic check refuses
+    f16 = ctx_new(2, 4)
+    c1 = LinearCode(f16, [[1, 2, 4, 8, 3, 5, 6, 7, 9, 10, 11, 12]], 12)
+    scheme = NestedScheme(c1, LinearCode.zero(f16, 12), c1.gen)
+    with pytest.raises(EnumerationTooLarge,
+                       match="2794155 transfer row spaces exceed cap 1000000"):
+        decoder.capability_report(scheme, 0, 10, N=2)
+    scheme_path = tmp_path / "wide.json"
+    scheme_path.write_text(json.dumps(scheme.to_json()))
+    assert run(["verify-capability", "--scheme", str(scheme_path), "--t", "0", "--rho", "10",
+                "--mode", "exhaustive"]) == 3
+    assert "transfer row spaces exceed cap 1000000" in capsys.readouterr().err
 
 
 def test_exit_code_trial_cap(scheme_file, capsys, monkeypatch):

@@ -208,10 +208,15 @@ def test_one_refusal_for_a_scheme_past_the_scan_cap():
 
 def test_every_base_field_enumeration_reads_the_enum_cap(monkeypatch):
     # subspaces.DEFAULT_ENUM_CAP, lowered once, refuses every enumeration of
-    # base-field objects, all_matrices at the call, with one message format
+    # base-field objects, all_matrices at the call and transfer families
+    # before their first row space, with one message format
     f16 = ctx_new(2, 4)
-    lifted = lift(build_proposed(f16, l=1, n=3, k=2), ctx_new(2, 7))
+    q2 = build_proposed(f16, l=1, n=3, k=2)
+    q3 = build_proposed(ctx_new(3, 4), l=1, n=3, k=1)
+    lifted = lift(q2, ctx_new(2, 7))
     monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 10)
+    for name in ("base_subspace_ids", "enumerate_base_subspaces"):  # no transfer is listed
+        monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("a row space was listed"))
     refused = [  # (call, count, what is counted)
         (lambda: SubspaceFamily(f16, 4, 2), 35, "qinvariant subspaces"),
         (lambda: SubspaceFamily(f16, 6, 2, "coordinate"), 15, "coordinate subspaces"),
@@ -222,6 +227,10 @@ def test_every_base_field_enumeration_reads_the_enum_cap(monkeypatch):
         (lambda: all_matrices(2, 2, 2), 16, "matrices"),
         (lambda: discrepancy_noncoherent(lifted, (1, 2, 3), (0,), 0, mode="oracle"), 2**9,
          "matrices"),
+        # the transfer row spaces of dimension >= n - rho: packed, generic, delta_min
+        (lambda: capability_report(q2, 0, 2), 7 + 7 + 1, "transfer row spaces"),
+        (lambda: capability_report(q3, 0, 1), 13 + 1, "transfer row spaces"),
+        (lambda: decoder.delta_min_over_A(q2, 2), 7 + 7 + 1, "transfer row spaces"),
     ]
     assert [_refusal(call) for call, _, _ in refused] == [
         f"enumeration cap: {count} {what} exceed cap 10" for _, count, what in refused]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from rankguard.linalg import (
     embed_base_matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
+    extend_echelon,
     rank_of_rows,
     solve_right,
     vec_mat,
@@ -145,28 +147,54 @@ def test_ext_vec_times_base_transpose_refuses_extension_entries():
         F27.add(5, 5),)
 
 
+def rand_rows(rng, ctx, nrows, ncols):
+    """Zero rows, random rows and combinations of a few spanning rows, so ranks fall short."""
+    spanning = [[rng.randrange(ctx.order) for _ in range(ncols)]
+                for _ in range(rng.randrange(1, 3))]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1:
+            rows.append([rng.randrange(ctx.order) for _ in range(ncols)])
+        else:
+            row = [0] * ncols
+            for s in spanning:
+                c = rng.randrange(ctx.order)
+                row = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row, s)]
+            rows.append(row)
+    return rows
+
+
 @pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
 def test_rank_of_rows_matches_rref(q, m):
     ctx = ctx_new(q, m)
     rng = random.Random(9 + q)
     for nrows, ncols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 4), (5, 2), (7, 3)]:
         for _ in range(25):
-            spanning = [[rng.randrange(ctx.order) for _ in range(ncols)]
-                        for _ in range(rng.randrange(1, 3))]
-            rows = []
-            for _ in range(nrows):
-                kind = rng.randrange(3)
-                if kind == 0:  # a zero row
-                    rows.append([0] * ncols)
-                elif kind == 1:  # a random row
-                    rows.append([rng.randrange(ctx.order) for _ in range(ncols)])
-                else:  # a combination of a few spanning rows, so ranks fall short
-                    row = [0] * ncols
-                    for s in spanning:
-                        c = rng.randrange(ctx.order)
-                        row = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row, s)]
-                    rows.append(row)
+            rows = rand_rows(rng, ctx, nrows, ncols)
             assert rank_of_rows(ctx, rows) == Matrix(ctx, rows, ncols).rref()[1]
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_extend_echelon_in_every_row_order(q, m):
+    # every order of the same rows gives an echelon of the same row space:
+    # leading columns increasing, a one at each and zeros before it
+    ctx = ctx_new(q, m)
+    rng = random.Random(13 + q)
+    for nrows, ncols in [(3, 0), (3, 3), (4, 2), (4, 4), (5, 3)]:
+        for _ in range(10):
+            rows = rand_rows(rng, ctx, nrows, ncols)
+            span = Matrix(ctx, rows, ncols).row_basis()
+            for order in itertools.permutations(rows):
+                pivots = ()
+                for row in order:
+                    pivots = extend_echelon(ctx, pivots, row)
+                columns = [c for c, _ in pivots]
+                assert columns == sorted(set(columns))
+                assert all(list(p[:c + 1]) == [0] * c + [1] for c, p in pivots)
+                assert Matrix(ctx, [p for _, p in pivots], ncols).row_basis() == span
 
 
 def test_rank_bits_matches_matrix_rank():

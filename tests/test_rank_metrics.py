@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankguard import LengthMismatch, NotASubcode, ctx_new, rank_metrics
 from rankguard.codes import LinearCode, gabidulin
+from rankguard.linalg import Matrix, embed_base_matrix, expand_to_base
 from rankguard.rank_metrics import (
     ProfileTable,
     _PairEngine,
@@ -25,6 +28,7 @@ from rankguard.subspaces import SubspaceFamily, row_digits
 
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
+F81 = ctx_new(3, 4)
 A = F16.alpha
 
 
@@ -145,22 +149,71 @@ def test_profile_witnesses(q, m, n):
 
 
 def test_bounded_search_skips_bases(monkeypatch):
-    # [4,2] MRD against {0}: K = 0, 0, 0, 1, 2, so levels 0-2 never reach their
-    # bound of 1 and scan fully, while every 3-dim V meets the code
-    # (dim >= 2 + 3 - 4), so level 3 stops at its first basis
-    visited = []
+    # [4,2] MRD against {0}: K = 0, 0, 0, 1, 2.  No V of dim <= 2 meets the
+    # code (its first weight is 3), so levels 1 and 2 rank C1 on every basis
+    # but C2 only on the first, where dim(C1 cap V) = 0 beats the start of -1;
+    # every 3-dim V meets the code (dim >= 2 + 3 - 4), so level 3 stops at
+    # its first basis
+    visited = {"cols1": [], "cols2": []}
 
     class CountingEngine(rank_metrics._PairEngine):
         def __init__(self, *args):
             super().__init__(*args)
-            rank2 = self.cols2.rank
-            self.cols2.rank = lambda ids: visited.append(ids) or rank2(ids)
+            for name, seen in visited.items():
+                cols = getattr(self, name)
+                cols.rank = lambda ids, rank=cols.rank, seen=seen: seen.append(ids) or rank(ids)
 
     monkeypatch.setattr(rank_metrics, "_PairEngine", CountingEngine)
     assert rdip(gabidulin(F16, 4, 2), LinearCode.zero(F16, 4)).values == (0, 0, 0, 1, 2)
     family_sizes = [SubspaceFamily(F16, 4, i).count for i in range(5)]
-    assert len(visited) < sum(family_sizes)
-    assert len(visited) == sum(family_sizes[:3]) + 1 + 1
+    assert len(visited["cols1"]) == sum(family_sizes[:3]) + 1 + 1 == 1 + 15 + 35 + 1 + 1
+    assert len(visited["cols2"]) == 5  # once per level
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_suffix_echelons_match_rref(q, m):
+    # one code's memo ranks a stream of bases against rank(H B^T) by RREF:
+    # canonical families (row 0 fastest, suffixes shared), coordinate
+    # families (last row fastest), the two interleaved, repeats, and random
+    # ids (zero and repeated rows too) of changing length, some walking
+    # from one basis to the next by changing one row
+    ctx, n = ctx_new(q, m), 4
+    rng = random.Random(47 + q)
+    code, _ = rand_nested_pair(rng, ctx, n, 2, 0)
+    parity = code.dual().gen
+
+    def families(kind):
+        return [ids for i in range(n + 1) for ids in SubspaceFamily(ctx, n, i, kind).bases]
+
+    canonical, coordinate = families("qinvariant"), families("coordinate")
+    interleaved = [ids for pair in zip(SubspaceFamily(ctx, n, 2).bases,
+                                       SubspaceFamily(ctx, n, 2, "coordinate").bases)
+                   for ids in pair]
+    randoms = [tuple(rng.randrange(q**n) for _ in range(rng.randrange(n + 2)))
+               for _ in range(100)]
+    walk = [tuple(rng.randrange(q**n) for _ in range(3))]
+    for _ in range(100):
+        ids = list(walk[-1])
+        ids[rng.randrange(3)] = rng.randrange(q**n)
+        walk.append(tuple(ids))
+    repeats = [ids for ids in randoms[:20] + canonical[-5:] for _ in range(2)]
+    cols = rank_metrics._Columns(code)
+    for ids in canonical + coordinate + interleaved + randoms + walk + repeats + canonical:
+        B = embed_base_matrix(ctx, Matrix(ctx.base, [row_digits(b, q, n) for b in ids], n))
+        assert cols.rank(ids) == parity.matmul(B.transpose()).rref()[1], ids
+
+
+def test_rank_weight_matches_expansion_rank():
+    # the q > 2 rank weight ranks the coefficient rows directly
+    for ctx in (ctx_new(3, 2), ctx_new(5, 2)):
+        for length in range(4):
+            for x in itertools.product(range(ctx.order), repeat=length):
+                assert rank_weight(ctx, x) == expand_to_base(ctx, x).rank()
+
+
+@given(st.lists(st.integers(0, 80), max_size=6))
+def test_rank_weight_matches_expansion_rank_f81(x):
+    assert rank_weight(F81, x) == expand_to_base(F81, x).rank()
 
 
 FAULT_SCRIPT = """
