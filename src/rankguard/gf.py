@@ -6,7 +6,10 @@ representation.  For q = 2 an element is therefore literally the bit
 pattern of its coefficient vector, addition is XOR, and zero is uniformly
 the int 0.  Log/antilog tables are built at construction (the order cap
 guarantees they fit) and back multiplication, inversion, powering and the
-Frobenius map x -> x^q.
+Frobenius map x -> x^q.  For q > 2 a Zech-logarithm table Z, with
+alpha^Z[k] = 1 + alpha^k (Huber, IEEE Trans. IT 1990), makes a sum one
+lookup as well: a + b = alpha^(log a + Z[log b - log a]).  The digit
+conversions `coeffs`/`from_coeffs` serve representation only.
 
 Moduli are little-endian coefficient sequences, e.g. [1, 1, 0, 0, 1] for
 x^4 + x + 1, and are re-verified irreducible at construction by trial
@@ -15,6 +18,8 @@ division against every lower-degree monic polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -62,6 +67,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+@lru_cache(maxsize=2**14)
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    return tuple(Counter(primes + [n] * (n > 1)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +258,30 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.from_coeffs([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.from_coeffs([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        if b == 0:
+            return a
+        lb = self._log[b] + self._log_neg_one  # log of -b
+        if a == 0:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
+        if self.q == 2 or a == 0:
             return a
-        return self.from_coeffs([-x for x in self.coeffs(a)])
+        return self._exp[self._log[a] + self._log_neg_one]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -313,14 +343,15 @@ class FieldCtx:
                 prod[i + j] = (prod[i + j] + x * y) % self.q
         return self.from_coeffs(list(_poly_mod(prod, self.modulus, self.q)) + [0] * self.m)
 
-    def _multiplicative_order(self, a: int) -> int:
-        steps, acc = 1, a
-        while acc != 1:
-            acc = self._raw_mul(acc, a)
-            steps += 1
-            if steps > self.order:
-                raise InvariantViolated("order walk failed to terminate")
-        return steps
+    def _raw_pow(self, a: int, e: int) -> int:
+        """Table-free a^e by square-and-multiply, used only while building the tables."""
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._raw_mul(acc, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return acc
 
     def _build_tables(self) -> None:
         group = self.order - 1
@@ -328,12 +359,14 @@ class FieldCtx:
         self._log = [0] * self.order
         if group == 1:
             return
+        # c generates the group iff c^(group/p) != 1 for every prime p | group.
+        cofactors = [group // p for p, _ in factor(group)]
         # x is primitive for many moduli; fall back to a search otherwise.
         gen = None
         for cand in [self.q % self.order, *range(2, self.order)]:
             if cand in (0, 1):
                 continue
-            if self._multiplicative_order(cand) == group:
+            if all(self._raw_pow(cand, e) != 1 for e in cofactors):
                 gen = cand
                 break
         require(gen is not None, "multiplicative group of a finite field is cyclic")
@@ -343,6 +376,20 @@ class FieldCtx:
             self._exp[i + group] = val
             self._log[val] = i
             val = self._raw_mul(val, gen)
+        if self.q == 2:
+            return
+        # Zech logarithms: _zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0,
+        # i.e. at k = group/2 since -1 = alpha^(group/2) for odd q.  Adding 1
+        # bumps only the lowest base-q digit.  The table is stored twice over,
+        # like _exp, so every difference of two logs in (-group, 2*group)
+        # indexes it (a negative one counts from the end).
+        q = self.q
+        self._log_neg_one = group // 2
+        zech = []
+        for v in self._exp[:group]:
+            w = v - v % q + (v % q + 1) % q
+            zech.append(self._log[w] if w else -1)
+        self._zech = zech + zech
 
     # -- misc ---------------------------------------------------------------
 

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from .bitrank import PACKED_BLOCK
 from .codes import require_scan_cap
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
+from .gf import factor
 from .linalg import Matrix
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
@@ -63,18 +62,6 @@ def _log_big(x: int) -> float:
 ORDER_TOLERANCE = 1e-12
 
 
-@lru_cache(maxsize=2**14)
-def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n >= 1, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-            primes.append(p)
-        p += 1 if p == 2 else 2
-    return tuple(Counter(primes + [n] * (n > 1)).items())
-
-
 @dataclass(frozen=True)
 class LogQuantity:
     """(1/T) * log_order(power), kept exact as the prime factorization of
@@ -91,7 +78,7 @@ class LogQuantity:
 
     @staticmethod
     def from_integer(k: int, denom: int, order: int) -> "LogQuantity":
-        return LogQuantity._of({p: e * denom * k for p, e in _factor(order)}, denom, order)
+        return LogQuantity._of({p: e * denom * k for p, e in factor(order)}, denom, order)
 
     def _parts(self) -> tuple[int, int]:
         """The numerator and denominator of power, coprime as built."""
@@ -261,9 +248,9 @@ class JointDistribution:
         group masses c over the common denominator T, exp(T * H) = T^T / prod c^c,
         so each prime p has exponent T v_p(T) - sum c v_p(c)."""
         masses, groups = np.unique(self._masses(key), return_counts=True)
-        exps = {p: self.total * e for p, e in _factor(self.total)}
+        exps = {p: self.total * e for p, e in factor(self.total)}
         for c, g in zip(masses.tolist(), groups.tolist()):
-            for p, e in _factor(c):
+            for p, e in factor(c):
                 exps[p] = exps.get(p, 0) - c * g * e
         return LogQuantity._of(exps, self.total, self.ctx.order)
 
