@@ -11,6 +11,7 @@ V of F_{q^m}^n is a LinearCode, with sums, intersections and the dual
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
@@ -54,6 +55,7 @@ class LinearCode:
         self.gen = gen.row_basis()
         self.k = self.gen.nrows
         self._dual: LinearCode | None = None
+        self._dual_of: weakref.ref | None = None  # the code this one is the dual of
 
     # -- constructors --------------------------------------------------------
 
@@ -102,11 +104,16 @@ class LinearCode:
     # -- derived codes ---------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        """The dual code, computed once and kept, as a code never changes; it
-        holds no link back, so no reference cycle keeps the pair alive."""
+        """The dual code, computed once and kept, as a code never changes.  A
+        dual links back to its source by a weak reference only, so no cycle
+        keeps the pair alive, and its own dual is that source while it lives."""
         if self._dual is None:
+            source = self._dual_of() if self._dual_of is not None else None
+            if source is not None:
+                return source
             self._dual = (LinearCode.full(self.ctx, self.n) if self.k == 0
                           else LinearCode(self.ctx, self.gen.right_kernel()))
+            self._dual._dual_of = weakref.ref(self)
         return self._dual
 
     def sum_with(self, other: "LinearCode") -> "LinearCode":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .codes import LinearCode, gabidulin, quotient_dim, require_scan_cap
@@ -84,6 +85,17 @@ class NestedScheme:
         if sol is None:
             raise PreconditionError("X is not a codeword of C1")
         return tuple(sol[: self.l])
+
+    @cached_property
+    def base_generators(self) -> tuple[tuple[int, ...], ...]:
+        """C1's F_q generators, C2's first: entry i*m + j is x^j (the element
+        q^j) times row i of C2's generator stacked over delta_g, so C1's
+        codewords are their F_q combinations, and one lies in C2 exactly when
+        its digits past the first m * dim C2 are 0.  Kept per scheme, as the
+        decoder reads them on every decode."""
+        ctx = self.ctx
+        return tuple(tuple(ctx.mul(ctx.q**j, x) for x in row)
+                     for row in self.c2.gen.rows + self.delta_g.rows for j in range(ctx.m))
 
     # -- derived codes -----------------------------------------------------------
 

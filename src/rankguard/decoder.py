@@ -21,22 +21,32 @@ elsewhere against the plain decoder:
   for every (message, coset member) at fixed (A, E) is equivalent to every
   nonzero difference coset scoring strictly worse than the true one.
 
+One decision rule then holds at every q.  Let delta(A) be the least rank of
+v A^T over C1's codewords v outside C2; the row-space loop hits at A (some
+error E of rank <= t and nonzero difference S whose coset scores no better
+than the true one at received word E) exactly when delta(A) <= 2t.  More
+finely, combo c (a nonzero difference message, l_c its coset leader) fails
+at A exactly when some member u of (l_c + C2) A^T has rank(u) <= 2t.  Only
+if: if c ties or beats the true coset at Y = E, the true coset scores s <=
+rank(E) <= t (its member 0 maps to 0), so the two cosets' images lie within
+2s <= 2t of each other.  If: take u of least rank d <= 2t in c's coset and
+Y its first ceil(d/2) rank-one terms; c scores at most floor(d/2) at Y, and
+if C2 A^T scored less through some w, u - w would be a member of c's coset
+of rank below d.  So c fails at the error Y, of rank ceil(d/2) <= t, and
+ceil(d/2) <= min(N, m), so Y is in the enumerated error ball.  (At N = 0,
+v A^T is empty: delta(A) = 0 and the empty error ties every coset.)  Only
+rank-metric facts are used, over any F_q.  Verification decides this rule
+first and builds a report only for a refuted budget; a refuted report must
+hit at the decider's first failing A, or InvariantViolated is raised.
+
 For q = 2 both exhaustive modes and coherent decoding work on packed GF(2)
 keys (an m x N binary matrix is one integer, row r at bit r*N).  Combo c is
-the difference message whose symbol i is (c >> i*m) & (2^m - 1), l_c its
-coset leader; combo 0 is the true coset.
+the difference message whose symbol i is (c >> i*m) & (2^m - 1); combo 0 is
+the true coset.
 
-* One decider finds, over transfer keys in the order given, the first A
-  under which min-discrepancy decoding fails for some error of rank <= t,
-  and the least combo c that wins or ties there: combo c fails at A exactly
-  when some member u of (l_c + C2) A^T has rank(u) <= 2t, one rank-table
-  lookup per (A, codeword of C1 outside C2).  Only if: if c ties or beats
-  the true coset at Y = E, the true coset scores s <= rank(E) <= t, so the
-  two cosets' images lie within 2s <= 2t of each other.  If: take u of least
-  rank d <= 2t in c's coset and Y its first ceil(d/2) rank-one terms; c
-  scores at most floor(d/2) at Y, and if C2 A^T scored less through some w,
-  u - w would be a member of c's coset of rank below d.  So c fails at the
-  error Y, of rank ceil(d/2) <= t.
+* The decider finds, over transfer keys in the order given, the first A
+  under which some nonzero combo fails, and the least such combo c: one
+  rank-table lookup per (A, codeword of C1 outside C2).
 * The error keys are built directly, in enumerate_errors order: E = z R,
   R the canonical basis of a subspace of dimension r, has key XOR_s
   spread(z_s) * rowbits(R_s), kept when that key has rank r.
@@ -60,9 +70,21 @@ codewords; the kernel scores blocks of errors in slices of combos.  Each
 temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
 one combo, or the decode's uint8 scores, one per codeword of C1.
 
-The field-arithmetic row-space loop and coset scans are the q > 2 paths and
-the references for the packed reports and decode; the kernel, one A at a
-time, is the reference for the decider; enumerate_errors, for the keys.
+For q > 2, and past the packed bit bounds, the row-space check decides on
+base-field digit arrays: C1's codewords outside C2 are the F_q combinations
+of its F_q generators whose digits past C2's are not all 0, listed as base-q
+digits by linalg.base_products; each canonical A maps them by a second
+base_products, and linalg.rank_mod_q ranks every m x N digit matrix of
+v A^T in one batched F_q elimination.  A verified budget counts its trials
+and covered tuples with network.error_count and runs no field arithmetic;
+a refuted one runs the field-arithmetic row-space loop at the decider's
+first failing A only, its trials offset by the row spaces before it.
+
+The field-arithmetic row-space loop is the reference for both deciders'
+reports and the coset scans for the packed decode (they decode at q > 2);
+the kernel, one A at a time, is the reference for the packed decider;
+_closest_difference, for the digit decider's least ranks; enumerate_errors,
+for the keys.
 """
 
 from __future__ import annotations
@@ -81,14 +103,18 @@ from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
     Matrix,
+    base_products,
     expand_to_base,
     ext_vec_times_base_transpose,
+    field_digits,
     pack_row_bits,
+    rank_mod_q,
     vec_sub,
 )
 from .network import (
     all_matrices,
     enumerate_errors,
+    error_count,
     require_error_cap,
     sample_error_pair,
     sample_transfer,
@@ -399,19 +425,11 @@ def _span_keys(gen_keys: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _f2_generators(ctx, gen: Matrix) -> list[tuple[int, ...]]:
-    """F_2 generators of the row span of gen: entry i*m + j is alpha^j times
-    row i, so bit i*m + j of a combo picks it."""
-    return [tuple(ctx.mul(1 << j, x) for x in row) for row in gen.rows for j in range(ctx.m)]
-
-
 def _generator_keys(scheme: NestedScheme, a_keys: np.ndarray, N: int) -> np.ndarray:
     """keys[A, k]: packed key of F_2 generator k of C1 times A^T, C2's first:
     codeword i of C1 sums those picked by the bits of i, so it lies in the
     coset of combo i >> (m * dim C2)."""
-    generators = (_f2_generators(scheme.ctx, scheme.c2.gen)
-                  + _f2_generators(scheme.ctx, scheme.delta_g))
-    return _product_keys(generators, a_keys, scheme.ctx.m, scheme.n, N)
+    return _product_keys(scheme.base_generators, a_keys, scheme.ctx.m, scheme.n, N)
 
 
 def _codeword_runs(scheme: NestedScheme, a_keys: np.ndarray,
@@ -561,11 +579,14 @@ def _exhaustive_report(scheme, mode: str, t: int, rho: int, N: int, trials: int,
         counterexample=counterexample)
 
 
+def _transfer_count(q: int, n: int, N: int, rho: int) -> int:
+    """The number of row spaces of F_q^n of dimension n - rho .. min(n, N)."""
+    return sum(gaussian_binomial(n, r, q) for r in range(n - rho, min(n, N) + 1))
+
+
 def _require_transfer_cap(q: int, n: int, N: int, rho: int) -> None:
-    """Admit the transfer family, every row space of F_q^n of dimension
-    n - rho .. min(n, N), before its first member is listed."""
-    require_enum_cap(sum(gaussian_binomial(n, r, q) for r in range(n - rho, min(n, N) + 1)),
-                     "transfer row spaces")
+    """Admit the transfer family before its first member is listed."""
+    require_enum_cap(_transfer_count(q, n, N, rho), "transfer row spaces")
 
 
 def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
@@ -577,6 +598,67 @@ def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
             yield Matrix(Abase.field, list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
 
 
+def _transfer_groups(q: int, n: int, N: int, rho: int, size: int) -> Iterator[np.ndarray]:
+    """The matrices of _canonical_transfers in its order, as digit arrays of
+    shape (count, N, n), at most size at a time, read from the row ids."""
+    _require_transfer_cap(q, n, N, rho)
+    for r in range(n - rho, min(n, N) + 1):
+        ids = base_subspace_ids(q, n, r)
+        while chunk := list(itertools.islice(ids, size)):
+            group = np.zeros((len(chunk), N, n), np.min_scalar_type(q - 1))
+            group[:, :r] = field_digits(np.reshape(chunk, (len(chunk), r)), q, n).transpose(1, 2, 0)
+            yield group
+
+
+def _difference_digits(scheme: NestedScheme) -> Iterator[np.ndarray]:
+    """Base-q digits (m x n x count) of C1's codewords outside C2, in blocks.
+    Combination k of the F_q generators (digit i of k picks generator i)
+    lies outside C2 exactly when k >= q^(m * dim C2)."""
+    ctx, n = scheme.ctx, scheme.n
+    q, m = ctx.q, ctx.m
+    require_scan_cap(scheme.c1.codeword_count())
+    gens = scheme.base_generators
+    # the generators' digits with the generator as coordinate: x^T M^T for the
+    # combinations M then lists the codewords entry by entry
+    gen_digits = field_digits(np.reshape(gens, (len(gens), n)), q, m)
+    step = max(1, PACKED_BLOCK // (max(n, len(gens)) * m))
+    for lo in range(q ** (m * scheme.c2.k), q ** len(gens), step):
+        combos = field_digits(np.arange(lo, min(lo + step, q ** len(gens))), q, len(gens)).T
+        words = np.concatenate(list(base_products(gen_digits, combos, q)), axis=2)
+        yield np.ascontiguousarray(words.transpose(0, 2, 1))
+
+
+def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
+    """least[i]: the least rank of v A^T over C1's codewords v outside C2, for
+    each N x n base-field matrix A = transfers[i], on digit arrays."""
+    q, m = scheme.ctx.q, scheme.ctx.m
+    count, N, n = transfers.shape
+    least = np.full(count, N)  # no v A^T has rank above N
+    stack = transfers.reshape(count * N, n)
+    for words in _difference_digits(scheme):
+        for prod in base_products(words, stack, q):  # (m, count * N, width)
+            ranks = rank_mod_q(prod.reshape(m, count, N, prod.shape[2]).transpose(1, 3, 2, 0), q)
+            np.minimum(least, ranks.min(axis=1), out=least)
+    return least
+
+
+def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int) -> int | None:
+    """Index, in _canonical_transfers order, of the first A under which some
+    nonzero combo fails for an error of rank <= t, that is the first A whose
+    least difference rank is <= 2t; or None.  Many A at once when all their
+    products fit in PACKED_BLOCK elements."""
+    m, n = scheme.ctx.m, scheme.n
+    words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
+    seen = 0
+    for group in _transfer_groups(scheme.ctx.q, n, N, rho,
+                                  max(1, PACKED_BLOCK // max(1, N * m * words))):
+        hits = np.flatnonzero(_least_ranks(scheme, group) <= 2 * t)
+        if len(hits):
+            return seen + int(hits[0])
+        seen += len(group)
+    return None
+
+
 def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) -> dict:
     return {"A": A.to_json(), "E": [list(ctx.coeffs(e)) for e in E],
             "difference_message": list(S),
@@ -584,14 +666,23 @@ def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) ->
 
 
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
-    """Row-space check; for q = 2 the packed decider visits one canonical A
-    per row space (N x n transfer keys are uint32).  It lists no vector on
-    field arithmetic, so its bit bounds and the transfer family's enumeration
-    cap apply, not the scan cap; past 2^20 messages or coset members the
-    generic path takes over, refusing C1 past the scan cap."""
+    """Row-space check, one canonical A per row space, decided first.  For
+    q = 2 the packed decider takes N x n transfer keys (uint32); it lists no
+    vector on field arithmetic, so its bit bounds and the transfer family's
+    enumeration cap apply, not the scan cap.  Otherwise (q > 2, or past those
+    bounds or 2^20 messages or coset members) the digit decider runs after
+    the error cap, then admits the transfers, then C1 under the scan cap; a
+    verified budget needs nothing more, and a refuted one is reported by the
+    field-arithmetic loop at the first failing A."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
-        return _exhaustive_coherent_generic(scheme, t, rho, N)
+        require_error_cap(ctx, N, t)
+        i = _first_failing_row_space(scheme, t, rho, N)
+        if i is not None:
+            return _exhaustive_coherent_generic(scheme, t, rho, N, start=i)
+        n_errors = error_count(ctx, N, t)
+        return _exhaustive_report(scheme, "exhaustive", t, rho, N,
+                                  _transfer_count(ctx.q, n, N, rho) * n_errors, n_errors, None)
     e_keys = _error_keys(ctx, N, t)
     _require_transfer_cap(2, n, N, rho)
     # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
@@ -617,14 +708,24 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
                               len(e_keys), counterexample)
 
 
-def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
-                                 N: int) -> CapabilityReport:
-    """Row-space check on field arithmetic: the q > 2 path and the reference."""
+def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
+                                 start: int | None = None) -> CapabilityReport:
+    """Row-space check on field arithmetic: the reference, and the report of
+    a refuted budget past the packed bounds.  Given start, the index of the
+    decider's first failing A, it scores that A alone after counting the
+    trials of the row spaces before it, streaming the errors up to the hit
+    it must find there."""
     ctx = scheme.ctx
-    errors = list(enumerate_errors(ctx, N, t))
+    errors = enumerate_errors(ctx, N, t)
+    transfers = _canonical_transfers(ctx.q, scheme.n, N, rho)
+    if start is None:
+        errors = list(errors)
+    else:
+        transfers = itertools.islice(transfers, start, start + 1)
+    n_errors = error_count(ctx, N, t)
     messages, cosets = _cosets(scheme)
-    trials = 0
-    for A in _canonical_transfers(ctx.q, scheme.n, N, rho):
+    trials = (start or 0) * n_errors
+    for A in transfers:
         true_at, *others = _coset_images(ctx, cosets, A)
         for E in errors:
             trials += 1
@@ -634,8 +735,9 @@ def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int,
                 if other <= true_val:
                     counterexample = _rowspace_counterexample(ctx, A, E, S, true_val, other)
                     return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials,
-                                              len(errors), counterexample)
-    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials, len(errors), None)
+                                              n_errors, counterexample)
+    require(start is None, "no error fails at the decider's first failing row space")
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials, n_errors, None)
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:

@@ -6,16 +6,23 @@ mul, inv) can be the entry domain.  Rows are tuples of ints, matrices are
 immutable, and RREF is the canonical form.  Subspaces of F_{q^m}^n are
 codes.LinearCode values, compared by their RREF bases.
 
-Vectors are plain tuples and are always treated as row vectors.
+Vectors are plain tuples and are always treated as row vectors.  For
+batched work an F_{q^m} vector is its base-q digit array instead (an
+element's int is its digits, least significant first): base_products maps
+many vectors through one base-field matrix mod q, and rank_mod_q ranks a
+stack of small base-field matrices by one elimination over the stack.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .bitrank import rank_bits
+import numpy as np
+
+from .bitrank import PACKED_BLOCK, rank_bits
 from .errors import DimensionMismatch, PreconditionError, json_field, json_ints
 from .gf import FieldCtx, PrimeField
 
@@ -293,3 +300,68 @@ def embed_base_matrix(ctx: FieldCtx, M: Matrix) -> Matrix:
     """Lift a base-field matrix entrywise into the extension field."""
     return Matrix(ctx, [[ctx.embed(a) for a in row] for row in M.rows], M.ncols)
 
+
+# -- base-field digit arrays ---------------------------------------------------
+
+def field_digits(values, q: int, m: int) -> np.ndarray:
+    """The m base-q digits of F_{q^m} elements, least significant first, on a
+    new leading axis: shape (m,) + values.shape, the smallest unsigned dtype
+    holding q - 1."""
+    values = np.asarray(values, dtype=np.int64)
+    digits = np.empty((m,) + values.shape, np.min_scalar_type(q - 1))
+    for d in range(m):  # one digit at a time: no int64 temporary of the full shape
+        digits[d] = values // q**d % q
+    return digits
+
+
+def base_products(digits: np.ndarray, M: Sequence[Sequence[int]], q: int) -> Iterator[np.ndarray]:
+    """Digits of x M^T for many vectors x over F_{q^m} and one R x n matrix M
+    over F_q.  digits[d, j, k] is digit d of entry j of vector k (shape
+    m x n x count), and the blocks yielded, in vector order, have the same
+    layout, m x R x block.  Digit d of x M^T is M times digit d of x, mod q;
+    every temporary holds at most PACKED_BLOCK elements."""
+    m, n, count = digits.shape
+    M = np.array(M, dtype=np.int64).reshape(-1, n)
+    if M.size and not 0 <= M.min() <= M.max() < q:
+        raise PreconditionError(f"M must have base-field entries in 0..{q - 1}")
+    acc = np.min_scalar_type(max(n, 1) * (q - 1) ** 2)  # no dot product wraps
+    M = M.astype(acc)
+    step = max(1, PACKED_BLOCK // (max(len(M), n, 1) * m))
+    for lo in range(0, count, step):
+        prod = np.einsum("rj,djk->drk", M, digits[:, :, lo:lo + step].astype(acc, copy=False))
+        yield (prod % acc.type(q)).astype(digits.dtype)
+
+
+def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x^(q-2) mod q elementwise: the inverse of each nonzero x over F_q."""
+    result, e = np.ones_like(x), q - 2
+    while e:
+        if e & 1:
+            result = result * x % q
+        x, e = x * x % q, e >> 1
+    return result
+
+
+def rank_mod_q(mats: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q (q prime) of a stack of matrices, shape (..., rows, cols)
+    -> (...): one Gauss elimination over the whole stack, a column of the
+    shorter side at a time.  Each column takes, per matrix, its first unused
+    row with a nonzero entry there as pivot and clears the column in every
+    other row; the rank is the number of pivots.  Empty shapes rank 0."""
+    if mats.shape[-1] > mats.shape[-2]:
+        mats = np.swapaxes(mats, -1, -2)
+    *batch, rows, cols = mats.shape
+    a = mats.reshape(math.prod(batch), rows, cols).astype(np.int64)
+    used = np.zeros(a.shape[:2], dtype=bool)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & ~used
+        b = np.flatnonzero(candidates.any(axis=1))
+        if not len(b):
+            continue
+        p = candidates[b].argmax(axis=1)
+        pivot = a[b, p]
+        factors = a[b, :, c] * _inverse_mod(pivot[:, c], q)[:, None] % q
+        factors[np.arange(len(b)), p] = 0
+        a[b] = (a[b] - factors[:, :, None] * pivot[:, None, :]) % q
+        used[b, p] = True
+    return used.sum(axis=1).reshape(batch)

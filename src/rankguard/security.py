@@ -7,12 +7,20 @@ Equality and the integer identities are decided on the exponents, orders by
 a float sum of e * log p when it clears rounding and by integers otherwise.
 Entropies use log base q^m, which makes the dimensional identities integers.
 
-One primitive computes them all: `JointDistribution.entropy(key)`, the
-entropy of the weights grouped by an integer key per support entry, whose
-exact power is T^T / prod c^c over the exact integer group masses c.  Keys
-of S_Z, X and W = X B^T come from numpy arrays built once per distribution;
-W's base-q digits are B times the digits of X, mod q.  For a message index
-set Z the chain rule gives every other quantity:
+One primitive computes them all: `JointDistribution.entropy(key, bound)`,
+the entropy of the weights grouped by an integer key per support entry,
+whose exact power is T^T / prod c^c over the exact integer group masses c.
+Keys of S_Z, X and W = X B^T come from numpy arrays built once per
+distribution.  The support keeps X as one array of base-q digits, which
+linalg.base_products maps through B mod q; W's key is the dense integer
+sum_r w_r (q^m)^r while that stays below 2^62, else its rows are renumbered
+by _fold.  Group masses are one np.bincount when the key's bound is at most
+the support size and T < 2^53 (every partial sum is then an integer below
+2^53, exact in float64), and a sort otherwise.  A key with a value per
+support entry tells the entries apart, so any pair with it groups as it
+does: H(S_Z, X) = H(X) when no two entries share an X, and I(S_Z; W) =
+H(S_Z) for such a W.  For a message index set Z the chain rule gives every
+other quantity:
 
     D(S_Z || U)              = |Z| - H(S_Z)
     D(X || U_coset | S_Z)    = (dim C1 - |Z|) - H(S_Z, X) + H(S_Z)
@@ -35,12 +43,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitrank import PACKED_BLOCK
 from .codes import require_scan_cap
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .gf import factor
-from .linalg import Matrix
+from .linalg import Matrix, base_products, field_digits
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
 
@@ -137,13 +144,20 @@ class LogQuantity:
         return f"LogQuantity({self.value:.6f})"
 
 
-def _fold(size: int, columns: Iterable[np.ndarray], base: int) -> np.ndarray:
-    """Injective key per entry of its column values (each below base),
-    renumbered by np.unique after every column so that it stays below size."""
-    key = np.zeros(size, np.int64)
+def _fold(size: int, columns: Iterable[np.ndarray], base: int) -> tuple[np.ndarray, int]:
+    """(key, bound): an injective key per entry of its column values (each
+    below base), renumbered by np.unique after every column, so that it stays
+    below bound, its number of distinct values."""
+    key, bound = np.zeros(size, np.int64), 1
     for col in columns:
-        key = np.unique(key * base + col, return_inverse=True)[1]
-    return key
+        values, key = np.unique(key * base + col, return_inverse=True)
+        bound = len(values)
+    return key, bound
+
+
+# Integer keys, and the products of their bounds, stay below this bound, so
+# forming a pair key never leaves int64.
+DENSE_KEY_BOUND = 2**62
 
 
 def _int_array(rows: list, width: int, bound: int, what: str) -> np.ndarray:
@@ -165,7 +179,8 @@ class JointDistribution:
     the canonical 'S uniform, X conditionally uniform' case; the support is
     C1, so the scan cap bounds it.  The support is held as arrays: message
     symbols, weights (int64 while T fits, else Python ints), a key of X, and
-    the base-q digits of X (entries x n x m).
+    the base-q digits of X (m x n x entries, the layout linalg.base_products
+    reads).
     """
 
     def __init__(self, scheme: NestedScheme, weights: dict):
@@ -181,17 +196,14 @@ class JointDistribution:
         x = _int_array([X for _, X, _ in support], scheme.n, order, "X")
         self._weights = np.array([w for _, _, w in support],
                                  np.int64 if self.total < 2**63 else object)
-        self._x_key = _fold(len(x), x.T, order)
-        self._powers = q ** np.arange(m, dtype=np.int64)
-        self._digits = np.empty(x.shape + (m,), np.min_scalar_type(q - 1))
-        for d in range(m):
-            self._digits[:, :, d] = x // q**d % q
+        self._x_key, self._x_bound = _fold(len(x), x.T, order)
+        self._digits = field_digits(x.T, q, m)
         self._message_memo = None
 
     @property
     def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The support as (S, X, weight) triples."""
-        x = self._digits @ self._powers
+        x = np.einsum("djk,d->kj", self._digits, self.ctx.q ** np.arange(self.ctx.m))
         return list(zip(map(tuple, self._symbols_arr.tolist()), map(tuple, x.tolist()),
                         self._weights.tolist()))
 
@@ -237,17 +249,32 @@ class JointDistribution:
         return LogQuantity.from_integer(k, self.total, self.ctx.order)
 
     def _masses(self, key: np.ndarray) -> np.ndarray:
-        """Exact integer sum of the weights of each key value, in key order."""
+        """Exact integer sum of the weights of each key value, in key order,
+        by a sort: the path for any key and any T, and the reference."""
         by_key = np.argsort(key)
         ranked = key[by_key]
         starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         return np.add.reduceat(self._weights[by_key], starts)
 
-    def entropy(self, key: np.ndarray) -> LogQuantity:
-        """H of the weights grouped by an integer key per entry, exact: with
-        group masses c over the common denominator T, exp(T * H) = T^T / prod c^c,
-        so each prime p has exponent T v_p(T) - sum c v_p(c)."""
-        masses, groups = np.unique(self._masses(key), return_counts=True)
+    def _group_masses(self, key: np.ndarray, bound: int | None) -> np.ndarray:
+        """_masses, by one float64 np.bincount when every key is below a bound
+        of at most the support size and T < 2^53: each weight and partial sum
+        is then an integer below 2^53, which float64 holds exactly."""
+        if bound is None or bound > len(self._weights) or self.total >= 2**53:
+            return self._masses(key)
+        sums = np.bincount(key, weights=self._weights)
+        return sums[sums > 0].astype(np.int64)  # no support entry weighs 0
+
+    def entropy(self, key: np.ndarray, bound: int | None = None) -> LogQuantity:
+        """H of the weights grouped by an integer key per entry; bound, if
+        given, exceeds every key."""
+        return self._entropy_of(self._group_masses(key, bound))
+
+    def _entropy_of(self, masses: np.ndarray) -> LogQuantity:
+        """H of the group masses c over the common denominator T, exact:
+        exp(T * H) = T^T / prod c^c, so each prime p has exponent
+        T v_p(T) - sum c v_p(c)."""
+        masses, groups = np.unique(masses, return_counts=True)
         exps = {p: self.total * e for p, e in factor(self.total)}
         for c, g in zip(masses.tolist(), groups.tolist()):
             for p, e in factor(c):
@@ -263,32 +290,46 @@ class JointDistribution:
             raise PreconditionError("indices must lie in 0..l-1")
         return z
 
-    def _message(self, z: tuple[int, ...]) -> tuple[np.ndarray, LogQuantity]:
-        """The key of S_Z per entry and H(S_Z), kept for the last Z asked."""
+    def _message(self, z: tuple[int, ...]) -> tuple[np.ndarray, int, LogQuantity]:
+        """The key of S_Z per entry, its bound and H(S_Z), kept for the last Z asked."""
         if self._message_memo is None or self._message_memo[0] != z:
-            key = _fold(len(self._weights), self._symbols_arr[:, z].T, self.ctx.order)
-            self._message_memo = (z, key, self.entropy(key))
+            key, bound = _fold(len(self._weights), self._symbols_arr[:, z].T, self.ctx.order)
+            self._message_memo = (z, key, bound, self.entropy(key, bound))
         return self._message_memo[1:]
 
-    def _observation_key(self, B: Matrix) -> np.ndarray:
-        """Key of W = X B^T per entry.  Row r of W has the digits
-        B_r . digits mod q, formed in blocks of at most PACKED_BLOCK elements."""
-        q, n, size = self.ctx.q, self.scheme.n, len(self._weights)
+    def _observation_key(self, B: Matrix) -> tuple[np.ndarray, int]:
+        """(key, bound) of W = X B^T per entry: the dense key sum_r w_r (q^m)^r
+        while (q^m)^R <= DENSE_KEY_BOUND, else the rows' values folded."""
+        q, m, order, n = self.ctx.q, self.ctx.m, self.ctx.order, self.scheme.n
         if B.ncols != n:
             raise DimensionMismatch(f"wiretap matrix needs {n} columns, got {B.ncols}")
         if not all(isinstance(c, int) and 0 <= c < q for row in B.rows for c in row):
             raise PreconditionError(f"wiretap entries must lie in F_{q}")
-        step = max(1, PACKED_BLOCK // (n * self.ctx.m))
+        dense = order**B.nrows <= DENSE_KEY_BOUND
+        # weights[d, r]: the weight of digit d of row r in the key or in the row's value
+        weights = q ** np.arange(m, dtype=np.int64)[:, None] * (
+            order ** np.arange(B.nrows, dtype=np.int64) if dense else np.ones(B.nrows, np.int64))
+        form = "drk,dr->k" if dense else "drk,dr->rk"
+        key = np.concatenate([np.einsum(form, block, weights)
+                              for block in base_products(self._digits, B.rows, q)], axis=-1)
+        return (key, order**B.nrows) if dense else _fold(len(self._weights), key, order)
 
-        def values(row):
-            return np.concatenate([np.tensordot(row, self._digits[lo:lo + step], axes=(0, 1))
-                                   % q @ self._powers for lo in range(0, size, step)])
-
-        return _fold(size, map(values, B.rows), self.ctx.order)
+    def _joint(self, key: np.ndarray, bound: int, other: np.ndarray,
+               other_bound: int) -> tuple[np.ndarray, int]:
+        """(key, bound) of the pair of two keys, the first folded (its bound is
+        its number of values).  If that number is the support size, the first
+        key tells the entries apart alone and is the pair's key; otherwise the
+        second is folded first if the product of the bounds would pass
+        DENSE_KEY_BOUND."""
+        if bound == len(self._weights):
+            return key, bound
+        if bound * other_bound > DENSE_KEY_BOUND:
+            other, other_bound = _fold(len(other), [other], other_bound)
+        return key * other_bound + other, bound * other_bound
 
     def message_entropy(self, z_indices: Sequence[int] | None = None) -> LogQuantity:
         """H(S_Z)."""
-        return self._message(self._symbols(z_indices))[1]
+        return self._message(self._symbols(z_indices))[2]
 
     def divergence_message_from_uniform(
             self, z_indices: Sequence[int] | None = None) -> LogQuantity:
@@ -302,16 +343,21 @@ class JointDistribution:
         - H(S_Z, X) + H(S_Z); given S_Z, X ranges over a coset of the partial
         subcode, of dimension dim C1 - |Z|."""
         z = self._symbols(z_indices)
-        key, entropy = self._message(z)
-        joint = self.entropy(key * len(self._weights) + self._x_key)
+        key, bound, entropy = self._message(z)
+        joint = self.entropy(*self._joint(self._x_key, self._x_bound, key, bound))
         return self.integer(self.scheme.c1.k - len(z)) - joint + entropy
 
     def mutual_information(self, B: Matrix, z_indices: Sequence[int] | None = None) -> LogQuantity:
-        """I(S_Z ; W) = H(S_Z) + H(W) - H(S_Z, W) for W = X B^T."""
-        key, entropy = self._message(self._symbols(z_indices))
-        observed = self._observation_key(B)
-        return (entropy + self.entropy(observed)
-                - self.entropy(key * len(self._weights) + observed))
+        """I(S_Z ; W) = H(S_Z) + H(W) - H(S_Z, W) for W = X B^T.  A W with a
+        value per support entry tells the entries apart, so (S_Z, W) groups as
+        W does and I = H(S_Z)."""
+        key, bound, entropy = self._message(self._symbols(z_indices))
+        observed, observed_bound = self._observation_key(B)
+        masses = self._group_masses(observed, observed_bound)
+        if len(masses) == len(self._weights):
+            return entropy
+        return (entropy + self._entropy_of(masses)
+                - self.entropy(*self._joint(key, bound, observed, observed_bound)))
 
 
 # -- leakage over all wiretap matrices ----------------------------------------

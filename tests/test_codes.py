@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -74,8 +75,23 @@ def test_dual_is_computed_once(monkeypatch):
     d = c.dual()
     assert len(kernels) == 1
     assert c.dual() is d and len(kernels) == 1
-    assert d.dual() == c and len(kernels) == 2
+    # a dual's dual is its source, while that lives: no second kernel
+    assert d.dual() is c and len(kernels) == 1
     assert LinearCode.zero(F16, 4).dual() == LinearCode.full(F16, 4)
+
+
+def test_dual_links_back_weakly():
+    # the source is freed by reference counting alone (no cycle), and the
+    # dual then computes its own dual again, equal by value
+    c = rand_code(random.Random(25), F16, 4, 2)
+    value = LinearCode(F16, c.gen)
+    d = c.dual()
+    assert d.dual() is c
+    source = weakref.ref(c)
+    del c
+    assert source() is None
+    again = d.dual()
+    assert again == value and d.dual() is again and again.dual() is d
 
 
 def test_dual_of_mrd_is_mrd():

@@ -16,13 +16,18 @@ from rankguard import (
 from rankguard.bitrank import pack_key, packed_rank_table
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
+from rankguard.subspaces import gaussian_binomial
 from rankguard.errors import DimensionMismatch
 from rankguard.decoder import (
+    _canonical_transfers,
+    _closest_difference,
+    _difference_words,
     _error_keys,
     _exhaustive_coherent,
     _exhaustive_coherent_generic,
     _failing_blocks,
     _first_failing_transfer,
+    _least_ranks,
     _pack_vectors,
     _product_keys,
     _transfer_keys,
@@ -993,3 +998,94 @@ def test_noncoherent_capability_sampled():
     lifted = _lifted_instance()  # inner first weight 2: t=0, rho<=1 only
     rep = capability_report(lifted, t=0, rho=1, mode="sampled", trials=60, seed=7)
     assert rep.verified
+
+
+def _decided_schemes():
+    # q = 3 with C2 = {0} and with dim C2 = 1; q = 5 with n = 1, whose error
+    # balls stay small enough for the field-arithmetic reference at t = 2;
+    # and a [3,1] code over F_9 of rank weight 2, which first fails at t = 0,
+    # rho = 2 on the last one-dimensional row space, span(e_2)
+    f9 = ctx_new(3, 2)
+    weak = LinearCode(f9, Matrix(f9, [[1, f9.alpha, 0]], 3))
+    return [build_proposed(ctx_new(3, 3), l=1, n=2, k=1),
+            build_proposed(ctx_new(3, 3), l=1, n=2, k=2),
+            build_proposed(ctx_new(5, 2), l=1, n=1, k=1),
+            NestedScheme(weak, LinearCode.zero(f9, 3), weak.gen)]
+
+
+def test_decided_reports_match_generic_loop(monkeypatch):
+    # every t <= 2, rho <= n and N in {n - rho, n, n + 1} (N = 0 at rho = n);
+    # the error streams are listed once per (field, N, t) to keep this fast
+    listed = {}
+    stream = decoder.enumerate_errors
+
+    def listed_errors(ctx, N, t):
+        key = (ctx.q, ctx.m, N, t)
+        if key not in listed:
+            listed[key] = list(stream(ctx, N, t))
+        return iter(listed[key])
+
+    monkeypatch.setattr(decoder, "enumerate_errors", listed_errors)
+    verdicts = set()
+    for scheme in _decided_schemes():
+        n = scheme.n
+        for t in range(3):
+            for rho in range(n + 1):
+                for N in sorted({n - rho, n, n + 1}):
+                    report = capability_report(scheme, t, rho, N=N)
+                    assert report.to_json() == _exhaustive_coherent_generic(
+                        scheme, t, rho, N).to_json(), (scheme, t, rho, N)
+                    verdicts.add((scheme.ctx.q, report.verified, N == 0))
+    assert verdicts >= {(3, True, False), (3, False, False), (3, False, True),
+                        (5, True, False), (5, False, False), (5, False, True)}
+    weak = _decided_schemes()[-1]
+    assert capability_report(weak, 0, 2).trials == 12 * 1 + 1
+    # one A per group and the codewords in several blocks: the same reports
+    expected = [capability_report(weak, t, rho).to_json() for t in range(2) for rho in range(4)]
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", 40)
+    assert [capability_report(weak, t, rho).to_json()
+            for t in range(2) for rho in range(4)] == expected
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 2), (3, 3, 2, 1), (3, 3, 2, 2), (3, 4, 3, 1),
+                                        (5, 3, 2, 1)])
+def test_least_ranks_match_closest_difference(q, m, n, k):
+    # the digit decider's least rank per A against the field-arithmetic
+    # argmin over C1's codewords outside C2, for every canonical A
+    scheme = build_proposed(ctx_new(q, m), l=1, n=n, k=k)
+    words = _difference_words(scheme)
+    for N in (0, n - 1, n, n + 1):
+        for rho in range(n - min(n, N), n + 1):
+            transfers = list(_canonical_transfers(q, n, N, rho))
+            digits = np.array([A.rows for A in transfers], dtype=np.uint8).reshape(
+                len(transfers), N, n)
+            expected = [_closest_difference(scheme.ctx, words, A)[0] for A in transfers]
+            assert _least_ranks(scheme, digits).tolist() == expected
+
+
+def test_q3_verified_reports_skip_field_arithmetic(monkeypatch):
+    # a verified budget past the packed path is decided on digit arrays: no
+    # codeword image, no rank weight, no error stream
+    def no_field(*args):
+        pytest.fail("a verified q = 3 report ran field arithmetic")
+
+    for name in ("ext_vec_times_base_transpose", "rank_weight", "enumerate_errors"):
+        monkeypatch.setattr(decoder, name, no_field)
+    robust = build_proposed(ctx_new(3, 4), l=1, n=3, k=1)  # first weight 3
+    for t, rho in [(0, 0), (0, 1), (0, 2), (1, 0)]:
+        report = capability_report(robust, t, rho)
+        errors = error_count(robust.ctx, robust.n, t)
+        transfers = sum(gaussian_binomial(3, r, 3) for r in range(3 - rho, 4))
+        assert report.verified and report.trials == transfers * errors
+
+
+def test_scheme_keeps_its_generators(monkeypatch):
+    # sampled decodes of one scheme read C1's F_2 generators from the scheme
+    calls = []
+    prop = NestedScheme.__dict__["base_generators"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda self: calls.append(self) or build(self))
+    s = flagship()
+    report = capability_report(s, 0, 1, mode="sampled", trials=100, seed=3)
+    assert report.verified and report.trials == 100
+    assert calls == [s]

@@ -1,18 +1,23 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rankguard import AmbientMismatch, PreconditionError, ctx_new
 from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
 from rankguard.codes import LinearCode
 from rankguard.gf import PrimeField
+from rankguard import linalg
 from rankguard.linalg import (
     Matrix,
+    base_products,
     embed_base_matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
     extend_echelon,
+    field_digits,
+    rank_mod_q,
     rank_of_rows,
     solve_right,
     vec_mat,
@@ -234,3 +239,40 @@ def test_packed_rank_table_blocks():
         keys += [lo - 1, lo]
     for key in keys:
         assert table[key] == rank_bits((key >> (4 * r)) & 15 for r in range(5))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_rank_mod_q_matches_rref(q):
+    # random stacks, rank-deficient rows, zero matrices and empty shapes
+    rng = random.Random(40 + q)
+    field = PrimeField(q)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3), (3, 3), (5, 2)]:
+        mats = [[[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                 for _ in range(rows)] for _ in range(40)]
+        mats.append([[0] * cols for _ in range(rows)])
+        if rows > 1:
+            mats.append([mats[0][0]] * rows)
+        expected = [Matrix(field, mat, cols).rref()[1] for mat in mats]
+        stack = np.array(mats, dtype=np.uint8).reshape(len(mats), rows, cols)
+        assert rank_mod_q(stack, q).tolist() == expected
+        assert rank_mod_q(stack.reshape(1, len(mats), rows, cols), q).tolist() == [expected]
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 3), (5, 2), (17, 2)])
+def test_base_products_match_field_products(q, m, monkeypatch):
+    # small blocks, so that the vectors are split across several of them; at
+    # q = 17 a dot product of four digits passes 255
+    monkeypatch.setattr(linalg, "PACKED_BLOCK", 64)
+    rng = random.Random(q * m)
+    ctx = ctx_new(q, m)
+    xs = [tuple(rng.randrange(ctx.order) for _ in range(4)) for _ in range(50)]
+    digits = field_digits(np.array(xs).T, q, m)
+    assert digits.shape == (m, 4, 50)
+    for nrows in (0, 1, 3):
+        M = rand_matrix(rng, PrimeField(q), nrows, 4)
+        blocks = list(base_products(digits, M.rows, q))
+        assert len(blocks) > 1 and all(b.size <= 64 for b in blocks)
+        values = np.einsum("drk,d->kr", np.concatenate(blocks, axis=2), q ** np.arange(m))
+        assert values.tolist() == [list(ext_vec_times_base_transpose(ctx, x, M)) for x in xs]
+    with pytest.raises(PreconditionError):
+        next(base_products(digits, [[0, q, 0, 0]], q))

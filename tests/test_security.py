@@ -507,3 +507,86 @@ def test_one_distribution_serves_every_index_set():
                 assert _matches(dist.mutual_information(B, z), ref["I"])
                 assert _matches(dist.message_entropy(z), ref["H"])
                 assert _matches(dist.divergence_packets_from_coset_uniform(z), ref["D_X"])
+
+
+@pytest.mark.parametrize("total", [2**53 - 1, 2**53 + 1])
+def test_dense_masses_match_sorted_masses(scheme, total, monkeypatch):
+    # the float64 bincount serves totals below 2^53 only, where it is exact;
+    # at 2^53 + 1 a float64 sum may round, so the sort must run
+    dist = JointDistribution.uniform(scheme)
+    size = len(dist._weights)
+    rng = np.random.default_rng(total % 1000)
+    weights = rng.integers(2**40, 2**44, size)
+    weights[-1] += total - int(weights.sum())
+    dist._weights, dist.total = weights, total
+    sorted_calls = []
+    masses = JointDistribution._masses
+    monkeypatch.setattr(JointDistribution, "_masses",
+                        lambda self, key: sorted_calls.append(key) or masses(self, key))
+    for bound in (1, 7, size):
+        key = rng.integers(0, bound, size)
+        before = len(sorted_calls)
+        assert dist._group_masses(key, bound).tolist() == masses(dist, key).tolist()
+        assert len(sorted_calls) - before == (total >= 2**53)
+    # a key bound past the support size takes the sort at any total
+    key = rng.integers(0, 2 * size, size)
+    assert dist._group_masses(key, 2 * size).tolist() == masses(dist, key).tolist()
+    assert sorted_calls[-1] is key
+
+
+@pytest.mark.parametrize("weights", ["uniform", "seeded"])
+@pytest.mark.parametrize("k", [2, 1], ids=["C2", "C2=0"])
+def test_small_total_leakage_report_never_sorts(k, weights, monkeypatch):
+    # k = 2: mu <= dim C2 = 1 keeps every key of the flagship within its 256
+    # entries, S_Z and (S_Z, W) below 16 * 16, and at mu = 2 every W of rank
+    # 2 tells the entries apart, so I = H(S_Z); k = 1: C2 = {0}, so S tells
+    # the 16 entries apart and is the pair key, and mu <= 1 keeps W below 16.
+    # X always tells them apart.  The reports equal those of the sort.
+    scheme = build_proposed(F16, l=1, n=3, k=k)
+    mus = (0, 1, 2) if k == 2 else (0, 1)
+    dist = (JointDistribution.uniform(scheme) if weights == "uniform"
+            else JointDistribution.seeded(scheme, random.Random(5)))
+
+    def reports():
+        dist._message_memo = None
+        return [leakage_report(scheme, mu, dist, z).to_json() for mu in mus for z in (None, (0,))]
+
+    dense = reports()
+    masses = JointDistribution._masses
+    monkeypatch.setattr(JointDistribution, "_group_masses", lambda self, key, bound: masses(self, key))
+    assert reports() == dense
+    monkeypatch.undo()
+
+    def no_sort(self, key):
+        pytest.fail("a small-total leakage report sorted its group masses")
+
+    monkeypatch.setattr(JointDistribution, "_masses", no_sort)
+    assert reports() == dense
+
+
+def test_shared_packets_and_folded_keys_match_ratio_products(scheme, monkeypatch):
+    # some X carried under two messages, so that (S_Z, X) is not X alone; and
+    # every wiretap key folded, as past 2^62, and every joint key renumbered
+    rng = random.Random(29)
+    weights = {}
+    for S in scheme.messages():
+        for X in scheme.coset_elements(S):
+            weights[(S, X)] = rng.randrange(1, 4)
+            if rng.random() < 0.1:
+                weights[((S[0] ^ 1,), X)] = 1
+    wiretaps = list(enumerate_wiretap(2, scheme.n, 2))[::4]
+    for dense_bound in (security.DENSE_KEY_BOUND, 2):
+        monkeypatch.setattr(security, "DENSE_KEY_BOUND", dense_bound)
+        dist = JointDistribution(scheme, weights)
+        assert dist._x_bound < len(dist._weights)
+        for z in (None, ()):
+            ref = _reference_quantities(dist, z, wiretaps[0])
+            assert _matches(dist.divergence_packets_from_coset_uniform(z), ref["D_X"])
+            for B in wiretaps:
+                assert _matches(dist.mutual_information(B, z),
+                                _reference_quantities(dist, z, B)["I"])
+    # past the bound a pair key renumbers its second key first: 11 values
+    key, bound, _ = dist._message(())
+    sparse = 7 * (np.arange(len(dist._weights)) % 11)
+    joint, joint_bound = dist._joint(key, bound, sparse, 77)
+    assert joint_bound == 11 * bound and joint.max() < joint_bound
