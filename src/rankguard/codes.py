@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from functools import reduce
+from functools import cached_property, reduce
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -115,6 +116,20 @@ class LinearCode:
                           else LinearCode(self.ctx, self.gen.right_kernel()))
             self._dual._dual_of = weakref.ref(self)
         return self._dual
+
+    @cached_property
+    def parity_columns(self) -> list[tuple[int, ...]]:
+        """H b^T for every base-field row b, H the dual's generator, at b's
+        row id (the integer whose base-q digits, least significant first, are
+        b).  Built once by linearity: T[b + d q^j] = T[b] + d h_j for b < q^j,
+        h_j column j of H, an XOR at q = 2."""
+        ctx = self.ctx
+        add = xor if ctx.q == 2 else ctx.add
+        table = [(ctx.zero,) * (self.n - self.k)]
+        for h in self.dual().gen.transpose().rows:
+            steps = [tuple(ctx.mul(d, a) for a in h) for d in range(1, ctx.q)]
+            table += [tuple(map(add, t, step)) for step in steps for t in table]
+        return table
 
     def sum_with(self, other: "LinearCode") -> "LinearCode":
         self._check(other)

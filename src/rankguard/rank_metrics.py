@@ -18,10 +18,11 @@ base-field RREF basis B, so one kernel serves them.  With H a parity check
 of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
-stream B as a tuple of row ids (see `subspaces`), and each code memoizes the
-column H b^T of every distinct row id and builds no Matrix.  It also keeps
-the echelon (`linalg.extend_echelon`) of every suffix of the last basis it
-ranked and adds rows last to first; canonical bases vary row 0 fastest, so
+stream B as a tuple of row ids (see `subspaces`), and each code keeps one
+table of the column H b^T of every row id (`LinearCode.parity_columns`,
+built by linearity), so no Matrix is built.  A profile keeps the echelon
+(`linalg.extend_echelon`) of every suffix of the last basis it ranked per
+code and adds rows last to first; canonical bases vary row 0 fastest, so
 most cost one row reduction.  The reference, `LinearCode.intersect`, takes
 C cap V = (C_dual + V_dual)_dual for any V; tests compare the two.
 
@@ -32,19 +33,26 @@ InvariantViolated on a gap above that bound.  A gap is at most
 dim(C1 cap V), 0 below C1's first weight, so C2 is ranked only where that
 beats the best gap so far: no skipped basis could be the witness or break
 the bound.  The reference, `rgrw(method="direct")`, is the plain maximum
-over every basis.
+over every basis, and builds its own engine on every call.
+
+Finished profiles are kept by value in a small least-recently-used memo
+(both fields, n, both canonical generators and the family; never a code),
+so `rgrw`, the security predictions and the decoder's M_1 reuse a pair's
+table.  The subcode check runs on every call, before the lookup.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .bitrank import rank_bits
 from .codes import LinearCode, quotient_dim
 from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import extend_echelon, rank_of_rows, vec_mat
-from .subspaces import SubspaceFamily, row_digits
+from .linalg import extend_echelon, rank_of_rows
+from .subspaces import SubspaceFamily
 
 
 def rank_weight(ctx: FieldCtx, x) -> int:
@@ -85,20 +93,20 @@ class WeightTable(ProfileTable):
     first = 1
 
 
-class _Columns(dict):
-    """One code's memo: row id of a base-field row b -> the column H b^T
-    (a base-field digit is also its own embedding in F_{q^m})."""
+class _Columns:
+    """One code's ranks of H B^T over a stream of bases.  The column H b^T of
+    a row id is read from the code's `parity_columns`; a coordinate family
+    meets only the unit rows q^c, whose columns are H's own, and builds no
+    table of q^n columns."""
 
-    def __init__(self, code: LinearCode):
-        super().__init__()
-        self.ctx, self.n = code.ctx, code.n
-        self.parity_t = code.dual().gen.transpose()
+    def __init__(self, code: LinearCode, family: str = "qinvariant"):
+        self.ctx = code.ctx
+        if family == "coordinate":
+            self.columns = {self.ctx.q**c: h
+                            for c, h in enumerate(code.dual().gen.transpose().rows)}
+        else:
+            self.columns = code.parity_columns
         self.ids, self.echelons = (), [()]  # echelons[k] spans the columns of ids[k:]
-
-    def __missing__(self, row_id: int) -> tuple[int, ...]:
-        b = row_digits(row_id, self.ctx.q, self.n)
-        col = self[row_id] = vec_mat(self.ctx, b, self.parity_t)
-        return col
 
     def rank(self, ids: tuple[int, ...]) -> int:
         """rank(H B^T) over F_{q^m}, B the base-field rows with these ids; only
@@ -109,9 +117,9 @@ class _Columns(dict):
         else:
             while k and ids[k - 1] == self.ids[k - 1]:
                 k -= 1
-        echelons = self.echelons
+        echelons, columns = self.echelons, self.columns
         for j in range(k - 1, -1, -1):
-            echelons[j] = extend_echelon(self.ctx, echelons[j + 1], self[ids[j]])
+            echelons[j] = extend_echelon(self.ctx, echelons[j + 1], columns[ids[j]])
         self.ids = ids
         return len(echelons[0])
 
@@ -122,8 +130,9 @@ class _PairEngine:
     def __init__(self, c1: LinearCode, c2: LinearCode, family: str):
         self.quotient_dim = quotient_dim(c1, c2)
         self.ctx, self.n = c1.ctx, c1.n
-        self.cols1, self.cols2 = _Columns(c1), _Columns(c2)
-        self.family = family
+        # every level is admitted before a column is built
+        self.families = [SubspaceFamily(self.ctx, self.n, i, family) for i in range(self.n + 1)]
+        self.cols1, self.cols2 = _Columns(c1, family), _Columns(c2, family)
 
     def gap(self, ids: tuple[int, ...]) -> int:
         """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows with these ids."""
@@ -132,7 +141,7 @@ class _PairEngine:
     def max_gap(self, i: int, bound: int) -> tuple[int, tuple[int, ...]]:
         """(K_i, the first basis reaching it), stopping at a gap of `bound`."""
         best, witness = -1, ()
-        for ids in SubspaceFamily(self.ctx, self.n, i, self.family).bases:
+        for ids in self.families[i].bases:
             meet1 = i - self.cols1.rank(ids)
             if meet1 <= best:  # the gap is at most dim(C1 cap V)
                 continue
@@ -145,8 +154,49 @@ class _PairEngine:
         return best, witness
 
 
+class _Memo(OrderedDict):
+    """The `size` most recently used finished profiles by key; hits and
+    misses are counted.  A computation that raises stores nothing."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size, self.hits, self.misses = size, 0, 0
+
+    def lookup(self, key: tuple, compute: Callable[[], ProfileTable]) -> ProfileTable:
+        table = self.get(key)
+        if table is not None:
+            self.hits += 1
+            self.move_to_end(key)
+            return table
+        self.misses += 1
+        table = self[key] = compute()
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return table
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = self.misses = 0
+
+
+_profiles = _Memo(16)
+
+
+def _field_key(ctx: FieldCtx) -> tuple:
+    return ctx.q, ctx.m, ctx.modulus
+
+
 def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant") -> ProfileTable:
-    """Profile table K_0..K_n of the pair, each level a bounded maximum with its witness."""
+    """Profile table K_0..K_n of the pair, each level a bounded maximum with
+    its witness.  The pair is checked on every call; the table is then
+    looked up by value (both fields, n, both generators, the family), so
+    equal pairs are profiled once while they stay among the recent ones."""
+    quotient_dim(c1, c2)
+    key = (_field_key(c1.ctx), _field_key(c2.ctx), c1.n, c1.gen.rows, c2.gen.rows, family)
+    return _profiles.lookup(key, lambda: _profile(c1, c2, family))
+
+
+def _profile(c1: LinearCode, c2: LinearCode, family: str) -> ProfileTable:
     engine = _PairEngine(c1, c2, family)
     levels = []
     for i in range(engine.n + 1):
@@ -186,8 +236,7 @@ def rgrw(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant",
     if method != "direct":
         raise PreconditionError(f"unknown method {method!r}")
     engine = _PairEngine(c1, c2, family)
-    maxima = [max(map(engine.gap, SubspaceFamily(c1.ctx, c1.n, j, family).bases))
-              for j in range(engine.n + 1)]
+    maxima = [max(map(engine.gap, level.bases)) for level in engine.families]
     values = tuple(next(j for j, v in enumerate(maxima) if v >= i)
                    for i in range(1, engine.quotient_dim + 1))
     return _weight_table("RGRW" if family == "qinvariant" else "RGHW", values)

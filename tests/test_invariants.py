@@ -13,6 +13,7 @@ from rankguard import (
     codes,
     ctx_new,
     decoder,
+    rank_metrics,
     subspaces,
 )
 from rankguard.coset_scheme import build_proposed, lift
@@ -66,6 +67,56 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
              or _raises(node, "AssertionError")]
     assert lines == [], f"{path.name} uses assert or raises AssertionError at lines {lines}"
+
+
+def _lru_caches(tree) -> list:
+    """The lru_cache decorators of a module, bare or called, whatever the import."""
+    found = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", []):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "lru_cache":
+                found.append(dec)
+    return found
+
+
+def _maxsize(dec):
+    """The maxsize argument of an lru_cache decorator; None if it has none."""
+    if not isinstance(dec, ast.Call):
+        return None
+    sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+    return sizes[0] if len(sizes) == 1 else None
+
+
+def _constant(node):
+    """The value of an arithmetic expression of literals (2**14), else None."""
+    if node is None or not all(isinstance(n, (ast.Constant, ast.BinOp, ast.operator))
+                               for n in ast.walk(node)):
+        return None
+    return eval(compile(ast.Expression(node), "<maxsize>", "eval"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # a memo lives as long as the process: each lru_cache names an integer
+    # maxsize (None would grow without bound) and functools.cache is not used
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unbounded = [dec.lineno for dec in _lru_caches(tree)
+                 if type(_constant(_maxsize(dec))) is not int]
+    assert unbounded == [], f"{path.name}: lru_cache without an integer maxsize at lines {unbounded}"
+    uses_cache = [node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                      and getattr(node.value, "id", None) == "functools")
+                  or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                      and any(alias.name == "cache" for alias in node.names))]
+    assert uses_cache == [], f"{path.name} uses functools.cache at lines {uses_cache}"
+
+
+def test_profile_memo_is_bounded():
+    # rank_metrics' memo of finished profiles has a fixed integer bound
+    memo = rank_metrics._profiles
+    assert type(memo.size) is int and 0 < memo.size <= 64
 
 
 def _is_cap_option(name: str) -> bool:

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rankguard import LengthMismatch, NotASubcode, ctx_new, rank_metrics
+from rankguard import (AmbientMismatch, EnumerationTooLarge, LengthMismatch, NotASubcode,
+                       ctx_new, rank_metrics, subspaces)
 from rankguard.codes import LinearCode, gabidulin
-from rankguard.linalg import Matrix, embed_base_matrix, expand_to_base
+from rankguard.linalg import Matrix, embed_base_matrix, expand_to_base, vec_mat
 from rankguard.rank_metrics import (
     ProfileTable,
     _PairEngine,
@@ -203,6 +205,133 @@ def test_suffix_echelons_match_rref(q, m):
         assert cols.rank(ids) == parity.matmul(B.transpose()).rref()[1], ids
 
 
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_parity_columns_match_vec_mat(q, m):
+    # the table built by linearity against x H^T for every row id, with
+    # k = 0 (H = I) and k = n (no parity rows) among the codes
+    ctx, n = ctx_new(q, m), 3
+    rng = random.Random(53 + q)
+    codes = [LinearCode.zero(ctx, n), LinearCode.full(ctx, n)]
+    codes += [rand_nested_pair(rng, ctx, n, k, 0)[0] for k in (1, 2)]
+    for code in codes:
+        parity_t = code.dual().gen.transpose()
+        table = code.parity_columns
+        assert len(table) == q**n
+        for b, column in enumerate(table):
+            assert column == vec_mat(ctx, row_digits(b, q, n), parity_t), (code.k, b)
+        assert code.parity_columns is table  # built once
+
+
+@pytest.mark.parametrize("family", ["qinvariant", "coordinate"])
+def test_refused_profile_builds_no_column_table(monkeypatch, family):
+    # every level is admitted before a column is built, so a family past the
+    # cap never pays for a table of q^n columns; a coordinate family builds none
+    def no_table(code):
+        raise AssertionError("column table built")
+
+    monkeypatch.setattr(LinearCode, "parity_columns", property(no_table))
+    c1, c2 = LinearCode.full(F16, 4), LinearCode.zero(F16, 4)
+    if family == "coordinate":
+        assert rdlp(c1, c2).values == (0, 1, 2, 3, 4)
+        rank_metrics._profiles.clear()  # a kept table enumerates nothing
+    # past the cap: the 15 one-dim q-invariant subspaces, the C(4, 2) = 6 coordinate ones
+    monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 5)
+    with pytest.raises(EnumerationTooLarge, match=f"{family} subspaces exceed cap 5"):
+        rdip(c1, c2, family=family)
+
+
+def _counting_engines(monkeypatch) -> list:
+    built = []
+
+    class CountingEngine(rank_metrics._PairEngine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rank_metrics, "_PairEngine", CountingEngine)
+    return built
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_memo_hit_equals_cold_profile(monkeypatch, q, m):
+    # a repeat, on equal codes built afresh, builds no engine and returns the
+    # table of a cold profile, witnesses included
+    ctx, n = ctx_new(q, m), 3
+    rng = random.Random(59 + q)
+    c1, c2 = rand_nested_pair(rng, ctx, n, 2, 1)
+    built, memo = _counting_engines(monkeypatch), rank_metrics._profiles
+    for kind in ("qinvariant", "coordinate"):
+        memo.clear()
+        cold = rdip(c1, c2, family=kind)
+        assert (memo.hits, memo.misses, len(built)) == (0, 1, 1)
+        same1, same2 = LinearCode(ctx, c1.gen.rows, n), LinearCode(ctx, c2.gen.rows, n)
+        hit = rdip(same1, same2, family=kind)
+        assert rgrw(c1, c2, family=kind) == weights_from_profile(cold)
+        assert (memo.hits, memo.misses, len(built)) == (2, 1, 1)
+        memo.clear()
+        fresh = rdip(c1, c2, family=kind)
+        assert hit == fresh and hit.witnesses == fresh.witnesses == cold.witnesses
+        built.clear()
+
+
+@pytest.mark.parametrize("family", ["qinvariant", "coordinate"])
+def test_memo_checks_the_pair_on_every_call(family):
+    # the same integer rows over two moduli of F_16 are different codes: a
+    # profile over one field answers nothing over the other, and a pair that
+    # is not nested raises on every call
+    f16, other = ctx_new(2, 4), ctx_new(2, 4, [1, 0, 0, 1, 1])
+    c1 = gabidulin(f16, 4, 2)
+    c2 = LinearCode(f16, [c1.encode((1, f16.alpha))], 4)
+    moved1, moved2 = LinearCode(other, c1.gen.rows, 4), LinearCode(other, c2.gen.rows, 4)
+    table = rdip(c1, c2, family=family)
+    for _ in range(2):
+        with pytest.raises(AmbientMismatch):
+            rdip(c1, moved2, family=family)
+        with pytest.raises(AmbientMismatch):
+            rdip(moved1, c2, family=family)
+        with pytest.raises(NotASubcode):
+            rdip(c1, LinearCode(f16, [[1, 0, 0, 0]], 4), family=family)
+        assert rdip(c1, c2, family=family) == table
+    # a pair of base-field rows is nested over both fields: two tables
+    full, ones = LinearCode.full(f16, 4), LinearCode(f16, [[1, 1, 1, 1]], 4)
+    moved_full, moved_ones = LinearCode.full(other, 4), LinearCode(other, [[1, 1, 1, 1]], 4)
+    misses = rank_metrics._profiles.misses
+    assert rdip(moved_full, moved_ones, family=family) == rdip(full, ones, family=family)
+    assert rank_metrics._profiles.misses == misses + 2
+
+
+def test_memo_keeps_no_code():
+    # the memo holds keys and tables only: the codes and their duals are
+    # freed by reference counting once the caller drops them
+    c1 = gabidulin(F16, 4, 2)
+    c2 = LinearCode(F16, [c1.encode((1, A))], 4)
+    rdip(c1, c2)
+    rgrw(c1, c2)
+    rdlp(c1, c2)
+    refs = [weakref.ref(c) for c in (c1, c2, c1.dual(), c2.dual())]
+    del c1, c2
+    assert [ref() for ref in refs] == [None] * 4
+    assert len(rank_metrics._profiles) == 2
+
+
+def test_memo_stays_at_its_bound():
+    memo = rank_metrics._profiles
+    assert isinstance(memo.size, int) and memo.size > 0
+    f4 = ctx_new(2, 2)
+    rng = random.Random(61)
+    pairs = [rand_nested_pair(rng, f4, 3, 2, 0) for _ in range(3 * memo.size)]
+    distinct = list({(c1, c2): (c1, c2) for c1, c2 in pairs}.values())
+    assert len(distinct) > memo.size + 1
+    for c1, c2 in distinct:
+        rdip(c1, c2)
+        assert len(memo) <= memo.size
+    assert len(memo) == memo.size
+    assert (memo.hits, memo.misses) == (0, len(distinct))
+    rdip(*distinct[-1])  # the most recent pair is kept
+    rdip(*distinct[0])  # the oldest was evicted
+    assert (memo.hits, memo.misses) == (1, len(distinct) + 1)
+
+
 def test_rank_weight_matches_expansion_rank():
     # the q > 2 rank weight ranks the coefficient rows directly
     for ctx in (ctx_new(3, 2), ctx_new(5, 2)):
@@ -224,6 +353,7 @@ from rankguard.subspaces import SubspaceFamily
 ctx = ctx_new(2, 4)
 c1, c2 = gabidulin(ctx, 4, 2), LinearCode.zero(ctx, 4)
 truth = rank_metrics.rdip(c1, c2).values
+rank_metrics._profiles.clear()  # profile the pair afresh with the faulty engine
 target = next(iter(SubspaceFamily(ctx, 4, 2).bases))
 
 
@@ -255,6 +385,23 @@ def _run_script(script: str, flags=()) -> str:
 def test_gap_above_unit_step_raises(flags):
     assert _run_script(FAULT_SCRIPT, flags) == (
         "InvariantViolated: gap 2 at level 2 exceeds the unit-step bound 1\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_raising_profile_is_not_memoized(flags):
+    # the faulty engine raises, so nothing is stored: a second call profiles
+    # the pair again and raises again
+    script = FAULT_SCRIPT + """
+try:
+    rank_metrics.rdip(c1, c2)
+except InvariantViolated as exc:
+    print("again:", exc)
+print(rank_metrics._profiles.hits, rank_metrics._profiles.misses, len(rank_metrics._profiles))
+"""
+    assert _run_script(script, flags) == (
+        "InvariantViolated: gap 2 at level 2 exceeds the unit-step bound 1\n"
+        "again: gap 2 at level 2 exceeds the unit-step bound 1\n"
+        "0 2 0\n")
 
 
 RESIDENT_SCRIPT = """
