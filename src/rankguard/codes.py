@@ -122,7 +122,8 @@ class LinearCode:
         """H b^T for every base-field row b, H the dual's generator, at b's
         row id (the integer whose base-q digits, least significant first, are
         b).  Built once by linearity: T[b + d q^j] = T[b] + d h_j for b < q^j,
-        h_j column j of H, an XOR at q = 2."""
+        h_j column j of H, an XOR at q = 2.  It has q^n entries, so profiles
+        read it only for q <= 5 (see `rank_metrics._Columns`)."""
         ctx = self.ctx
         add = xor if ctx.q == 2 else ctx.add
         table = [(ctx.zero,) * (self.n - self.k)]

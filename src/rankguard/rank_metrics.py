@@ -18,9 +18,11 @@ base-field RREF basis B, so one kernel serves them.  With H a parity check
 of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
-stream B as a tuple of row ids (see `subspaces`), and each code keeps one
-table of the column H b^T of every row id (`LinearCode.parity_columns`,
-built by linearity), so no Matrix is built.  A profile keeps the echelon
+stream B as a tuple of row ids (see `subspaces`), and no Matrix is built:
+for q <= 5 each code keeps one table of the column H b^T of every row id
+(`LinearCode.parity_columns`, built by linearity); for larger q, where
+most of the q^n ids are never met, a profile computes the column of each
+id it meets (see `_Columns`).  A profile keeps the echelon
 (`linalg.extend_echelon`) of every suffix of the last basis it ranked per
 code and adds rows last to first; canonical bases vary row 0 fastest, so
 most cost one row reduction.  The reference, `LinearCode.intersect`, takes
@@ -36,9 +38,9 @@ the bound.  The reference, `rgrw(method="direct")`, is the plain maximum
 over every basis, and builds its own engine on every call.
 
 Finished profiles are kept by value in a small least-recently-used memo
-(both fields, n, both canonical generators and the family; never a code),
-so `rgrw`, the security predictions and the decoder's M_1 reuse a pair's
-table.  The subcode check runs on every call, before the lookup.
+(both canonical generators and the family; never a code), so `rgrw`, the
+security predictions and the decoder's M_1 reuse a pair's table.  The
+subcode check runs on every call, before the lookup.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .bitrank import rank_bits
 from .codes import LinearCode, quotient_dim
 from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import extend_echelon, rank_of_rows
-from .subspaces import SubspaceFamily
+from .linalg import extend_echelon, rank_of_rows, vec_mat
+from .subspaces import SubspaceFamily, row_digits
 
 
 def rank_weight(ctx: FieldCtx, x) -> int:
@@ -93,19 +95,35 @@ class WeightTable(ProfileTable):
     first = 1
 
 
+class _LazyColumns(dict):
+    """Row id of a base-field row b -> the column H b^T, computed when first
+    met (a base-field digit is also its own embedding in F_{q^m})."""
+
+    def __init__(self, code: LinearCode):
+        super().__init__()
+        self.ctx, self.n = code.ctx, code.n
+        self.parity_t = code.dual().gen.transpose()
+
+    def __missing__(self, row_id: int) -> tuple[int, ...]:
+        col = self[row_id] = vec_mat(self.ctx, row_digits(row_id, self.ctx.q, self.n),
+                                     self.parity_t)
+        return col
+
+
 class _Columns:
-    """One code's ranks of H B^T over a stream of bases.  The column H b^T of
-    a row id is read from the code's `parity_columns`; a coordinate family
-    meets only the unit rows q^c, whose columns are H's own, and builds no
-    table of q^n columns."""
+    """One code's ranks of H B^T over a stream of bases.  A q-invariant
+    basis's rows are among the (q^n - 1)/(q - 1) rows with a leading 1, so
+    for q <= 5 the code's table of all q^n columns (`parity_columns`), at
+    most four times that many, is read; for larger q, and for a coordinate
+    family, which meets only the n unit rows, each column is computed when
+    first met."""
 
     def __init__(self, code: LinearCode, family: str = "qinvariant"):
         self.ctx = code.ctx
-        if family == "coordinate":
-            self.columns = {self.ctx.q**c: h
-                            for c, h in enumerate(code.dual().gen.transpose().rows)}
-        else:
+        if family == "qinvariant" and self.ctx.q <= 5:
             self.columns = code.parity_columns
+        else:
+            self.columns = _LazyColumns(code)
         self.ids, self.echelons = (), [()]  # echelons[k] spans the columns of ids[k:]
 
     def rank(self, ids: tuple[int, ...]) -> int:
@@ -125,10 +143,11 @@ class _Columns:
 
 
 class _PairEngine:
-    """Shared enumeration state for one (C1, C2) pair."""
+    """Shared enumeration state for one (C1, C2) pair; `l` is dim C1/C2 when
+    the caller has already checked the pair."""
 
-    def __init__(self, c1: LinearCode, c2: LinearCode, family: str):
-        self.quotient_dim = quotient_dim(c1, c2)
+    def __init__(self, c1: LinearCode, c2: LinearCode, family: str, l: int | None = None):
+        self.quotient_dim = quotient_dim(c1, c2) if l is None else l
         self.ctx, self.n = c1.ctx, c1.n
         # every level is admitted before a column is built
         self.families = [SubspaceFamily(self.ctx, self.n, i, family) for i in range(self.n + 1)]
@@ -182,22 +201,18 @@ class _Memo(OrderedDict):
 _profiles = _Memo(16)
 
 
-def _field_key(ctx: FieldCtx) -> tuple:
-    return ctx.q, ctx.m, ctx.modulus
-
-
 def rdip(c1: LinearCode, c2: LinearCode, *, family: str = "qinvariant") -> ProfileTable:
     """Profile table K_0..K_n of the pair, each level a bounded maximum with
     its witness.  The pair is checked on every call; the table is then
-    looked up by value (both fields, n, both generators, the family), so
-    equal pairs are profiled once while they stay among the recent ones."""
-    quotient_dim(c1, c2)
-    key = (_field_key(c1.ctx), _field_key(c2.ctx), c1.n, c1.gen.rows, c2.gen.rows, family)
-    return _profiles.lookup(key, lambda: _profile(c1, c2, family))
+    looked up by value (both generators, whose equality covers the field,
+    and the family), so equal pairs are profiled once while they stay among
+    the recent ones."""
+    l = quotient_dim(c1, c2)
+    return _profiles.lookup((c1.gen, c2.gen, family), lambda: _profile(c1, c2, family, l))
 
 
-def _profile(c1: LinearCode, c2: LinearCode, family: str) -> ProfileTable:
-    engine = _PairEngine(c1, c2, family)
+def _profile(c1: LinearCode, c2: LinearCode, family: str, l: int) -> ProfileTable:
+    engine = _PairEngine(c1, c2, family, l)
     levels = []
     for i in range(engine.n + 1):
         bound = min(levels[-1][0] + 1, engine.quotient_dim) if levels else 0

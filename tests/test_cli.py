@@ -71,10 +71,11 @@ def test_tables_profile_the_pair_once(tmp_path, monkeypatch, command):
     c2_path.write_text(json.dumps(c2.to_json()))
     assert run([command, "--code", str(c1_path), "--subcode", str(c2_path),
                 "--out", str(tmp_path / "table.csv")]) == 0
-    assert len(built) == 1
+    memo = rank_metrics._profiles
+    assert len(built) == 1 and (memo.hits, memo.misses) == (0, 1)
     built.clear()
     assert verify_bounds(c1, c2)["all"]  # the pair's table is kept from the CLI run
-    assert len(built) == 0
+    assert len(built) == 0 and (memo.hits, memo.misses) == (1, 1)
 
 
 def test_rgrw_tables_csv(tmp_path):

@@ -240,6 +240,30 @@ def test_refused_profile_builds_no_column_table(monkeypatch, family):
         rdip(c1, c2, family=family)
 
 
+@pytest.mark.parametrize("q, m, n, whole", [(7, 2, 3, True), (251, 1, 3, False)])
+def test_large_q_builds_no_column_table(monkeypatch, q, m, n, whole):
+    # past q = 5 most of the q^n row ids are met by no basis (at q = 251,
+    # n = 3: 63,253 of 15,813,251), so columns are computed as ids are met
+    def no_table(code):
+        raise AssertionError("column table built")
+
+    monkeypatch.setattr(LinearCode, "parity_columns", property(no_table))
+    ctx = ctx_new(q, m)
+    rng = random.Random(67 + q)
+    c1, c2 = rand_nested_pair(rng, ctx, n, 2, 1)
+    if whole:  # small enough to profile in full
+        profile = rdip(c1, c2)
+        assert weights_from_profile(profile) == rgrw(c1, c2, method="direct")
+        for i, ids in enumerate(profile.witnesses):
+            V = LinearCode(ctx, [row_digits(b, q, n) for b in ids], n)
+            assert c1.intersect(V).k - c2.intersect(V).k == profile.at(i)
+    engine = _PairEngine(c1, c2, "qinvariant")
+    family = SubspaceFamily(ctx, n, 2)
+    for ids, V in itertools.islice(zip(family.bases, family), 200):
+        assert engine.gap(ids) == c1.intersect(V).k - c2.intersect(V).k
+    assert len(engine.cols1.columns) <= 2 * 200
+
+
 def _counting_engines(monkeypatch) -> list:
     built = []
 
