@@ -5,9 +5,9 @@ that everything rank-metric ultimately leans on.
 """
 
 from rankguard import ctx_new
-from rankguard.gf import DEFAULT_MODULI_GF2
+from rankguard.gf import smallest_irreducible
 
-ctx = ctx_new(2, 4)  # F_16 with the built-in modulus x^4 + x + 1
+ctx = ctx_new(2, 4)  # F_16 with the default modulus x^4 + x + 1
 a = ctx.alpha
 
 print("modulus coefficients (little-endian):", list(ctx.modulus))
@@ -30,4 +30,4 @@ print("\nEvery nonzero element satisfies x^(q^m - 1) = 1:")
 print("  all pass:", all(ctx.pow(v, ctx.order - 1) == 1 for v in ctx.nonzero()))
 
 print("\nBuilt-in default moduli exist for every degree up to 16:")
-print(" ", {m: mod for m, mod in list(DEFAULT_MODULI_GF2.items())[:5]}, "...")
+print(" ", {m: smallest_irreducible(2, m) for m in range(1, 6)}, "...")

@@ -34,14 +34,13 @@ from .errors import (
     SuiteUnknown,
     UnsupportedSize,
 )
-from .gf import DEFAULT_MODULI_GF2, FieldCtx, PrimeField, ctx_new
+from .gf import FieldCtx, PrimeField, ctx_new
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbientMismatch",
     "BadDimensions",
-    "DEFAULT_MODULI_GF2",
     "DegreeMismatch",
     "DegreeTooSmall",
     "DependentPoints",

@@ -40,7 +40,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PreconditionError(f"{path}: expected a JSON object")
@@ -246,7 +246,8 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"error: enumeration too large: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (PreconditionError, OSError, UnicodeDecodeError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RankguardError as exc:

@@ -26,6 +26,7 @@ from .errors import (
     NotASubcode,
     NotSystematizable,
     PreconditionError,
+    json_agrees,
     json_field,
 )
 from .gf import FieldCtx, ctx_from_json
@@ -41,6 +42,30 @@ def require_scan_cap(count: int) -> None:
     if count > DEFAULT_SCAN_CAP:
         raise EnumerationTooLarge(
             f"scan cap: {count} vectors over F_(q^m) exceed cap {DEFAULT_SCAN_CAP}")
+
+
+class _ParityColumns(dict):
+    """Row id of a base-field row b (its base-q digits, least significant
+    first) -> H b^T, H the code's parity check, filled when first read by
+    linearity: T[b] = T[b - d q^j] + d h_j for b's top digit d at position j,
+    one vector addition per entry (an XOR at q = 2).  Dropping the top digit
+    keeps the lowest nonzero one, so the rows of q-invariant bases (a leading
+    1) fill at most (q^n - 1)/(q - 1) + 1 ids, and unit rows n + 1."""
+
+    def __init__(self, code: LinearCode):
+        ctx = code.ctx
+        super().__init__({0: (ctx.zero,) * (code.n - code.k)})
+        self.q, self.add = ctx.q, xor if ctx.q == 2 else ctx.add
+        # steps[j][d - 1] = d h_j, h_j column j of H
+        self.steps = [[tuple(ctx.mul(d, a) for a in h) for d in range(1, ctx.q)]
+                      for h in code.dual().gen.transpose().rows]
+
+    def __missing__(self, row_id: int) -> tuple[int, ...]:
+        q, d, j = self.q, row_id, 0
+        while d >= q:
+            d, j = d // q, j + 1
+        col = self[row_id] = tuple(map(self.add, self[row_id - d * q**j], self.steps[j][d - 1]))
+        return col
 
 
 class LinearCode:
@@ -117,20 +142,8 @@ class LinearCode:
             self._dual._dual_of = weakref.ref(self)
         return self._dual
 
-    @cached_property
-    def parity_columns(self) -> list[tuple[int, ...]]:
-        """H b^T for every base-field row b, H the dual's generator, at b's
-        row id (the integer whose base-q digits, least significant first, are
-        b).  Built once by linearity: T[b + d q^j] = T[b] + d h_j for b < q^j,
-        h_j column j of H, an XOR at q = 2.  It has q^n entries, so profiles
-        read it only for q <= 5 (see `rank_metrics._Columns`)."""
-        ctx = self.ctx
-        add = xor if ctx.q == 2 else ctx.add
-        table = [(ctx.zero,) * (self.n - self.k)]
-        for h in self.dual().gen.transpose().rows:
-            steps = [tuple(ctx.mul(d, a) for a in h) for d in range(1, ctx.q)]
-            table += [tuple(map(add, t, step)) for step in steps for t in table]
-        return table
+    #: H b^T by the row id of b, filled as ids are met and kept like the dual
+    parity_columns = cached_property(_ParityColumns)
 
     def sum_with(self, other: "LinearCode") -> "LinearCode":
         self._check(other)
@@ -185,14 +198,12 @@ class LinearCode:
         if self.k == 0:
             raise PreconditionError("the zero code has no minimum distance")
         from .rank_metrics import rank_weight
-        best = None
+        best = self.n  # no word of length n has a larger rank weight
         for v in self.codewords():
             if any(v):
-                w = rank_weight(self.ctx, v)
-                if best is None or w < best:
-                    best = w
-                    if best == 1:
-                        break
+                best = min(best, rank_weight(self.ctx, v))
+                if best == 1:
+                    break
         return best
 
     # -- plumbing ------------------------------------------------------------------
@@ -205,7 +216,9 @@ class LinearCode:
     def from_json(data: dict, ctx: FieldCtx | None = None) -> "LinearCode":
         if ctx is None:
             ctx = ctx_from_json(data)
-        return LinearCode(ctx, Matrix.from_json(ctx, json_field(data, "generator", dict)))
+        code = LinearCode(ctx, Matrix.from_json(ctx, json_field(data, "generator", dict)))
+        json_agrees(data, {**ctx.params(), "n": code.n, "k": code.k}, "code")
+        return code
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearCode) and other.ctx == self.ctx

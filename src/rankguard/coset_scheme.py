@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     PacketTooShort,
     PreconditionError,
+    json_agrees,
     json_field,
     require,
 )
@@ -137,7 +138,9 @@ class NestedScheme:
         c1 = LinearCode.from_json(json_field(data, "c1", dict), ctx)
         c2 = LinearCode.from_json(json_field(data, "c2", dict), ctx)
         delta_g = Matrix.from_json(ctx, json_field(data, "delta_g", dict))
-        return NestedScheme(c1, c2, delta_g)
+        scheme = NestedScheme(c1, c2, delta_g)
+        json_agrees(data, {"n": scheme.n, "l": scheme.l, "k": c1.k}, "scheme")
+        return scheme
 
     def __repr__(self) -> str:
         return (f"NestedScheme(n={self.n}, dim C1={self.c1.k}, dim C2={self.c2.k},"

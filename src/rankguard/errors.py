@@ -7,6 +7,8 @@ JSON input is a precondition violation, caught where it is read.
 
 from __future__ import annotations
 
+import json
+
 
 class RankguardError(Exception):
     """Base class for all library errors."""
@@ -51,6 +53,15 @@ def json_ints(value, what: str, bound: int | None = None) -> list[int]:
         limit = "" if bound is None else f" in 0..{bound - 1}"
         raise PreconditionError(f"{what} must be a list of integers{limit}, got {value!r}")
     return value
+
+
+def json_agrees(data: dict, built: dict, what: str) -> None:
+    """Refuse a JSON object whose recorded fields disagree with the value
+    built from it; a field it leaves out is not checked."""
+    for key, value in built.items():  # compared as JSON text, so true is not 1
+        if key in data and json.dumps(data[key]) != json.dumps(value):
+            raise PreconditionError(
+                f"{what} records {key}={data[key]!r} but its contents give {value!r}")
 
 
 class NotIrreducible(PreconditionError):

@@ -36,27 +36,6 @@ from .errors import (
 #: Largest permitted field size; keeps exhaustive element iteration feasible.
 DEFAULT_ORDER_CAP = 2**16
 
-#: One irreducible polynomial per extension degree of F_2 (lexicographically
-#: smallest by little-endian encoding), stored little-endian.
-DEFAULT_MODULI_GF2 = {
-    1: (0, 1),
-    2: (1, 1, 1),
-    3: (1, 1, 0, 1),
-    4: (1, 1, 0, 0, 1),
-    5: (1, 0, 1, 0, 0, 1),
-    6: (1, 1, 0, 0, 0, 0, 1),
-    7: (1, 1, 0, 0, 0, 0, 0, 1),
-    8: (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    9: (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    10: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    11: (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    12: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    13: (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    14: (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    15: (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    16: (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-}
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -131,8 +110,10 @@ def poly_is_irreducible(p: Sequence[int], q: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over F_q."""
+    """Lexicographically smallest monic irreducible of degree m over F_q; the
+    default modulus of `ctx_new`, so searched once per (q, m)."""
     for g in _monic_polys(q, m):
         if poly_is_irreducible(g, q):
             return g
@@ -415,7 +396,8 @@ def ctx_from_json(data: dict) -> FieldCtx:
 
 
 def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None) -> FieldCtx:
-    """Build a verified field context; modulus defaults to the built-in table."""
+    """Build a verified field context; the modulus defaults to
+    `smallest_irreducible(q, m)`."""
     if m < 1:
         raise PreconditionError(f"extension degree m={m} must be >= 1")
     # refused before the primality test and q**m, which a huge q or m would stall
@@ -423,12 +405,9 @@ def ctx_new(q: int, m: int, modulus: Sequence[int] | None = None) -> FieldCtx:
     if q > cap or (q >= 2 and m >= cap.bit_length()):
         raise UnsupportedSize(f"q^m = {q}^{m} exceeds the cap {cap}")
     if modulus is None:
-        if q == 2 and m in DEFAULT_MODULI_GF2:
-            modulus = DEFAULT_MODULI_GF2[m]
-        else:
-            if not is_prime(q):
-                raise PreconditionError(f"q={q} is not prime")
-            if q**m > cap:
-                raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {cap}")
-            modulus = smallest_irreducible(q, m)
+        if not is_prime(q):
+            raise PreconditionError(f"q={q} is not prime")
+        if q**m > cap:
+            raise UnsupportedSize(f"q^m = {q**m} exceeds the cap {cap}")
+        modulus = smallest_irreducible(q, m)
     return FieldCtx(q, m, modulus)

@@ -19,10 +19,8 @@ of C, a word x = yB lies in C iff H B^T y^T = 0, hence
 dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
 stream B as a tuple of row ids (see `subspaces`), and no Matrix is built:
-for q <= 5 each code keeps one table of the column H b^T of every row id
-(`LinearCode.parity_columns`, built by linearity); for larger q, where
-most of the q^n ids are never met, a profile computes the column of each
-id it meets (see `_Columns`).  A profile keeps the echelon
+each code keeps one table of the columns H b^T, filled by linearity as
+row ids are met (`LinearCode.parity_columns`).  A profile keeps the echelon
 (`linalg.extend_echelon`) of every suffix of the last basis it ranked per
 code and adds rows last to first; canonical bases vary row 0 fastest, so
 most cost one row reduction.  The reference, `LinearCode.intersect`, takes
@@ -53,8 +51,8 @@ from .bitrank import rank_bits
 from .codes import LinearCode, quotient_dim
 from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import extend_echelon, rank_of_rows, vec_mat
-from .subspaces import SubspaceFamily, row_digits
+from .linalg import extend_echelon, rank_of_rows
+from .subspaces import SubspaceFamily
 
 
 def rank_weight(ctx: FieldCtx, x) -> int:
@@ -85,9 +83,6 @@ class ProfileTable:
             raise PreconditionError(f"{self.kind} index {i} out of range {self.first}..{last}")
         return self.values[i - self.first]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 class WeightTable(ProfileTable):
     """Minimal realizing dimensions indexed by gap level 1..dim(C1/C2)."""
@@ -95,35 +90,12 @@ class WeightTable(ProfileTable):
     first = 1
 
 
-class _LazyColumns(dict):
-    """Row id of a base-field row b -> the column H b^T, computed when first
-    met (a base-field digit is also its own embedding in F_{q^m})."""
+class _Columns:
+    """One code's ranks of H B^T over a stream of bases, read from the
+    code's column table (`LinearCode.parity_columns`)."""
 
     def __init__(self, code: LinearCode):
-        super().__init__()
-        self.ctx, self.n = code.ctx, code.n
-        self.parity_t = code.dual().gen.transpose()
-
-    def __missing__(self, row_id: int) -> tuple[int, ...]:
-        col = self[row_id] = vec_mat(self.ctx, row_digits(row_id, self.ctx.q, self.n),
-                                     self.parity_t)
-        return col
-
-
-class _Columns:
-    """One code's ranks of H B^T over a stream of bases.  A q-invariant
-    basis's rows are among the (q^n - 1)/(q - 1) rows with a leading 1, so
-    for q <= 5 the code's table of all q^n columns (`parity_columns`), at
-    most four times that many, is read; for larger q, and for a coordinate
-    family, which meets only the n unit rows, each column is computed when
-    first met."""
-
-    def __init__(self, code: LinearCode, family: str = "qinvariant"):
-        self.ctx = code.ctx
-        if family == "qinvariant" and self.ctx.q <= 5:
-            self.columns = code.parity_columns
-        else:
-            self.columns = _LazyColumns(code)
+        self.ctx, self.columns = code.ctx, code.parity_columns
         self.ids, self.echelons = (), [()]  # echelons[k] spans the columns of ids[k:]
 
     def rank(self, ids: tuple[int, ...]) -> int:
@@ -149,9 +121,9 @@ class _PairEngine:
     def __init__(self, c1: LinearCode, c2: LinearCode, family: str, l: int | None = None):
         self.quotient_dim = quotient_dim(c1, c2) if l is None else l
         self.ctx, self.n = c1.ctx, c1.n
-        # every level is admitted before a column is built
+        # every level is admitted before a column is read
         self.families = [SubspaceFamily(self.ctx, self.n, i, family) for i in range(self.n + 1)]
-        self.cols1, self.cols2 = _Columns(c1, family), _Columns(c2, family)
+        self.cols1, self.cols2 = _Columns(c1), _Columns(c2)
 
     def gap(self, ids: tuple[int, ...]) -> int:
         """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows with these ids."""
@@ -265,7 +237,7 @@ def rghw(c1: LinearCode, c2: LinearCode) -> WeightTable:
     return rgrw(c1, c2, family="coordinate")
 
 
-def first_rgrw(c1: LinearCode, c2: LinearCode, **kw) -> int:
+def first_rgrw(c1: LinearCode, c2: LinearCode) -> int:
     """Smallest rank weight over C1 \\ C2 (the first entry of the weight table)."""
-    return rgrw(c1, c2, **kw).at(1)
+    return rgrw(c1, c2).at(1)
 

@@ -444,14 +444,14 @@ def leakage_report(scheme: NestedScheme, mu: int, dist: JointDistribution,
     )
 
 
-def universal_equivocation(scheme: NestedScheme, mu: int, dist: JointDistribution,
-                           mode: str = "rowspace") -> LeakageReport:
-    return leakage_report(scheme, mu, dist, None, mode)
+def universal_equivocation(scheme: NestedScheme, mu: int,
+                           dist: JointDistribution) -> LeakageReport:
+    return leakage_report(scheme, mu, dist)
 
 
 def partial_leakage(scheme: NestedScheme, z_indices: Sequence[int], mu: int,
-                    dist: JointDistribution, mode: str = "rowspace") -> LeakageReport:
-    return leakage_report(scheme, mu, dist, z_indices, mode)
+                    dist: JointDistribution) -> LeakageReport:
+    return leakage_report(scheme, mu, dist, z_indices)
 
 
 # -- universal maximum strength -------------------------------------------------

@@ -252,8 +252,17 @@ def test_out_of_range_numbers(scheme_file, tmp_path, capsys, args, code):
     lambda d: d.__setitem__("q", "2"),
     lambda d: d.__setitem__("modulus", "11001"),
     lambda d: d.pop("c2"),
+    lambda d: d["c1"].__setitem__("q", 3),
+    lambda d: d["c2"].__setitem__("modulus", [1, 0, 0, 1, 1]),
+    lambda d: d.__setitem__("n", 7),
+    lambda d: d.__setitem__("l", 2),
+    lambda d: d.__setitem__("k", 1),
+    lambda d: d["c1"].__setitem__("k", 1),
+    lambda d: d["c2"].__setitem__("n", "3"),
+    lambda d: d["c1"].__setitem__("modulus", [True, 1, 0, 0, 1]),
 ], ids=["generator-int", "entries-str", "entry-not-coeffs", "coeff-out-of-range",
-        "q-str", "modulus-str", "c2-missing"])
+        "q-str", "modulus-str", "c2-missing", "c1-other-q", "c2-other-modulus", "n-disagrees",
+        "l-disagrees", "k-disagrees", "c1-k-disagrees", "c2-n-str", "c1-modulus-bool"])
 def test_malformed_scheme_json(scheme_file, capsys, corrupt):
     data = json.loads(scheme_file.read_text())
     corrupt(data)
@@ -289,6 +298,19 @@ def test_bad_modulus_flag(capsys, modulus):
                 "--l", "1", "--n", "3", "--k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--modulus must be" in captured.err
+
+
+def test_unreadable_files_exit_2(tmp_path, scheme_file, capsys):
+    # a directory where a file is expected, and a file that is not UTF-8
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"version": 1, "q": "\xe9"}')
+    for args in (["rgrw", "--code", str(tmp_path), "--subcode", str(scheme_file)],
+                 ["strength", "--scheme", str(latin)],
+                 ["simulate", "--config", str(latin)],
+                 ["build-scheme", "--m", "4", "--l", "1", "--n", "3", "--k", "2",
+                  "--out", str(tmp_path)]):
+        assert run(args) == 2, args
+        assert "error" in capsys.readouterr().err
 
 
 def test_non_object_json(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankguard import DivisionByZero, NotIrreducible, PreconditionError, UnsupportedSize, ctx_new
-from rankguard.gf import DEFAULT_MODULI_GF2, FieldCtx, is_prime, poly_is_irreducible, smallest_irreducible
+from rankguard.gf import FieldCtx, is_prime, poly_is_irreducible, smallest_irreducible
 from rankguard.linalg import rank_of_rows
 
 F16 = ctx_new(2, 4, [1, 1, 0, 0, 1])
@@ -44,9 +44,14 @@ def test_ctx_new_rejects_degree_below_one(m):
 
 
 def test_default_moduli_all_irreducible():
-    for m, mod in DEFAULT_MODULI_GF2.items():
-        assert poly_is_irreducible(mod, 2), m
-        assert smallest_irreducible(2, m) == mod
+    # the default modulus is the smallest irreducible, found by search
+    for m in range(1, 17):
+        mod = smallest_irreducible(2, m)
+        assert len(mod) == m + 1 and mod[-1] == 1 and poly_is_irreducible(mod, 2), m
+    assert smallest_irreducible(2, 4) == (1, 1, 0, 0, 1)  # x^4 + x + 1
+    assert smallest_irreducible(2, 8) == (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1
+    for m in range(1, 9):
+        assert ctx_new(2, m).modulus == smallest_irreducible(2, m)
 
 
 def test_f16_known_products():

@@ -28,6 +28,8 @@ from rankguard.rank_metrics import (
 )
 from rankguard.subspaces import SubspaceFamily, row_digits
 
+from frobenius import galois_closure
+
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
 F81 = ctx_new(3, 4)
@@ -205,10 +207,16 @@ def test_suffix_echelons_match_rref(q, m):
         assert cols.rank(ids) == parity.matmul(B.transpose()).rref()[1], ids
 
 
-@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def _lowest_digit(row_id: int, q: int) -> int:
+    while row_id % q == 0:
+        row_id //= q
+    return row_id % q
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2), (7, 1)])
 def test_parity_columns_match_vec_mat(q, m):
-    # the table built by linearity against x H^T for every row id, with
-    # k = 0 (H = I) and k = n (no parity rows) among the codes
+    # every row id, asked for in random order, against x H^T, with k = 0
+    # (H = I) and k = n (no parity rows) among the codes
     ctx, n = ctx_new(q, m), 3
     rng = random.Random(53 + q)
     codes = [LinearCode.zero(ctx, n), LinearCode.full(ctx, n)]
@@ -216,38 +224,32 @@ def test_parity_columns_match_vec_mat(q, m):
     for code in codes:
         parity_t = code.dual().gen.transpose()
         table = code.parity_columns
+        ids = list(range(q**n))
+        rng.shuffle(ids)
+        for b in ids:
+            assert table[b] == vec_mat(ctx, row_digits(b, q, n), parity_t), (code.k, b)
         assert len(table) == q**n
-        for b, column in enumerate(table):
-            assert column == vec_mat(ctx, row_digits(b, q, n), parity_t), (code.k, b)
-        assert code.parity_columns is table  # built once
+        assert code.parity_columns is table  # one table per code
 
 
 @pytest.mark.parametrize("family", ["qinvariant", "coordinate"])
 def test_refused_profile_builds_no_column_table(monkeypatch, family):
-    # every level is admitted before a column is built, so a family past the
-    # cap never pays for a table of q^n columns; a coordinate family builds none
-    def no_table(code):
-        raise AssertionError("column table built")
-
-    monkeypatch.setattr(LinearCode, "parity_columns", property(no_table))
+    # every level is admitted before a column is read, so a family past the
+    # cap fills nothing beyond T[0]
     c1, c2 = LinearCode.full(F16, 4), LinearCode.zero(F16, 4)
-    if family == "coordinate":
-        assert rdlp(c1, c2).values == (0, 1, 2, 3, 4)
-        rank_metrics._profiles.clear()  # a kept table enumerates nothing
     # past the cap: the 15 one-dim q-invariant subspaces, the C(4, 2) = 6 coordinate ones
     monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 5)
     with pytest.raises(EnumerationTooLarge, match=f"{family} subspaces exceed cap 5"):
         rdip(c1, c2, family=family)
+    assert len(c1.parity_columns) == len(c2.parity_columns) == 1
 
 
 @pytest.mark.parametrize("q, m, n, whole", [(7, 2, 3, True), (251, 1, 3, False)])
-def test_large_q_builds_no_column_table(monkeypatch, q, m, n, whole):
-    # past q = 5 most of the q^n row ids are met by no basis (at q = 251,
-    # n = 3: 63,253 of 15,813,251), so columns are computed as ids are met
-    def no_table(code):
-        raise AssertionError("column table built")
-
-    monkeypatch.setattr(LinearCode, "parity_columns", property(no_table))
+def test_large_q_builds_no_column_table(q, m, n, whole):
+    # rows are filled from their top-digit prefixes, which keep the lowest
+    # nonzero digit, so q-invariant bases (leading digit 1) fill at most the
+    # (q^n - 1)/(q - 1) + 1 such ids of the q^n (at q = 251, n = 3: 63,253
+    # of 15,813,251), and coordinate subspaces the n + 1 unit ids and 0
     ctx = ctx_new(q, m)
     rng = random.Random(67 + q)
     c1, c2 = rand_nested_pair(rng, ctx, n, 2, 1)
@@ -261,7 +263,14 @@ def test_large_q_builds_no_column_table(monkeypatch, q, m, n, whole):
     family = SubspaceFamily(ctx, n, 2)
     for ids, V in itertools.islice(zip(family.bases, family), 200):
         assert engine.gap(ids) == c1.intersect(V).k - c2.intersect(V).k
-    assert len(engine.cols1.columns) <= 2 * 200
+    for code in (c1, c2):
+        filled = set(code.parity_columns) - {0}
+        assert all(_lowest_digit(b, q) == 1 for b in filled)
+        assert len(filled) + 1 <= (q**n - 1) // (q - 1) + 1
+    d1, d2 = rand_nested_pair(rng, ctx, n, 2, 1)
+    rdlp(d1, d2)
+    for code in (d1, d2):
+        assert set(code.parity_columns) == {0} | {q**j for j in range(n)}
 
 
 def _counting_engines(monkeypatch) -> list:
@@ -465,6 +474,28 @@ def test_rdip_independent_oracle():
                 gap = c1.intersect(V).k - c2.intersect(V).k
                 best = max(best, gap)
             assert best == table.at(i)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (2, 3, 3), (2, 2, 4), (3, 2, 3)])
+def test_every_weight_is_a_least_galois_closure(q, m, n):
+    # M_j(C1, C2) is the least dim of the Galois closure of a j-dim D in C1
+    # with D cap C2 = {0}: the closure is q-invariant and gains j over C2,
+    # and any V that gains j holds such a D.  Every D is taken as the span
+    # of the codewords of an RREF message basis over F_{q^m}, with no gap code
+    ctx = ctx_new(q, m)
+    order = ctx.order
+    rng = random.Random(73 + q * m * n)
+    for k1, k2 in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (n, 1)]:
+        c1, c2 = rand_nested_pair(rng, ctx, n, k1, k2)
+        least = []
+        for j in range(1, k1 - k2 + 1):
+            closures = []
+            for ids in subspaces.base_subspace_ids(order, k1, j):
+                D = LinearCode(ctx, [c1.encode(row_digits(b, order, k1)) for b in ids], n)
+                if D.sum_with(c2).k == j + k2:
+                    closures.append(galois_closure(D).k)
+            least.append(min(closures))
+        assert rgrw(c1, c2).values == tuple(least), (k1, k2)
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 3, 4), (3, 2, 3), (3, 3, 3), (5, 2, 3)])

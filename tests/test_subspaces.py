@@ -18,15 +18,11 @@ from rankguard.subspaces import (
     row_digits,
 )
 
+from frobenius import frobenius_image, galois_closure
+
 F16 = ctx_new(2, 4)
 F8 = ctx_new(2, 3)
 A = F16.alpha
-
-
-def frobenius_image(V: LinearCode, iterate: int = 1) -> LinearCode:
-    ctx = V.ctx
-    rows = [[ctx.frobenius(a, iterate) for a in row] for row in V.gen.rows]
-    return LinearCode(ctx, rows, V.n)
 
 
 def is_qinvariant(V: LinearCode) -> bool:
@@ -34,14 +30,6 @@ def is_qinvariant(V: LinearCode) -> bool:
     ctx = V.ctx
     return all(V.contains_word(tuple(ctx.frobenius(a) for a in row))
                for row in V.gen.rows)
-
-
-def galois_closure(V: LinearCode) -> LinearCode:
-    """Smallest Frobenius-invariant subspace containing V: sum of V^(q^i)."""
-    acc = V
-    for i in range(1, V.ctx.m):
-        acc = acc.sum_with(frobenius_image(V, i))
-    return acc
 
 
 def test_gaussian_binomial_values():
