@@ -1,9 +1,11 @@
-"""Bit-packed GF(2) rank primitives for the hot exhaustive sweeps.
+"""Bit-packed GF(2) primitives for the hot exhaustive sweeps.
 
 Rows of a binary matrix are ints (bit i = column i).  A whole small matrix
-packs into one int key (row r occupies bits [r*ncols, (r+1)*ncols)), which
-lets precomputed rank tables turn the inner loops of the capability and
-delta-distance sweeps into XOR-plus-lookup.
+packs into one int key, row r on bits [r*ncols, (r+1)*ncols), and so does an
+F_{2^m} vector, as rows of m bits; precomputed rank tables then turn the
+inner loops of the capability and delta-distance sweeps into XOR-plus-lookup.
+Entry j of x A^T, A binary, is x times row j of A, a row id, so
+row_image_tables turns x A^T into gathers.
 """
 
 from __future__ import annotations
@@ -104,6 +106,29 @@ class PackedRankTable:
             for r in range(length):
                 state = trans[state, (keys >> np.uint32(r * width)) & mask]
             self.table[lo:lo + len(keys)] = ranks[state]
+
+
+def row_image_tables(vectors: Sequence[Sequence[int]],
+                     m: int) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """(rows, windows) for the keys of x_k A^T, x_k in F_{2^m}^n, A binary of any
+    height read rows rows at a time: 8 // n when n <= 8, else one row by bytes.
+    Window (lo, table): table[v, k] is the key of x_k A_g^T for the rows A_g
+    whose only nonzero bits are v << lo (entries past bit 32 read as 0)."""
+    X = np.array(vectors, dtype=np.uint32)
+    n = X.shape[1]
+    rows = max(1, 8 // n)
+    # bit b of a group is entry b % n of its row b // n: it adds x_{b % n} to entry b // n
+    units = np.stack([X[:, b % n] << np.uint32(b // n * m) for b in range(rows * n)], axis=1)
+    return rows, [(lo, np.ascontiguousarray(span_keys(units[:, lo:lo + 8]).T))
+                  for lo in range(0, rows * n, 8)]
+
+
+def span_keys(gen_keys: np.ndarray) -> np.ndarray:
+    """keys[A, c]: XOR of the columns of gen_keys[A] picked by the bits of c."""
+    keys = np.zeros((len(gen_keys), 1), dtype=np.uint32)
+    for k in range(gen_keys.shape[1]):
+        keys = np.concatenate([keys, keys ^ gen_keys[:, k:k + 1]], axis=1)
+    return keys
 
 
 @lru_cache(maxsize=8)

@@ -22,6 +22,7 @@ import random
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from .bitrank import row_image_tables
 from .codes import LinearCode, gabidulin, quotient_dim, require_scan_cap
 from .errors import (
     BadDimensions,
@@ -97,6 +98,12 @@ class NestedScheme:
         ctx = self.ctx
         return tuple(tuple(ctx.mul(ctx.q**j, x) for x in row)
                      for row in self.c2.gen.rows + self.delta_g.rows for j in range(ctx.m))
+
+    @cached_property
+    def row_images(self) -> tuple[int, list]:
+        """bitrank.row_image_tables of base_generators (q = 2), which the
+        packed decoder reads; kept with the scheme, not in a global cache."""
+        return row_image_tables(self.base_generators, self.ctx.m)
 
     # -- derived codes -----------------------------------------------------------
 

@@ -40,16 +40,18 @@ first and builds a report only for a refuted budget; a refuted report must
 hit at the decider's first failing A, or InvariantViolated is raised.
 
 For q = 2 both exhaustive modes and coherent decoding work on packed GF(2)
-keys (an m x N binary matrix is one integer, row r at bit r*N).  Combo c is
-the difference message whose symbol i is (c >> i*m) & (2^m - 1); combo 0 is
-the true coset.
+keys: an F_{2^m} vector is pack_key(x, m), entry j on bits j*m .. j*m + m - 1,
+and an N x n transfer matrix pack_key(rows, n).  The keys of v A^T are read
+from the scheme's row-id image tables (NestedScheme.row_images), entry j
+being v times row j of A.  Combo c is the difference message whose symbol i
+is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
 
 * The decider finds, over transfer keys in the order given, the first A
   under which some nonzero combo fails, and the least such combo c: one
   rank-table lookup per (A, codeword of C1 outside C2).
 * The error keys are built directly, in enumerate_errors order: E = z R,
-  R the canonical basis of a subspace of dimension r, has key XOR_s
-  spread(z_s) * rowbits(R_s), kept when that key has rank r.
+  R a canonical basis of dimension r, has key XOR_s z_s * spread(R_s), each
+  row's bit j spread to bit j*m, kept when that key has rank r.
 * Coherent decoding packs A and Y and XORs the key of Y into C1's codeword
   keys under A; codeword i lies in the coset of combo i >> (m * dim C2), so
   one rank-table lookup per codeword, reshaped to (messages, |C2|) and
@@ -92,12 +94,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table
+from .bitrank import PACKED_BLOCK, pack_key, packed_rank_table, row_image_tables, span_keys
 from .codes import require_scan_cap
 from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
@@ -146,6 +147,15 @@ def _require_word(ctx, Y: Sequence[int]) -> None:
     """Refuse a received word with a symbol outside 0..q^m - 1."""
     if not all(isinstance(y, (int, np.integer)) and 0 <= y < ctx.order for y in Y):
         raise PreconditionError(f"received symbols must be integers in 0..{ctx.order - 1}")
+
+
+def _require_budget(n: int, N: int, rho: int) -> None:
+    """Refuse an erasure budget outside 0..n, or N < n - rho packets, which
+    no transfer matrix of rank >= n - rho delivers."""
+    if not 0 <= rho <= n:
+        raise PreconditionError("need 0 <= rho <= n")
+    if N < n - rho:
+        raise PreconditionError("N too small for the rank constraint")
 
 
 def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
@@ -217,8 +227,7 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     distance.  v A^T has the same rank for every A with a given row space,
     so canonical representatives per row space suffice."""
     n = scheme.n
-    if not 0 <= rho <= n:
-        raise PreconditionError("need 0 <= rho <= n")
+    _require_budget(n, n, rho)
     words = _difference_words(scheme)
     best = n  # no v A^T has rank above n
     for A in _canonical_transfers(scheme.ctx.q, n, n, rho):
@@ -265,6 +274,7 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
     rank >= n - rho, minimized over the coset of S.  The oracle mode
     minimizes over every transfer matrix by brute force."""
     _require_word(lifted.ctx, Y)
+    _require_budget(lifted.n, len(Y), rho)
     if mode == "fast":
         A, y, shift = _as_coherent(lifted, Y, rho)
         return discrepancy_coherent(lifted.inner, A, y, S) + shift
@@ -272,9 +282,9 @@ def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[
         ctx, N, n = lifted.ctx, len(Y), lifted.n
         transfers = all_matrices(ctx.q, N, n)
         members = list(lifted.coset_elements(S))
-        return min((rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
-                    for A in transfers if A.rank() >= n - rho
-                    for X in members), default=None)
+        return min(rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
+                   for A in transfers if A.rank() >= n - rho
+                   for X in members)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -282,6 +292,7 @@ def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> Deco
     """decode_coherent of the inner scheme under _as_coherent(Y), with its
     discrepancies shifted."""
     _require_word(lifted.ctx, Y)
+    _require_budget(lifted.n, len(Y), rho)
     A, y, shift = _as_coherent(lifted, Y, rho)
     result = decode_coherent(lifted.inner, A, y)
     return replace(result, discrepancy=result.discrepancy + shift,
@@ -292,23 +303,21 @@ def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed"
                           N: int | None = None) -> int:
     """Minimum noncoherent delta distance of the lifted coset family."""
     n = lifted.n
-    if not 0 <= rho <= n:
-        raise PreconditionError("need 0 <= rho <= n")
+    N = n if N is None else N
+    _require_budget(n, N, rho)
     if method == "closed":
         return max(0, first_rgrw(lifted.inner.c1, lifted.inner.c2) - rho)
     if method != "bruteforce":
         raise PreconditionError(f"unknown method {method!r}")
     # brute force: min over coset pairs, members and transfer-matrix pairs of
     # the rank distance between the two transformed lifted packets
-    N = n if N is None else N
-    if N < n - rho:
-        raise PreconditionError("N too small for the rank constraint")
     m = lifted.ctx.m
     _require_packable(lifted.ctx.q, "bruteforce path", [("m*N", m * N, 22), ("N*n", N * n, 22)])
-    table = packed_rank_table(m, N).table
+    table = packed_rank_table(N, m).table
     a_keys = _transfer_keys(N, n, rho)
     # keys[message index] = np.array over (A, member)
-    keys = [_product_keys(list(lifted.coset_elements(S)), a_keys, m, n, N).ravel()
+    keys = [_product_keys(row_image_tables(list(lifted.coset_elements(S)), m),
+                          a_keys, m, n, N).ravel()
             for S in lifted.inner.messages()]
     # slices of keys[i]: each XOR table holds at most PACKED_BLOCK keys, or one row
     step = max(1, PACKED_BLOCK // len(keys[0]))
@@ -336,44 +345,40 @@ def _require_packable(q: int, what: str, bounds: list[tuple[str, int, int]]) -> 
             raise EnumerationTooLarge(f"{what}: {name} = {bits} > {cap} bits")
 
 
-def _pack_vectors(vectors: Sequence[Sequence[int]], m: int, width: int) -> np.ndarray:
-    """Packed keys of the m x width base expansions of F_{2^m} vectors:
-    coefficient r of entry j lands on bit r*width + j."""
-    V = np.array(vectors, dtype=np.uint32).reshape(len(vectors), width)
-    keys = np.zeros(len(vectors), dtype=np.uint32)
-    for r in range(m):
-        for j in range(width):
-            keys |= ((V[:, j] >> np.uint32(r)) & np.uint32(1)) << np.uint32(r * width + j)
-    return keys
+def _pack_vectors(vectors, m: int, width: int) -> np.ndarray:
+    """pack_key(x, m) of each F_{2^m} vector x of length width, over the last
+    axis: entry j lands on bits j*m .. j*m + m - 1."""
+    shifts = np.arange(0, width * m, m, dtype=np.uint32)
+    return np.bitwise_or.reduce(np.array(vectors, dtype=np.uint32) << shifts, axis=-1)
 
 
 def _error_keys(ctx, N: int, t: int) -> np.ndarray:
-    """Packed m x N keys of enumerate_errors(ctx, N, t), in its order (q = 2).
+    """Packed keys of enumerate_errors(ctx, N, t), in its order (q = 2).
 
-    E = z R has key XOR_s spread(z_s) * rowbits(R_s), where spread puts bit b
-    of z_s at bit b*N; carry-free, as rowbits(R_s) < 2^N.  The candidates run
-    over subspaces, then z in product order, in slices of PACKED_BLOCK; the
+    E = z R has key XOR_s z_s * spread(R_s), where spread puts bit j of row
+    R_s on bit j*m; carry-free, as z_s < 2^m.  The candidates run over
+    subspaces, then z in product order, in slices of PACKED_BLOCK; the
     errors are those of key rank r (z's components F_2-independent)."""
     require_error_cap(ctx, N, t)
-    table = packed_rank_table(ctx.m, N).table
-    # spread[z - 1]: the key of (z, 0, ..., 0)
-    spread = _pack_vectors(np.outer(ctx.nonzero(), np.arange(N) == 0), ctx.m, N)
-    parts, nz = [np.zeros(1, dtype=np.uint32)], len(spread)
+    table = packed_rank_table(N, ctx.m).table
+    z = np.arange(1, ctx.order, dtype=np.uint32)
+    parts, nz = [np.zeros(1, dtype=np.uint32)], len(z)
     for r in range(1, min(t, N, ctx.m) + 1):
-        rows = np.array(list(base_subspace_ids(2, N, r)), dtype=np.uint32)
+        ids = np.array(list(base_subspace_ids(2, N, r)), dtype=np.uint32)[..., None]
+        rows = _pack_vectors(ids >> np.arange(N, dtype=np.uint32) & np.uint32(1), ctx.m, N)
         count = len(rows) * nz ** r
         for lo in range(0, count, PACKED_BLOCK):
             idx = np.arange(lo, min(lo + PACKED_BLOCK, count), dtype=np.int64)
             keys = np.zeros(len(idx), dtype=np.uint32)
             for s in range(r):  # z_s - 1 is digit r - 1 - s of idx in base 2^m - 1
-                keys ^= spread[idx // nz ** (r - 1 - s) % nz] * rows[idx // nz ** r, s]
+                keys ^= z[idx // nz ** (r - 1 - s) % nz] * rows[idx // nz ** r, s]
             parts.append(keys[table[keys] == r])
     return np.concatenate(parts)
 
 
 def _unpack_key(key: int, m: int, N: int) -> tuple[int, ...]:
-    """The F_{2^m} vector of length N whose packed m x N key is key."""
-    return tuple(sum(((key >> (r * N + j)) & 1) << r for r in range(m)) for j in range(N))
+    """The F_{2^m} vector of length N whose packed key is key."""
+    return tuple((key >> (j * m)) & ((1 << m) - 1) for j in range(N))
 
 
 def _transfer_keys(N: int, n: int, rho: int) -> np.ndarray:
@@ -382,69 +387,33 @@ def _transfer_keys(N: int, n: int, rho: int) -> np.ndarray:
     return np.nonzero(packed_rank_table(N, n).table >= n - rho)[0].astype(np.uint32)
 
 
-def _product_keys(vectors: Sequence[Sequence[int]], a_keys: np.ndarray, m: int, n: int,
-                  N: int) -> np.ndarray:
-    """keys[A, k]: packed key of x_k A^T (m x N) for each F_{2^m} vector x_k
-    of length n and every packed N x n matrix A in a_keys.
-
-    A key is linear in the bits of A, so it is the XOR of one table lookup
-    per 8-bit slice of the A key (the method of four Russians)."""
-    keys = np.zeros((len(a_keys), len(vectors)), dtype=np.uint32)
-    for shift, table in _slice_tables(tuple(map(tuple, vectors)), m, n, N):
-        keys ^= table[(a_keys >> np.uint32(shift)) & np.uint32(len(table) - 1)]
+def _product_keys(images, a_keys: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
+    """keys[A, k]: packed key of x_k A^T for every N x n key A in a_keys, from
+    images = row_image_tables(x, m); the group of rows at row j goes to bit j*m."""
+    rows, windows = images
+    keys = np.zeros((len(a_keys), windows[0][1].shape[1]), dtype=np.uint32)
+    for j in range(0, N, rows):
+        for lo, table in windows:
+            idx = (a_keys >> np.uint32(j * n + lo)) & np.uint32(len(table) - 1)
+            keys ^= table[idx] << np.uint32(j * m)
     return keys
-
-
-@lru_cache(maxsize=64)
-def _slice_tables(vectors: tuple[tuple[int, ...], ...], m: int, n: int,
-                  N: int) -> list[tuple[int, np.ndarray]]:
-    """(shift, table) per 8-bit slice of an N x n key: table[v, k] is the key
-    of x_k A^T for the A whose only nonzero bits are v << shift."""
-    # bit b of an A key is entry (b // n, b % n); alone it moves entry b % n
-    # of x to entry b // n of x A^T
-    X = np.array(vectors, dtype=np.uint32).reshape(len(vectors), n)
-    images = np.zeros((N * n, len(vectors), N), dtype=np.uint32)
-    for b in range(N * n):
-        images[b, :, b // n] = X[:, b % n]
-    unit = _pack_vectors(images.reshape(N * n * len(vectors), N), m, N)  # N = 0 too
-    unit = unit.reshape(N * n, len(vectors))
-    tables = []
-    for shift in range(0, N * n, 8):
-        table = np.zeros((1, len(vectors)), dtype=np.uint32)
-        for u in unit[shift:shift + 8]:
-            table = np.concatenate([table, table ^ u])
-        tables.append((shift, table))
-    return tables
-
-
-def _span_keys(gen_keys: np.ndarray) -> np.ndarray:
-    """keys[A, c]: XOR of the columns of gen_keys[A] picked by the bits of c."""
-    keys = np.zeros((len(gen_keys), 1), dtype=np.uint32)
-    for k in range(gen_keys.shape[1]):
-        keys = np.concatenate([keys, keys ^ gen_keys[:, k:k + 1]], axis=1)
-    return keys
-
-
-def _generator_keys(scheme: NestedScheme, a_keys: np.ndarray, N: int) -> np.ndarray:
-    """keys[A, k]: packed key of F_2 generator k of C1 times A^T, C2's first:
-    codeword i of C1 sums those picked by the bits of i, so it lies in the
-    coset of combo i >> (m * dim C2)."""
-    return _product_keys(scheme.base_generators, a_keys, scheme.ctx.m, scheme.n, N)
 
 
 def _codeword_runs(scheme: NestedScheme, a_keys: np.ndarray,
                    N: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, first, keys) in order: keys[a, i] is the packed key of
-    codeword first + i of C1 (_generator_keys order) under a_keys[start + a]."""
-    bits = scheme.ctx.m * scheme.c1.k
+    """Yield (start, first, keys) in order: keys[a, i] is the packed key under
+    a_keys[start + a] of codeword first + i of C1, the sum of the F_2
+    generators (C2's first) picked by its bits."""
+    m = scheme.ctx.m
+    bits = m * scheme.c1.k
     # many A at once when all of C1 fits in the block; else one A in runs of
     # 2^low codewords, the low generators' span plus each sum of the high ones
     low = min(bits, PACKED_BLOCK.bit_length() - 1)
     batch = max(1, PACKED_BLOCK >> bits)
     for start in range(0, len(a_keys), batch):
-        gen_keys = _generator_keys(scheme, a_keys[start:start + batch], N)
-        span = _span_keys(gen_keys[:, :low])
-        for high, offsets in enumerate(_span_keys(gen_keys[:, low:]).T):
+        gen_keys = _product_keys(scheme.row_images, a_keys[start:start + batch], m, scheme.n, N)
+        span = span_keys(gen_keys[:, :low])
+        for high, offsets in enumerate(span_keys(gen_keys[:, low:]).T):
             yield start, high << low, span ^ offsets[:, None] if high else span
 
 
@@ -453,7 +422,7 @@ def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
     """(i, c) for the first transfer key a_keys[i] under which some nonzero
     combo fails for an error of rank <= t, c the least such combo; or None.
     Combo c fails exactly when a member of (l_c + C2) A^T has rank <= 2t."""
-    table = packed_rank_table(scheme.ctx.m, N).table
+    table = packed_rank_table(N, scheme.ctx.m).table
     n_c2 = scheme.ctx.m * scheme.c2.k
     for start, first, keys in _codeword_runs(scheme, a_keys, N):
         failing = table[keys] <= 2 * t
@@ -476,10 +445,8 @@ def _decode_packed(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeR
     if len(Y) != N:
         raise DimensionMismatch("vector lengths differ")
     a_key = np.array([pack_key([pack_row_bits(row) for row in A.rows], n)], dtype=np.uint32)
-    # one word: plain ints, 20 times faster here than _pack_vectors' numpy passes
-    y_key = np.uint32(pack_key([pack_row_bits([(y >> r) & 1 for y in Y])
-                                for r in range(ctx.m)], N))
-    table = packed_rank_table(ctx.m, N).table
+    y_key = np.uint32(pack_key(Y, ctx.m))
+    table = packed_rank_table(N, ctx.m).table
     scores = np.concatenate([table[keys[0] ^ y_key]
                              for _, _, keys in _codeword_runs(scheme, a_key, N)])
     scores = scores.reshape(-1, scheme.c2.codeword_count()).min(axis=1)
@@ -494,15 +461,16 @@ def _decode_packed(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeR
 def _failing_blocks(scheme: NestedScheme, a_key: int, e_keys: np.ndarray,
                     N: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, vals), in order, for each block of errors e_keys[lo:]
-    (packed m x N) under which a nonzero combo scores no worse than the true
-    coset for the packed N x n transfer matrix a_key (q = 2).  vals[c, k] is
-    the least discrepancy of combo c's coset members against error lo + k."""
-    table = packed_rank_table(scheme.ctx.m, N).table
+    under which a nonzero combo scores no worse than the true coset for the
+    packed N x n transfer matrix a_key (q = 2).  vals[c, k] is the least
+    discrepancy of combo c's coset members against error lo + k."""
+    m = scheme.ctx.m
+    table = packed_rank_table(N, m).table
     e_keys = e_keys.astype(np.intp)
-    n_c2 = scheme.ctx.m * scheme.c2.k
-    gen_keys = _generator_keys(scheme, np.array([a_key], dtype=np.uint32), N)
-    msg_keys = _span_keys(gen_keys[:, n_c2:])[0, :, None, None]
-    member_keys = _span_keys(gen_keys[:, :n_c2])[0, None, :, None]
+    n_c2 = m * scheme.c2.k
+    gen_keys = _product_keys(scheme.row_images, np.array([a_key], dtype=np.uint32), m, scheme.n, N)
+    msg_keys = span_keys(gen_keys[:, n_c2:])[0, :, None, None]
+    member_keys = span_keys(gen_keys[:, :n_c2])[0, None, :, None]
     n_msg, n_members, n_e = len(msg_keys), member_keys.shape[1], len(e_keys)
     # blocks of errors, each scored in slices of message combos
     width = min(n_e, max(1, PACKED_BLOCK // (n_msg * n_members)))
@@ -554,8 +522,7 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
     if trials is not None and trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
     N = scheme.n if N is None else N
-    if N < scheme.n - rho:
-        raise PreconditionError("N too small for the rank constraint")
+    _require_budget(scheme.n, N, rho)
     if isinstance(scheme, LiftedScheme):
         if mode != "sampled":
             raise PreconditionError("lifted schemes support sampled verification only")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from rankguard import (
     ctx_new,
     decoder,
 )
-from rankguard.bitrank import pack_key, packed_rank_table
+from rankguard.bitrank import pack_key, packed_rank_table, row_image_tables
 from rankguard.codes import LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed, lift
 from rankguard.subspaces import gaussian_binomial
@@ -314,7 +315,7 @@ def test_packed_rowspace_matches_generic(case):
 
 def test_packed_rowspace_beyond_rank_table_transfer_keys():
     # 5 x 5 transfer keys (25 bits) have no rank table, so the full sweep
-    # refuses them; the row-space check packs them through four slice tables
+    # refuses them; the row-space check reads them one 5-bit row at a time
     c1 = LinearCode(F16, Matrix(F16, [[1, 2, 4, 8, 3]], 5))
     scheme = NestedScheme(c1, LinearCode.zero(F16, 5), c1.gen)
     assert first_rgrw(scheme.c1, scheme.c2) == 4
@@ -512,7 +513,7 @@ def test_generic_capability_identity_q3(k):
 @pytest.mark.parametrize("m, N", [(3, 3), (4, 2), (4, 3), (3, 4)])
 def test_failing_keys_are_the_keys_of_rank_at_most_2t(m, N):
     # the union over errors E of {K : rank(K ^ E) <= rank(E)}, key by key
-    table = packed_rank_table(m, N).table
+    table = packed_rank_table(N, m).table
     keys = np.arange(len(table))[:, None]
     for t in range(3):
         e_keys = _pack_vectors(list(enumerate_errors(ctx_new(2, m), N, t)), m, N)
@@ -652,17 +653,41 @@ def test_early_refutation_stays_small_for_large_message_spaces():
     assert full.counterexample == {"A_key": 4680, "error_index": 20, "difference_combo": 1}
 
 
-@pytest.mark.parametrize("m, n, N", [(4, 3, 3), (4, 3, 5), (5, 4, 2), (4, 5, 5), (11, 3, 2)])
+def test_packed_decode_keeps_nothing_per_scheme():
+    # the packed decode's image tables live on the scheme: once 100 decoded
+    # schemes are dropped, nothing of theirs stays behind
+    rng = random.Random(94)
+    schemes = [_isometric_copy(rng, build_proposed(F16, l=1, n=3, k=1)) for _ in range(100)]
+    A, Y = Matrix.identity(GF2, 3), (1, 2, 3)
+    decode_coherent(schemes[0], A, Y)  # the shared rank table
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for scheme in schemes[1:]:
+            decode_coherent(scheme, A, Y)
+        del schemes, scheme
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 2**10
+
+
+@pytest.mark.parametrize("m, n, N", [(4, 3, 3), (4, 3, 5), (5, 4, 2), (4, 5, 5), (11, 3, 2),
+                                     (2, 10, 2), (1, 20, 1), (5, 1, 4)])
 def test_product_keys_match_field_product(m, n, N):
-    # (4, 5, 5): 25-bit transfer keys, four slice tables; (11, 3, 2): the
-    # m x n expansion of x takes 33 bits
+    # (4, 3, 5): a last group of one row; (4, 5, 5): 25-bit transfer keys;
+    # (11, 3, 2): the m x n expansion of x takes 33 bits; (2, 10, 2) and
+    # (1, 20, 1): rows wider than 8 bits, read one byte at a time; (5, 1, 4):
+    # a group of 8 rows, whose table keys would pass 32 bits, past N = 4
     ctx = ctx_new(2, m)
     rng = random.Random(92)
     xs = [tuple(rng.randrange(ctx.order) for _ in range(n)) for _ in range(6)]
     mats = [sample_matrix(rng, 2, N, n) for _ in range(30)]
     a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in mats],
                       dtype=np.uint32)
-    keys = _product_keys(xs, a_keys, m, n, N)
+    keys = _product_keys(row_image_tables(xs, m), a_keys, m, n, N)
     for A, row in zip(mats, keys):
         expected = _pack_vectors([ext_vec_times_base_transpose(ctx, x, A) for x in xs], m, N)
         assert row.tolist() == expected.tolist()
@@ -873,6 +898,26 @@ def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
         for name in ("_cosets", "_coset_images"):
             monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("fell back"))
     assert _refusal(lambda: decode_coherent(scheme, A, Y)) == field
+
+
+def test_noncoherent_refuses_impossible_receptions():
+    # one received packet cannot come from a rank-2 transfer matrix: the fast
+    # mode once scored 1, the oracle found no transfer matrix and returned
+    # None, and the decoder reported the message as decoded
+    lifted = lift(build_proposed(ctx_new(2, 3), l=1, n=2, k=1), ctx_new(2, 5))
+    Y, S = (1,), (0,)
+    for call in (lambda: decode_noncoherent(lifted, Y, 0),
+                 lambda: discrepancy_noncoherent(lifted, Y, S, 0),
+                 lambda: discrepancy_noncoherent(lifted, Y, S, 0, mode="oracle")):
+        with pytest.raises(PreconditionError, match="N too small"):
+            call()
+    Y = lifted.lift_vector((0, 0))
+    for rho in (-1, 3):
+        for call in (lambda: decode_noncoherent(lifted, Y, rho),
+                     lambda: discrepancy_noncoherent(lifted, Y, S, rho),
+                     lambda: discrepancy_noncoherent(lifted, Y, S, rho, mode="oracle")):
+            with pytest.raises(PreconditionError, match="0 <= rho <= n"):
+                call()
 
 
 def _lifted_instance():
