@@ -2,10 +2,10 @@
 
 Rows of a binary matrix are ints (bit i = column i).  A whole small matrix
 packs into one int key, row r on bits [r*ncols, (r+1)*ncols), and so does an
-F_{2^m} vector, as rows of m bits; precomputed rank tables then turn the
-inner loops of the capability and delta-distance sweeps into XOR-plus-lookup.
-Entry j of x A^T, A binary, is x times row j of A, a row id, so
-row_image_tables turns x A^T into gathers.
+F_{2^m} vector, as rows of m bits; rank tables, each filled by eliminating
+blocks of keys row by row, turn the capability and delta-distance sweeps
+into XOR-plus-lookup.  Entry j of x A^T, A binary, is x times row j of A, a
+row id, so row_image_tables turns x A^T into gathers.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ def rank_bits(rows: Iterable[int]) -> int:
     return rank
 
 
-def _insert_canonical(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Insert v into a fully reduced leading-bit basis; canonical per subspace."""
-    for b in basis:
-        if v & (1 << (b.bit_length() - 1)):
-            v ^= b
-    if not v:
-        return basis
-    h = 1 << (v.bit_length() - 1)
-    reduced = tuple((b ^ v) if (b & h) else b for b in basis)
-    return tuple(sorted(reduced + (v,), reverse=True))
-
-
 def pack_key(rows: Sequence[int], ncols: int) -> int:
     key = 0
     for r, row in enumerate(rows):
@@ -58,12 +46,12 @@ def pack_key(rows: Sequence[int], ncols: int) -> int:
 class PackedRankTable:
     """rank() lookup for every nrows x ncols GF(2) matrix, nrows*ncols <= 22.
 
-    Built by a subspace DP: scanning the rows of a key in order, the only
-    state that matters is the row space seen so far, and subspaces of
-    F_2^ncols are few.  A key wider than tall is scanned by columns instead
-    (rank M = rank M^T), so the states are subspaces of F_2^min(nrows, ncols).
-    The table itself is filled with vectorized transition lookups instead of
-    per-key elimination.
+    Filled by Gaussian elimination over blocks of keys: each key's bits are
+    spread onto the rows of M, or of M^T when that has fewer rows (rank M =
+    rank M^T); each row in turn takes its lowest set bit as pivot and is
+    XORed into every later row holding that bit; the rank counts the pivots.
+    A block's row array holds PACKED_BLOCK // 4 elements, which bounds the
+    transients beside the table.
     """
 
     def __init__(self, nrows: int, ncols: int):
@@ -71,41 +59,25 @@ class PackedRankTable:
             raise ValueError("packed table limited to 22 bits")
         self.nrows = nrows
         self.ncols = ncols
-        length, width = max(nrows, ncols), min(nrows, ncols)
-        states: dict[tuple[int, ...], int] = {(): 0}
-        bases: list[tuple[int, ...]] = [()]
-        trans_rows: list[list[int]] = []
-        i = 0
-        while i < len(bases):
-            basis = bases[i]
-            row_out = []
-            for row in range(1 << width):
-                new = _insert_canonical(basis, row)
-                if new not in states:
-                    states[new] = len(bases)
-                    bases.append(new)
-                row_out.append(states[new])
-            trans_rows.append(row_out)
-            i += 1
-        trans = np.array(trans_rows, dtype=np.int32)
-        ranks = np.array([len(b) for b in bases], dtype=np.uint8)
-
-        # filled in blocks of keys, so the transients stay at PACKED_BLOCK
-        # elements each instead of one per key of the table
-        mask = np.uint32((1 << width) - 1)
-        self.table = np.empty(1 << (nrows * ncols), dtype=np.uint8)
-        for lo in range(0, len(self.table), PACKED_BLOCK):
-            keys = np.arange(lo, min(lo + PACKED_BLOCK, len(self.table)), dtype=np.uint32)
-            if ncols > nrows:  # the key of M^T: bit r*ncols + s moves to bit s*nrows + r
-                moved = np.zeros_like(keys)
-                for b in range(nrows * ncols):
-                    moved |= ((keys >> np.uint32(b)) & np.uint32(1)) << np.uint32(
-                        b % ncols * nrows + b // ncols)
-                keys = moved
-            state = np.zeros(len(keys), dtype=np.int32)
-            for r in range(length):
-                state = trans[state, (keys >> np.uint32(r * width)) & mask]
-            self.table[lo:lo + len(keys)] = ranks[state]
+        self.table = np.zeros(1 << (nrows * ncols), dtype=np.uint8)
+        rows = min(nrows, ncols)
+        mask, one = np.uint32((1 << ncols) - 1), np.uint32(1)
+        step = PACKED_BLOCK // 4 // max(rows, 1)
+        for lo in range(0, len(self.table), step):
+            keys = np.arange(lo, min(lo + step, len(self.table)), dtype=np.uint32)
+            M = np.zeros((rows, len(keys)), dtype=np.uint32)
+            for i in range(rows):
+                if nrows <= ncols:  # row i of M: key bits i*ncols .. i*ncols + ncols - 1
+                    M[i] = (keys >> np.uint32(i * ncols)) & mask
+                else:  # row i of M^T: bit i of every row of M
+                    for j in range(nrows):
+                        M[i] |= ((keys >> np.uint32(j * ncols + i)) & one) << np.uint32(j)
+            rank = self.table[lo:lo + len(keys)]  # a view: the pivots count in place
+            for i in range(rows):
+                pivot = M[i] & (~M[i] + one)  # lowest set bit, 0 for a zero row
+                rank += pivot != 0
+                for j in range(i + 1, rows):
+                    M[j] ^= np.where(M[j] & pivot, M[i], 0)
 
 
 def row_image_tables(vectors: Sequence[Sequence[int]],

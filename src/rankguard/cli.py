@@ -18,7 +18,7 @@ import sys
 from .acceptance import run_suite
 from .codes import LinearCode
 from .coset_scheme import NestedScheme, build_proposed, lift
-from .decoder import capability_report, run_trial
+from .decoder import capability_report, require_trial_cap, run_trial
 from .errors import EnumerationTooLarge, PreconditionError, RankguardError, json_ints
 from .gf import ctx_from_json, ctx_new
 from .rank_metrics import rdip, weights_from_profile
@@ -140,6 +140,7 @@ def _simulate_rows(config: dict):
     if config.get("mu", 0) != 0:
         raise PreconditionError("simulate models no wiretapper, so mu must be 0;"
                                 " measure leakage with `equivocation --mu`")
+    require_trial_cap(config["trials"])
     ctx = ctx_from_json(config)
     mode = config.get("mode", "coherent")
     n = config["n"]

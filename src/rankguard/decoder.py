@@ -77,10 +77,11 @@ base-field digit arrays: C1's codewords outside C2 are the F_q combinations
 of its F_q generators whose digits past C2's are not all 0, listed as base-q
 digits by linalg.base_products; each canonical A maps them by a second
 base_products, and linalg.rank_mod_q ranks every m x N digit matrix of
-v A^T in one batched F_q elimination.  A verified budget counts its trials
-and covered tuples with network.error_count and runs no field arithmetic;
-a refuted one runs the field-arithmetic row-space loop at the decider's
-first failing A only, its trials offset by the row spaces before it.
+v A^T in one batched F_q elimination; delta_min_over_A reads the same least
+ranks at every q.  A verified budget counts its trials and covered tuples
+with network.error_count and runs no field arithmetic; a refuted one runs
+the field-arithmetic row-space loop at the decider's first failing A only,
+its trials offset by the row spaces before it.
 
 The field-arithmetic row-space loop is the reference for both deciders'
 reports and the coset scans for the packed decode (they decode at q > 2);
@@ -226,12 +227,10 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     """min over transfer matrices of rank >= n - rho of the coset delta
     distance.  v A^T has the same rank for every A with a given row space,
     so canonical representatives per row space suffice."""
-    n = scheme.n
-    _require_budget(n, n, rho)
-    words = _difference_words(scheme)
-    best = n  # no v A^T has rank above n
-    for A in _canonical_transfers(scheme.ctx.q, n, n, rho):
-        best = min(best, _closest_difference(scheme.ctx, words, A)[0])
+    _require_budget(scheme.n, scheme.n, rho)
+    best = scheme.n  # no v A^T has rank above n
+    for least in _least_rank_groups(scheme, rho, scheme.n):
+        best = min(best, int(least.min()))
         if best == 0:
             break
     return best
@@ -609,20 +608,26 @@ def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
     return least
 
 
+def _least_rank_groups(scheme: NestedScheme, rho: int, N: int) -> Iterator[np.ndarray]:
+    """_least_ranks of the N x n _canonical_transfers in their order, many A
+    at once when all their products fit in PACKED_BLOCK elements."""
+    m, n = scheme.ctx.m, scheme.n
+    words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
+    for group in _transfer_groups(scheme.ctx.q, n, N, rho,
+                                  max(1, PACKED_BLOCK // max(1, N * m * words))):
+        yield _least_ranks(scheme, group)
+
+
 def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int) -> int | None:
     """Index, in _canonical_transfers order, of the first A under which some
     nonzero combo fails for an error of rank <= t, that is the first A whose
-    least difference rank is <= 2t; or None.  Many A at once when all their
-    products fit in PACKED_BLOCK elements."""
-    m, n = scheme.ctx.m, scheme.n
-    words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
+    least difference rank is <= 2t; or None."""
     seen = 0
-    for group in _transfer_groups(scheme.ctx.q, n, N, rho,
-                                  max(1, PACKED_BLOCK // max(1, N * m * words))):
-        hits = np.flatnonzero(_least_ranks(scheme, group) <= 2 * t)
+    for least in _least_rank_groups(scheme, rho, N):
+        hits = np.flatnonzero(least <= 2 * t)
         if len(hits):
             return seen + int(hits[0])
-        seen += len(group)
+        seen += len(least)
     return None
 
 
@@ -748,10 +753,15 @@ def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
     return A, S, result
 
 
-def _sampled(scheme, t: int, rho: int, N: int, trials: int, seed) -> CapabilityReport:
+def require_trial_cap(trials: int) -> None:
+    """Refuse more than DEFAULT_SAMPLED_BUDGET seeded trials before the first."""
     if trials > DEFAULT_SAMPLED_BUDGET:
         raise EnumerationTooLarge(
             f"requested {trials} trials exceeds cap {DEFAULT_SAMPLED_BUDGET}")
+
+
+def _sampled(scheme, t: int, rho: int, N: int, trials: int, seed) -> CapabilityReport:
+    require_trial_cap(trials)
     rng = random.Random(seed)
     counterexample = None
     for i in range(trials):

@@ -344,24 +344,18 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
 
 def rank_mod_q(mats: np.ndarray, q: int) -> np.ndarray:
     """Ranks over F_q (q prime) of a stack of matrices, shape (..., rows, cols)
-    -> (...): one Gauss elimination over the whole stack, a column of the
-    shorter side at a time.  Each column takes, per matrix, its first unused
-    row with a nonzero entry there as pivot and clears the column in every
-    other row; the rank is the number of pivots.  Empty shapes rank 0."""
-    if mats.shape[-1] > mats.shape[-2]:
+    -> (...), by one Gauss elimination over the whole stack, a row of the
+    shorter side at a time: its first nonzero entry is the pivot, cleared
+    from every later row; the rank counts the pivots.  Empty shapes rank 0."""
+    if mats.shape[-2] > mats.shape[-1]:
         mats = np.swapaxes(mats, -1, -2)
     *batch, rows, cols = mats.shape
     a = mats.reshape(math.prod(batch), rows, cols).astype(np.int64)
-    used = np.zeros(a.shape[:2], dtype=bool)
-    for c in range(cols):
-        candidates = (a[:, :, c] != 0) & ~used
-        b = np.flatnonzero(candidates.any(axis=1))
-        if not len(b):
-            continue
-        p = candidates[b].argmax(axis=1)
-        pivot = a[b, p]
-        factors = a[b, :, c] * _inverse_mod(pivot[:, c], q)[:, None] % q
-        factors[np.arange(len(b)), p] = 0
-        a[b] = (a[b] - factors[:, :, None] * pivot[:, None, :]) % q
-        used[b, p] = True
-    return used.sum(axis=1).reshape(batch)
+    rank = np.zeros(len(a), dtype=np.intp)
+    for i in range(rows):
+        row = a[:, i:i + 1]
+        p = (row != 0).argmax(axis=2)[:, :, None]  # column 0 of a zero row, which clears nothing
+        row = row * _inverse_mod(np.take_along_axis(row, p, axis=2), q) % q
+        a[:, i + 1:] = (a[:, i + 1:] - np.take_along_axis(a[:, i + 1:], p, axis=2) * row) % q
+        rank += row.any(axis=2)[:, 0]
+    return rank.reshape(batch)

@@ -425,22 +425,20 @@ def leakage_report(scheme: NestedScheme, mu: int, dist: JointDistribution,
     if mu < 0:
         raise PreconditionError(f"need mu >= 0 tapped links, got {mu}")
     z = tuple(sorted(set(z_indices))) if z_indices is not None else None
-    candidates = list(enumerate_wiretap(scheme.ctx.q, scheme.n, mu, mode=mode))
-    values = [dist.mutual_information(B, z) for B in candidates]
-    best_idx = 0
-    for i in range(1, len(values)):
-        if values[best_idx] < values[i]:
-            best_idx = i
-    entropy = dist.message_entropy(z)
+    best = best_b = None
+    for B in enumerate_wiretap(scheme.ctx.q, scheme.n, mu, mode=mode):
+        value = dist.mutual_information(B, z)
+        if best is None or best < value:  # strict: the first maximizer stays
+            best, best_b = value, B
     return LeakageReport(
         mu=mu,
         z_indices=z,
-        max_leakage=values[best_idx],
-        argmax_b=candidates[best_idx],
+        max_leakage=best,
+        argmax_b=best_b,
         predicted=predicted_leakage(scheme, mu, z),
         slack_s=dist.divergence_message_from_uniform(z),
         slack_x=dist.divergence_packets_from_coset_uniform(z),
-        equivocation=entropy - values[best_idx],
+        equivocation=dist.message_entropy(z) - best,
     )
 
 

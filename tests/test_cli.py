@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed
-from rankguard import EnumerationTooLarge, ctx_new, decoder
+from rankguard import EnumerationTooLarge, cli, ctx_new, decoder
 
 
 def run(args):
@@ -205,11 +205,18 @@ def test_exit_code_transfer_cap(tmp_path, capsys):
     assert "transfer row spaces exceed cap 1000000" in capsys.readouterr().err
 
 
-def test_exit_code_trial_cap(scheme_file, capsys, monkeypatch):
-    # one trial over decoder.DEFAULT_SAMPLED_BUDGET is refused before any runs
-    monkeypatch.setattr(decoder, "run_trial", lambda *args: pytest.fail("a trial ran"))
+def test_exit_code_trial_cap(scheme_file, tmp_path, capsys, monkeypatch):
+    # one trial over decoder.DEFAULT_SAMPLED_BUDGET is refused before any
+    # runs, by verify-capability and by simulate
+    for module in (decoder, cli):
+        monkeypatch.setattr(module, "run_trial", lambda *args: pytest.fail("a trial ran"))
     assert run(["verify-capability", "--scheme", str(scheme_file), "--t", "0", "--rho", "0",
                 "--mode", "sampled", "--trials", "100001"]) == 3
+    assert "100001 trials exceeds cap 100000" in capsys.readouterr().err
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
+                               "t": 0, "rho_max": 0, "trials": 100001, "seed": 7}))
+    assert run(["simulate", "--config", str(cfg)]) == 3
     assert "100001 trials exceeds cap 100000" in capsys.readouterr().err
 
 

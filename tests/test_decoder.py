@@ -1096,7 +1096,8 @@ def test_decided_reports_match_generic_loop(monkeypatch):
                                         (5, 3, 2, 1)])
 def test_least_ranks_match_closest_difference(q, m, n, k):
     # the digit decider's least rank per A against the field-arithmetic
-    # argmin over C1's codewords outside C2, for every canonical A
+    # argmin over C1's codewords outside C2, for every canonical A, and
+    # their minimum against delta_min_over_A
     scheme = build_proposed(ctx_new(q, m), l=1, n=n, k=k)
     words = _difference_words(scheme)
     for N in (0, n - 1, n, n + 1):
@@ -1106,6 +1107,8 @@ def test_least_ranks_match_closest_difference(q, m, n, k):
                 len(transfers), N, n)
             expected = [_closest_difference(scheme.ctx, words, A)[0] for A in transfers]
             assert _least_ranks(scheme, digits).tolist() == expected
+            if N == n:  # delta_min_over_A reads the same least ranks
+                assert delta_min_over_A(scheme, rho) == min(expected)
 
 
 def test_q3_verified_reports_skip_field_arithmetic(monkeypatch):

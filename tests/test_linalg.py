@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,39 +220,70 @@ def test_packed_rank_table():
         assert table.table[pack_key(rows, 4)] == rank_bits(rows)
 
 
-@pytest.mark.parametrize("nrows, ncols", [(2, 7), (2, 8), (1, 8), (8, 1), (3, 5)])
+@pytest.mark.parametrize("nrows, ncols", [(2, 7), (2, 8), (1, 8), (8, 1), (3, 5), (0, 4), (4, 0),
+                                          (1, 12), (12, 1), (6, 3)])
 def test_packed_rank_table_every_key(nrows, ncols):
-    # tables wider than tall are built from the key's columns
+    # tables taller than wide are eliminated on the rows of M^T
     table = PackedRankTable(nrows, ncols).table
     mask = (1 << ncols) - 1
     assert [int(v) for v in table] == [rank_bits((key >> (ncols * r)) & mask for r in range(nrows))
                                        for key in range(len(table))]
 
 
+# 2^20 and 2^22 keys, each in both orientations
+TABLE_SHAPES = [(5, 4), (4, 5), (1, 22), (22, 1), (2, 11), (11, 2)]
+
+
+def _block_keys(nrows, ncols):
+    # a table is filled in blocks of PACKED_BLOCK // 4 row-array elements,
+    # min(nrows, ncols) rows per key
+    return PACKED_BLOCK // 4 // min(nrows, ncols)
+
+
 def test_packed_rank_table_blocks():
-    # the 2^20-key table is filled in blocks of PACKED_BLOCK keys: check the
-    # keys on either side of every block boundary, the ends, and a sample
-    table = packed_rank_table(5, 4).table
-    assert len(table) == 1 << 20 > PACKED_BLOCK
+    # the keys on either side of every block boundary, the ends, and a sample
     rng = random.Random(7)
-    keys = [0, len(table) - 1] + [rng.randrange(len(table)) for _ in range(300)]
-    for lo in range(PACKED_BLOCK, len(table), PACKED_BLOCK):
-        keys += [lo - 1, lo]
-    for key in keys:
-        assert table[key] == rank_bits((key >> (4 * r)) & 15 for r in range(5))
+    for nrows, ncols in TABLE_SHAPES:
+        table = packed_rank_table(nrows, ncols).table
+        assert len(table) >= 1 << 20 > PACKED_BLOCK
+        keys = [0, len(table) - 1] + [rng.randrange(len(table)) for _ in range(300)]
+        for lo in range(_block_keys(nrows, ncols), len(table), _block_keys(nrows, ncols)):
+            keys += [lo - 1, lo]
+        mask = (1 << ncols) - 1
+        for key in keys:
+            assert table[key] == rank_bits((key >> (ncols * r)) & mask for r in range(nrows))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+def test_packed_rank_table_build_memory():
+    # no transient of a build grows with the table: each one peaks within
+    # 2 MiB of the table's own bytes
+    for nrows, ncols in TABLE_SHAPES:
+        tracemalloc.start()
+        try:
+            PackedRankTable(nrows, ncols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << (nrows * ncols)) + 2 * 2**20, (nrows, ncols, peak)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_rank_mod_q_matches_rref(q):
-    # random stacks, rank-deficient rows, zero matrices and empty shapes
+    # random stacks, rank-deficient rows, zero matrices, empty shapes, and
+    # tall and wide stacks whose leading rows are zero
     rng = random.Random(40 + q)
     field = PrimeField(q)
-    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3), (3, 3), (5, 2)]:
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3), (3, 3), (5, 2),
+                       (2, 6), (6, 2), (3, 7), (7, 3)]:
         mats = [[[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)]
                  for _ in range(rows)] for _ in range(40)]
         mats.append([[0] * cols for _ in range(rows)])
         if rows > 1:
             mats.append([mats[0][0]] * rows)
+        for z in range(1, rows):  # leading zero rows
+            mats.append([[0] * cols] * z + mats[z][z:])
+        for z in range(1, cols):  # leading zero columns, the rows of a tall stack's M^T
+            mats.append([[0] * z + row[z:] for row in mats[z]])
         expected = [Matrix(field, mat, cols).rref()[1] for mat in mats]
         stack = np.array(mats, dtype=np.uint8).reshape(len(mats), rows, cols)
         assert rank_mod_q(stack, q).tolist() == expected

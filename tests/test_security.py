@@ -181,6 +181,29 @@ def test_leakage_report_uniform_flagship(scheme, uniform):
         assert report.sandwich_holds()
 
 
+def test_leakage_report_streams_wiretaps(scheme, uniform, monkeypatch):
+    # each B is measured before the next is drawn, so no list of the (up to
+    # DEFAULT_ENUM_CAP) wiretap matrices or their leakages is held
+    drawn, measured = [], []
+    wiretaps, mutual_information = security.enumerate_wiretap, JointDistribution.mutual_information
+
+    def draw(*args, **kwargs):
+        for B in wiretaps(*args, **kwargs):
+            assert len(measured) == len(drawn)
+            drawn.append(B)
+            yield B
+
+    def measure(self, B, z=None):
+        measured.append(B)
+        return mutual_information(self, B, z)
+
+    monkeypatch.setattr(security, "enumerate_wiretap", draw)
+    monkeypatch.setattr(JointDistribution, "mutual_information", measure)
+    report = leakage_report(scheme, 2, uniform)
+    assert measured == drawn and len(drawn) > 1
+    assert report.max_leakage.as_integer() == 1
+
+
 def test_nonuniform_sandwich_exact(scheme):
     rng = random.Random(72)
     dist = JointDistribution.seeded(scheme, rng)
