@@ -22,7 +22,9 @@ import random
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .bitrank import row_image_tables
+import numpy as np
+
+from .bitrank import PACKED_BLOCK, row_image_tables
 from .codes import LinearCode, gabidulin, quotient_dim, require_scan_cap
 from .errors import (
     BadDimensions,
@@ -35,7 +37,7 @@ from .errors import (
     require,
 )
 from .gf import FieldCtx, ctx_from_json
-from .linalg import Matrix, solve_right, vec_add, vec_mat
+from .linalg import Matrix, field_digits, solve_right, vec_add, vec_mat
 
 
 class NestedScheme:
@@ -98,6 +100,26 @@ class NestedScheme:
         ctx = self.ctx
         return tuple(tuple(ctx.mul(ctx.q**j, x) for x in row)
                      for row in self.c2.gen.rows + self.delta_g.rows for j in range(ctx.m))
+
+    def codeword_digits(self, start: int = 0) -> Iterator[np.ndarray]:
+        """C1's codewords from entry start on, as base-q digit blocks (m x n x
+        block; temporaries within PACKED_BLOCK).  Entry e, member e % |C2| of
+        message e // |C2|'s coset in c2.codewords() and messages() order, is
+        base_generators in reversed symbol order combined by e's base-q digits:
+        a table of the low digits' combinations plus one of the high digits'."""
+        q, m, n = self.ctx.q, self.ctx.m, self.n
+        require_scan_cap(count := self.c1.codeword_count())
+        k2, rows = self.c2.k, field_digits(self.base_generators, q, m).reshape(m, -1, m, n)
+        gens = np.concatenate([rows[:, :k2][:, ::-1], rows[:, k2:][:, ::-1]], 1).reshape(m, -1, n)
+        gens, acc = gens.astype(np.int64), np.min_scalar_type(2 * (q - 1))  # a sum of two digits
+        low, b = np.zeros((m, n, 1), acc), 0  # low[:, :, i]: the first b combined by i
+        while b < gens.shape[1] and low.size * q <= PACKED_BLOCK:
+            shift = (np.arange(q)[:, None] * gens[:, b, :, None, None] % q).astype(acc)
+            low, b = ((low[:, :, None] + shift) % q).reshape(m, n, -1), b + 1
+        for hi in range(start // low.shape[2], count // low.shape[2]):
+            high = np.einsum("dgj,g->dj", gens[:, b:], field_digits(hi, q, gens.shape[1] - b)) % q
+            block = (low + high.astype(acc)[:, :, None]) % q
+            yield block[:, :, max(0, start - hi * low.shape[2]):].astype(rows.dtype)
 
     @cached_property
     def row_images(self) -> tuple[int, list]:

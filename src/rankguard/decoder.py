@@ -73,15 +73,15 @@ temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
 one combo, or the decode's uint8 scores, one per codeword of C1.
 
 For q > 2, and past the packed bit bounds, the row-space check decides on
-base-field digit arrays: C1's codewords outside C2 are the F_q combinations
-of its F_q generators whose digits past C2's are not all 0, listed as base-q
-digits by linalg.base_products; each canonical A maps them by a second
-base_products, and linalg.rank_mod_q ranks every m x N digit matrix of
-v A^T in one batched F_q elimination; delta_min_over_A reads the same least
-ranks at every q.  A verified budget counts its trials and covered tuples
-with network.error_count and runs no field arithmetic; a refuted one runs
-the field-arithmetic row-space loop at the decider's first failing A only,
-its trials offset by the row spaces before it.
+base-field digit arrays: C1's codewords outside C2 are the base-q digits
+NestedScheme.codeword_digits lists from entry |C2| on (its first |C2|
+entries, the zero message's coset, are C2); each canonical A maps them by
+linalg.base_products, and linalg.rank_mod_q ranks every m x N digit matrix
+of v A^T in one batched F_q elimination; delta_min_over_A reads the same
+least ranks at every q.  A verified budget counts its trials and covered
+tuples with network.error_count and runs no field arithmetic; a refuted one
+runs the field-arithmetic row-space loop at the decider's first failing A
+only, its trials offset by the row spaces before it.
 
 The field-arithmetic row-space loop is the reference for both deciders'
 reports and the coset scans for the packed decode (they decode at q > 2);
@@ -576,24 +576,6 @@ def _transfer_groups(q: int, n: int, N: int, rho: int, size: int) -> Iterator[np
             yield group
 
 
-def _difference_digits(scheme: NestedScheme) -> Iterator[np.ndarray]:
-    """Base-q digits (m x n x count) of C1's codewords outside C2, in blocks.
-    Combination k of the F_q generators (digit i of k picks generator i)
-    lies outside C2 exactly when k >= q^(m * dim C2)."""
-    ctx, n = scheme.ctx, scheme.n
-    q, m = ctx.q, ctx.m
-    require_scan_cap(scheme.c1.codeword_count())
-    gens = scheme.base_generators
-    # the generators' digits with the generator as coordinate: x^T M^T for the
-    # combinations M then lists the codewords entry by entry
-    gen_digits = field_digits(np.reshape(gens, (len(gens), n)), q, m)
-    step = max(1, PACKED_BLOCK // (max(n, len(gens)) * m))
-    for lo in range(q ** (m * scheme.c2.k), q ** len(gens), step):
-        combos = field_digits(np.arange(lo, min(lo + step, q ** len(gens))), q, len(gens)).T
-        words = np.concatenate(list(base_products(gen_digits, combos, q)), axis=2)
-        yield np.ascontiguousarray(words.transpose(0, 2, 1))
-
-
 def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
     """least[i]: the least rank of v A^T over C1's codewords v outside C2, for
     each N x n base-field matrix A = transfers[i], on digit arrays."""
@@ -601,7 +583,7 @@ def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
     count, N, n = transfers.shape
     least = np.full(count, N)  # no v A^T has rank above N
     stack = transfers.reshape(count * N, n)
-    for words in _difference_digits(scheme):
+    for words in scheme.codeword_digits(scheme.c2.codeword_count()):
         for prod in base_products(words, stack, q):  # (m, count * N, width)
             ranks = rank_mod_q(prod.reshape(m, count, N, prod.shape[2]).transpose(1, 3, 2, 0), q)
             np.minimum(least, ranks.min(axis=1), out=least)

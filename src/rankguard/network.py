@@ -26,13 +26,6 @@ def sample_matrix(rng: random.Random, q: int, nrows: int, ncols: int) -> Matrix:
                   [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
-def sample_invertible(rng: random.Random, q: int, n: int) -> Matrix:
-    while True:
-        M = sample_matrix(rng, q, n, n)
-        if M.rank() == n:
-            return M
-
-
 def sample_transfer(rng: random.Random, q: int, N: int, n: int, rho_max: int) -> Matrix:
     """Uniform over F_q^(N x n) conditioned on rank >= n - rho_max."""
     if rho_max < 0 or N < n - rho_max:

@@ -11,14 +11,15 @@ One primitive computes them all: `JointDistribution.entropy(key, bound)`,
 the entropy of the weights grouped by an integer key per support entry,
 whose exact power is T^T / prod c^c over the exact integer group masses c.
 Keys of S_Z, X and W = X B^T come from numpy arrays built once per
-distribution.  The support keeps X as one array of base-q digits, which
-linalg.base_products maps through B mod q; W's key is the dense integer
-sum_r w_r (q^m)^r while that stays below 2^62, else its rows are renumbered
-by _fold.  Group masses are one np.bincount when the key's bound is at most
-the support size and T < 2^53 (every partial sum is then an integer below
-2^53, exact in float64), and a sort otherwise.  A key with a value per
-support entry tells the entries apart, so any pair with it groups as it
-does: H(S_Z, X) = H(X) when no two entries share an X, and I(S_Z; W) =
+distribution (uniform and seeded list C1 by NestedScheme.codeword_digits,
+without field arithmetic).  The support keeps X as one array of base-q
+digits, which linalg.base_products maps through B mod q; W's key is the
+dense integer sum_r w_r (q^m)^r while that stays below 2^62, else its rows
+are renumbered by _fold.  Group masses are one np.bincount when the key's
+bound is at most the support size and T < 2^53 (every partial sum is then an
+integer below 2^53, exact in float64), and a sort otherwise.  A key with a
+value per support entry tells the entries apart, so any pair with it groups
+as it does: H(S_Z, X) = H(X) when no two entries share an X, and I(S_Z; W) =
 H(S_Z) for such a W.  For a message index set Z the chain rule gives every
 other quantity:
 
@@ -43,6 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import decoder
 from .codes import require_scan_cap
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
@@ -180,25 +182,28 @@ class JointDistribution:
     C1, so the scan cap bounds it.  The support is held as arrays: message
     symbols, weights (int64 while T fits, else Python ints), a key of X, and
     the base-q digits of X (m x n x entries, the layout linalg.base_products
-    reads).
+    reads).  uniform and seeded list C1 by NestedScheme.codeword_digits.
     """
 
     def __init__(self, scheme: NestedScheme, weights: dict):
-        self.scheme = scheme
-        self.ctx = scheme.ctx
         require_scan_cap(scheme.c1.codeword_count())
         support = [(S, X, w) for (S, X), w in weights.items() if w]
-        self.total = sum(w for _, _, w in support)
-        if self.total <= 0 or any(w < 0 for _, _, w in support):
+        total = sum(w for _, _, w in support)
+        if total <= 0 or any(w < 0 for _, _, w in support):
             raise PreconditionError("weights must be nonnegative with a positive total")
-        order, q, m = self.ctx.order, self.ctx.q, self.ctx.m
-        self._symbols_arr = _int_array([S for S, _, _ in support], scheme.l, order, "S")
-        x = _int_array([X for _, X, _ in support], scheme.n, order, "X")
-        self._weights = np.array([w for _, _, w in support],
-                                 np.int64 if self.total < 2**63 else object)
-        self._x_key, self._x_bound = _fold(len(x), x.T, order)
-        self._digits = field_digits(x.T, q, m)
-        self._message_memo = None
+        ctx = scheme.ctx
+        x = _int_array([X for _, X, _ in support], scheme.n, ctx.order, "X")
+        self._adopt(scheme, _int_array([S for S, _, _ in support], scheme.l, ctx.order, "S"),
+                    [w for _, _, w in support], total, field_digits(x.T, ctx.q, ctx.m))
+
+    def _adopt(self, scheme: NestedScheme, symbols: np.ndarray, weights, total: int,
+               digits: np.ndarray) -> None:
+        """Hold the support arrays (weights int64 while T < 2^63) and key X."""
+        self.scheme, self.ctx, self.total, self._symbols_arr = scheme, scheme.ctx, total, symbols
+        self._weights = np.array(weights, np.int64 if total < 2**63 else object)
+        self._digits, self._message_memo = digits, None
+        x = np.einsum("djk,d->jk", digits, self.ctx.q ** np.arange(self.ctx.m))
+        self._x_key, self._x_bound = _fold(len(weights), x, self.ctx.order)
 
     @property
     def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -210,13 +215,19 @@ class JointDistribution:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
+    def _listed(scheme: NestedScheme, weights, total: int) -> "JointDistribution":
+        """Entry e of NestedScheme.codeword_digits, weighing weights[e]; its
+        message is the base-order digits of e // |C2|, S_0 the most significant."""
+        message = np.arange(len(weights)) // scheme.c2.codeword_count()
+        dist = JointDistribution.__new__(JointDistribution)
+        dist._adopt(scheme, np.stack(np.unravel_index(message, (scheme.ctx.order,) * scheme.l), 1),
+                    weights, total, np.concatenate(list(scheme.codeword_digits()), axis=2))
+        return dist
+
+    @staticmethod
     def uniform(scheme: NestedScheme) -> "JointDistribution":
-        require_scan_cap(scheme.c1.codeword_count())
-        weights = {}
-        for S in scheme.messages():
-            for X in scheme.coset_elements(S):
-                weights[(S, X)] = 1
-        return JointDistribution(scheme, weights)
+        require_scan_cap(count := scheme.c1.codeword_count())
+        return JointDistribution._listed(scheme, np.ones(count, np.int64), count)
 
     @staticmethod
     def seeded(scheme: NestedScheme, rng: random.Random,
@@ -224,24 +235,26 @@ class JointDistribution:
         """Random integer weights: message weight times per-coset weight.
 
         Per-coset weight patterns share a common sum so that one global
-        denominator exists; weights are >= 1, keeping full support.
+        denominator exists (a coset redraws its pattern until the sums match,
+        at most decoder.DEFAULT_SAMPLED_BUDGET times); weights >= 1 keep full support.
         """
+        if not isinstance(max_weight, int) or max_weight < 1:
+            raise PreconditionError(f"max_weight must be an integer >= 1, got {max_weight!r}")
         require_scan_cap(scheme.c1.codeword_count())
-        coset_size = scheme.c2.codeword_count()
-        pattern_sum = None
-        weights = {}
-        for S in scheme.messages():
+        coset_size, budget = scheme.c2.codeword_count(), decoder.DEFAULT_SAMPLED_BUDGET
+        pattern_sum, weights = None, []
+        for _ in scheme.messages():
             sw = rng.randrange(1, max_weight + 1)
-            while True:
+            for _ in range(budget + 1):  # the first draw, then the redraws
                 pattern = [rng.randrange(1, max_weight + 1) for _ in range(coset_size)]
-                if pattern_sum is None:
-                    pattern_sum = sum(pattern)
-                    break
+                pattern_sum = pattern_sum or sum(pattern)  # the first coset's sum, >= 1
                 if sum(pattern) == pattern_sum:
                     break
-            for X, w in zip(scheme.coset_elements(S), pattern):
-                weights[(S, X)] = sw * w
-        return JointDistribution(scheme, weights)
+            else:
+                raise EnumerationTooLarge(f"seeded weights: a coset redrew more than {budget}"
+                                          " patterns (decoder.DEFAULT_SAMPLED_BUDGET)")
+            weights += [sw * w for w in pattern]
+        return JointDistribution._listed(scheme, weights, sum(weights))
 
     # -- exact quantities --------------------------------------------------------
 

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
-from rankguard import BadDimensions, DegreeMismatch, PacketTooShort, ctx_new
+from rankguard import BadDimensions, DegreeMismatch, PacketTooShort, coset_scheme, ctx_new
 from rankguard.coset_scheme import LiftedScheme, NestedScheme, build_proposed, lift
 from rankguard.codes import LinearCode
 from rankguard.linalg import Matrix, expand_to_base, vec_sub
 from rankguard.rank_metrics import rank_weight
+from schemes import random_scheme
 
 F16 = ctx_new(2, 4)
 F64 = ctx_new(2, 6)
@@ -143,3 +145,26 @@ def test_lift_header_and_rank():
 def test_lift_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         lift(flagship(), ctx_new(2, 6))
+
+
+@pytest.mark.parametrize("block", ["default", "small"])
+@pytest.mark.parametrize("l, k2", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)])
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_codeword_digits_list_every_coset_in_message_order(q, m, l, k2, block, monkeypatch):
+    # entry e is member e % |C2| of the coset of message e // |C2|, both in
+    # their listing orders; small blocks combine a table of one generator,
+    # or of none, with the higher digits, and start mid-block
+    ctx = ctx_new(q, m)
+    scheme = random_scheme(random.Random(q * 100 + l * 10 + k2), ctx, 3, l, k2)
+    expected = [X for S in scheme.messages() for X in scheme.coset_elements(S)]
+    size = scheme.c2.codeword_count()
+    starts = [0, size]
+    if block == "small":
+        monkeypatch.setattr(coset_scheme, "PACKED_BLOCK", q * m * 3 if k2 else 1)  # b = 1, 0
+        starts.append(size + 1)
+    for start in starts:
+        blocks = list(scheme.codeword_digits(start))
+        assert all(b.dtype == np.uint8 and b.shape[:2] == (m, 3) for b in blocks)
+        digits = np.concatenate(blocks, axis=2)
+        x = np.einsum("djk,d->kj", digits, q ** np.arange(m))
+        assert list(map(tuple, x.tolist())) == expected[start:], start

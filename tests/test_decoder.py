@@ -57,7 +57,6 @@ from rankguard.network import (
     enumerate_errors,
     error_count,
     sample_error_pair,
-    sample_invertible,
     sample_matrix,
     sample_transfer,
     transmit,
@@ -66,6 +65,13 @@ from rankguard.rank_metrics import first_rgrw, rank_weight
 
 F16 = ctx_new(2, 4)
 GF2 = PrimeField(2)
+
+
+def sample_invertible(rng: random.Random, q: int, n: int) -> Matrix:
+    while True:
+        M = sample_matrix(rng, q, n, n)
+        if M.rank() == n:
+            return M
 
 
 def flagship():

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankguard import DimensionMismatch, InvariantViolated, PreconditionError, ctx_new, security
+from rankguard import (DimensionMismatch, EnumerationTooLarge, InvariantViolated,
+                       PreconditionError, ctx_new, decoder, security)
 from rankguard.codes import LinearCode
-from rankguard.coset_scheme import build_proposed
+from rankguard.coset_scheme import NestedScheme, build_proposed
 from rankguard.linalg import Matrix, embed_base_matrix, ext_vec_times_base_transpose
 from rankguard.gf import PrimeField
 from rankguard.network import enumerate_wiretap, sample_matrix
@@ -30,6 +31,7 @@ from rankguard.security import (
     universal_equivocation,
     verify_strength_empirically,
 )
+from schemes import random_scheme
 
 F16 = ctx_new(2, 4)
 GF2 = PrimeField(2)
@@ -613,3 +615,85 @@ def test_shared_packets_and_folded_keys_match_ratio_products(scheme, monkeypatch
     sparse = 7 * (np.arange(len(dist._weights)) % 11)
     joint, joint_bound = dist._joint(key, bound, sparse, 77)
     assert joint_bound == 11 * bound and joint.max() < joint_bound
+
+
+def _seeded_by_cosets(scheme, rng, max_weight):
+    """The seeded distribution built through coset_elements and the dict
+    constructor: the reference draw loop, message by message."""
+    coset_size, pattern_sum, weights = scheme.c2.codeword_count(), None, {}
+    for S in scheme.messages():
+        sw = rng.randrange(1, max_weight + 1)
+        while True:
+            pattern = [rng.randrange(1, max_weight + 1) for _ in range(coset_size)]
+            if pattern_sum is None:
+                pattern_sum = sum(pattern)
+            if sum(pattern) == pattern_sum:
+                break
+        for X, w in zip(scheme.coset_elements(S), pattern):
+            weights[(S, X)] = sw * w
+    return JointDistribution(scheme, weights)
+
+
+class _TopRandom(random.Random):
+    """Draws the top of every range, so that every pattern sum matches."""
+
+    def randrange(self, start, stop):
+        return stop - 1
+
+
+def _assert_same_support(dist, ref):
+    for name in ("_symbols_arr", "_weights", "_digits", "_x_key"):
+        a, b = getattr(dist, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+        assert a.tolist() == b.tolist(), name
+    assert (dist._x_bound, dist.total, dist.entries) == (ref._x_bound, ref.total, ref.entries)
+    assert type(dist.total) is type(ref.total)
+
+
+@pytest.mark.parametrize("l, k2", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2)])
+def test_listed_distributions_match_the_dict_constructor(q, m, l, k2, monkeypatch):
+    # uniform and seeded list C1 on digit arrays; the dict constructor, fed
+    # through coset_elements in messages() order, is the reference.  A seeded
+    # total past 2^63 keeps Python-int weights.
+    scheme = random_scheme(random.Random(q * 100 + l * 10 + k2), ctx_new(q, m), 3, l, k2)
+    references = [
+        JointDistribution(scheme, {(S, X): 1 for S in scheme.messages()
+                                   for X in scheme.coset_elements(S)}),
+        _seeded_by_cosets(scheme, random.Random(3), 4),
+        _seeded_by_cosets(scheme, _TopRandom(), 2**40)]
+    assert references[2].total >= 2**63 and references[2]._weights.dtype == object
+    monkeypatch.setattr(NestedScheme, "coset_elements",
+                        lambda *args: pytest.fail("a listed distribution ran field arithmetic"))
+    listed = [JointDistribution.uniform(scheme),
+              JointDistribution.seeded(scheme, random.Random(3), 4),
+              JointDistribution.seeded(scheme, _TopRandom(), 2**40)]
+    for dist, ref in zip(listed, references):
+        _assert_same_support(dist, ref)
+
+
+def test_seeded_refuses_bad_weights_and_endless_redraws(monkeypatch):
+    # every coset must redraw until its pattern sum equals the first coset's:
+    # with 16 draws of up to 2^40 each that never happens, and the redraws
+    # stop past decoder.DEFAULT_SAMPLED_BUDGET, read at call time
+    scheme = build_proposed(ctx_new(2, 4), 1, 3, 2)
+    for bad in (0, -3, 2.5, "4"):
+        with pytest.raises(PreconditionError, match="max_weight"):
+            JointDistribution.seeded(scheme, random.Random(1), max_weight=bad)
+    with pytest.raises(EnumerationTooLarge, match=r"more than 100000 patterns"):
+        JointDistribution.seeded(scheme, random.Random(1), max_weight=2**40)
+
+    class Counting(random.Random):
+        draws = 0
+
+        def randrange(self, start, stop):
+            self.draws += 1
+            return super().randrange(start, stop)
+
+    monkeypatch.setattr(decoder, "DEFAULT_SAMPLED_BUDGET", 7)
+    rng = Counting(1)
+    with pytest.raises(EnumerationTooLarge, match=r"more than 7 patterns"):
+        JointDistribution.seeded(scheme, rng, max_weight=2**40)
+    # message 0 draws its weight and one pattern; message 1 its weight, its
+    # first pattern and 7 redrawn ones
+    assert rng.draws == (1 + 16) + (1 + 8 * 16)
