@@ -19,7 +19,7 @@ from .decoder import (
     capability_report,
     construct_failure_witness,
     delta_min_noncoherent,
-    run_trial,
+    trial_stream,
 )
 from .errors import PacketTooShort, SuiteUnknown
 from .gf import ctx_new
@@ -296,9 +296,8 @@ def suite_noncoherent() -> list[CriterionResult]:
     failures = 0
     draws = 0
     for (t, rho) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        for _ in range(50):
+        for _, S, res in trial_stream(rng, lifted, 4, t, rho, 50):
             draws += 1
-            _, S, res = run_trial(rng, lifted, 4, t, rho)
             if not (res.ok and res.message == S):
                 failures += 1
     out.append(_result("noncoherent-decode", f"{draws} seeded draws within capability",

@@ -18,7 +18,7 @@ import sys
 from .acceptance import run_suite
 from .codes import LinearCode
 from .coset_scheme import NestedScheme, build_proposed, lift
-from .decoder import capability_report, require_trial_cap, run_trial
+from .decoder import capability_report, require_trial_cap, trial_stream
 from .errors import EnumerationTooLarge, PreconditionError, RankguardError, json_ints
 from .gf import ctx_from_json, ctx_new
 from .rank_metrics import rdip, weights_from_profile
@@ -152,12 +152,10 @@ def _simulate_rows(config: dict):
     else:
         raise PreconditionError(f"mode must be coherent or noncoherent, got {mode!r}")
     rng = _split_rng(config["seed"], "simulate")
-    rows = []
-    for trial in range(config["trials"]):
-        A, S, result = run_trial(rng, scheme, config["N"], config["t"], config["rho_max"])
-        rows.append([trial, A.rank(), result.status,
-                     int(result.ok and result.message == S), result.discrepancy])
-    return rows
+    stream = trial_stream(rng, scheme, config["N"], config["t"], config["rho_max"],
+                          config["trials"])
+    return [[trial, A.rank(), result.status, int(result.ok and result.message == S),
+             result.discrepancy] for trial, (A, S, result) in enumerate(stream)]
 
 
 def cmd_simulate(args) -> int:

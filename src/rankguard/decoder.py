@@ -52,12 +52,12 @@ is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
 * The error keys are built directly, in enumerate_errors order: E = z R,
   R a canonical basis of dimension r, has key XOR_s z_s * spread(R_s), each
   row's bit j spread to bit j*m, kept when that key has rank r.
-* Coherent decoding packs A and Y and XORs the key of Y into C1's codeword
-  keys under A; codeword i lies in the coset of combo i >> (m * dim C2), so
-  one rank-table lookup per codeword, reshaped to (messages, |C2|) and
-  minimized per row, scores every coset.  The two least scores give the
-  result, and the winning combo c decodes to the message whose symbol i is
-  (c >> i*m) & (2^m - 1).
+* Coherent decoding takes many received words per block, XORing the key of
+  each Y into C1's codeword keys under its A; codeword i lies in the coset
+  of combo i >> (m * dim C2), so one rank-table lookup per (word, codeword),
+  reshaped to (words, messages, |C2|) and minimized over the last axis,
+  scores every coset of every word.  A word's two least scores give its
+  result, and its winning combo c decodes as combo c does above.
 * One numpy kernel scores the failing A alone, for its report: the least
   discrepancy of each combo's coset members against each error, per block
   of errors where a nonzero combo scores no worse than the true one.  The
@@ -70,7 +70,8 @@ The decider and the decode span C1's codewords under many A at once when
 all of C1 fits in PACKED_BLOCK elements, else under one A in runs of
 codewords; the kernel scores blocks of errors in slices of combos.  Each
 temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
-one combo, or the decode's uint8 scores, one per codeword of C1.
+one combo, or the |C1| uint8 scores of a one-word decode block: seeded
+trials decode max(1, PACKED_BLOCK // max(|C1|, N n)) words per block.
 
 For q > 2, and past the packed bit bounds, the row-space check decides on
 base-field digit arrays: C1's codewords outside C2 are the base-q digits
@@ -94,7 +95,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -109,7 +110,6 @@ from .linalg import (
     expand_to_base,
     ext_vec_times_base_transpose,
     field_digits,
-    pack_row_bits,
     rank_mod_q,
     vec_sub,
 )
@@ -124,7 +124,7 @@ from .network import (
 )
 from .rank_metrics import first_rgrw, rank_weight
 from .subspaces import (base_subspace_ids, enumerate_base_subspaces, gaussian_binomial,
-                        rank_r_count, require_enum_cap)
+                        rank_r_count, require_enum_cap, row_digits)
 
 DEFAULT_SAMPLED_BUDGET = 10**5
 
@@ -144,9 +144,10 @@ class DecodeResult:
 # -- coherent ------------------------------------------------------------------
 
 
-def _require_word(ctx, Y: Sequence[int]) -> None:
-    """Refuse a received word with a symbol outside 0..q^m - 1."""
-    if not all(isinstance(y, (int, np.integer)) and 0 <= y < ctx.order for y in Y):
+def _require_word(ctx, *Ys: Sequence[int]) -> None:
+    """Refuse received words with a symbol outside 0..q^m - 1."""
+    if not all(isinstance(y, (int, np.integer)) and 0 <= y < ctx.order
+               for y in itertools.chain.from_iterable(Ys)):
         raise PreconditionError(f"received symbols must be integers in 0..{ctx.order - 1}")
 
 
@@ -190,13 +191,45 @@ def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
 def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
     """Return the message of the unique closest coset; ties are reported as
     ambiguous rather than broken, so capability boundaries stay observable."""
-    _require_word(scheme.ctx, Y)
-    m, N = scheme.ctx.m, A.nrows
-    if scheme.ctx.q == 2 and m * N <= 22 and N * scheme.n <= 32:
-        return _decode_packed(scheme, A, Y)
-    messages, cosets = _cosets(scheme)
-    images = _coset_images(scheme.ctx, cosets, A)
-    return _closest(zip(messages, (_coset_score(scheme.ctx, im, Y) for im in images)))
+    return _decode_block(scheme, [A], [Y])[0]
+
+
+def _decode_block(scheme: NestedScheme, As: Sequence[Matrix],
+                  Ys: Sequence[Sequence[int]]) -> list[DecodeResult]:
+    """decode_coherent of each received word Ys[w] under As[w], all of one
+    length N: at q = 2 within the packed bounds, one rank-table lookup per
+    (word, codeword of C1); else the coset scan, C1 listed once per block."""
+    ctx, n = scheme.ctx, scheme.n
+    _require_word(ctx, *Ys)
+    N = As[0].nrows
+    if not (ctx.q == 2 and ctx.m * N <= 22 and N * n <= 32):
+        messages, cosets = _cosets(scheme)
+        return [_closest(zip(messages, (_coset_score(ctx, im, Y)
+                                        for im in _coset_images(ctx, cosets, A))))
+                for A, Y in zip(As, Ys)]
+    require_scan_cap(scheme.c1.codeword_count())
+    if any(A.ncols != n for A in As):
+        raise DimensionMismatch("A ncols must equal len(x)")
+    if any(A.nrows != N for A in As):
+        raise DimensionMismatch("vector lengths differ")
+    entries = np.array([A.rows for A in As]).reshape(len(As), N * n)
+    if not np.all((entries == 0) | (entries == 1)):
+        raise PreconditionError("A must have base-field entries in 0..1")
+    if any(len(Y) != N for Y in Ys):
+        raise DimensionMismatch("vector lengths differ")
+    a_keys = entries.astype(np.uint32) @ (np.uint32(1) << np.arange(N * n, dtype=np.uint32))
+    y_keys = _pack_vectors(list(Ys), ctx.m, N)
+    table = packed_rank_table(N, ctx.m).table
+    scores = np.empty((len(As), scheme.c1.codeword_count()), dtype=np.uint8)
+    for start, first, keys in _codeword_runs(scheme, a_keys, N):
+        rows = slice(start, start + len(keys))
+        scores[rows, first:first + keys.shape[1]] = table[keys ^ y_keys[rows, None]]
+    scores = scores.reshape(len(As), -1, scheme.c2.codeword_count()).min(axis=2)
+    pairs = np.partition(scores, 1, axis=1)[:, :2].tolist()
+    return [DecodeResult("ambiguous", None, best, runner) if best == runner else
+            DecodeResult("decoded", tuple((c >> (i * ctx.m)) & (ctx.order - 1)
+                                          for i in range(scheme.l)), best, runner)
+            for (best, runner), c in zip(pairs, scores.argmin(axis=1).tolist())]
 
 
 def _closest(scored) -> DecodeResult:
@@ -249,8 +282,11 @@ def _as_coherent(lifted: LiftedScheme, Y: Sequence[int],
     """(A, y, shift): noncoherent decoding of Y is coherent decoding of the
     inner scheme under A, y, every discrepancy raised by shift.
 
-    M_Y = expand_to_base(Y) stacks the n header rows H over the payload rows
-    P; A = H^T, y is P read as an inner-field vector, and shift =
+    lift_vector puts packet j's header on base-q digits 0..n-1 of its symbol
+    and the inner coefficients above, so M_Y = expand_to_base(Y) stacks the
+    n header rows H over the payload rows P, read from the digits: row j of
+    A = H^T is row_digits(Y_j mod q^n), y_j = Y_j // q^n is column j of P
+    as an inner-field symbol, rank M_Y is the rank weight of Y, and shift =
     [n - rho - rank M_Y]^+ (after Silva, Kschischang and Koetter, IEEE Trans.
     IT 2008).  Over transfer matrices A' of rank >= n - rho, the least
     rank(M_X A'^T - M_Y) for the lifted member X of x is rank(R) +
@@ -260,11 +296,14 @@ def _as_coherent(lifted: LiftedScheme, Y: Sequence[int],
     coherent discrepancy of x at y.  Adding -phi(x) times the header block
     to R takes [H; R] to [H; -P], so rank [H; R] = rank M_Y for every x: the
     second term is one shift for every member of every coset."""
-    MY = expand_to_base(lifted.ctx, Y)
-    n = lifted.n
-    A = MY.submatrix(rows=range(n)).transpose()
-    y = _vector_from_expansion(lifted.inner.ctx, MY.submatrix(rows=range(n, lifted.ctx.m)))
-    return A, y, max(0, n - rho - MY.rank())
+    q, n = lifted.ctx.q, lifted.n
+    A = Matrix(lifted.ctx.base, [row_digits(v % q**n, q, n) for v in Y], n)
+    return A, tuple(v // q**n for v in Y), max(0, n - rho - rank_weight(lifted.ctx, Y))
+
+
+def _shifted(r: DecodeResult, shift: int) -> DecodeResult:
+    """r with both discrepancies raised by shift."""
+    return DecodeResult(r.status, r.message, r.discrepancy + shift, r.runner_up + shift)
 
 
 def discrepancy_noncoherent(lifted: LiftedScheme, Y: Sequence[int], S: Sequence[int],
@@ -293,9 +332,7 @@ def decode_noncoherent(lifted: LiftedScheme, Y: Sequence[int], rho: int) -> Deco
     _require_word(lifted.ctx, Y)
     _require_budget(lifted.n, len(Y), rho)
     A, y, shift = _as_coherent(lifted, Y, rho)
-    result = decode_coherent(lifted.inner, A, y)
-    return replace(result, discrepancy=result.discrepancy + shift,
-                   runner_up=result.runner_up + shift)
+    return _shifted(decode_coherent(lifted.inner, A, y), shift)
 
 
 def delta_min_noncoherent(lifted: LiftedScheme, rho: int, method: str = "closed",
@@ -430,31 +467,6 @@ def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
             a, i = divmod(int(failing.argmax()), failing.shape[1])
             return start + a, (first + i) >> n_c2
     return None
-
-
-def _decode_packed(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
-    """decode_coherent at q = 2: every codeword key of C1 under A XOR the key
-    of Y, one rank-table lookup each, least per coset of C2."""
-    ctx, n, N = scheme.ctx, scheme.n, A.nrows
-    require_scan_cap(scheme.c1.codeword_count())
-    if A.ncols != n:
-        raise DimensionMismatch("A ncols must equal len(x)")
-    if not all(c in (0, 1) for row in A.rows for c in row):
-        raise PreconditionError("A must have base-field entries in 0..1")
-    if len(Y) != N:
-        raise DimensionMismatch("vector lengths differ")
-    a_key = np.array([pack_key([pack_row_bits(row) for row in A.rows], n)], dtype=np.uint32)
-    y_key = np.uint32(pack_key(Y, ctx.m))
-    table = packed_rank_table(N, ctx.m).table
-    scores = np.concatenate([table[keys[0] ^ y_key]
-                             for _, _, keys in _codeword_runs(scheme, a_key, N)])
-    scores = scores.reshape(-1, scheme.c2.codeword_count()).min(axis=1)
-    best, runner = map(int, np.partition(scores, 1)[:2])
-    if best == runner:
-        return DecodeResult("ambiguous", None, best, runner)
-    c = int(scores.argmin())
-    message = tuple((c >> (i * ctx.m)) & (ctx.order - 1) for i in range(scheme.l))
-    return DecodeResult("decoded", message, best, runner)
 
 
 def _failing_blocks(scheme: NestedScheme, a_key: int, e_keys: np.ndarray,
@@ -717,22 +729,39 @@ def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
                                             "difference_combo": c})
 
 
-def run_trial(rng: random.Random, scheme, N: int, t: int, rho: int):
-    """One seeded encode -> transmit -> decode round: (A, S, DecodeResult).
-
-    Draws, in order, a transfer matrix of rank >= n - rho, a t-packet error,
-    a uniform message and its coset member; a LiftedScheme is decoded
-    noncoherently, a NestedScheme coherently with A known."""
-    ctx, n = scheme.ctx, scheme.n
-    lifted = isinstance(scheme, LiftedScheme)
-    A = sample_transfer(rng, ctx.q, N, n, rho)
+def _draw(rng: random.Random, scheme, N: int, t: int, rho: int):
+    """One seeded round's draws from rng, in order: a transfer matrix A of
+    rank >= n - rho, a t-packet error (D, Z), a uniform message S and its
+    coset member X (lifted for a LiftedScheme); returns (A, S, Y), Y the
+    received word."""
+    ctx, lifted = scheme.ctx, isinstance(scheme, LiftedScheme)
+    A = sample_transfer(rng, ctx.q, N, scheme.n, rho)
     D, Z = sample_error_pair(rng, ctx, N, t)
     order = scheme.inner.ctx.order if lifted else ctx.order
     S = tuple(rng.randrange(order) for _ in range(scheme.l))
     X = scheme.lift_encode(S, rng) if lifted else scheme.encode(S, rng)
-    Y = transmit(ctx, X, A, D, Z)
-    result = decode_noncoherent(scheme, Y, rho) if lifted else decode_coherent(scheme, A, Y)
-    return A, S, result
+    return A, S, transmit(ctx, X, A, D, Z)
+
+
+def trial_stream(rng: random.Random, scheme, N: int, t: int, rho: int,
+                 count: int) -> Iterator[tuple[Matrix, tuple[int, ...], DecodeResult]]:
+    """count seeded encode -> transmit -> decode rounds from rng, in order,
+    as (A, S, DecodeResult): a LiftedScheme decoded noncoherently, a
+    NestedScheme coherently with A known.  Rounds are drawn by _draw and
+    decoded in blocks of max(1, PACKED_BLOCK // max(|C1|, N n)) words, so a
+    block's scores and transfer entries stay within PACKED_BLOCK; a lifted
+    block decodes as _as_coherent states.  The budget is refused before any
+    draw, and exactly count rounds are drawn."""
+    _require_budget(scheme.n, N, rho)
+    lifted = isinstance(scheme, LiftedScheme)
+    inner = scheme.inner if lifted else scheme
+    size = max(1, PACKED_BLOCK // max(inner.c1.codeword_count(), N * scheme.n))
+    for lo in range(0, count, size):
+        drawn = [_draw(rng, scheme, N, t, rho) for _ in range(min(size, count - lo))]
+        views = [_as_coherent(scheme, Y, rho) if lifted else (A, Y, 0) for A, _, Y in drawn]
+        results = _decode_block(inner, [A for A, _, _ in views], [y for _, y, _ in views])
+        for (A, S, _), result, (_, _, shift) in zip(drawn, results, views):
+            yield A, S, _shifted(result, shift)
 
 
 def require_trial_cap(trials: int) -> None:
@@ -744,10 +773,9 @@ def require_trial_cap(trials: int) -> None:
 
 def _sampled(scheme, t: int, rho: int, N: int, trials: int, seed) -> CapabilityReport:
     require_trial_cap(trials)
-    rng = random.Random(seed)
     counterexample = None
-    for i in range(trials):
-        A, S, result = run_trial(rng, scheme, N, t, rho)
+    stream = trial_stream(random.Random(seed), scheme, N, t, rho, trials)
+    for i, (A, S, result) in enumerate(stream):
         if not (result.ok and result.message == S):
             counterexample = {"trial": i, "A": A.to_json(), "S": list(S),
                               "status": result.status}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rankguard.cli import main
 from rankguard.codes import gabidulin, LinearCode
 from rankguard.coset_scheme import NestedScheme, build_proposed
-from rankguard import EnumerationTooLarge, cli, ctx_new, decoder
+from rankguard import EnumerationTooLarge, ctx_new, decoder
 
 
 def run(args):
@@ -128,6 +128,19 @@ def test_simulate_noncoherent(tmp_path):
     assert all(row.split(",")[3] == "1" for row in rows)
 
 
+@pytest.mark.parametrize("mode, m", [("coherent", 5), ("noncoherent", 9)])
+def test_simulate_refuses_rho_max_above_n(tmp_path, capsys, monkeypatch, mode, m):
+    # rho_max = 9 > n = 4 is refused before the first draw in both modes; the
+    # coherent mode once ran every trial and exited 0
+    monkeypatch.setattr(decoder, "_draw", lambda *args: pytest.fail("a trial was drawn"))
+    config = {"version": 1, "q": 2, "m": m, "l": 1, "n": 4, "k": 2, "N": 4,
+              "t": 0, "rho_max": 9, "trials": 5, "seed": 1, "mode": mode}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "need 0 <= rho <= n" in capsys.readouterr().err
+
+
 def test_acceptance_subcommand(capsys):
     assert run(["acceptance", "mrd"]) == 0
     out = capsys.readouterr().out
@@ -207,9 +220,8 @@ def test_exit_code_transfer_cap(tmp_path, capsys):
 
 def test_exit_code_trial_cap(scheme_file, tmp_path, capsys, monkeypatch):
     # one trial over decoder.DEFAULT_SAMPLED_BUDGET is refused before any
-    # runs, by verify-capability and by simulate
-    for module in (decoder, cli):
-        monkeypatch.setattr(module, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    # is drawn, by verify-capability and by simulate
+    monkeypatch.setattr(decoder, "_draw", lambda *args: pytest.fail("a trial was drawn"))
     assert run(["verify-capability", "--scheme", str(scheme_file), "--t", "0", "--rho", "0",
                 "--mode", "sampled", "--trials", "100001"]) == 3
     assert "100001 trials exceeds cap 100000" in capsys.readouterr().err

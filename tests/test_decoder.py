@@ -16,7 +16,7 @@ from rankguard import (
 )
 from rankguard.bitrank import pack_key, packed_rank_table, row_image_tables
 from rankguard.codes import LinearCode
-from rankguard.coset_scheme import NestedScheme, build_proposed, lift
+from rankguard.coset_scheme import LiftedScheme, NestedScheme, build_proposed, lift
 from rankguard.subspaces import gaussian_binomial
 from rankguard.errors import DimensionMismatch
 from rankguard.decoder import (
@@ -62,6 +62,7 @@ from rankguard.network import (
     transmit,
 )
 from rankguard.rank_metrics import first_rgrw, rank_weight
+from schemes import random_scheme
 
 F16 = ctx_new(2, 4)
 GF2 = PrimeField(2)
@@ -734,7 +735,7 @@ def test_capability_sampled_matches(monkeypatch):
     assert rep.verified and rep.trials == 200
     # more trials than the cap are refused before the first one runs
     monkeypatch.setattr(decoder, "DEFAULT_SAMPLED_BUDGET", 10)
-    monkeypatch.setattr(decoder, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(decoder, "_draw", lambda *args: pytest.fail("a trial was drawn"))
     with pytest.raises(EnumerationTooLarge, match="50 trials exceeds cap 10"):
         capability_report(s, t=0, rho=0, mode="sampled", trials=50, seed=5)
 
@@ -790,6 +791,128 @@ def test_packed_decode_matches_field_decode(case):
         assert got == _field_decode(inner, A, Y)
         outcomes.add((got.status, got.message == S))
     assert outcomes == {("decoded", True), ("decoded", False), ("ambiguous", False)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_decode_matches_field_decode(monkeypatch, seed):
+    # every word of a block gets the field decode's whole DecodeResult, ties
+    # included, at N = n - rho, n and n + 1, in blocks of 1, 2 and 3 words;
+    # with PACKED_BLOCK patched, _codeword_runs spans two transfer matrices
+    # per batch, which a 3-word block straddles, or one in two runs
+    rng = random.Random(96 + seed)
+    n, l, k2 = 3, 1 + seed % 2, seed // 2
+    scheme = random_scheme(rng, ctx_new(2, 3), n, l, k2)
+    bits = 3 * (l + k2)
+    words = []
+    for N, rho in [(n - 1, 1), (n, 0), (n, 2), (n + 1, n)]:
+        for t in range(3):
+            A = sample_transfer(rng, 2, N, n, rho)
+            D, Z = sample_error_pair(rng, scheme.ctx, N, t)
+            Y = transmit(scheme.ctx, scheme.encode((rng.randrange(8),) * l, rng), A, D, Z)
+            words.append((A, Y))
+    outcomes = set()
+    for block in (None, 2 << bits, 1 << (bits - 1)):
+        if block is not None:
+            monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+        for size in (1, 2, 3):
+            for N in (n - 1, n, n + 1):
+                same = [(A, Y) for A, Y in words if A.nrows == N]
+                for lo in range(0, len(same), size):
+                    As, Ys = zip(*same[lo:lo + size])
+                    got = decoder._decode_block(scheme, As, Ys)
+                    assert got == [_field_decode(scheme, A, Y) for A, Y in zip(As, Ys)]
+                    outcomes.update(r.status for r in got)
+    assert outcomes == {"decoded", "ambiguous"}
+
+
+def _one_trial(rng, scheme, N, t, rho):
+    """One seeded round drawn and decoded alone: the trial stream's reference."""
+    ctx, lifted = scheme.ctx, isinstance(scheme, LiftedScheme)
+    A = sample_transfer(rng, ctx.q, N, scheme.n, rho)
+    D, Z = sample_error_pair(rng, ctx, N, t)
+    order = scheme.inner.ctx.order if lifted else ctx.order
+    S = tuple(rng.randrange(order) for _ in range(scheme.l))
+    X = scheme.lift_encode(S, rng) if lifted else scheme.encode(S, rng)
+    Y = transmit(ctx, X, A, D, Z)
+    return A, S, decode_noncoherent(scheme, Y, rho) if lifted else decode_coherent(scheme, A, Y)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["coherent", "lifted"])
+@pytest.mark.parametrize("case", ["q2", "q3"])
+def test_trial_stream_matches_one_trial_loop(case, lifted):
+    # the same (A, S, DecodeResult) in the same order, and the rng left in
+    # the same state: the stream draws exactly count rounds
+    build, outer = RECEIVED_CASES[case]
+    scheme = lift(build(), outer) if lifted else build()
+    n = scheme.n
+    for N, t, rho, count in [(n, 0, 0, 7), (n, 1, 1, 12), (n + 1, 2, n, 9)]:
+        rng, reference = random.Random(97), random.Random(97)
+        got = list(decoder.trial_stream(rng, scheme, N, t, rho, count))
+        assert got == [_one_trial(reference, scheme, N, t, rho) for _ in range(count)]
+        assert rng.random() == reference.random()
+
+
+def test_refuted_sampled_report_matches_one_trial_loop():
+    # the report of a refuted budget is the first failing round's
+    failing = set()
+    for scheme in (flagship(), _lifted_instance()):  # first weight 2
+        for seed in range(6):
+            report = capability_report(scheme, 0, 2, mode="sampled", trials=200, seed=seed)
+            rng = random.Random(seed)
+            for i in range(200):
+                A, S, result = _one_trial(rng, scheme, scheme.n, 0, 2)
+                if not (result.ok and result.message == S):
+                    break
+            assert not report.verified
+            assert report.counterexample == {"trial": i, "A": A.to_json(), "S": list(S),
+                                             "status": result.status}
+            failing.add(i > 2)
+    assert failing == {False, True}
+
+
+def test_trial_stream_blocks_stay_within_packed_block(monkeypatch):
+    # |C1| = 16 < N n = 30: blocks are sized by the transfer entries, and
+    # still decode as the one-trial loop does
+    scheme = random_scheme(random.Random(99), ctx_new(2, 4), 6, 1, 0)
+    N, block, sizes = 5, 100, []
+    decode = decoder._decode_block
+
+    def recorded(inner, As, Ys):
+        sizes.append(len(As))
+        return decode(inner, As, Ys)
+
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+    monkeypatch.setattr(decoder, "_decode_block", recorded)
+    got = list(decoder.trial_stream(random.Random(7), scheme, N, 1, 1, 20))
+    assert sizes == [3] * 6 + [2]
+    assert max(sizes) * max(scheme.c1.codeword_count(), N * scheme.n) <= block
+    reference = random.Random(7)
+    assert got == [_one_trial(reference, scheme, N, 1, 1) for _ in range(20)]
+
+
+def _as_coherent_by_expansion(lifted, Y, rho):
+    """_as_coherent from the base-field expansion M_Y of Y: its reference."""
+    MY, n, m = expand_to_base(lifted.ctx, Y), lifted.n, lifted.ctx.m
+    A = MY.submatrix(rows=range(n)).transpose()
+    y = tuple(lifted.inner.ctx.from_coeffs([MY.rows[r][j] for r in range(n, m)])
+              for j in range(len(Y)))
+    return A, y, max(0, n - rho - MY.rank())
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 3, 2), (5, 3, 2)])
+def test_digit_as_coherent_matches_expansion(q, m, n):
+    # transmitted and arbitrary received words, N = 0 .. n + 1, every rho
+    lifted = lift(build_proposed(ctx_new(q, m), l=1, n=n, k=1), ctx_new(q, m + n))
+    ctx, rng = lifted.ctx, random.Random(98)
+    for N in range(n + 2):
+        for _ in range(6):
+            A = sample_matrix(rng, q, N, n)
+            D, Z = sample_error_pair(rng, ctx, N, rng.randrange(2))
+            X = lifted.lift_encode((rng.randrange(lifted.inner.ctx.order),), rng)
+            for Y in (transmit(ctx, X, A, D, Z), tuple(rng.randrange(ctx.order) for _ in range(N))):
+                for rho in range(n + 1):
+                    assert decoder._as_coherent(lifted, Y, rho) == _as_coherent_by_expansion(
+                        lifted, Y, rho)
 
 
 def test_decode_with_no_received_packet():
