@@ -211,14 +211,16 @@ class LiftedScheme:
         self.l = inner.l
 
     def lift_vector(self, x_inner: Sequence[int]) -> tuple[int, ...]:
-        """Packet j carries the j-th unit header atop the inner coefficients."""
-        inner_ctx = self.inner.ctx
-        out = []
-        for j, v in enumerate(x_inner):
-            coeffs = [0] * self.n + list(inner_ctx.coeffs(v))
-            coeffs[j] = 1
-            out.append(self.ctx.from_coeffs(coeffs))
-        return tuple(out)
+        """Packet j carries the j-th unit header atop the inner coefficients:
+        base-q digit j is 1, digits n.. are x_j's, so the symbol is q^j +
+        x_j q^n."""
+        q, n = self.ctx.q, self.n
+        if len(x_inner) != n:
+            raise DimensionMismatch(f"an inner vector has {n} symbols, got {len(x_inner)}")
+        order = self.inner.ctx.order
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < order for v in x_inner):
+            raise PreconditionError(f"inner symbols must be integers in 0..{order - 1}")
+        return tuple(q**j + int(v) * q**n for j, v in enumerate(x_inner))
 
     def lift_encode(self, S: Sequence[int], rng: random.Random) -> tuple[int, ...]:
         return self.lift_vector(self.inner.encode(S, rng))

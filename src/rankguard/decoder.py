@@ -8,7 +8,7 @@ the same quantity over every transfer matrix within the erasure budget;
 for identity-header (lifted) packets it is coherent decoding of the inner
 scheme with the received header as the transfer matrix, every discrepancy
 raised by one shift (_as_coherent states the proof).  On field arithmetic,
-decoding and the row-space check score cosets by _coset_images/_coset_score.
+decoding scores cosets by _coset_images/_coset_score.
 
 Exhaustive capability verification covers the full quantifier space of the
 correction definition through two exact reductions, each property-tested
@@ -62,9 +62,9 @@ is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
   discrepancy of each combo's coset members against each error, per block
   of errors where a nonzero combo scores no worse than the true one.  The
   row-space check (one canonical A per row space) reports the first hit in
-  (E, S) row-major order, S in messages() order, as the generic path does;
-  the raw full sweep (every transfer key, ascending) reports combo c's
-  first failing error.
+  (E, S) row-major order, S in messages() order, as the field-arithmetic
+  loop does; the raw full sweep (every transfer key, ascending) reports
+  combo c's first failing error.
 
 The decider and the decode span C1's codewords under many A at once when
 all of C1 fits in PACKED_BLOCK elements, else under one A in runs of
@@ -76,19 +76,22 @@ trials decode max(1, PACKED_BLOCK // max(|C1|, N n)) words per block.
 For q > 2, and past the packed bit bounds, the row-space check decides on
 base-field digit arrays: C1's codewords outside C2 are the base-q digits
 NestedScheme.codeword_digits lists from entry |C2| on (its first |C2|
-entries, the zero message's coset, are C2); each canonical A maps them by
-linalg.base_products, and linalg.rank_mod_q ranks every m x N digit matrix
-of v A^T in one batched F_q elimination; delta_min_over_A reads the same
-least ranks at every q.  A verified budget counts its trials and covered
-tuples with network.error_count and runs no field arithmetic; a refuted one
-runs the field-arithmetic row-space loop at the decider's first failing A
-only, its trials offset by the row spaces before it.
+entries, the zero message's coset, are C2); the canonical A stream as row
+ids, the digits of v A^T are gathered from linalg.RowImages of the group's
+distinct ids, and linalg.rank_mod_q ranks every m x N digit matrix of v A^T
+in one batched F_q elimination; delta_min_over_A reads the same least ranks
+at every q.  A verified budget counts its trials and covered tuples with
+network.error_count and runs no field arithmetic.  A refuted one runs none
+either: _first_hit scores the decider's first failing A alone, on C1's
+images under it reshaped to (messages, |C2|) and on base-q error digits in
+enumerate_errors order (_error_digits), its trials offset by the row spaces
+before it.
 
-The field-arithmetic row-space loop is the reference for both deciders'
-reports and the coset scans for the packed decode (they decode at q > 2);
-the kernel, one A at a time, is the reference for the packed decider;
-_closest_difference, for the digit decider's least ranks; enumerate_errors,
-for the keys.
+The field-arithmetic row-space loop (in the tests) is the reference for both
+deciders' reports, and the coset scans for the packed decode (they decode
+at q > 2); the kernel, one A at a time, is the reference for the packed
+decider; _closest_difference, for the digit decider's least ranks;
+enumerate_errors, for the error keys and digits.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ from .coset_scheme import LiftedScheme, NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .linalg import (
     Matrix,
-    base_products,
+    RowImages,
     expand_to_base,
     ext_vec_times_base_transpose,
     field_digits,
@@ -115,7 +118,6 @@ from .linalg import (
 )
 from .network import (
     all_matrices,
-    enumerate_errors,
     error_count,
     require_error_cap,
     sample_error_pair,
@@ -262,7 +264,7 @@ def delta_min_over_A(scheme: NestedScheme, rho: int) -> int:
     so canonical representatives per row space suffice."""
     _require_budget(scheme.n, scheme.n, rho)
     best = scheme.n  # no v A^T has rank above n
-    for least in _least_rank_groups(scheme, rho, scheme.n):
+    for _, least in _least_rank_groups(scheme, rho, scheme.n):
         best = min(best, int(least.min()))
         if best == 0:
             break
@@ -577,57 +579,131 @@ def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
 
 
 def _transfer_groups(q: int, n: int, N: int, rho: int, size: int) -> Iterator[np.ndarray]:
-    """The matrices of _canonical_transfers in its order, as digit arrays of
-    shape (count, N, n), at most size at a time, read from the row ids."""
+    """The matrices of _canonical_transfers in its order, as arrays of row ids
+    of shape (count, N), the zero rows id 0, at most size at a time."""
     _require_transfer_cap(q, n, N, rho)
     for r in range(n - rho, min(n, N) + 1):
         ids = base_subspace_ids(q, n, r)
         while chunk := list(itertools.islice(ids, size)):
-            group = np.zeros((len(chunk), N, n), np.min_scalar_type(q - 1))
-            group[:, :r] = field_digits(np.reshape(chunk, (len(chunk), r)), q, n).transpose(1, 2, 0)
+            group = np.zeros((len(chunk), N), np.int64)
+            group[:, :r] = np.reshape(chunk, (len(chunk), r))
             yield group
+
+
+def _images_under(words: np.ndarray, q: int, transfers: np.ndarray) -> np.ndarray:
+    """Digits of v A^T, shape (count, N, m, width), for the words v (digits
+    m x n x width) and each N x n base-field matrix A whose row ids are
+    transfers[i]: the RowImages of the distinct ids, ascending, gathered."""
+    ids, where = np.unique(transfers, return_inverse=True)
+    return RowImages(words, q).of(ids.tolist())[where.reshape(transfers.shape)]
 
 
 def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
     """least[i]: the least rank of v A^T over C1's codewords v outside C2, for
-    each N x n base-field matrix A = transfers[i], on digit arrays."""
+    each N x n base-field matrix A with row ids transfers[i], on digit arrays
+    (each temporary within PACKED_BLOCK elements)."""
     q, m = scheme.ctx.q, scheme.ctx.m
-    count, N, n = transfers.shape
+    count, N = transfers.shape
     least = np.full(count, N)  # no v A^T has rank above N
-    stack = transfers.reshape(count * N, n)
+    width = max(1, PACKED_BLOCK // max(1, count * N * m))
     for words in scheme.codeword_digits(scheme.c2.codeword_count()):
-        for prod in base_products(words, stack, q):  # (m, count * N, width)
-            ranks = rank_mod_q(prod.reshape(m, count, N, prod.shape[2]).transpose(1, 3, 2, 0), q)
+        for lo in range(0, words.shape[2], width):
+            images = _images_under(words[:, :, lo:lo + width], q, transfers)
+            ranks = rank_mod_q(images.transpose(0, 3, 1, 2), q)  # the m x N matrix of each v A^T
             np.minimum(least, ranks.min(axis=1), out=least)
     return least
 
 
-def _least_rank_groups(scheme: NestedScheme, rho: int, N: int) -> Iterator[np.ndarray]:
-    """_least_ranks of the N x n _canonical_transfers in their order, many A
-    at once when all their products fit in PACKED_BLOCK elements."""
+def _least_rank_groups(scheme: NestedScheme, rho: int,
+                       N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(transfers, least): the row ids of the N x n _canonical_transfers in
+    their order and their _least_ranks, many A at once when all their
+    products fit in PACKED_BLOCK elements."""
     m, n = scheme.ctx.m, scheme.n
     words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
     for group in _transfer_groups(scheme.ctx.q, n, N, rho,
                                   max(1, PACKED_BLOCK // max(1, N * m * words))):
-        yield _least_ranks(scheme, group)
+        yield group, _least_ranks(scheme, group)
 
 
-def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int) -> int | None:
-    """Index, in _canonical_transfers order, of the first A under which some
-    nonzero combo fails for an error of rank <= t, that is the first A whose
-    least difference rank is <= 2t; or None."""
+def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int,
+                             N: int) -> tuple[int, np.ndarray] | None:
+    """(index in _canonical_transfers order, row ids) of the first A under
+    which some nonzero combo fails for an error of rank <= t, that is the
+    first A whose least difference rank is <= 2t; or None."""
     seen = 0
-    for least in _least_rank_groups(scheme, rho, N):
+    for group, least in _least_rank_groups(scheme, rho, N):
         hits = np.flatnonzero(least <= 2 * t)
         if len(hits):
-            return seen + int(hits[0])
+            return seen + int(hits[0]), group[hits[0]]
         seen += len(least)
     return None
 
 
-def _rowspace_counterexample(ctx, A: Matrix, E, S, true_val: int, other: int) -> dict:
-    return {"A": A.to_json(), "E": [list(ctx.coeffs(e)) for e in E],
-            "difference_message": list(S),
+def _error_digits(ctx, N: int, t: int, most: int) -> Iterator[np.ndarray]:
+    """enumerate_errors(ctx, N, t) in its order as base-q digit blocks of
+    shape (count, N, m), from blocks of one candidate doubling up to most.
+
+    E = z R has digit d of entry j sum_s (digit d of z_s) R_s[j] mod q, for R
+    a canonical basis of dimension r (row ids) and z in product order; it is
+    kept when z's m x r digit matrix has rank r.  Past r = m no z qualifies."""
+    require_error_cap(ctx, N, t)
+    q, m, nz = ctx.q, ctx.m, ctx.order - 1
+    z = field_digits(np.arange(1, ctx.order), q, m).T.astype(np.int64)  # (nz, m)
+    yield np.zeros((1, N, m), np.min_scalar_type(q - 1))
+    size = min(2, most)
+    for r in range(1, min(t, N, m) + 1):
+        rows = field_digits(np.array(list(base_subspace_ids(q, N, r))), q, N)  # (N, bases, r)
+        count, lo = rows.shape[1] * nz**r, 0
+        while lo < count:
+            idx = np.arange(lo, min(lo + size, count))
+            # z_s - 1 is digit r - 1 - s of idx in base q^m - 1, R is idx // nz^r
+            zs = np.stack([z[idx // nz ** (r - 1 - s) % nz] for s in range(r)], axis=2)
+            basis = rows[:, idx // nz**r].astype(np.int64)  # (N, count, r)
+            errors = np.einsum("kds,jks->kjd", zs, basis) % q
+            yield errors[rank_mod_q(zs, q) == r].astype(np.min_scalar_type(q - 1))
+            lo, size = lo + len(idx), min(2 * size, most)
+
+
+def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int,
+               N: int) -> tuple[int, np.ndarray, int, int, int] | None:
+    """(k, E, c, true, other): the first hit in (E, S) row-major order under
+    the N x n transfer matrix A with row ids ids, as the field-arithmetic
+    row-space loop meets it: error k of _error_digits (digits N x m), the
+    least message index c > 0, in messages() order, whose coset scores other
+    <= true, the true coset's score; or None.  C1's images under A, reshaped
+    to (messages, |C2|), score every coset against a block of errors at once
+    (a rank_mod_q of each difference, least per coset); the blocks start at
+    one error and double, as a refuted budget often fails early.  Beside the
+    N m |C1| image digits, each temporary holds at most PACKED_BLOCK
+    elements, or one coset's images."""
+    q, m = scheme.ctx.q, scheme.ctx.m
+    images = np.concatenate([_images_under(words, q, ids[None])[0]
+                             for words in scheme.codeword_digits()], axis=2)  # (N, m, |C1|)
+    acc = np.min_scalar_type(2 * (q - 1))  # an error digit plus a negated image digit
+    negated = ((q - images.astype(acc)) % q).transpose(2, 0, 1).reshape(
+        scheme.message_count(), scheme.c2.codeword_count(), N, m)
+    per_error = negated[0].size * len(negated)
+    seen = 0
+    for errors in _error_digits(scheme.ctx, N, t, max(1, PACKED_BLOCK // max(1, per_error))):
+        if not len(errors):
+            continue
+        step = max(1, PACKED_BLOCK // max(1, len(errors) * negated[0].size))
+        scores = np.concatenate([
+            rank_mod_q(np.add(errors[:, None, None], negated[lo:lo + step], dtype=acc) % q,
+                       q).min(axis=2) for lo in range(0, len(negated), step)], axis=1)
+        hits = scores[:, 1:] <= scores[:, :1]
+        if hits.any():
+            k = int(hits.any(axis=1).argmax())
+            c = int(hits[k].argmax()) + 1
+            return seen + k, errors[k], c, int(scores[k, 0]), int(scores[k, c])
+        seen += len(errors)
+    return None
+
+
+def _rowspace_counterexample(A: Matrix, E: list, S, true_val: int, other: int) -> dict:
+    """E is the error's list of coefficient vectors."""
+    return {"A": A.to_json(), "E": E, "difference_message": list(S),
             "true_discrepancy": true_val, "other_discrepancy": other}
 
 
@@ -638,17 +714,24 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     enumeration cap apply, not the scan cap.  Otherwise (q > 2, or past those
     bounds or 2^20 messages or coset members) the digit decider runs after
     the error cap, then admits the transfers, then C1 under the scan cap; a
-    verified budget needs nothing more, and a refuted one is reported by the
-    field-arithmetic loop at the first failing A."""
+    verified budget needs nothing more, and a refuted one is scored by
+    _first_hit at the first failing A, its trials offset by the row spaces
+    before it."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
         require_error_cap(ctx, N, t)
-        i = _first_failing_row_space(scheme, t, rho, N)
-        if i is not None:
-            return _exhaustive_coherent_generic(scheme, t, rho, N, start=i)
-        n_errors = error_count(ctx, N, t)
-        return _exhaustive_report(scheme, "exhaustive", t, rho, N,
-                                  _transfer_count(ctx.q, n, N, rho) * n_errors, n_errors, None)
+        n_errors, failing = error_count(ctx, N, t), _first_failing_row_space(scheme, t, rho, N)
+        if failing is None:
+            return _exhaustive_report(scheme, "exhaustive", t, rho, N,
+                                      _transfer_count(ctx.q, n, N, rho) * n_errors, n_errors, None)
+        i, ids = failing
+        hit = _first_hit(scheme, ids, t, N)
+        require(hit is not None, "no error fails at the decider's first failing row space")
+        k, E, c, true_val, other = hit
+        A = Matrix(ctx.base, [row_digits(b, ctx.q, n) for b in ids.tolist()], n)
+        S = [int(s) for s in np.unravel_index(c, (ctx.order,) * l)]
+        return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * n_errors + k + 1, n_errors,
+                                  _rowspace_counterexample(A, E.tolist(), S, true_val, other))
     e_keys = _error_keys(ctx, N, t)
     _require_transfer_cap(2, n, N, rho)
     # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
@@ -660,50 +743,18 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
                                   len(a_keys) * len(e_keys), len(e_keys), None)
     i = hit[0]
     lo, vals = next(_failing_blocks(scheme, int(a_keys[i]), e_keys, N))
-    # first hit in (E, S) row-major order, as the generic loop meets it:
-    # messages() order compares symbol 0 first
+    # first hit in (E, S) row-major order, as the field-arithmetic loop meets
+    # it: messages() order compares symbol 0 first
     ei = int((vals[1:] <= vals[0]).any(axis=0).argmax())
     combos = np.flatnonzero(vals[1:, ei] <= vals[0, ei]) + 1
     symbols = [(combos >> (j * m)) & (ctx.order - 1) for j in range(l)]
     c = int(np.lexsort(symbols[::-1])[0])
     A = next(itertools.islice(_canonical_transfers(ctx.q, n, N, rho), i, None))
-    counterexample = _rowspace_counterexample(ctx, A, _unpack_key(int(e_keys[lo + ei]), m, N),
-                                              [int(s[c]) for s in symbols],
+    E = [list(ctx.coeffs(e)) for e in _unpack_key(int(e_keys[lo + ei]), m, N)]
+    counterexample = _rowspace_counterexample(A, E, [int(s[c]) for s in symbols],
                                               int(vals[0, ei]), int(vals[combos[c], ei]))
     return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(e_keys) + lo + ei + 1,
                               len(e_keys), counterexample)
-
-
-def _exhaustive_coherent_generic(scheme: NestedScheme, t: int, rho: int, N: int,
-                                 start: int | None = None) -> CapabilityReport:
-    """Row-space check on field arithmetic: the reference, and the report of
-    a refuted budget past the packed bounds.  Given start, the index of the
-    decider's first failing A, it scores that A alone after counting the
-    trials of the row spaces before it, streaming the errors up to the hit
-    it must find there."""
-    ctx = scheme.ctx
-    errors = enumerate_errors(ctx, N, t)
-    transfers = _canonical_transfers(ctx.q, scheme.n, N, rho)
-    if start is None:
-        errors = list(errors)
-    else:
-        transfers = itertools.islice(transfers, start, start + 1)
-    n_errors = error_count(ctx, N, t)
-    messages, cosets = _cosets(scheme)
-    trials = (start or 0) * n_errors
-    for A in transfers:
-        true_at, *others = _coset_images(ctx, cosets, A)
-        for E in errors:
-            trials += 1
-            true_val = _coset_score(ctx, true_at, E)
-            for S, images in zip(messages[1:], others):
-                other = _coset_score(ctx, images, E)
-                if other <= true_val:
-                    counterexample = _rowspace_counterexample(ctx, A, E, S, true_val, other)
-                    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials,
-                                              n_errors, counterexample)
-    require(start is None, "no error fails at the decider's first failing row space")
-    return _exhaustive_report(scheme, "exhaustive", t, rho, N, trials, n_errors, None)
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:

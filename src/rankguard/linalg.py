@@ -8,21 +8,22 @@ codes.LinearCode values, compared by their RREF bases.
 
 Vectors are plain tuples and are always treated as row vectors.  For
 batched work an F_{q^m} vector is its base-q digit array instead (an
-element's int is its digits, least significant first): base_products maps
-many vectors through one base-field matrix mod q, and rank_mod_q ranks a
-stack of small base-field matrices by one elimination over the stack.
+element's int is its digits, least significant first; field_digits and
+field_values convert): RowImages maps many vectors through base-field rows
+named by row id, one row at a time, and rank_mod_q ranks a stack of small
+base-field matrices by one elimination over the stack.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitrank import PACKED_BLOCK, rank_bits
+from .bitrank import rank_bits
 from .errors import DimensionMismatch, PreconditionError, json_field, json_ints
 from .gf import FieldCtx, PrimeField
 
@@ -314,48 +315,90 @@ def field_digits(values, q: int, m: int) -> np.ndarray:
     return digits
 
 
-def base_products(digits: np.ndarray, M: Sequence[Sequence[int]], q: int) -> Iterator[np.ndarray]:
-    """Digits of x M^T for many vectors x over F_{q^m} and one R x n matrix M
-    over F_q.  digits[d, j, k] is digit d of entry j of vector k (shape
-    m x n x count), and the blocks yielded, in vector order, have the same
-    layout, m x R x block.  Digit d of x M^T is M times digit d of x, mod q;
-    every temporary holds at most PACKED_BLOCK elements."""
-    m, n, count = digits.shape
-    M = np.array(M, dtype=np.int64).reshape(-1, n)
-    if M.size and not 0 <= M.min() <= M.max() < q:
-        raise PreconditionError(f"M must have base-field entries in 0..{q - 1}")
-    acc = np.min_scalar_type(max(n, 1) * (q - 1) ** 2)  # no dot product wraps
-    M = M.astype(acc)
-    step = max(1, PACKED_BLOCK // (max(len(M), n, 1) * m))
-    for lo in range(0, count, step):
-        prod = np.einsum("rj,djk->drk", M, digits[:, :, lo:lo + step].astype(acc, copy=False))
-        yield (prod % acc.type(q)).astype(digits.dtype)
+def field_values(digits: np.ndarray, q: int) -> np.ndarray:
+    """The F_{q^m} elements whose base-q digits, least significant first, lie
+    on the leading axis of digits: field_digits inverted, in the smallest
+    unsigned dtype holding q^m - 1."""
+    values = np.zeros(digits.shape[1:], np.min_scalar_type(q ** len(digits) - 1))
+    for digit in digits[::-1]:  # Horner's rule, from the most significant digit
+        values *= q
+        values += digit
+    return values
 
 
-def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x^(q-2) mod q elementwise: the inverse of each nonzero x over F_q."""
-    result, e = np.ones_like(x), q - 2
-    while e:
-        if e & 1:
-            result = result * x % q
-        x, e = x * x % q, e >> 1
-    return result
+class RowImages:
+    """Digits of x b^T for many vectors x over F_{q^m} and a base-field row b
+    named by its row id (b's base-q digits, least significant first): from
+    digits of shape m x n x count, each image has shape m x count.  The unit
+    id q^j has digit column j as its image, and an image steps from a known
+    one by linearity, T[b] = T[b'] + sum_j (b_j - b'_j) T[q^j] mod q (an XOR
+    at q = 2), so ids that differ in one digit, as consecutive canonical rows
+    mostly do, cost one operation on m x count digits.  Nothing is kept but
+    the digits: callers hold the images they step from."""
+
+    def __init__(self, digits: np.ndarray, q: int):
+        self.digits, self.q = digits, q
+        self.zero = np.zeros((digits.shape[0], digits.shape[2]), digits.dtype)
+        self._acc = np.min_scalar_type(q * (q - 1))  # d times a unit digit, or a sum of two digits
+
+    def step(self, image: np.ndarray, frm: int, to: int) -> np.ndarray:
+        """The image of row id to, from image, the image of row id frm.  A sum
+        s of two digits reduces as min(s, s - q): below q, s - q wraps past
+        every digit in the unsigned dtype."""
+        q, j = self.q, 0
+        while frm != to:
+            d = (to - frm) % q  # digit j of to minus digit j of frm, mod q
+            unit = self.digits[:, j]
+            if d and q == 2:
+                image = image ^ unit
+            elif d:
+                unit = unit.astype(self._acc)
+                if d > 1:
+                    unit = unit * self._acc.type(d) % q
+                total = image + unit
+                image = np.minimum(total, total - self._acc.type(q)).astype(image.dtype)
+            frm, to, j = frm // q, to // q, j + 1
+        return image
+
+    def of(self, ids: Sequence[int]) -> np.ndarray:
+        """The images of ids, stacked (len(ids) x m x count), each stepped
+        from the one before: ascending ids keep the steps short."""
+        table = np.empty((len(ids),) + self.zero.shape, self.zero.dtype)
+        image, frm = self.zero, 0
+        for i, b in enumerate(ids):
+            table[i] = image = self.step(image, frm, b)
+            frm = b
+        return table
+
+
+@lru_cache(maxsize=16)
+def _inverses(q: int) -> np.ndarray:
+    """inverses[x] = x^-1 over F_q for x != 0, and inverses[0] = 0."""
+    return np.array([pow(x, q - 2, q) if x else 0 for x in range(q)], np.min_scalar_type(q * q - 1))
 
 
 def rank_mod_q(mats: np.ndarray, q: int) -> np.ndarray:
     """Ranks over F_q (q prime) of a stack of matrices, shape (..., rows, cols)
     -> (...), by one Gauss elimination over the whole stack, a row of the
     shorter side at a time: its first nonzero entry is the pivot, cleared
-    from every later row; the rank counts the pivots.  Empty shapes rank 0."""
+    from every later row; the rank counts the pivots.  Empty shapes rank 0.
+    The stack is held matrices-last, in the smallest unsigned dtype holding
+    q^2 - 1: a later row r with f = r[pivot column] / pivot becomes
+    r + (q - f) * pivot row, which is r - f * pivot row mod q, never negative."""
     if mats.shape[-2] > mats.shape[-1]:
         mats = np.swapaxes(mats, -1, -2)
     *batch, rows, cols = mats.shape
-    a = mats.reshape(math.prod(batch), rows, cols).astype(np.int64)
-    rank = np.zeros(len(a), dtype=np.intp)
+    count = math.prod(batch)
+    a = np.moveaxis(mats.reshape(count, rows, cols), 0, -1).astype(np.min_scalar_type(q * q - 1))
+    rank, every = np.zeros(count, dtype=np.intp), np.arange(count)
     for i in range(rows):
-        row = a[:, i:i + 1]
-        p = (row != 0).argmax(axis=2)[:, :, None]  # column 0 of a zero row, which clears nothing
-        row = row * _inverse_mod(np.take_along_axis(row, p, axis=2), q) % q
-        a[:, i + 1:] = (a[:, i + 1:] - np.take_along_axis(a[:, i + 1:], p, axis=2) * row) % q
-        rank += row.any(axis=2)[:, 0]
+        row = a[i]  # (cols, count)
+        p = (row != 0).argmax(axis=0)  # column 0 of a zero row, whose inverse 0 clears nothing
+        pivot = row[p, every]
+        rank += pivot != 0
+        if i + 1 < rows:
+            later = a[i + 1:]
+            f = later[:, p, every] * _inverses(q)[pivot] % q
+            later += (q - f)[:, None] * row
+            later %= q
     return rank.reshape(batch)

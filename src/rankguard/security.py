@@ -13,7 +13,9 @@ whose exact power is T^T / prod c^c over the exact integer group masses c.
 Keys of S_Z, X and W = X B^T come from numpy arrays built once per
 distribution (uniform and seeded list C1 by NestedScheme.codeword_digits,
 without field arithmetic).  The support keeps X as one array of base-q
-digits, which linalg.base_products maps through B mod q; W's key is the
+digits; row r of W is the linalg.RowImages image of B's row id b_r, stepped
+from row r of the last wiretap asked (mostly by one unit: canonical bases
+vary row 0 fastest), so no product is formed per wiretap.  W's key is the
 dense integer sum_r w_r (q^m)^r while that stays below 2^62, else its rows
 are renumbered by _fold.  Group masses are one np.bincount when the key's
 bound is at most the support size and T < 2^53 (every partial sum is then an
@@ -49,7 +51,7 @@ from .codes import require_scan_cap
 from .coset_scheme import NestedScheme
 from .errors import DimensionMismatch, EnumerationTooLarge, PreconditionError, require
 from .gf import factor
-from .linalg import Matrix, base_products, field_digits
+from .linalg import Matrix, RowImages, field_digits, field_values
 from .network import enumerate_wiretap
 from .rank_metrics import first_rgrw, rdip
 
@@ -179,15 +181,19 @@ class JointDistribution:
     Entries carry integer weights over the common denominator T; the
     support is every coset member of every message, so uniform weights give
     the canonical 'S uniform, X conditionally uniform' case; the support is
-    C1, so the scan cap bounds it.  The support is held as arrays: message
-    symbols, weights (int64 while T fits, else Python ints), a key of X, and
-    the base-q digits of X (m x n x entries, the layout linalg.base_products
-    reads).  uniform and seeded list C1 by NestedScheme.codeword_digits.
+    C1, so the scan cap bounds it.  Weights must be integers (int or numpy
+    integer).  The support is held as arrays: message symbols, weights
+    (int64 while T fits, else Python ints), a key of X, and the base-q digits
+    of X (m x n x entries, the layout linalg.RowImages reads), with the row
+    images and values of the last wiretap asked, and nothing per row id met.
+    uniform and seeded list C1 by NestedScheme.codeword_digits.
     """
 
     def __init__(self, scheme: NestedScheme, weights: dict):
         require_scan_cap(scheme.c1.codeword_count())
-        support = [(S, X, w) for (S, X), w in weights.items() if w]
+        if not all(isinstance(w, (int, np.integer)) for w in weights.values()):
+            raise PreconditionError("weights must be integers")
+        support = [(S, X, int(w)) for (S, X), w in weights.items() if w]  # no uint8 sum wraps
         total = sum(w for _, _, w in support)
         if total <= 0 or any(w < 0 for _, _, w in support):
             raise PreconditionError("weights must be nonnegative with a positive total")
@@ -202,13 +208,14 @@ class JointDistribution:
         self.scheme, self.ctx, self.total, self._symbols_arr = scheme, scheme.ctx, total, symbols
         self._weights = np.array(weights, np.int64 if total < 2**63 else object)
         self._digits, self._message_memo = digits, None
-        x = np.einsum("djk,d->jk", digits, self.ctx.q ** np.arange(self.ctx.m))
-        self._x_key, self._x_bound = _fold(len(weights), x, self.ctx.order)
+        self._images, self._rows = RowImages(digits, self.ctx.q), []
+        self._x_key, self._x_bound = _fold(len(weights), field_values(digits, self.ctx.q),
+                                           self.ctx.order)
 
     @property
     def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The support as (S, X, weight) triples."""
-        x = np.einsum("djk,d->kj", self._digits, self.ctx.q ** np.arange(self.ctx.m))
+        x = field_values(self._digits, self.ctx.q).T
         return list(zip(map(tuple, self._symbols_arr.tolist()), map(tuple, x.tolist()),
                         self._weights.tolist()))
 
@@ -312,20 +319,31 @@ class JointDistribution:
 
     def _observation_key(self, B: Matrix) -> tuple[np.ndarray, int]:
         """(key, bound) of W = X B^T per entry: the dense key sum_r w_r (q^m)^r
-        while (q^m)^R <= DENSE_KEY_BOUND, else the rows' values folded."""
-        q, m, order, n = self.ctx.q, self.ctx.m, self.ctx.order, self.scheme.n
+        while (q^m)^R <= DENSE_KEY_BOUND, else the rows' values folded.  Row r
+        of W is the image of B's row id b_r, stepped from the image of row r
+        of the last B asked (canonical bases vary row 0 fastest, so mostly by
+        one unit); only those rows are kept, with their values."""
+        q, order, n = self.ctx.q, self.ctx.order, self.scheme.n
         if B.ncols != n:
             raise DimensionMismatch(f"wiretap matrix needs {n} columns, got {B.ncols}")
         if not all(isinstance(c, int) and 0 <= c < q for row in B.rows for c in row):
             raise PreconditionError(f"wiretap entries must lie in F_{q}")
-        dense = order**B.nrows <= DENSE_KEY_BOUND
-        # weights[d, r]: the weight of digit d of row r in the key or in the row's value
-        weights = q ** np.arange(m, dtype=np.int64)[:, None] * (
-            order ** np.arange(B.nrows, dtype=np.int64) if dense else np.ones(B.nrows, np.int64))
-        form = "drk,dr->k" if dense else "drk,dr->rk"
-        key = np.concatenate([np.einsum(form, block, weights)
-                              for block in base_products(self._digits, B.rows, q)], axis=-1)
-        return (key, order**B.nrows) if dense else _fold(len(self._weights), key, order)
+        rows = []
+        for r, row in enumerate(B.rows):
+            b = sum(c * q**j for j, c in enumerate(row))
+            frm, image, values = self._rows[r] if r < len(self._rows) else (0, self._images.zero, None)
+            if frm != b or values is None:
+                image = self._images.step(image, frm, b)
+                values = field_values(image, q)
+            rows.append((b, image, values))
+        self._rows = rows
+        if order**B.nrows > DENSE_KEY_BOUND:
+            return _fold(len(self._weights), [values for _, _, values in rows], order)
+        key = np.zeros(len(self._weights), np.int64)
+        for _, _, values in reversed(rows):  # Horner's rule, from the last row
+            key *= order
+            key += values
+        return key, order**B.nrows
 
     def _joint(self, key: np.ndarray, bound: int, other: np.ndarray,
                other_bound: int) -> tuple[np.ndarray, int]:

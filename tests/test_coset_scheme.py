@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from rankguard import BadDimensions, DegreeMismatch, PacketTooShort, coset_scheme, ctx_new
+from rankguard import (BadDimensions, DegreeMismatch, DimensionMismatch, PacketTooShort,
+                       PreconditionError, coset_scheme, ctx_new)
 from rankguard.coset_scheme import LiftedScheme, NestedScheme, build_proposed, lift
 from rankguard.codes import LinearCode
 from rankguard.linalg import Matrix, expand_to_base, vec_sub
@@ -145,6 +146,40 @@ def test_lift_header_and_rank():
 def test_lift_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         lift(flagship(), ctx_new(2, 6))
+
+
+def _lift_by_coefficients(lifted, x_inner):
+    """Packet j as the unit header e_j atop the inner coefficients of x_j."""
+    out = []
+    for j, v in enumerate(x_inner):
+        coeffs = [0] * lifted.n + list(lifted.inner.ctx.coeffs(v))
+        coeffs[j] = 1
+        out.append(lifted.ctx.from_coeffs(coeffs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 2)])
+def test_lift_vector_matches_coefficient_construction(q, m, n):
+    rng = random.Random(q * m * n)
+    inner = random_scheme(rng, ctx_new(q, m), n, 1, 0)
+    lifted = lift(inner, ctx_new(q, m + n))
+    for x in [(0,) * n, (inner.ctx.order - 1,) * n] + [
+            tuple(rng.randrange(inner.ctx.order) for _ in range(n)) for _ in range(20)]:
+        assert lifted.lift_vector(x) == _lift_by_coefficients(lifted, x)
+        assert lifted.lift_vector(np.array(x)) == _lift_by_coefficients(lifted, x)
+
+
+def test_lift_vector_refuses_malformed_input():
+    # the [2,1] scheme over F_2^3 lifted to F_2^5: a third symbol, or a symbol
+    # past F_8, used to lift without an error
+    lifted = lift(build_proposed(ctx_new(2, 3), l=1, n=2, k=1), ctx_new(2, 5))
+    assert lifted.lift_vector((1, 2)) == (5, 10)
+    for bad in [(1, 2, 3), (1,), ()]:
+        with pytest.raises(DimensionMismatch):
+            lifted.lift_vector(bad)
+    for bad in [(9, 2), (1, 8), (-1, 2), (1.0, 2), ("1", 2)]:
+        with pytest.raises(PreconditionError):
+            lifted.lift_vector(bad)
 
 
 @pytest.mark.parametrize("block", ["default", "small"])

@@ -13,6 +13,7 @@ from rankguard import (
     codes,
     ctx_new,
     decoder,
+    network,
 )
 from rankguard.bitrank import pack_key, packed_rank_table, row_image_tables
 from rankguard.codes import LinearCode
@@ -23,9 +24,9 @@ from rankguard.decoder import (
     _canonical_transfers,
     _closest_difference,
     _difference_words,
+    _error_digits,
     _error_keys,
     _exhaustive_coherent,
-    _exhaustive_coherent_generic,
     _failing_blocks,
     _first_failing_transfer,
     _least_ranks,
@@ -62,6 +63,8 @@ from rankguard.network import (
     transmit,
 )
 from rankguard.rank_metrics import first_rgrw, rank_weight
+import capability_reference
+from capability_reference import exhaustive_coherent_generic
 from schemes import random_scheme
 
 F16 = ctx_new(2, 4)
@@ -312,7 +315,7 @@ def test_packed_rowspace_matches_generic(case):
     for t in range(3):
         for rho in range(scheme.n + 1):
             packed = _exhaustive_coherent(scheme, t, rho, N).to_json()
-            assert packed == _exhaustive_coherent_generic(scheme, t, rho, N).to_json()
+            assert packed == exhaustive_coherent_generic(scheme, t, rho, N).to_json()
             full = capability_report(scheme, t, rho, mode="exhaustive-full", N=N)
             assert full.verified == packed["verified"]
             assert full.covered_tuples == packed["covered_tuples"]
@@ -329,7 +332,7 @@ def test_packed_rowspace_beyond_rank_table_transfer_keys():
     for t in range(2):
         for rho in (0, 1, scheme.n):
             packed = _exhaustive_coherent(scheme, t, rho, 5).to_json()
-            assert packed == _exhaustive_coherent_generic(scheme, t, rho, 5).to_json()
+            assert packed == exhaustive_coherent_generic(scheme, t, rho, 5).to_json()
             assert packed["verified"] == (2 * t + rho < 4)
             with pytest.raises(EnumerationTooLarge, match="N\\*n = 25 > 22 bits"):
                 capability_report(scheme, t, rho, mode="exhaustive-full")
@@ -346,10 +349,10 @@ def _assert_genuine_rowspace_counterexample(scheme, report):
 
 def test_q2_rowspace_check_takes_packed_path(monkeypatch):
     # a loosened guard would pass every equality test on the slow path
-    def generic(*args):
-        pytest.fail("q = 2 row-space check fell back to field arithmetic")
+    def digits(*args):
+        pytest.fail("q = 2 row-space check fell back to digit arrays")
 
-    monkeypatch.setattr(decoder, "_exhaustive_coherent_generic", generic)
+    monkeypatch.setattr(decoder, "_first_failing_row_space", digits)
     s = flagship()
     for t in range(3):
         for rho in range(s.n + 1):
@@ -358,7 +361,7 @@ def test_q2_rowspace_check_takes_packed_path(monkeypatch):
     # messages and 2^7 coset members, within the packed bit bounds
     wide = build_proposed(ctx_new(2, 7), l=2, n=3, k=3)
     with pytest.raises(EnumerationTooLarge, match="scan cap: 2097152 vectors"):
-        _exhaustive_coherent_generic(wide, 0, 0, wide.n)
+        exhaustive_coherent_generic(wide, 0, 0, wide.n)
     assert first_rgrw(wide.c1, wide.c2) == 1
     assert capability_report(wide, 0, 0).verified
     for t, rho in [(0, 1), (1, 0)]:
@@ -450,8 +453,10 @@ def test_q2_exhaustive_reports_skip_error_stream(monkeypatch):
     def no_stream(*args):
         pytest.fail("a q = 2 exhaustive report enumerated the error stream")
 
-    stream, streamed = decoder.enumerate_errors, []
-    monkeypatch.setattr(decoder, "enumerate_errors", no_stream)
+    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+    expected = exhaustive_coherent_generic(ternary, 1, 0, ternary.n).to_json()
+    monkeypatch.setattr(network, "enumerate_errors", no_stream)
+    monkeypatch.setattr(decoder, "_error_digits", no_stream)
     s = flagship()  # first weight 2
     for mode in ("exhaustive", "exhaustive-full"):
         for t, rho in [(0, 0), (0, 1), (1, 0), (2, 0), (0, 2)]:
@@ -460,15 +465,15 @@ def test_q2_exhaustive_reports_skip_error_stream(monkeypatch):
             if not report.verified:
                 assert report.counterexample is not None
 
-    def counted(*args):
-        streamed.append(args)
-        return stream(*args)
+    def no_field(*args):
+        pytest.fail("a refuted q = 3 report ran field arithmetic")
 
-    # q = 3 stays on the generic path
-    monkeypatch.setattr(decoder, "enumerate_errors", counted)
-    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
-    assert not capability_report(ternary, 1, 0).verified
-    assert len(streamed) == 1
+    # a refuted q = 3 report reads base-q error digits, with no field arithmetic
+    monkeypatch.setattr(decoder, "_error_digits", _error_digits)
+    monkeypatch.setattr(network, "enumerate_errors", no_field)
+    for name in ("ext_vec_times_base_transpose", "rank_weight"):
+        monkeypatch.setattr(decoder, name, no_field)
+    assert capability_report(ternary, 1, 0).to_json() == expected
 
 
 def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
@@ -477,7 +482,8 @@ def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
     def no_matrices(*args):
         pytest.fail("a q = 2 packed path built subspace matrices")
 
-    enumerate_matrices, built = decoder.enumerate_base_subspaces, []
+    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+    expected = exhaustive_coherent_generic(ternary, 1, 0, ternary.n).to_json()
     monkeypatch.setattr(decoder, "enumerate_base_subspaces", no_matrices)
     assert len(_error_keys(ctx_new(2, 3), 4, 2)) == error_count(ctx_new(2, 3), 4, 2)
     s = flagship()  # first weight 2
@@ -485,14 +491,15 @@ def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
         for t, rho in [(0, 0), (0, 1)]:
             assert capability_report(s, t, rho, mode=mode).verified
 
-    def counted(*args):
-        built.append(args)
-        return enumerate_matrices(*args)
+    def no_field(*args):
+        pytest.fail("a refuted q = 3 report ran field arithmetic")
 
-    # q = 3 stays on the generic path, which visits transfer matrices
-    monkeypatch.setattr(decoder, "enumerate_base_subspaces", counted)
-    assert not capability_report(build_proposed(ctx_new(3, 3), l=1, n=2, k=1), 1, 0).verified
-    assert built
+    # a refuted q = 3 report builds its A from the decider's row ids, and
+    # scores it on digit arrays
+    monkeypatch.setattr(network, "enumerate_errors", no_field)
+    for name in ("ext_vec_times_base_transpose", "rank_weight"):
+        monkeypatch.setattr(decoder, name, no_field)
+    assert capability_report(ternary, 1, 0).to_json() == expected
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -710,7 +717,7 @@ def test_rowspace_check_beyond_packed_transfer_keys():
     for t, rho in [(0, 1), (1, 0)]:
         report = capability_report(scheme, t, rho)
         assert report.verified == (2 * t + rho < 2)
-        assert report.to_json() == _exhaustive_coherent_generic(scheme, t, rho, 6).to_json()
+        assert report.to_json() == exhaustive_coherent_generic(scheme, t, rho, 6).to_json()
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "exhaustive-full", "sampled", "lifted"])
@@ -726,7 +733,7 @@ def test_capability_rejects_transfer_below_rank(mode):
     if mode == "exhaustive":
         # no row space of a 2 x 3 matrix has dimension 3: seven canonical A
         assert rep.trials == 7
-        assert rep.to_json() == _exhaustive_coherent_generic(scheme, 0, 1, 2).to_json()
+        assert rep.to_json() == exhaustive_coherent_generic(scheme, 0, 1, 2).to_json()
 
 
 def test_capability_sampled_matches(monkeypatch):
@@ -922,7 +929,7 @@ def test_decode_with_no_received_packet():
     A = Matrix(GF2, [], s.n)
     assert decode_coherent(s, A, ()) == _field_decode(s, A, ()) == decoder.DecodeResult(
         "ambiguous", None, 0, 0)
-    generic = _exhaustive_coherent_generic(s, 0, s.n, 0).to_json()
+    generic = exhaustive_coherent_generic(s, 0, s.n, 0).to_json()
     assert capability_report(s, 0, s.n, N=0).to_json() == generic
     for mode in ("exhaustive-full", "sampled"):
         assert not capability_report(s, 0, s.n, mode=mode, N=0, trials=3).verified
@@ -1191,7 +1198,7 @@ def test_decided_reports_match_generic_loop(monkeypatch):
     # every t <= 2, rho <= n and N in {n - rho, n, n + 1} (N = 0 at rho = n);
     # the error streams are listed once per (field, N, t) to keep this fast
     listed = {}
-    stream = decoder.enumerate_errors
+    stream = capability_reference.enumerate_errors
 
     def listed_errors(ctx, N, t):
         key = (ctx.q, ctx.m, N, t)
@@ -1199,7 +1206,7 @@ def test_decided_reports_match_generic_loop(monkeypatch):
             listed[key] = list(stream(ctx, N, t))
         return iter(listed[key])
 
-    monkeypatch.setattr(decoder, "enumerate_errors", listed_errors)
+    monkeypatch.setattr(capability_reference, "enumerate_errors", listed_errors)
     verdicts = set()
     for scheme in _decided_schemes():
         n = scheme.n
@@ -1207,7 +1214,7 @@ def test_decided_reports_match_generic_loop(monkeypatch):
             for rho in range(n + 1):
                 for N in sorted({n - rho, n, n + 1}):
                     report = capability_report(scheme, t, rho, N=N)
-                    assert report.to_json() == _exhaustive_coherent_generic(
+                    assert report.to_json() == exhaustive_coherent_generic(
                         scheme, t, rho, N).to_json(), (scheme, t, rho, N)
                     verdicts.add((scheme.ctx.q, report.verified, N == 0))
     assert verdicts >= {(3, True, False), (3, False, False), (3, False, True),
@@ -1232,12 +1239,45 @@ def test_least_ranks_match_closest_difference(q, m, n, k):
     for N in (0, n - 1, n, n + 1):
         for rho in range(n - min(n, N), n + 1):
             transfers = list(_canonical_transfers(q, n, N, rho))
-            digits = np.array([A.rows for A in transfers], dtype=np.uint8).reshape(
-                len(transfers), N, n)
+            ids = np.array([[sum(c * q**j for j, c in enumerate(row)) for row in A.rows]
+                            for A in transfers], dtype=np.int64).reshape(len(transfers), N)
             expected = [_closest_difference(scheme.ctx, words, A)[0] for A in transfers]
-            assert _least_ranks(scheme, digits).tolist() == expected
+            assert _least_ranks(scheme, ids).tolist() == expected
             if N == n:  # delta_min_over_A reads the same least ranks
                 assert delta_min_over_A(scheme, rho) == min(expected)
+
+
+@pytest.mark.parametrize("q, m, N, t", [(2, 3, 3, 2), (3, 2, 3, 2), (3, 3, 2, 2), (5, 2, 2, 1),
+                                        (3, 2, 3, 3), (3, 3, 0, 1)])
+@pytest.mark.parametrize("most", [1, 4, 2**10])
+def test_error_digits_match_error_stream(q, m, N, t, most):
+    # the digit blocks list enumerate_errors in its order (past r = m, as at
+    # q = 3, m = 2, t = 3, nothing more); blocks of candidates start at one
+    # and double up to most
+    ctx = ctx_new(q, m)
+    blocks = list(_error_digits(ctx, N, t, most))
+    errors = np.concatenate(blocks)
+    assert errors.shape == (error_count(ctx, N, t), N, m)
+    expected = [[list(ctx.coeffs(e)) for e in E] for E in enumerate_errors(ctx, N, t)]
+    assert errors.tolist() == expected
+    assert len(blocks[0]) == 1 and all(len(b) <= most for b in blocks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_refuted_digit_reports_in_small_blocks(monkeypatch, seed):
+    # refuted q = 3 and q = 5 budgets on random schemes: with PACKED_BLOCK
+    # small, error blocks stay at one or two errors and each is scored in
+    # slices of cosets, and the reports still equal the field-arithmetic loop
+    rng = random.Random(seed)
+    schemes = [random_scheme(rng, ctx_new(3, 2), 3, 1, 1), random_scheme(rng, ctx_new(3, 2), 2, 2, 0),
+               random_scheme(rng, ctx_new(5, 1), 3, 1, 1)]
+    cases = [(s, t, rho, N) for s in schemes for t in range(2) for rho in range(s.n + 1)
+             for N in sorted({s.n - rho, s.n})]
+    expected = [exhaustive_coherent_generic(*case).to_json() for case in cases]
+    assert not all(report["verified"] for report in expected)
+    for block in (2**18, 30, 1):
+        monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+        assert [_exhaustive_coherent(*case).to_json() for case in cases] == expected
 
 
 def test_q3_verified_reports_skip_field_arithmetic(monkeypatch):
@@ -1246,7 +1286,8 @@ def test_q3_verified_reports_skip_field_arithmetic(monkeypatch):
     def no_field(*args):
         pytest.fail("a verified q = 3 report ran field arithmetic")
 
-    for name in ("ext_vec_times_base_transpose", "rank_weight", "enumerate_errors"):
+    monkeypatch.setattr(network, "enumerate_errors", no_field)
+    for name in ("ext_vec_times_base_transpose", "rank_weight"):
         monkeypatch.setattr(decoder, name, no_field)
     robust = build_proposed(ctx_new(3, 4), l=1, n=3, k=1)  # first weight 3
     for t, rho in [(0, 0), (0, 1), (0, 2), (1, 0)]:

@@ -275,6 +275,7 @@ def test_every_base_field_enumeration_reads_the_enum_cap(monkeypatch):
         (lambda: list(enumerate_wiretap(2, 2, 2, mode="full")), 16, "matrices"),
         (lambda: list(enumerate_errors(f16, 3, 1)), 1 + 7 * 15, "errors"),
         (lambda: decoder._error_keys(f16, 3, 1), 1 + 7 * 15, "errors"),
+        (lambda: next(decoder._error_digits(f16, 3, 1, 1)), 1 + 7 * 15, "errors"),
         (lambda: all_matrices(2, 2, 2), 16, "matrices"),
         (lambda: discrepancy_noncoherent(lifted, (1, 2, 3), (0,), 0, mode="oracle"), 2**9,
          "matrices"),

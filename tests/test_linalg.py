@@ -9,15 +9,15 @@ from rankguard import AmbientMismatch, PreconditionError, ctx_new
 from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
 from rankguard.codes import LinearCode
 from rankguard.gf import PrimeField
-from rankguard import linalg
 from rankguard.linalg import (
     Matrix,
-    base_products,
+    RowImages,
     embed_base_matrix,
     expand_to_base,
     ext_vec_times_base_transpose,
     extend_echelon,
     field_digits,
+    field_values,
     rank_mod_q,
     rank_of_rows,
     solve_right,
@@ -290,21 +290,27 @@ def test_rank_mod_q_matches_rref(q):
         assert rank_mod_q(stack.reshape(1, len(mats), rows, cols), q).tolist() == [expected]
 
 
-@pytest.mark.parametrize("q, m", [(2, 4), (3, 3), (5, 2), (17, 2)])
-def test_base_products_match_field_products(q, m, monkeypatch):
-    # small blocks, so that the vectors are split across several of them; at
-    # q = 17 a dot product of four digits passes 255
-    monkeypatch.setattr(linalg, "PACKED_BLOCK", 64)
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 3), (5, 2), (7, 2), (17, 2)])
+def test_row_images_match_field_products(q, m):
+    # random ids in random order, so steps cross several digits with every
+    # difference d; at q = 17 d times a digit passes 255
     rng = random.Random(q * m)
-    ctx = ctx_new(q, m)
-    xs = [tuple(rng.randrange(ctx.order) for _ in range(4)) for _ in range(50)]
+    ctx, n = ctx_new(q, m), 4
+    xs = [tuple(rng.randrange(ctx.order) for _ in range(n)) for _ in range(50)]
     digits = field_digits(np.array(xs).T, q, m)
-    assert digits.shape == (m, 4, 50)
-    for nrows in (0, 1, 3):
-        M = rand_matrix(rng, PrimeField(q), nrows, 4)
-        blocks = list(base_products(digits, M.rows, q))
-        assert len(blocks) > 1 and all(b.size <= 64 for b in blocks)
-        values = np.einsum("drk,d->kr", np.concatenate(blocks, axis=2), q ** np.arange(m))
-        assert values.tolist() == [list(ext_vec_times_base_transpose(ctx, x, M)) for x in xs]
-    with pytest.raises(PreconditionError):
-        next(base_products(digits, [[0, q, 0, 0]], q))
+    assert digits.shape == (m, n, 50)
+    assert field_values(digits, q).T.tolist() == [list(x) for x in xs]
+    images = RowImages(digits, q)
+    ids = [0] + rng.sample(range(q**n), min(60, q**n))
+    rng.shuffle(ids)
+    table = images.of(ids)
+    assert table.shape == (len(ids), m, 50) and table.dtype == digits.dtype
+    for b, image in zip(ids, table):
+        B = Matrix(PrimeField(q), [[b // q**j % q for j in range(n)]], n)
+        expected = [ext_vec_times_base_transpose(ctx, x, B)[0] for x in xs]
+        assert field_values(image, q).tolist() == expected
+    # a step from any known image, and back
+    i, j = rng.sample(range(len(ids)), 2)
+    assert (images.step(table[i], ids[i], ids[j]) == table[j]).all()
+    assert (images.step(table[j], ids[j], ids[i]) == table[i]).all()
+    assert images.of([]).shape == (0, m, 50)

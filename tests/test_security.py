@@ -304,11 +304,17 @@ def test_entropy_divergence_identity(scheme):
         assert abs(h.value + d.value - scheme.l) < 1e-12
 
 
-@pytest.mark.parametrize("dist_kind", ["uniform", "seeded"])
+@pytest.mark.parametrize("dist_kind", ["uniform", "seeded", "q3-uniform", "q3-seeded"])
 def test_full_mode_leakage_matches_rowspace(scheme, uniform, dist_kind):
     # the raw sweep over every mu x n wiretap matrix is the reference for the
-    # row-space reduction; it keeps the first maximizing B in enumeration order
-    if dist_kind == "uniform":
+    # row-space reduction; it keeps the first maximizing B in enumeration order.
+    # At q = 3 the raw wiretaps (entry 2, zero rows, repeated rows) step the
+    # observation key's row images, each checked against the field counts
+    q = 3 if dist_kind.startswith("q3-") else 2
+    if q == 3:
+        scheme = random_scheme(random.Random(31), ctx_new(3, 2), 3, 1, 1)
+        uniform = JointDistribution.uniform(scheme)
+    if dist_kind.endswith("uniform"):
         dist = uniform
     else:
         dist = JointDistribution.seeded(scheme, random.Random(3))
@@ -317,7 +323,12 @@ def test_full_mode_leakage_matches_rowspace(scheme, uniform, dist_kind):
         rowspace = leakage_report(scheme, mu, dist)
         assert full.max_leakage == rowspace.max_leakage
         assert full.argmax_b.nrows == mu
-    assert full.argmax_b.rows == ((0, 1, 0), (1, 0, 0))
+        if q == 3:
+            for B in enumerate_wiretap(q, scheme.n, mu, mode="full"):
+                assert _matches(dist.mutual_information(B),
+                                _reference_quantities(dist, None, B)["I"])
+    if q == 2:
+        assert full.argmax_b.rows == ((0, 1, 0), (1, 0, 0))
 
 
 def _cond_entropy(cells: Counter, order: int) -> float:
@@ -456,6 +467,21 @@ def test_strength_empirical_q3():
     assert witness.witness_mu == 1 and witness.witness_leakage > 0.5
 
 
+def test_distribution_refuses_non_integer_weights():
+    # every weight 1.5 used to hold weights 1 over a float total, and the
+    # first leakage report died on an AttributeError
+    s = build_proposed(ctx_new(2, 3), l=1, n=2, k=1)
+    entries = [(S, X) for S, X, _ in JointDistribution.uniform(s).entries]
+    for bad in [1.5, 2.0, Fraction(1), np.float64(1), "1"]:
+        with pytest.raises(PreconditionError, match="weights must be integers"):
+            JointDistribution(s, {entry: bad for entry in entries})
+    for good in [1, np.int64(1), np.uint8(200)]:  # 8 weights of 200 pass 255
+        dist = JointDistribution(s, {entry: good for entry in entries})
+        assert dist.total == int(good) * len(entries) == int(good) * 8
+        report = leakage_report(s, 1, dist)
+        assert report.max_leakage.as_integer() == report.predicted == 1
+
+
 def test_wiretap_entries_must_lie_in_base_field(scheme, uniform):
     # alpha of F_16 is the int 2: not an element of F_2
     with pytest.raises(PreconditionError):
@@ -504,7 +530,9 @@ def test_group_masses_stay_exact(scheme, base):
 
 def test_mutual_information_memory_is_bounded():
     # 2^16 support entries: the digits of X take 1.5 MiB, and one B . digits
-    # product over the whole support in int64 alone would take 12 MiB
+    # product over the whole support in int64 alone would take 12 MiB.  A
+    # full mu = n walk keeps the images of the last wiretap's rows only, not
+    # one per row id met
     big = build_proposed(ctx_new(2, 8), l=1, n=3, k=2)
     dist = JointDistribution.uniform(big)
     assert len(dist._weights) == 2**16
@@ -513,10 +541,13 @@ def test_mutual_information_memory_is_bounded():
     tracemalloc.start()
     try:
         leak = dist.mutual_information(B)
+        leaks = [dist.mutual_information(B).as_integer() for B in enumerate_wiretap(2, 3, 3)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert leak.as_integer() == 0
+    assert leaks[0] == 0 and leaks[-1] == 1 and len(leaks) == 1 + 7 + 7 + 1
+    assert len(dist._rows) == 3
     assert peak < 8 * 2**20
 
 
