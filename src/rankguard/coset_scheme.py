@@ -67,8 +67,12 @@ class NestedScheme:
         return self.ctx.order**self.l
 
     def representative(self, S: Sequence[int]) -> tuple[int, ...]:
+        """S delta_g, for l message symbols in 0..q^m - 1."""
         if len(S) != self.l:
             raise DimensionMismatch("message length must be l")
+        order = self.ctx.order
+        if not all(isinstance(s, (int, np.integer)) and 0 <= s < order for s in S):
+            raise PreconditionError(f"message symbols must be integers in 0..{order - 1}")
         return vec_mat(self.ctx, S, self.delta_g)
 
     def coset_elements(self, S: Sequence[int]) -> Iterator[tuple[int, ...]]:

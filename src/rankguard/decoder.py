@@ -7,8 +7,9 @@ transformed member and the received word.  Noncoherent decoding minimizes
 the same quantity over every transfer matrix within the erasure budget;
 for identity-header (lifted) packets it is coherent decoding of the inner
 scheme with the received header as the transfer matrix, every discrepancy
-raised by one shift (_as_coherent states the proof).  On field arithmetic,
-decoding scores cosets by _coset_images/_coset_score.
+raised by one shift (_as_coherent states the proof).  Decoding scores
+every coset of C1 at once, on packed keys at q = 2 within their bit bounds
+and on base-field digit arrays otherwise; no decode runs field arithmetic.
 
 Exhaustive capability verification covers the full quantifier space of the
 correction definition through two exact reductions, each property-tested
@@ -56,8 +57,9 @@ is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
   each Y into C1's codeword keys under its A; codeword i lies in the coset
   of combo i >> (m * dim C2), so one rank-table lookup per (word, codeword),
   reshaped to (words, messages, |C2|) and minimized over the last axis,
-  scores every coset of every word.  A word's two least scores give its
-  result, and its winning combo c decodes as combo c does above.
+  scores every coset of every word.  Reversing the combo's symbols puts the
+  cosets in messages() order, and a word's two least scores give its
+  result, as on digit arrays below.
 * One numpy kernel scores the failing A alone, for its report: the least
   discrepancy of each combo's coset members against each error, per block
   of errors where a nonzero combo scores no worse than the true one.  The
@@ -70,8 +72,7 @@ The decider and the decode span C1's codewords under many A at once when
 all of C1 fits in PACKED_BLOCK elements, else under one A in runs of
 codewords; the kernel scores blocks of errors in slices of combos.  Each
 temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
-one combo, or the |C1| uint8 scores of a one-word decode block: seeded
-trials decode max(1, PACKED_BLOCK // max(|C1|, N n)) words per block.
+one combo, or the |C1| uint8 scores of a one-word decode block.
 
 For q > 2, and past the packed bit bounds, the row-space check decides on
 base-field digit arrays: C1's codewords outside C2 are the base-q digits
@@ -82,24 +83,27 @@ distinct ids, and linalg.rank_mod_q ranks every m x N digit matrix of v A^T
 in one batched F_q elimination; delta_min_over_A reads the same least ranks
 at every q.  A verified budget counts its trials and covered tuples with
 network.error_count and runs no field arithmetic.  A refuted one runs none
-either: _first_hit scores the decider's first failing A alone, on C1's
-images under it reshaped to (messages, |C2|) and on base-q error digits in
-enumerate_errors order (_error_digits), its trials offset by the row spaces
-before it.
+either: _first_hit scores the decider's first failing A alone, its base-q
+error digits in enumerate_errors order (_error_digits) being received words
+under that A, its trials offset by the row spaces before it.  A decode past
+the packed bounds scores its words the same way (_digit_scores), each under
+its own A: a coset's score is the least rank of the word minus a member's
+image, and a tie for the least score is ambiguous.
 
-The field-arithmetic row-space loop (in the tests) is the reference for both
-deciders' reports, and the coset scans for the packed decode (they decode
-at q > 2); the kernel, one A at a time, is the reference for the packed
-decider; _closest_difference, for the digit decider's least ranks;
-enumerate_errors, for the error keys and digits.
+The field-arithmetic row-space loop and the coset scans it runs on (in the
+tests) are the reference for both deciders' reports and for every decode;
+the kernel, one A at a time, is the reference for the packed decider;
+_closest_difference, for the digit decider's least ranks; enumerate_errors,
+for the error keys and digits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -125,8 +129,8 @@ from .network import (
     transmit,
 )
 from .rank_metrics import first_rgrw, rank_weight
-from .subspaces import (base_subspace_ids, enumerate_base_subspaces, gaussian_binomial,
-                        rank_r_count, require_enum_cap, row_digits)
+from .subspaces import (base_subspace_ids, gaussian_binomial, rank_r_count, require_enum_cap,
+                        row_digits)
 
 DEFAULT_SAMPLED_BUDGET = 10**5
 
@@ -162,32 +166,14 @@ def _require_budget(n: int, N: int, rho: int) -> None:
         raise PreconditionError("N too small for the rank constraint")
 
 
-def _cosets(scheme: NestedScheme) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
-    """(messages, each message's coset members), in messages() order: the
-    zero message, whose coset is C2, comes first.  Together they list C1."""
-    require_scan_cap(scheme.c1.codeword_count())
-    messages = list(scheme.messages())
-    return messages, [list(scheme.coset_elements(S)) for S in messages]
-
-
-def _coset_images(ctx, cosets: Iterable[Iterable[tuple[int, ...]]],
-                  A: Matrix) -> list[list[tuple[int, ...]]]:
-    """X A^T for every member X of every coset."""
-    return [[ext_vec_times_base_transpose(ctx, X, A) for X in members] for members in cosets]
-
-
-def _coset_score(ctx, images: Sequence[tuple[int, ...]], Y: Sequence[int]) -> int:
-    """Least rank(Y - image) over one coset's images: the fewest injected
-    packets explaining Y if that coset was sent."""
-    return min(rank_weight(ctx, vec_sub(ctx, Y, image)) for image in images)
-
-
 def discrepancy_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int],
                          S: Sequence[int]) -> int:
-    """Fewest injected packets explaining Y if the coset of S was sent."""
-    _require_word(scheme.ctx, Y)
-    [images] = _coset_images(scheme.ctx, [scheme.coset_elements(S)], A)
-    return _coset_score(scheme.ctx, images, Y)
+    """Fewest injected packets explaining Y if the coset of S was sent: the
+    least rank(Y - X A^T) over the coset's members X, C2 listed alone."""
+    ctx = scheme.ctx
+    _require_word(ctx, Y)
+    return min(rank_weight(ctx, vec_sub(ctx, Y, ext_vec_times_base_transpose(ctx, X, A)))
+               for X in scheme.coset_elements(S))
 
 
 def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> DecodeResult:
@@ -196,51 +182,52 @@ def decode_coherent(scheme: NestedScheme, A: Matrix, Y: Sequence[int]) -> Decode
     return _decode_block(scheme, [A], [Y])[0]
 
 
+def _packs(ctx, N: int, n: int) -> bool:
+    """Whether length-N words over F_{2^m} and N x n transfer matrices fit
+    packed q = 2 keys (m N <= 22 and N n <= 32 bits)."""
+    return ctx.q == 2 and ctx.m * N <= 22 and N * n <= 32
+
+
 def _decode_block(scheme: NestedScheme, As: Sequence[Matrix],
                   Ys: Sequence[Sequence[int]]) -> list[DecodeResult]:
     """decode_coherent of each received word Ys[w] under As[w], all of one
-    length N: at q = 2 within the packed bounds, one rank-table lookup per
-    (word, codeword of C1); else the coset scan, C1 listed once per block."""
-    ctx, n = scheme.ctx, scheme.n
+    length N, every coset scored at once: at q = 2 within the packed bounds,
+    one rank-table lookup per (word, codeword of C1); else on digit arrays,
+    C1's images under each word's A against the word's digits."""
+    ctx, n, q = scheme.ctx, scheme.n, scheme.ctx.q
     _require_word(ctx, *Ys)
     N = As[0].nrows
-    if not (ctx.q == 2 and ctx.m * N <= 22 and N * n <= 32):
-        messages, cosets = _cosets(scheme)
-        return [_closest(zip(messages, (_coset_score(ctx, im, Y)
-                                        for im in _coset_images(ctx, cosets, A))))
-                for A, Y in zip(As, Ys)]
     require_scan_cap(scheme.c1.codeword_count())
     if any(A.ncols != n for A in As):
         raise DimensionMismatch("A ncols must equal len(x)")
     if any(A.nrows != N for A in As):
         raise DimensionMismatch("vector lengths differ")
     entries = np.array([A.rows for A in As]).reshape(len(As), N * n)
-    if not np.all((entries == 0) | (entries == 1)):
-        raise PreconditionError("A must have base-field entries in 0..1")
+    if entries.size and not (entries.dtype.kind in "biu" and 0 <= entries.min()
+                             and entries.max() < q):
+        raise PreconditionError(f"A must have base-field entries in 0..{q - 1}")
     if any(len(Y) != N for Y in Ys):
         raise DimensionMismatch("vector lengths differ")
-    a_keys = entries.astype(np.uint32) @ (np.uint32(1) << np.arange(N * n, dtype=np.uint32))
-    y_keys = _pack_vectors(list(Ys), ctx.m, N)
-    table = packed_rank_table(N, ctx.m).table
-    scores = np.empty((len(As), scheme.c1.codeword_count()), dtype=np.uint8)
-    for start, first, keys in _codeword_runs(scheme, a_keys, N):
-        rows = slice(start, start + len(keys))
-        scores[rows, first:first + keys.shape[1]] = table[keys ^ y_keys[rows, None]]
-    scores = scores.reshape(len(As), -1, scheme.c2.codeword_count()).min(axis=2)
+    if _packs(ctx, N, n):
+        a_keys = entries.astype(np.uint32) @ (np.uint32(1) << np.arange(N * n, dtype=np.uint32))
+        y_keys = _pack_vectors(list(Ys), ctx.m, N)
+        table = packed_rank_table(N, ctx.m).table
+        scores = np.empty((len(As), scheme.c1.codeword_count()), dtype=np.uint8)
+        for start, first, keys in _codeword_runs(scheme, a_keys, N):
+            rows = slice(start, start + len(keys))
+            scores[rows, first:first + keys.shape[1]] = table[keys ^ y_keys[rows, None]]
+        # combo c has symbol i on bits i*m: reversing the symbol axes gives messages() order
+        scores = scores.reshape(len(As), *(ctx.order,) * scheme.l, -1).min(axis=-1).transpose(
+            0, *range(scheme.l, 0, -1)).reshape(len(As), -1)
+    else:
+        transfers = entries.astype(np.int64).reshape(len(As), N, n) @ q ** np.arange(n)  # row ids
+        words = field_digits(np.reshape(Ys, (len(Ys), N)), q, ctx.m).transpose(1, 2, 0)
+        scores = _digit_scores(q, words, _negated_images(scheme, transfers))
     pairs = np.partition(scores, 1, axis=1)[:, :2].tolist()
+    symbols = np.unravel_index(scores.argmin(axis=1), (ctx.order,) * scheme.l)
     return [DecodeResult("ambiguous", None, best, runner) if best == runner else
-            DecodeResult("decoded", tuple((c >> (i * ctx.m)) & (ctx.order - 1)
-                                          for i in range(scheme.l)), best, runner)
-            for (best, runner), c in zip(pairs, scores.argmin(axis=1).tolist())]
-
-
-def _closest(scored) -> DecodeResult:
-    """Unique minimizer of (message, discrepancy) pairs, runner_up the second
-    least discrepancy; a tie for the minimum is ambiguous."""
-    (message, best), (_, runner) = sorted(scored, key=lambda pair: pair[1])[:2]
-    if best == runner:
-        return DecodeResult("ambiguous", None, best, runner)
-    return DecodeResult("decoded", message, best, runner)
+            DecodeResult("decoded", S, best, runner)
+            for (best, runner), S in zip(pairs, zip(*(s.tolist() for s in symbols)))]
 
 
 def _difference_words(scheme: NestedScheme) -> list[tuple[int, ...]]:
@@ -569,18 +556,10 @@ def _require_transfer_cap(q: int, n: int, N: int, rho: int) -> None:
     require_enum_cap(_transfer_count(q, n, N, rho), "transfer row spaces")
 
 
-def _canonical_transfers(q: int, n: int, N: int, rho: int) -> Iterator[Matrix]:
-    """One N x n transfer matrix per row space of dimension >= n - rho: the
-    canonical basis padded with zero rows."""
-    _require_transfer_cap(q, n, N, rho)
-    for r in range(n - rho, min(n, N) + 1):
-        for Abase in enumerate_base_subspaces(q, n, r):
-            yield Matrix(Abase.field, list(Abase.rows) + [[0] * n for _ in range(N - r)], n)
-
-
 def _transfer_groups(q: int, n: int, N: int, rho: int, size: int) -> Iterator[np.ndarray]:
-    """The matrices of _canonical_transfers in its order, as arrays of row ids
-    of shape (count, N), the zero rows id 0, at most size at a time."""
+    """One N x n transfer matrix per row space of dimension n - rho .. min(n,
+    N), its canonical basis padded with zero rows, as arrays of row ids of
+    shape (count, N), the zero rows id 0, at most size at a time."""
     _require_transfer_cap(q, n, N, rho)
     for r in range(n - rho, min(n, N) + 1):
         ids = base_subspace_ids(q, n, r)
@@ -616,9 +595,8 @@ def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
 
 def _least_rank_groups(scheme: NestedScheme, rho: int,
                        N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(transfers, least): the row ids of the N x n _canonical_transfers in
-    their order and their _least_ranks, many A at once when all their
-    products fit in PACKED_BLOCK elements."""
+    """(transfers, least): the _transfer_groups of N x n matrices and their
+    _least_ranks, many A at once when all their products fit in PACKED_BLOCK."""
     m, n = scheme.ctx.m, scheme.n
     words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
     for group in _transfer_groups(scheme.ctx.q, n, N, rho,
@@ -628,7 +606,7 @@ def _least_rank_groups(scheme: NestedScheme, rho: int,
 
 def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int,
                              N: int) -> tuple[int, np.ndarray] | None:
-    """(index in _canonical_transfers order, row ids) of the first A under
+    """(index in _transfer_groups order, row ids) of the first A under
     which some nonzero combo fails for an error of rank <= t, that is the
     first A whose least difference rank is <= 2t; or None."""
     seen = 0
@@ -665,33 +643,46 @@ def _error_digits(ctx, N: int, t: int, most: int) -> Iterator[np.ndarray]:
             lo, size = lo + len(idx), min(2 * size, most)
 
 
+def _negated_images(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
+    """Digits of -v A^T mod q, shape (count, messages, |C2|, N, m), for C1's
+    codewords v in codeword_digits order (one row per coset, in messages()
+    order) and each N x n base-field matrix A with row ids transfers[i]:
+    N m |C1| digits per A, which callers size their blocks by."""
+    q = scheme.ctx.q
+    images = np.concatenate([_images_under(words, q, transfers)
+                             for words in scheme.codeword_digits()], axis=3)
+    negated = (q - images.astype(np.min_scalar_type(2 * (q - 1)))) % q
+    return negated.transpose(0, 3, 1, 2).reshape(
+        len(transfers), scheme.message_count(), scheme.c2.codeword_count(), *images.shape[1:3])
+
+
+def _digit_scores(q: int, words: np.ndarray, negated: np.ndarray) -> np.ndarray:
+    """scores[w, c]: coset c's discrepancy at words[w] (digits N x m), the
+    least rank of words[w] - v A^T over its members v, from _negated_images
+    under one A or one A per word; each temporary within PACKED_BLOCK
+    elements, or one coset's differences."""
+    acc = np.min_scalar_type(2 * (q - 1))  # a word digit plus a negated image digit
+    step = max(1, PACKED_BLOCK // max(1, len(words) * math.prod(negated.shape[-3:])))
+    return np.concatenate([
+        rank_mod_q(np.add(words[:, None, None], negated[:, lo:lo + step], dtype=acc) % q,
+                   q).min(axis=2) for lo in range(0, negated.shape[1], step)], axis=1)
+
+
 def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int,
                N: int) -> tuple[int, np.ndarray, int, int, int] | None:
     """(k, E, c, true, other): the first hit in (E, S) row-major order under
     the N x n transfer matrix A with row ids ids, as the field-arithmetic
     row-space loop meets it: error k of _error_digits (digits N x m), the
     least message index c > 0, in messages() order, whose coset scores other
-    <= true, the true coset's score; or None.  C1's images under A, reshaped
-    to (messages, |C2|), score every coset against a block of errors at once
-    (a rank_mod_q of each difference, least per coset); the blocks start at
-    one error and double, as a refuted budget often fails early.  Beside the
-    N m |C1| image digits, each temporary holds at most PACKED_BLOCK
-    elements, or one coset's images."""
-    q, m = scheme.ctx.q, scheme.ctx.m
-    images = np.concatenate([_images_under(words, q, ids[None])[0]
-                             for words in scheme.codeword_digits()], axis=2)  # (N, m, |C1|)
-    acc = np.min_scalar_type(2 * (q - 1))  # an error digit plus a negated image digit
-    negated = ((q - images.astype(acc)) % q).transpose(2, 0, 1).reshape(
-        scheme.message_count(), scheme.c2.codeword_count(), N, m)
-    per_error = negated[0].size * len(negated)
+    <= true, the true coset's score; or None.  The errors are received words
+    under A for _digit_scores, in blocks that start at one error and double,
+    as a refuted budget often fails early."""
+    negated = _negated_images(scheme, ids[None])
     seen = 0
-    for errors in _error_digits(scheme.ctx, N, t, max(1, PACKED_BLOCK // max(1, per_error))):
+    for errors in _error_digits(scheme.ctx, N, t, max(1, PACKED_BLOCK // max(1, negated.size))):
         if not len(errors):
             continue
-        step = max(1, PACKED_BLOCK // max(1, len(errors) * negated[0].size))
-        scores = np.concatenate([
-            rank_mod_q(np.add(errors[:, None, None], negated[lo:lo + step], dtype=acc) % q,
-                       q).min(axis=2) for lo in range(0, len(negated), step)], axis=1)
+        scores = _digit_scores(scheme.ctx.q, errors, negated)
         hits = scores[:, 1:] <= scores[:, :1]
         if hits.any():
             k = int(hits.any(axis=1).argmax())
@@ -718,7 +709,7 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     _first_hit at the first failing A, its trials offset by the row spaces
     before it."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
-    if ctx.q != 2 or m * N > 22 or N * n > 32 or m * max(l, scheme.c2.k) > 20:
+    if not _packs(ctx, N, n) or m * max(l, scheme.c2.k) > 20:
         require_error_cap(ctx, N, t)
         n_errors, failing = error_count(ctx, N, t), _first_failing_row_space(scheme, t, rho, N)
         if failing is None:
@@ -749,7 +740,7 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     combos = np.flatnonzero(vals[1:, ei] <= vals[0, ei]) + 1
     symbols = [(combos >> (j * m)) & (ctx.order - 1) for j in range(l)]
     c = int(np.lexsort(symbols[::-1])[0])
-    A = next(itertools.islice(_canonical_transfers(ctx.q, n, N, rho), i, None))
+    A = Matrix(ctx.base, [row_digits(b, 2, n) for b in _unpack_key(int(a_keys[i]), n, N)], n)
     E = [list(ctx.coeffs(e)) for e in _unpack_key(int(e_keys[lo + ei]), m, N)]
     counterexample = _rowspace_counterexample(A, E, [int(s[c]) for s in symbols],
                                               int(vals[0, ei]), int(vals[combos[c], ei]))
@@ -799,14 +790,16 @@ def trial_stream(rng: random.Random, scheme, N: int, t: int, rho: int,
     """count seeded encode -> transmit -> decode rounds from rng, in order,
     as (A, S, DecodeResult): a LiftedScheme decoded noncoherently, a
     NestedScheme coherently with A known.  Rounds are drawn by _draw and
-    decoded in blocks of max(1, PACKED_BLOCK // max(|C1|, N n)) words, so a
-    block's scores and transfer entries stay within PACKED_BLOCK; a lifted
+    decoded in blocks of max(1, PACKED_BLOCK // max(|C1| w, N n, 1)) words,
+    w = 1 on packed keys and N m on digit arrays, so a block's scores (or
+    image digits) and transfer entries stay within PACKED_BLOCK; a lifted
     block decodes as _as_coherent states.  The budget is refused before any
     draw, and exactly count rounds are drawn."""
     _require_budget(scheme.n, N, rho)
     lifted = isinstance(scheme, LiftedScheme)
     inner = scheme.inner if lifted else scheme
-    size = max(1, PACKED_BLOCK // max(inner.c1.codeword_count(), N * scheme.n))
+    w = 1 if _packs(inner.ctx, N, scheme.n) else N * inner.ctx.m
+    size = max(1, PACKED_BLOCK // max(inner.c1.codeword_count() * w, N * scheme.n, 1))
     for lo in range(0, count, size):
         drawn = [_draw(rng, scheme, N, t, rho) for _ in range(min(size, count - lo))]
         views = [_as_coherent(scheme, Y, rho) if lifted else (A, Y, 0) for A, _, Y in drawn]

@@ -11,9 +11,11 @@ from rankguard import (
     PreconditionError,
     RankguardError,
     codes,
+    coset_scheme,
     ctx_new,
     decoder,
     network,
+    subspaces,
 )
 from rankguard.bitrank import pack_key, packed_rank_table, row_image_tables
 from rankguard.codes import LinearCode
@@ -21,7 +23,6 @@ from rankguard.coset_scheme import LiftedScheme, NestedScheme, build_proposed, l
 from rankguard.subspaces import gaussian_binomial
 from rankguard.errors import DimensionMismatch
 from rankguard.decoder import (
-    _canonical_transfers,
     _closest_difference,
     _difference_words,
     _error_digits,
@@ -64,7 +65,13 @@ from rankguard.network import (
 )
 from rankguard.rank_metrics import first_rgrw, rank_weight
 import capability_reference
-from capability_reference import exhaustive_coherent_generic
+from capability_reference import (
+    _canonical_transfers,
+    _coset_images,
+    _coset_score,
+    _cosets,
+    exhaustive_coherent_generic,
+)
 from schemes import random_scheme
 
 F16 = ctx_new(2, 4)
@@ -425,7 +432,7 @@ def _sweep_inputs(scheme, t, rho, N):
 
 def _canonical_keys(scheme, rho, N):
     return np.array([pack_key([pack_row_bits(r) for r in A.rows], scheme.n)
-                     for A in decoder._canonical_transfers(2, scheme.n, N, rho)],
+                     for A in _canonical_transfers(2, scheme.n, N, rho)],
                     dtype=np.uint32)
 
 
@@ -478,18 +485,21 @@ def test_q2_exhaustive_reports_skip_error_stream(monkeypatch):
 
 def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
     # at q = 2 row ids are the rows' bits: error and transfer keys come from
-    # the id stream; only a counterexample rebuilds its A as a Matrix
+    # the id stream, and a counterexample builds its A from its row ids
     def no_matrices(*args):
         pytest.fail("a q = 2 packed path built subspace matrices")
 
     ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
-    expected = exhaustive_coherent_generic(ternary, 1, 0, ternary.n).to_json()
-    monkeypatch.setattr(decoder, "enumerate_base_subspaces", no_matrices)
-    assert len(_error_keys(ctx_new(2, 3), 4, 2)) == error_count(ctx_new(2, 3), 4, 2)
     s = flagship()  # first weight 2
+    expected = [exhaustive_coherent_generic(scheme, t, rho, scheme.n).to_json()
+                for scheme, t, rho in [(ternary, 1, 0), (s, 1, 0), (s, 0, 2)]]
+    for module in (subspaces, network):
+        monkeypatch.setattr(module, "enumerate_base_subspaces", no_matrices)
+    assert len(_error_keys(ctx_new(2, 3), 4, 2)) == error_count(ctx_new(2, 3), 4, 2)
     for mode in ("exhaustive", "exhaustive-full"):
         for t, rho in [(0, 0), (0, 1)]:
             assert capability_report(s, t, rho, mode=mode).verified
+    assert [capability_report(s, t, rho).to_json() for t, rho in [(1, 0), (0, 2)]] == expected[1:]
 
     def no_field(*args):
         pytest.fail("a refuted q = 3 report ran field arithmetic")
@@ -499,12 +509,12 @@ def test_q2_verified_reports_build_no_subspace_matrices(monkeypatch):
     monkeypatch.setattr(network, "enumerate_errors", no_field)
     for name in ("ext_vec_times_base_transpose", "rank_weight"):
         monkeypatch.setattr(decoder, name, no_field)
-    assert capability_report(ternary, 1, 0).to_json() == expected
+    assert capability_report(ternary, 1, 0).to_json() == expected[0]
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_generic_capability_identity_q3(k):
-    # q = 3 takes the field-arithmetic path: k = 1 gives C2 = {0}, k = 2 a
+    # q = 3 takes the digit-array path: k = 1 gives C2 = {0}, k = 2 a
     # one-dimensional C2
     ctx = ctx_new(3, 3)
     scheme = build_proposed(ctx, l=1, n=2, k=k)
@@ -757,11 +767,15 @@ def test_failure_witness_flagship():
 
 
 def _field_decode(scheme, A, Y):
-    """decode_coherent on field arithmetic: every coset member's image scored."""
+    """decode_coherent on field arithmetic: every coset member's image
+    scored, the least discrepancy winning unless the runner-up ties it."""
     ctx = scheme.ctx
-    messages, cosets = decoder._cosets(scheme)
-    images = decoder._coset_images(ctx, cosets, A)
-    return decoder._closest(zip(messages, (decoder._coset_score(ctx, im, Y) for im in images)))
+    messages, cosets = _cosets(scheme)
+    scores = [_coset_score(ctx, images, Y) for images in _coset_images(ctx, cosets, A)]
+    (message, best), (_, runner) = sorted(zip(messages, scores), key=lambda pair: pair[1])[:2]
+    if best == runner:
+        return decoder.DecodeResult("ambiguous", None, best, runner)
+    return decoder.DecodeResult("decoded", message, best, runner)
 
 
 DECODE_CASES = {
@@ -773,21 +787,38 @@ DECODE_CASES = {
     "two-symbol": (lambda rng: _isometric_copy(rng, _two_symbol_scheme()), None),
     "lifted [3,2]": (lambda rng: _isometric_copy(rng, flagship()), ctx_new(2, 7)),
     "lifted [2,2] l=2": (lambda rng: build_proposed(F16, l=2, n=2, k=2), ctx_new(2, 6)),
+    # decoded on digit arrays: q = 3 and q = 5, and q = 2 past the packed
+    # bounds (m N > 22 bits)
+    "q3 [2,1]": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(3, 3), l=1, n=2, k=1)),
+                 None),
+    "q3 [2,2]": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(3, 3), l=1, n=2, k=2)),
+                 None),
+    "q3 l=2": (lambda rng: random_scheme(rng, ctx_new(3, 2), 2, 2, 0), None),
+    "lifted q3 [2,1]": (lambda rng: build_proposed(ctx_new(3, 3), l=1, n=2, k=1), ctx_new(3, 5)),
+    "q5 [2,1]": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(5, 3), l=1, n=2, k=1)),
+                 None),
+    "F256 [4,1]": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(2, 8), l=1, n=4, k=1)),
+                   None),
+    "F64 [5,1]": (lambda rng: _isometric_copy(rng, build_proposed(ctx_new(2, 6), l=1, n=5, k=1)),
+                  None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_CASES))
 def test_packed_decode_matches_field_decode(case):
-    # the whole DecodeResult, runner-up and ties included, at every budget;
-    # a lifted case compares the inner decode under the received header
+    # the whole DecodeResult, runner-up and ties included, at every budget
+    # and N in {n - rho, n, n + 1}; a lifted case compares the inner decode
+    # under the received header
     build, outer = DECODE_CASES[case]
     rng = random.Random(95)
     inner = build(rng)
     scheme = inner if outer is None else lift(inner, outer)
     ctx, n = scheme.ctx, scheme.n
     outcomes = set()
-    for N, t, rho in itertools.product((n, n + 1), range(3), range(n + 1)):
-        A = sample_transfer(rng, 2, N, n, rho)
+    budgets = [(t, rho, N) for t in range(3) for rho in range(n + 1)
+               for N in sorted({n - rho, n, n + 1})]
+    for t, rho, N in budgets:
+        A = sample_transfer(rng, ctx.q, N, n, rho)
         D, Z = sample_error_pair(rng, ctx, N, t)
         S = tuple(rng.randrange(inner.ctx.order) for _ in range(scheme.l))
         X = inner.encode(S, rng) if outer is None else scheme.lift_encode(S, rng)
@@ -800,36 +831,48 @@ def test_packed_decode_matches_field_decode(case):
     assert outcomes == {("decoded", True), ("decoded", False), ("ambiguous", False)}
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_block_decode_matches_field_decode(monkeypatch, seed):
-    # every word of a block gets the field decode's whole DecodeResult, ties
-    # included, at N = n - rho, n and n + 1, in blocks of 1, 2 and 3 words;
-    # with PACKED_BLOCK patched, _codeword_runs spans two transfer matrices
-    # per batch, which a 3-word block straddles, or one in two runs
-    rng = random.Random(96 + seed)
-    n, l, k2 = 3, 1 + seed % 2, seed // 2
-    scheme = random_scheme(rng, ctx_new(2, 3), n, l, k2)
-    bits = 3 * (l + k2)
-    words = []
+def _assert_block_decodes(monkeypatch, rng, scheme, blocks):
+    """Every word of a block gets the field decode's whole DecodeResult, ties
+    included, at N = n - rho, n and n + 1, in blocks of 1, 2 and 3 words,
+    with PACKED_BLOCK at its default and at each of blocks."""
+    n, words = scheme.n, []
     for N, rho in [(n - 1, 1), (n, 0), (n, 2), (n + 1, n)]:
         for t in range(3):
-            A = sample_transfer(rng, 2, N, n, rho)
+            A = sample_transfer(rng, scheme.ctx.q, N, n, rho)
             D, Z = sample_error_pair(rng, scheme.ctx, N, t)
-            Y = transmit(scheme.ctx, scheme.encode((rng.randrange(8),) * l, rng), A, D, Z)
-            words.append((A, Y))
+            S = (rng.randrange(scheme.ctx.order),) * scheme.l
+            Y = transmit(scheme.ctx, scheme.encode(S, rng), A, D, Z)
+            words.append((A, Y, _field_decode(scheme, A, Y)))
     outcomes = set()
-    for block in (None, 2 << bits, 1 << (bits - 1)):
-        if block is not None:
-            monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
-        for size in (1, 2, 3):
-            for N in (n - 1, n, n + 1):
-                same = [(A, Y) for A, Y in words if A.nrows == N]
+    for block in (None, *blocks):
+        with monkeypatch.context() as patch:
+            if block is not None:
+                patch.setattr(decoder, "PACKED_BLOCK", block)
+                patch.setattr(coset_scheme, "PACKED_BLOCK", block)
+            for size, N in itertools.product((1, 2, 3), (n - 1, n, n + 1)):
+                same = [word for word in words if word[0].nrows == N]
                 for lo in range(0, len(same), size):
-                    As, Ys = zip(*same[lo:lo + size])
+                    As, Ys, expected = zip(*same[lo:lo + size])
                     got = decoder._decode_block(scheme, As, Ys)
-                    assert got == [_field_decode(scheme, A, Y) for A, Y in zip(As, Ys)]
+                    assert got == list(expected)
                     outcomes.update(r.status for r in got)
     assert outcomes == {"decoded", "ambiguous"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_decode_matches_field_decode(monkeypatch, seed):
+    # over F_2^3 on packed keys: with PACKED_BLOCK patched, _codeword_runs
+    # spans two transfer matrices per batch, which a 3-word block straddles,
+    # or one in two runs.  Then on digit arrays, q = 3, q = 5 and F_2^8 (m N
+    # > 22 bits from N = 3 on): with PACKED_BLOCK patched, C1's digits come
+    # in blocks of a few codewords and the cosets are scored in slices
+    rng = random.Random(96 + seed)
+    n, l, k2 = 3, 1 + seed % 2, seed // 2
+    bits = 3 * (l + k2)
+    _assert_block_decodes(monkeypatch, rng, random_scheme(rng, ctx_new(2, 3), n, l, k2),
+                          (2 << bits, 1 << (bits - 1)))
+    q, m, n, l, k2 = [(3, 2, 3, 1, 1), (3, 2, 3, 2, 0), (5, 2, 2, 1, 1), (2, 8, 3, 1, 0)][seed]
+    _assert_block_decodes(monkeypatch, rng, random_scheme(rng, ctx_new(q, m), n, l, k2), (40,))
 
 
 def _one_trial(rng, scheme, N, t, rho):
@@ -935,31 +978,29 @@ def test_decode_with_no_received_packet():
         assert not capability_report(s, 0, s.n, mode=mode, N=0, trials=3).verified
 
 
-def test_q2_decodes_skip_field_scoring(monkeypatch):
-    # the packed decode scores C1's codeword keys; a fallback to the coset
-    # images would pass every equality test on the slow path
-    def no_images(*args):
-        pytest.fail("a q = 2 decode scored coset images")
+def test_decodes_skip_field_scoring(monkeypatch):
+    # a decode scores C1's codewords as packed keys at q = 2 within the bit
+    # bounds and as digit arrays otherwise, never on field arithmetic; a
+    # fallback would pass every equality test on the slow path
+    def no_field(*args):
+        pytest.fail("a decode ran field arithmetic")
 
-    images, imaged = decoder._coset_images, []
-    monkeypatch.setattr(decoder, "_coset_images", no_images)
     s, lifted = flagship(), _lifted_instance()  # first weight 2
+    witness = construct_failure_witness(s, t=1, rho=0)  # its A and error on field arithmetic
+    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)  # first weight 2
+    others = [ternary, lift(ternary, ctx_new(3, 5)), build_proposed(ctx_new(5, 3), l=1, n=2, k=1),
+              build_proposed(ctx_new(2, 8), l=1, n=3, k=1)]  # m N = 24 > 22 bits
+    monkeypatch.setattr(decoder, "ext_vec_times_base_transpose", no_field)
+    assert decode_coherent(s, witness["A"], witness["Y"]) == witness["result"]
     for scheme in (s, lifted):
         for t, rho in [(0, 1), (1, 0)]:
             report = capability_report(scheme, t, rho, mode="sampled", trials=30, seed=5)
             assert report.verified == (2 * t + rho < 2)
-    assert construct_failure_witness(s, t=1, rho=0)["demonstrates_failure"]
-
-    def counted(*args):
-        imaged.append(args)
-        return images(*args)
-
-    # q = 3 stays on the field path
-    monkeypatch.setattr(decoder, "_coset_images", counted)
-    ternary = build_proposed(ctx_new(3, 3), l=1, n=2, k=1)
+    for scheme in others:
+        report = capability_report(scheme, 0, 0, mode="sampled", trials=30, seed=5)
+        assert report.verified
     X = ternary.encode((5,), random.Random(0))
     assert decode_coherent(ternary, Matrix.identity(ternary.ctx.base, 2), X).message == (5,)
-    assert len(imaged) == 1
 
 
 RECEIVED_CASES = {
@@ -992,6 +1033,25 @@ def test_decoders_refuse_symbols_outside_the_field(case):
                 call()
 
 
+@pytest.mark.parametrize("S", [(16,), (-1,), (1.5,), (0, 0)], ids=["q^m", "-1", "1.5", "length"])
+def test_message_symbols_outside_the_field_are_refused(S):
+    # representative once indexed the field tables with any symbol: 999
+    # raised an IndexError, and -1 wrapped round to the last table entry
+    s = flagship()
+    lifted = lift(s, ctx_new(2, 7))
+    A, Y = Matrix.identity(GF2, s.n), (1, 0, 0)
+    match = "message length" if len(S) != s.l else "message symbols must be integers in 0..15"
+    for call in (lambda: s.encode(S, random.Random(0)),
+                 lambda: lifted.lift_encode(S, random.Random(0)),
+                 lambda: next(s.coset_elements(S)),
+                 lambda: discrepancy_coherent(s, A, Y, S),
+                 lambda: discrepancy_noncoherent(lifted, lifted.lift_vector(Y), S, 1),
+                 lambda: discrepancy_noncoherent(lifted, lifted.lift_vector(Y), S, 1,
+                                                 mode="oracle")):
+        with pytest.raises(PreconditionError, match=match):
+            call()
+
+
 def _refusal(call):
     """(exception type, message) of a refused call."""
     with pytest.raises(RankguardError) as info:
@@ -1005,8 +1065,8 @@ REFUSALS = ["decode cap", "coset cap", "A cols", "A entry", "Y length"]
 @pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
 @pytest.mark.parametrize("refusal", REFUSALS)
 def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
-    # each refusal of the coset scans, raised by the packed path at q = 2
-    # with the field path's exception and message
+    # each refusal of the coset scans, raised by the decode's input check at
+    # every q with the field path's exception and message
     scheme = RECEIVED_CASES[case][0]()
     ctx, n, S = scheme.ctx, scheme.n, (0,) * scheme.l
     A, Y = Matrix.identity(ctx.base, n), (1,) + (0,) * (n - 1)
@@ -1030,10 +1090,21 @@ def test_decode_refusals_match_field_path(monkeypatch, case, refusal):
         assert discrepancy_coherent(scheme, A, Y, S) == 1
     else:
         assert _refusal(lambda: discrepancy_coherent(scheme, A, Y, S))[0] is expected
-    if ctx.q == 2:
-        for name in ("_cosets", "_coset_images"):
-            monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("fell back"))
+    # the decode's one input check refuses before any scoring, at every q
+    monkeypatch.setattr(decoder, "ext_vec_times_base_transpose",
+                        lambda *args: pytest.fail("scored on field arithmetic"))
     assert _refusal(lambda: decode_coherent(scheme, A, Y)) == field
+
+
+@pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
+@pytest.mark.parametrize("bad", [-1, 0.5, 2**70])
+def test_decode_refuses_transfer_entries_outside_the_base_field(case, bad):
+    # the input check reads A's entries before any conversion to machine
+    # integers, which would truncate a float or overflow past 64 bits
+    scheme = RECEIVED_CASES[case][0]()
+    A = Matrix(scheme.ctx.base, [[bad] + [0] * (scheme.n - 1)] * scheme.n, scheme.n)
+    with pytest.raises(PreconditionError, match="A must have base-field entries"):
+        decode_coherent(scheme, A, (1,) + (0,) * (scheme.n - 1))
 
 
 def test_noncoherent_refuses_impossible_receptions():

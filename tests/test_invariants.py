@@ -231,7 +231,8 @@ def test_every_vector_listing_reads_the_scan_cap(monkeypatch):
 
     def packed_decode():
         with monkeypatch.context() as patch:
-            patch.setattr(decoder, "_cosets", lambda *args: pytest.fail("fell back"))
+            patch.setattr(decoder, "ext_vec_times_base_transpose",
+                          lambda *args: pytest.fail("scored on field arithmetic"))
             decode_coherent(q2, Matrix.identity(q2.ctx.base, 3), (1, 0, 0))
 
     refused = [  # (call, vectors it would list)
@@ -266,8 +267,9 @@ def test_every_base_field_enumeration_reads_the_enum_cap(monkeypatch):
     q3 = build_proposed(ctx_new(3, 4), l=1, n=3, k=1)
     lifted = lift(q2, ctx_new(2, 7))
     monkeypatch.setattr(subspaces, "DEFAULT_ENUM_CAP", 10)
-    for name in ("base_subspace_ids", "enumerate_base_subspaces"):  # no transfer is listed
-        monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("a row space was listed"))
+    # no transfer is listed: the decoder lists row spaces as row ids only
+    monkeypatch.setattr(decoder, "base_subspace_ids",
+                        lambda *args: pytest.fail("a row space was listed"))
     refused = [  # (call, count, what is counted)
         (lambda: SubspaceFamily(f16, 4, 2), 35, "qinvariant subspaces"),
         (lambda: SubspaceFamily(f16, 6, 2, "coordinate"), 15, "coordinate subspaces"),

@@ -51,6 +51,11 @@ SIMULATE_BASE = {"version": 1, "q": 2, "m": 4, "l": 1, "n": 3, "k": 2, "N": 3,
     ({}, "bb68f4f21574c65d745b09bf97d08ec81261d9f6894354f2f8c3311c74aea296"),
     ({"m": 7, "mode": "noncoherent"},
      "34387dc24ab7cc20d9df06dc1f3e6fd5d66061cbda32420cadf33d0fd41086d7"),
+    # q = 3: the [2,1] scheme over F_27 at N = n + 1, and lifted into F_3^5
+    ({"q": 3, "m": 3, "n": 2, "k": 1},
+     "141180ff0b7c93ef3eb928802213b88388b63d33e36f7f1beb239af1fa7c7665"),
+    ({"q": 3, "m": 5, "n": 2, "k": 1, "N": 2, "mode": "noncoherent"},
+     "f206bc10f0489e04a0609205d3687c954e41fddba0710ef253d46b38865deeed"),
 ])
 def test_simulate_csv_digest(tmp_path, extra, digest):
     cfg = tmp_path / "scenario.json"
@@ -107,6 +112,35 @@ def test_sampled_two_symbol_report(lifted, t, rho, seed):
     }[t, rho]
     report = capability_report(scheme, t, rho, mode="sampled", N=3, trials=30, seed=seed)
     assert report.to_json() == _sampled(t, rho, counterexample, n=2, N=3)
+
+
+def _refutation(trial, entries, S, status):
+    return {"trial": trial, "S": S, "status": status,
+            "A": {"rows": len(entries), "cols": len(entries[0]), "entries": entries}}
+
+
+# decodes past the packed q = 2 path: q = 3 with C2 = {0} at N = n + 1 and
+# with C2 != {0} at N = n, and F_2^8 at m N = 24 > 22 bits
+@pytest.mark.parametrize("name, lifted, t, rho, seed, counterexample", [
+    ("q3 [2,1]", False, 0, 1, 5, None),
+    ("q3 [2,1]", True, 0, 1, 5, None),
+    ("q3 [2,1]", False, 1, 0, 2, _refutation(6, [[2, 1], [2, 1], [1, 1]], [14], "ambiguous")),
+    ("q3 [2,1]", True, 1, 0, 2, _refutation(13, [[0, 0], [2, 2], [1, 0]], [18], "ambiguous")),
+    ("q3 [2,2]", False, 1, 0, 0, _refutation(0, [[1, 1], [0, 1]], [25], "decoded")),
+    ("q3 [2,2]", True, 1, 0, 0, _refutation(0, [[1, 1], [0, 1]], [25], "ambiguous")),
+    ("F256 [3,1]", False, 1, 0, 5, None),
+    ("F256 [3,1]", False, 1, 1, 0, _refutation(4, [[0, 1, 1], [0, 1, 0], [0, 0, 0]], [66],
+                                               "ambiguous")),
+])
+def test_sampled_report_past_packed_decode(name, lifted, t, rho, seed, counterexample):
+    build, N, outer = {
+        "q3 [2,1]": (lambda: build_proposed(ctx_new(3, 3), l=1, n=2, k=1), 3, ctx_new(3, 5)),
+        "q3 [2,2]": (lambda: build_proposed(ctx_new(3, 3), l=1, n=2, k=2), 2, ctx_new(3, 5)),
+        "F256 [3,1]": (lambda: build_proposed(ctx_new(2, 8), l=1, n=3, k=1), 3, None),
+    }[name]
+    scheme = lift(build(), outer) if lifted else build()
+    report = capability_report(scheme, t, rho, mode="sampled", N=N, trials=30, seed=seed)
+    assert report.to_json() == _sampled(t, rho, counterexample, n=scheme.n, N=N)
 
 
 def test_full_wiretap_order():
