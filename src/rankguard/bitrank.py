@@ -20,20 +20,26 @@ import numpy as np
 PACKED_BLOCK = 2**18
 
 
+def reduce_bits(pivots: dict[int, int], v: int) -> int:
+    """v cleared at each leading bit it shares with pivots (leading bit ->
+    row): 0 exactly when v lies in their span."""
+    while v and (p := pivots.get(v.bit_length() - 1)):
+        v ^= p
+    return v
+
+
+def extend_bits(pivots: dict[int, int], rows: Iterable[int]) -> dict[int, int]:
+    """A copy of pivots with rows added: one new pivot per independent row."""
+    pivots = dict(pivots)
+    for v in rows:
+        if v := reduce_bits(pivots, v):
+            pivots[v.bit_length() - 1] = v
+    return pivots
+
+
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of the row vectors encoded as ints."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                rank += 1
-                break
-    return rank
+    return len(extend_bits({}, rows))
 
 
 def pack_key(rows: Sequence[int], ncols: int) -> int:

@@ -16,6 +16,7 @@ from functools import cached_property, reduce
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
+from .bitrank import pack_key
 from .errors import (
     AmbientMismatch,
     DegreeTooSmall,
@@ -44,21 +45,17 @@ def require_scan_cap(count: int) -> None:
             f"scan cap: {count} vectors over F_(q^m) exceed cap {DEFAULT_SCAN_CAP}")
 
 
-class _ParityColumns(dict):
+class _RowTable(dict):
     """Row id of a base-field row b (its base-q digits, least significant
-    first) -> H b^T, H the code's parity check, filled when first read by
-    linearity: T[b] = T[b - d q^j] + d h_j for b's top digit d at position j,
-    one vector addition per entry (an XOR at q = 2).  Dropping the top digit
+    first) -> a tuple linear in b, filled when first read by linearity:
+    T[b] = T[b - d q^j] + steps[j][d - 1] for b's top digit d at position j,
+    one tuple addition per entry (an XOR at q = 2).  Dropping the top digit
     keeps the lowest nonzero one, so the rows of q-invariant bases (a leading
     1) fill at most (q^n - 1)/(q - 1) + 1 ids, and unit rows n + 1."""
 
-    def __init__(self, code: LinearCode):
-        ctx = code.ctx
-        super().__init__({0: (ctx.zero,) * (code.n - code.k)})
-        self.q, self.add = ctx.q, xor if ctx.q == 2 else ctx.add
-        # steps[j][d - 1] = d h_j, h_j column j of H
-        self.steps = [[tuple(ctx.mul(d, a) for a in h) for d in range(1, ctx.q)]
-                      for h in code.dual().gen.transpose().rows]
+    def __init__(self, q: int, zero: tuple, steps: list, add):
+        super().__init__({0: zero})
+        self.q, self.steps, self.add = q, steps, add
 
     def __missing__(self, row_id: int) -> tuple[int, ...]:
         q, d, j = self.q, row_id, 0
@@ -142,8 +139,28 @@ class LinearCode:
             self._dual._dual_of = weakref.ref(self)
         return self._dual
 
-    #: H b^T by the row id of b, filled as ids are met and kept like the dual
-    parity_columns = cached_property(_ParityColumns)
+    @cached_property
+    def parity_columns(self) -> _RowTable:
+        """H b^T by the row id of b, filled as ids are met and kept like the
+        dual: steps[j][d - 1] = d h_j, h_j column j of H."""
+        ctx = self.ctx
+        return _RowTable(ctx.q, (ctx.zero,) * (self.n - self.k),
+                         [[tuple(ctx.mul(d, a) for a in h) for d in range(1, ctx.q)]
+                          for h in self.dual().gen.transpose().rows], xor if ctx.q == 2 else ctx.add)
+
+    @cached_property
+    def parity_keys(self) -> _RowTable:
+        """At q = 2, the packed keys (bitrank.pack_key) of alpha^a H b^T, a < m,
+        an F_2 basis of F_{2^m} H b^T when that is nonzero, kept the same way."""
+        ctx, m, steps = self.ctx, self.ctx.m, []
+        ones, fold = pack_key([1] * (self.n - self.k), m), ctx.mul(ctx.alpha, 1 << m - 1)
+        for h in self.dual().gen.transpose().rows:
+            keys = [pack_key(h, m)]
+            for _ in range(1, m):  # x times a key: each entry shifted up, x^m folded back
+                top = keys[-1] >> m - 1 & ones
+                keys.append((keys[-1] ^ top << m - 1) << 1 ^ top * fold)
+            steps.append([tuple(keys)])
+        return _RowTable(2, (0,) * m, steps, xor)
 
     def sum_with(self, other: "LinearCode") -> "LinearCode":
         self._check(other)

@@ -103,7 +103,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -577,15 +577,24 @@ def _images_under(words: np.ndarray, q: int, transfers: np.ndarray) -> np.ndarra
     return RowImages(words, q).of(ids.tolist())[where.reshape(transfers.shape)]
 
 
-def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
+def _c1_digits(scheme: NestedScheme) -> Callable[..., Iterable[np.ndarray]]:
+    """codeword_digits for one report: C1 listed once and kept while its
+    digits fit in PACKED_BLOCK elements, else listed afresh at each call."""
+    if scheme.c1.codeword_count() * scheme.n * scheme.ctx.m > PACKED_BLOCK:
+        return scheme.codeword_digits
+    kept = np.concatenate(list(scheme.codeword_digits()), axis=2)
+    return lambda start=0: [kept[:, :, start:]]
+
+
+def _least_ranks(scheme: NestedScheme, transfers: np.ndarray, digits=None) -> np.ndarray:
     """least[i]: the least rank of v A^T over C1's codewords v outside C2, for
     each N x n base-field matrix A with row ids transfers[i], on digit arrays
-    (each temporary within PACKED_BLOCK elements)."""
+    (each temporary within PACKED_BLOCK elements) listed by digits."""
     q, m = scheme.ctx.q, scheme.ctx.m
     count, N = transfers.shape
     least = np.full(count, N)  # no v A^T has rank above N
     width = max(1, PACKED_BLOCK // max(1, count * N * m))
-    for words in scheme.codeword_digits(scheme.c2.codeword_count()):
+    for words in (digits or scheme.codeword_digits)(scheme.c2.codeword_count()):
         for lo in range(0, words.shape[2], width):
             images = _images_under(words[:, :, lo:lo + width], q, transfers)
             ranks = rank_mod_q(images.transpose(0, 3, 1, 2), q)  # the m x N matrix of each v A^T
@@ -593,24 +602,24 @@ def _least_ranks(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
     return least
 
 
-def _least_rank_groups(scheme: NestedScheme, rho: int,
-                       N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _least_rank_groups(scheme: NestedScheme, rho: int, N: int,
+                       digits=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(transfers, least): the _transfer_groups of N x n matrices and their
     _least_ranks, many A at once when all their products fit in PACKED_BLOCK."""
-    m, n = scheme.ctx.m, scheme.n
+    m, n, digits = scheme.ctx.m, scheme.n, digits or _c1_digits(scheme)
     words = scheme.c1.codeword_count() - scheme.c2.codeword_count()
     for group in _transfer_groups(scheme.ctx.q, n, N, rho,
                                   max(1, PACKED_BLOCK // max(1, N * m * words))):
-        yield group, _least_ranks(scheme, group)
+        yield group, _least_ranks(scheme, group, digits)
 
 
-def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int,
-                             N: int) -> tuple[int, np.ndarray] | None:
+def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int,
+                             digits) -> tuple[int, np.ndarray] | None:
     """(index in _transfer_groups order, row ids) of the first A under
     which some nonzero combo fails for an error of rank <= t, that is the
     first A whose least difference rank is <= 2t; or None."""
     seen = 0
-    for group, least in _least_rank_groups(scheme, rho, N):
+    for group, least in _least_rank_groups(scheme, rho, N, digits):
         hits = np.flatnonzero(least <= 2 * t)
         if len(hits):
             return seen + int(hits[0]), group[hits[0]]
@@ -643,14 +652,14 @@ def _error_digits(ctx, N: int, t: int, most: int) -> Iterator[np.ndarray]:
             lo, size = lo + len(idx), min(2 * size, most)
 
 
-def _negated_images(scheme: NestedScheme, transfers: np.ndarray) -> np.ndarray:
+def _negated_images(scheme: NestedScheme, transfers: np.ndarray, digits=None) -> np.ndarray:
     """Digits of -v A^T mod q, shape (count, messages, |C2|, N, m), for C1's
     codewords v in codeword_digits order (one row per coset, in messages()
     order) and each N x n base-field matrix A with row ids transfers[i]:
     N m |C1| digits per A, which callers size their blocks by."""
     q = scheme.ctx.q
     images = np.concatenate([_images_under(words, q, transfers)
-                             for words in scheme.codeword_digits()], axis=3)
+                             for words in (digits or scheme.codeword_digits)()], axis=3)
     negated = (q - images.astype(np.min_scalar_type(2 * (q - 1)))) % q
     return negated.transpose(0, 3, 1, 2).reshape(
         len(transfers), scheme.message_count(), scheme.c2.codeword_count(), *images.shape[1:3])
@@ -668,8 +677,8 @@ def _digit_scores(q: int, words: np.ndarray, negated: np.ndarray) -> np.ndarray:
                    q).min(axis=2) for lo in range(0, negated.shape[1], step)], axis=1)
 
 
-def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int,
-               N: int) -> tuple[int, np.ndarray, int, int, int] | None:
+def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int, N: int,
+               digits) -> tuple[int, np.ndarray, int, int, int] | None:
     """(k, E, c, true, other): the first hit in (E, S) row-major order under
     the N x n transfer matrix A with row ids ids, as the field-arithmetic
     row-space loop meets it: error k of _error_digits (digits N x m), the
@@ -677,7 +686,7 @@ def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int,
     <= true, the true coset's score; or None.  The errors are received words
     under A for _digit_scores, in blocks that start at one error and double,
     as a refuted budget often fails early."""
-    negated = _negated_images(scheme, ids[None])
+    negated = _negated_images(scheme, ids[None], digits)
     seen = 0
     for errors in _error_digits(scheme.ctx, N, t, max(1, PACKED_BLOCK // max(1, negated.size))):
         if not len(errors):
@@ -704,19 +713,21 @@ def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> Capa
     vector on field arithmetic, so its bit bounds and the transfer family's
     enumeration cap apply, not the scan cap.  Otherwise (q > 2, or past those
     bounds or 2^20 messages or coset members) the digit decider runs after
-    the error cap, then admits the transfers, then C1 under the scan cap; a
-    verified budget needs nothing more, and a refuted one is scored by
-    _first_hit at the first failing A, its trials offset by the row spaces
-    before it."""
+    the error cap, on C1 listed once for the report (_c1_digits) or, past
+    PACKED_BLOCK, streamed under the scan cap once the transfers are
+    admitted; a verified budget needs nothing more, and a refuted one is
+    scored by _first_hit at the first failing A, on the same listing, its
+    trials offset by the row spaces before it."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     if not _packs(ctx, N, n) or m * max(l, scheme.c2.k) > 20:
         require_error_cap(ctx, N, t)
-        n_errors, failing = error_count(ctx, N, t), _first_failing_row_space(scheme, t, rho, N)
+        digits, n_errors = _c1_digits(scheme), error_count(ctx, N, t)
+        failing = _first_failing_row_space(scheme, t, rho, N, digits)
         if failing is None:
             return _exhaustive_report(scheme, "exhaustive", t, rho, N,
                                       _transfer_count(ctx.q, n, N, rho) * n_errors, n_errors, None)
         i, ids = failing
-        hit = _first_hit(scheme, ids, t, N)
+        hit = _first_hit(scheme, ids, t, N, digits)
         require(hit is not None, "no error fails at the decider's first failing row space")
         k, E, c, true_val, other = hit
         A = Matrix(ctx.base, [row_digits(b, ctx.q, n) for b in ids.tolist()], n)

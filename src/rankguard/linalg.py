@@ -250,7 +250,8 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
     """x A^T where x is over F_{q^m} and A is over the base field F_q."""
     if A.ncols != len(x):
         raise DimensionMismatch("A ncols must equal len(x)")
-    if not all(0 <= c < ctx.q for row in A.rows for c in row):
+    ints = (int, np.integer)  # what operator.index takes: a float, even 1.0, is refused
+    if not all(isinstance(c, ints) and 0 <= c < ctx.q for row in A.rows for c in row):
         raise PreconditionError(f"A must have base-field entries in 0..{ctx.q - 1}")
     out = []
     for row in A.rows:
@@ -262,17 +263,23 @@ def ext_vec_times_base_transpose(ctx: FieldCtx, x: Sequence[int], A: Matrix) -> 
     return tuple(out)
 
 
-def extend_echelon(field, pivots: tuple, row: Sequence[int]) -> tuple:
-    """Add row to pivots, (leading column, row with a one there) pairs sorted
-    by column: clear it at each pivot in that order, which never refills a
-    cleared column, and insert what is left at its leading column, scaled to
-    one.  A dependent row returns pivots itself."""
+def reduce_row(field, pivots: tuple, row: Sequence[int]) -> Sequence[int]:
+    """row cleared at each of pivots' leading columns in their order, which
+    never refills a cleared column: all zero exactly when row lies in their span."""
     mul = field.mul
     sub = xor if field.q == 2 else field.sub  # in characteristic 2, a - b = a ^ b
     for c, pivot in pivots:
         f = row[c]
         if f:
             row = [sub(a, mul(f, b)) if b else a for a, b in zip(row, pivot)]
+    return row
+
+
+def extend_echelon(field, pivots: tuple, row: Sequence[int]) -> tuple:
+    """Add row to pivots, (leading column, row with a one there) pairs sorted
+    by column: reduce it, and insert what is left at its leading column,
+    scaled to one.  A dependent row returns pivots itself."""
+    row, mul = reduce_row(field, pivots, row), field.mul
     for c, a in enumerate(row):
         if a:  # no two pivots share a leading column, so sorting compares columns only
             scale = field.inv(a)

@@ -20,11 +20,16 @@ dim(C cap V) = i - rank(H B^T), and the gap is
 rank(H2 B^T) - rank(H1 B^T): one (n-k) x i matrix per code.  Families
 stream B as a tuple of row ids (see `subspaces`), and no Matrix is built:
 each code keeps one table of the columns H b^T, filled by linearity as
-row ids are met (`LinearCode.parity_columns`).  A profile keeps the echelon
-(`linalg.extend_echelon`) of every suffix of the last basis it ranked per
-code and adds rows last to first; canonical bases vary row 0 fastest, so
-most cost one row reduction.  The reference, `LinearCode.intersect`, takes
-C cap V = (C_dual + V_dual)_dual for any V; tests compare the two.
+row ids are met (`LinearCode.parity_columns`).  A profile keeps the span
+of every suffix ids[1:], ids[2:], ... of the last basis it ranked per code,
+adding rows last to first; row 0 is a membership test (rank + 1 if H b_0^T
+is outside), and canonical bases vary row 0 fastest.  A span is an echelon
+(`linalg.extend_echelon`, row 0 by `reduce_row`), or at q = 2 a pivot dict
+of the keys of alpha^a H b^T, a < m (`LinearCode.parity_keys`), as
+rank_{F_{2^m}}(H B^T) = rank_{F_2}(E)/m for that F_2 expansion E: it is
+F_{2^m}-linear, so row 0 reduces one key, with no field arithmetic.  The
+echelons are its reference, and `LinearCode.intersect`, C cap V =
+(C_dual + V_dual)_dual for any V, is theirs; tests compare them.
 
 `rdip` takes each K_i as a bounded maximum: K_0 = 0 and K rises by unit
 steps to dim C1/C2, so level i stops at the first basis whose gap reaches
@@ -47,11 +52,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bitrank import rank_bits
+from .bitrank import extend_bits, rank_bits, reduce_bits
 from .codes import LinearCode, quotient_dim
 from .errors import LengthMismatch, PreconditionError, require
 from .gf import FieldCtx
-from .linalg import extend_echelon, rank_of_rows
+from .linalg import extend_echelon, rank_of_rows, reduce_row
 from .subspaces import SubspaceFamily
 
 
@@ -91,27 +96,53 @@ class WeightTable(ProfileTable):
 
 
 class _Columns:
-    """One code's ranks of H B^T over a stream of bases, read from the
-    code's column table (`LinearCode.parity_columns`)."""
+    """One code's ranks of H B^T over a stream of bases, at any q, on
+    echelons of its columns (`LinearCode.parity_columns`)."""
+
+    suffix, spans, empty = None, (), ()  # spans[j] spans the columns of ids[j:]
 
     def __init__(self, code: LinearCode):
         self.ctx, self.columns = code.ctx, code.parity_columns
-        self.ids, self.echelons = (), [()]  # echelons[k] spans the columns of ids[k:]
 
     def rank(self, ids: tuple[int, ...]) -> int:
         """rank(H B^T) over F_{q^m}, B the base-field rows with these ids; only
-        the rows before the suffix shared with the last basis are reduced."""
-        k = len(ids)
-        if k != len(self.ids):
-            self.echelons = [()] * (k + 1)
-        else:
-            while k and ids[k - 1] == self.ids[k - 1]:
-                k -= 1
-        echelons, columns = self.echelons, self.columns
-        for j in range(k - 1, -1, -1):
-            echelons[j] = extend_echelon(self.ctx, echelons[j + 1], columns[ids[j]])
-        self.ids = ids
-        return len(echelons[0])
+        the rows before the suffix shared with the last basis are added."""
+        if not ids:
+            return 0
+        suffix, spans, k = ids[1:], self.spans, len(ids)
+        if suffix != self.suffix:
+            if len(spans) != k + 1:
+                spans = self.spans = [self.empty] * (k + 1)
+            else:
+                while ids[k - 1] == self.suffix[k - 2]:
+                    k -= 1
+            for j in range(k - 1, 0, -1):
+                spans[j] = self.extend(spans[j + 1], ids[j])
+            self.suffix = suffix
+        return self.rank_with(spans[1], ids[0])
+
+    def extend(self, span: tuple, row_id: int) -> tuple:
+        return extend_echelon(self.ctx, span, self.columns[row_id])
+
+    def rank_with(self, span: tuple, row_id: int) -> int:
+        return len(span) + any(reduce_row(self.ctx, span, self.columns[row_id]))
+
+
+class _PackedColumns(_Columns):
+    """_Columns at q = 2 on pivot dicts of `LinearCode.parity_keys`: a row
+    adds all m keys or none, as the key of H b^T reduces to 0 or not."""
+
+    empty = {}  # never changed: a new span is a copy
+
+    def __init__(self, code: LinearCode):
+        self.m, self.columns = code.ctx.m, code.parity_keys
+
+    def extend(self, span: dict, row_id: int) -> dict:
+        keys = self.columns[row_id]
+        return extend_bits(span, keys) if reduce_bits(span, keys[0]) else span
+
+    def rank_with(self, span: dict, row_id: int) -> int:
+        return len(span) // self.m + (reduce_bits(span, self.columns[row_id][0]) != 0)
 
 
 class _PairEngine:
@@ -123,7 +154,8 @@ class _PairEngine:
         self.ctx, self.n = c1.ctx, c1.n
         # every level is admitted before a column is read
         self.families = [SubspaceFamily(self.ctx, self.n, i, family) for i in range(self.n + 1)]
-        self.cols1, self.cols2 = _Columns(c1), _Columns(c2)
+        columns = _PackedColumns if self.ctx.q == 2 else _Columns
+        self.cols1, self.cols2 = columns(c1), columns(c2)
 
     def gap(self, ids: tuple[int, ...]) -> int:
         """dim(C1 cap V) - dim(C2 cap V) for V spanned by the base-field rows with these ids."""

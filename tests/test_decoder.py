@@ -1107,6 +1107,48 @@ def test_decode_refuses_transfer_entries_outside_the_base_field(case, bad):
         decode_coherent(scheme, A, (1,) + (0,) * (scheme.n - 1))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), "1"])
+def test_field_products_refuse_non_integer_transfer_entries(bad):
+    # ext_vec_times_base_transpose once checked 0 <= c < q only, so a float
+    # passed: A = [[0.5, 0], [0, 1]] scored a discrepancy of 1
+    scheme = build_proposed(ctx_new(3, 3), 1, 2, 1)
+    ctx, n, S = scheme.ctx, scheme.n, (0,)
+    A, eye = Matrix(ctx.base, [[bad, 0], [0, 1]], n), Matrix.identity(ctx.base, n)
+    X = scheme.encode(S, random.Random(0))
+    for call in (lambda: discrepancy_coherent(scheme, A, (0,) * n, S),
+                 lambda: transmit(ctx, X, A, eye, (0,) * n),
+                 lambda: transmit(ctx, X, eye, A, (1,) * n)):
+        with pytest.raises(PreconditionError, match="A must have base-field entries"):
+            call()
+    # integer types still pass, and so does every transfer matrix the oracle lists
+    ints = Matrix(ctx.base, [[np.int64(1), False], [0, True]], n)
+    assert discrepancy_coherent(scheme, ints, X, S) == discrepancy_coherent(scheme, eye, X, S) == 0
+    lifted = lift(scheme, ctx_new(3, 5))
+    Y = lifted.lift_encode(S, random.Random(1))
+    for rho in range(n + 1):
+        assert (discrepancy_noncoherent(lifted, Y, S, rho, mode="oracle")
+                == discrepancy_noncoherent(lifted, Y, S, rho) == 0)
+
+
+@pytest.mark.parametrize("block, kept", [(8192, True), (4096, False)])
+def test_row_space_report_lists_c1_once(monkeypatch, block, kept):
+    # the q > 2 decider once listed C1 per transfer group and _first_hit
+    # listed it again; a report keeps C1's digits (729 codewords, 6561
+    # digits) while they fit in PACKED_BLOCK elements and streams them past
+    # that.  Either block makes one transfer matrix per group
+    scheme = random_scheme(random.Random(0), ctx_new(3, 3), 3, 1, 1)  # M_1 = 2
+    listing, calls = NestedScheme.codeword_digits, []
+    monkeypatch.setattr(NestedScheme, "codeword_digits",
+                        lambda self, start=0: calls.append(start) or listing(self, start))
+    monkeypatch.setattr(decoder, "PACKED_BLOCK", block)
+    for t, rho in [(0, 1), (0, 2), (1, 0)]:
+        calls.clear()
+        report = capability_report(scheme, t, rho)
+        assert report.verified == (2 * t + rho < 2)
+        assert (len(calls) == 1) == kept
+        assert report.to_json() == exhaustive_coherent_generic(scheme, t, rho, scheme.n).to_json()
+
+
 def test_noncoherent_refuses_impossible_receptions():
     # one received packet cannot come from a rank-2 transfer matrix: the fast
     # mode once scored 1, the oracle found no transfer matrix and returned

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from rankguard import (AmbientMismatch, EnumerationTooLarge, LengthMismatch, NotASubcode,
                        ctx_new, rank_metrics, subspaces)
+from rankguard.bitrank import pack_key
 from rankguard.codes import LinearCode, gabidulin
 from rankguard.linalg import Matrix, embed_base_matrix, expand_to_base, vec_mat
 from rankguard.rank_metrics import (
@@ -207,6 +208,59 @@ def test_suffix_echelons_match_rref(q, m):
         assert cols.rank(ids) == parity.matmul(B.transpose()).rref()[1], ids
 
 
+def _id_streams(rng, ctx, n):
+    """Row-id tuples of every basis of both families, then random ids (zero
+    and repeated rows too) of changing length, empty included."""
+    q = ctx.q
+    bases = [ids for kind in ("qinvariant", "coordinate")
+             for i in range(n + 1) for ids in SubspaceFamily(ctx, n, i, kind).bases]
+    return bases + [tuple(rng.randrange(q**n) for _ in range(rng.randrange(n + 2)))
+                    for _ in range(100)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (4, 5), (9, 5)])
+def test_packed_ranks_match_any_q_path(m, n):
+    # the q = 2 kernel against the any-q suffix echelons on every basis, for
+    # C2 = {0}, C1 = full and random codes; at m = 9, n - k = 4 parity rows
+    # make 36-bit keys.  Each key is alpha^a times a column, packed, and each
+    # witness's gap is intersect's
+    ctx = ctx_new(2, m)
+    rng = random.Random(71 + m * n)
+    pairs = [(LinearCode.full(ctx, n), LinearCode.zero(ctx, n)),
+             rand_nested_pair(rng, ctx, n, 1, 0), rand_nested_pair(rng, ctx, n, n - 1, 1),
+             rand_nested_pair(rng, ctx, n, 2, 1)]
+    streams = _id_streams(rng, ctx, n)
+    powers = [ctx.pow(ctx.alpha, a) for a in range(m)]
+    for c1, c2 in pairs:
+        for code in (c1, c2):
+            packed, reference = rank_metrics._PackedColumns(code), rank_metrics._Columns(code)
+            for ids in streams:
+                assert packed.rank(ids) == reference.rank(ids), (code.k, ids)
+            for b, keys in code.parity_keys.items():
+                assert keys == tuple(pack_key([ctx.mul(p, x) for x in code.parity_columns[b]], m)
+                                     for p in powers)
+        for kind in ("qinvariant", "coordinate"):
+            profile = rdip(c1, c2, family=kind)
+            for i, ids in enumerate(profile.witnesses):
+                V = LinearCode(ctx, [row_digits(b, 2, n) for b in ids], n)
+                assert c1.intersect(V).k - c2.intersect(V).k == profile.at(i)
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_wei_duality_of_rank_weights(q, m):
+    # an independent reference for the profiles (Jurrius and Pellikaan
+    # 2017): with C2 = {0}, the weights M_j(C) and n + 1 - M_j(C dual)
+    # partition 1..n
+    ctx = ctx_new(q, m)
+    rng = random.Random(79 + q * m)
+    for _ in range(12):
+        n = rng.randrange(2, 6)
+        code, zero = rand_nested_pair(rng, ctx, n, rng.randrange(1, n), 0)
+        primal = rgrw(code, zero).values
+        dual = tuple(n + 1 - w for w in rgrw(code.dual(), zero).values)
+        assert sorted(primal + dual) == list(range(1, n + 1)), (code.gen, primal, dual)
+
+
 def _lowest_digit(row_id: int, q: int) -> int:
     while row_id % q == 0:
         row_id //= q
@@ -242,6 +296,7 @@ def test_refused_profile_builds_no_column_table(monkeypatch, family):
     with pytest.raises(EnumerationTooLarge, match=f"{family} subspaces exceed cap 5"):
         rdip(c1, c2, family=family)
     assert len(c1.parity_columns) == len(c2.parity_columns) == 1
+    assert len(c1.parity_keys) == len(c2.parity_keys) == 1  # the q = 2 table too
 
 
 @pytest.mark.parametrize("q, m, n, whole", [(7, 2, 3, True), (251, 1, 3, False)])
