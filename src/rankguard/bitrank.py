@@ -29,8 +29,7 @@ def reduce_bits(pivots: dict[int, int], v: int) -> int:
 
 
 def extend_bits(pivots: dict[int, int], rows: Iterable[int]) -> dict[int, int]:
-    """A copy of pivots with rows added: one new pivot per independent row."""
-    pivots = dict(pivots)
+    """pivots with rows added in place: one new pivot per independent row."""
     for v in rows:
         if v := reduce_bits(pivots, v):
             pivots[v.bit_length() - 1] = v

@@ -153,6 +153,8 @@ class LinearCode:
         """At q = 2, the packed keys (bitrank.pack_key) of alpha^a H b^T, a < m,
         an F_2 basis of F_{2^m} H b^T when that is nonzero, kept the same way."""
         ctx, m, steps = self.ctx, self.ctx.m, []
+        if ctx.q != 2:
+            raise PreconditionError(f"packed parity keys need q = 2, got q = {ctx.q}")
         ones, fold = pack_key([1] * (self.n - self.k), m), ctx.mul(ctx.alpha, 1 << m - 1)
         for h in self.dual().gen.transpose().rows:
             keys = [pack_key(h, m)]

@@ -132,14 +132,14 @@ class _PackedColumns(_Columns):
     """_Columns at q = 2 on pivot dicts of `LinearCode.parity_keys`: a row
     adds all m keys or none, as the key of H b^T reduces to 0 or not."""
 
-    empty = {}  # never changed: a new span is a copy
+    empty = {}  # never changed: extend copies a span before adding to it
 
     def __init__(self, code: LinearCode):
         self.m, self.columns = code.ctx.m, code.parity_keys
 
     def extend(self, span: dict, row_id: int) -> dict:
         keys = self.columns[row_id]
-        return extend_bits(span, keys) if reduce_bits(span, keys[0]) else span
+        return extend_bits(dict(span), keys) if reduce_bits(span, keys[0]) else span
 
     def rank_with(self, span: dict, row_id: int) -> int:
         return len(span) // self.m + (reduce_bits(span, self.columns[row_id][0]) != 0)

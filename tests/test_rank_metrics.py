@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rankguard import (AmbientMismatch, EnumerationTooLarge, LengthMismatch, NotASubcode,
-                       ctx_new, rank_metrics, subspaces)
+                       PreconditionError, ctx_new, rank_metrics, subspaces)
 from rankguard.bitrank import pack_key
 from rankguard.codes import LinearCode, gabidulin
 from rankguard.linalg import Matrix, embed_base_matrix, expand_to_base, vec_mat
@@ -244,6 +244,11 @@ def test_packed_ranks_match_any_q_path(m, n):
             for i, ids in enumerate(profile.witnesses):
                 V = LinearCode(ctx, [row_digits(b, 2, n) for b in ids], n)
                 assert c1.intersect(V).k - c2.intersect(V).k == profile.at(i)
+
+
+def test_packed_keys_refuse_odd_q():
+    with pytest.raises(PreconditionError, match="packed parity keys need q = 2"):
+        LinearCode.full(ctx_new(3, 2), 2).parity_keys
 
 
 @pytest.mark.parametrize("q, m", [(2, 2), (2, 3), (2, 4), (3, 2)])
