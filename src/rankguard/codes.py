@@ -203,9 +203,9 @@ class LinearCode:
         caller gets NotSystematizable and must permute explicitly.
         """
         lead = self.gen.submatrix(cols=range(self.k))
-        if lead.rref()[1] < self.k:
+        red, _, pivots = lead.augment(Matrix.identity(self.ctx, self.k)).rref()
+        if pivots != tuple(range(self.k)):  # [lead | I] has rank k; singular lead puts a pivot in I
             raise NotSystematizable("leading k columns of the generator are singular")
-        red, _, _ = lead.augment(Matrix.identity(self.ctx, self.k)).rref()
         transform = red.submatrix(cols=range(self.k, 2 * self.k))
         return LinearCode(self.ctx, transform.matmul(self.gen)), transform
 

@@ -3,8 +3,11 @@
 One Matrix class serves both field levels: anything exposing the small
 field protocol of gf.PrimeField / gf.FieldCtx (zero, one, add, sub, neg,
 mul, inv) can be the entry domain.  Rows are tuples of ints, matrices are
-immutable, and RREF is the canonical form.  Subspaces of F_{q^m}^n are
-codes.LinearCode values, compared by their RREF bases.
+immutable, and RREF is the canonical form.  One incremental echelon,
+extend_echelon, serves canonical forms (Matrix.rref), ranks (rank_of_rows)
+and the profile spans of rank_metrics; an RREF matrix knows it is one, so
+it is not eliminated again.  Subspaces of F_{q^m}^n are codes.LinearCode
+values, compared by their RREF bases.
 
 Vectors are plain tuples and are always treated as row vectors.  For
 batched work an F_{q^m} vector is its base-q digit array instead (an
@@ -23,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitrank import rank_bits
-from .errors import DimensionMismatch, PreconditionError, json_field, json_ints
+from .bitrank import pack_key, rank_bits
+from .errors import DimensionMismatch, PreconditionError, json_agrees, json_field, json_ints
 from .gf import FieldCtx, PrimeField
 
 
@@ -52,8 +55,8 @@ class Matrix:
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        rows = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+        return Matrix._canonical(field, rows, n, tuple(range(n)))
 
     @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Matrix":
@@ -112,42 +115,40 @@ class Matrix:
     # -- canonical form -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Unique reduced row-echelon form: (matrix, rank, pivot columns)."""
-        if self._rref_cache is not None:
-            return self._rref_cache
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] != f.zero), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = f.inv(rows[r][c])
-            if inv != f.one:
-                rows[r] = [f.mul(inv, a) for a in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != f.zero:
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        result = (Matrix(f, rows, self.ncols), r, tuple(pivots))
-        self._rref_cache = result
-        return result
+        """Unique reduced row-echelon form: (matrix, rank, pivot columns).
+
+        The rows pass through extend_echelon, each pivot row is cleared at
+        the pivots after it (reduce_row), and the zero rows follow.  The
+        result, like row_basis(), records that it is its own RREF by rank
+        and pivots only (no reference to itself, so no cycle)."""
+        if self._rref_cache is None:
+            f = self.field
+            echelon = reduce(lambda pivots, row: extend_echelon(f, pivots, row), self.rows, ())
+            rows = [reduce_row(f, echelon[i + 1:], row) for i, (_, row) in enumerate(echelon)]
+            rows += [(f.zero,) * self.ncols] * (self.nrows - len(rows))
+            pivots = tuple(c for c, _ in echelon)
+            self._rref_cache = (Matrix._canonical(f, rows, self.ncols, pivots), len(pivots), pivots)
+        red, rank, pivots = self._rref_cache
+        return self if red is None else red, rank, pivots
+
+    @staticmethod
+    def _canonical(field, rows, ncols: int, pivots: tuple[int, ...]) -> "Matrix":
+        """Rows already in RREF with these pivot columns, recorded as such."""
+        red = Matrix(field, rows, ncols)
+        red._rref_cache = (None, len(pivots), pivots)
+        return red
 
     def rank(self) -> int:
         if isinstance(self.field, PrimeField) and self.field.q == 2:
-            return rank_bits(pack_row_bits(r) for r in self.rows)
+            return rank_bits(pack_key(r, 1) for r in self.rows)
         return self.rref()[1]
 
     def row_basis(self) -> "Matrix":
         """RREF with zero rows dropped: the canonical basis of the row space."""
-        red, rank, _ = self.rref()
-        return Matrix(self.field, red.rows[:rank], self.ncols)
+        red, rank, pivots = self.rref()
+        if rank == red.nrows:
+            return red
+        return Matrix._canonical(self.field, red.rows[:rank], self.ncols, pivots)
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (rows) of {y : M y^T = 0}."""
@@ -190,17 +191,13 @@ class Matrix:
         if isinstance(field, FieldCtx):
             rows = [[field.from_coeffs(json_ints(e, "coefficient vector", field.q)) for e in row]
                     for row in entries]
+            if any(len(e) != field.m for row in entries for e in row):
+                raise PreconditionError(f"each coefficient vector must have m = {field.m} digits")
         else:
             rows = [json_ints(row, "matrix row", field.q) for row in entries]
-        return Matrix(field, rows, json_field(data, "cols", int))
-
-
-def pack_row_bits(row: Sequence[int]) -> int:
-    acc = 0
-    for i, v in enumerate(row):
-        if v:
-            acc |= 1 << i
-    return acc
+        matrix = Matrix(field, rows, json_field(data, "cols", int))
+        json_agrees(data, {"rows": matrix.nrows}, "matrix")
+        return matrix
 
 
 # -- vector helpers -----------------------------------------------------------

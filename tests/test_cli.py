@@ -279,9 +279,12 @@ def test_out_of_range_numbers(scheme_file, tmp_path, capsys, args, code):
     lambda d: d["c1"].__setitem__("k", 1),
     lambda d: d["c2"].__setitem__("n", "3"),
     lambda d: d["c1"].__setitem__("modulus", [True, 1, 0, 0, 1]),
+    lambda d: d["delta_g"].__setitem__("rows", 2),
+    lambda d: d["delta_g"]["entries"][0].__setitem__(0, [0, 0, 0]),  # 0 in 3 of m = 4 digits
 ], ids=["generator-int", "entries-str", "entry-not-coeffs", "coeff-out-of-range",
         "q-str", "modulus-str", "c2-missing", "c1-other-q", "c2-other-modulus", "n-disagrees",
-        "l-disagrees", "k-disagrees", "c1-k-disagrees", "c2-n-str", "c1-modulus-bool"])
+        "l-disagrees", "k-disagrees", "c1-k-disagrees", "c2-n-str", "c1-modulus-bool",
+        "delta-g-rows-disagree", "coeffs-short"])
 def test_malformed_scheme_json(scheme_file, capsys, corrupt):
     data = json.loads(scheme_file.read_text())
     corrupt(data)

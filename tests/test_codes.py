@@ -80,6 +80,30 @@ def test_dual_is_computed_once(monkeypatch):
     assert LinearCode.zero(F16, 4).dual() == LinearCode.full(F16, 4)
 
 
+@pytest.mark.parametrize("ctx", [F16, ctx_new(3, 2)], ids=["F16", "F9"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_canonical_generators_are_not_eliminated_again(monkeypatch, ctx, k):
+    # a canonical generator records that it is its own RREF: a fresh code's
+    # dual eliminates only the kernel basis, and a code rebuilt from its
+    # generator eliminates nothing
+    eliminations = []
+    rref = Matrix.rref
+
+    def counting(self):
+        if self._rref_cache is None:
+            eliminations.append(self)
+        return rref(self)
+
+    rng = random.Random(26 + k)
+    code, fresh = rand_code(rng, ctx, 4, k), rand_code(rng, ctx, 4, k)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    assert LinearCode(code.ctx, code.gen) == code and eliminations == []
+    dual = fresh.dual()
+    assert len(eliminations) == 1 and dual.dual() is fresh
+    # the zero code's empty generator is eliminated; the identity of its dual is canonical
+    assert LinearCode.zero(ctx, 4).dual().k == 4 and len(eliminations) == 2
+
+
 def test_dual_links_back_weakly():
     # the source is freed by reference counting alone (no cycle), and the
     # dual then computes its own dual again, equal by value

@@ -50,7 +50,6 @@ from rankguard.linalg import (
     embed_base_matrix,
     ext_vec_times_base_transpose,
     expand_to_base,
-    pack_row_bits,
     vec_add,
     vec_sub,
 )
@@ -431,7 +430,7 @@ def _sweep_inputs(scheme, t, rho, N):
 
 
 def _canonical_keys(scheme, rho, N):
-    return np.array([pack_key([pack_row_bits(r) for r in A.rows], scheme.n)
+    return np.array([pack_key([pack_key(r, 1) for r in A.rows], scheme.n)
                      for A in _canonical_transfers(2, scheme.n, N, rho)],
                     dtype=np.uint32)
 
@@ -709,7 +708,7 @@ def test_product_keys_match_field_product(m, n, N):
     rng = random.Random(92)
     xs = [tuple(rng.randrange(ctx.order) for _ in range(n)) for _ in range(6)]
     mats = [sample_matrix(rng, 2, N, n) for _ in range(30)]
-    a_keys = np.array([pack_key([pack_row_bits(r) for r in A.rows], n) for A in mats],
+    a_keys = np.array([pack_key([pack_key(r, 1) for r in A.rows], n) for A in mats],
                       dtype=np.uint32)
     keys = _product_keys(row_image_tables(xs, m), a_keys, m, n, N)
     for A, row in zip(mats, keys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankguard import AmbientMismatch, PreconditionError, ctx_new
+from rankguard import AmbientMismatch, PreconditionError, ctx_new, linalg
 from rankguard.bitrank import PACKED_BLOCK, PackedRankTable, pack_key, packed_rank_table, rank_bits
 from rankguard.codes import LinearCode
 from rankguard.gf import PrimeField
@@ -201,6 +201,59 @@ def test_extend_echelon_in_every_row_order(q, m):
                 assert columns == sorted(set(columns))
                 assert all(list(p[:c + 1]) == [0] * c + [1] for c, p in pivots)
                 assert Matrix(ctx, [p for _, p in pivots], ncols).row_basis() == span
+
+
+FIELDS = {"F2": GF2, "F3": PrimeField(3), "F5": PrimeField(5),
+          "F16": F16, "F9": ctx_new(3, 2), "F25": ctx_new(5, 2)}
+
+
+def row_space(field, M):
+    """Every field combination of M's rows, by vec_mat alone: no elimination."""
+    return {vec_mat(field, x, M) for x in itertools.product(range(field.order), repeat=M.nrows)}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_rref_against_reference(monkeypatch, name):
+    # the definition of RREF read off the rows, and the row space by brute
+    # force at tiny sizes; an RREF is returned as its own RREF, unchanged
+    field = FIELDS[name]
+    rng = random.Random(len(name) * field.order)
+    for nrows, ncols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 1), (2, 3), (3, 2), (3, 4), (5, 3)]:
+        for trial in range(12):
+            M = Matrix(field, rand_rows(rng, field, nrows, ncols), ncols)
+            red, rank, pivots = M.rref()
+            assert (red.nrows, red.ncols) == (nrows, ncols)
+            nonzero = [any(row) for row in red.rows]
+            assert nonzero == [True] * rank + [False] * (nrows - rank)
+            leads = tuple(next(c for c, a in enumerate(row) if a) for row in red.rows[:rank])
+            assert pivots == leads and list(leads) == sorted(set(leads))
+            for i, c in enumerate(leads):
+                assert [row[c] for row in red.rows] == [int(j == i) for j in range(nrows)]
+            if trial < 3 and field.order**nrows <= 4096:
+                space = row_space(field, M)
+                assert row_space(field, red) == space and len(space) == field.order**rank
+            assert Matrix(field, red.rows, ncols).rref()[0] == red
+            basis = M.row_basis()
+            assert basis.rows == red.rows[:rank]
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "extend_echelon", None)  # any elimination would fail
+                assert red.rref() == (red, rank, pivots) and red.rref()[0] is red
+                assert basis.rref() == (basis, rank, pivots) and basis.row_basis() is basis
+
+
+def test_matrix_from_json_checks_rows_and_digits():
+    M = Matrix(F16, [[1, A, 0], [0, 0, 1]], 3)
+    data = M.to_json()
+    assert Matrix.from_json(F16, data) == M
+    assert Matrix.from_json(F16, {"cols": 3, "entries": data["entries"]}) == M  # rows left out
+    with pytest.raises(PreconditionError, match="records rows=7"):
+        Matrix.from_json(F16, {**data, "rows": 7})
+    with pytest.raises(PreconditionError, match="records rows=1"):
+        Matrix.from_json(GF2, {"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]})
+    for digits in ([1], [1, 0, 0, 0, 0], []):  # 1 and its zero tails, and 0
+        entries = [[digits, *row[1:]] for row in data["entries"]]
+        with pytest.raises(PreconditionError, match="must have m = 4 digits"):
+            Matrix.from_json(F16, {**data, "entries": entries})
 
 
 def test_rank_bits_matches_matrix_rank():
