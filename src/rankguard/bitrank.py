@@ -102,9 +102,9 @@ def row_image_tables(vectors: Sequence[Sequence[int]],
 
 def span_keys(gen_keys: np.ndarray) -> np.ndarray:
     """keys[A, c]: XOR of the columns of gen_keys[A] picked by the bits of c."""
-    keys = np.zeros((len(gen_keys), 1), dtype=np.uint32)
-    for k in range(gen_keys.shape[1]):
-        keys = np.concatenate([keys, keys ^ gen_keys[:, k:k + 1]], axis=1)
+    keys = np.zeros((len(gen_keys), 1 << gen_keys.shape[1]), dtype=np.uint32)
+    for k in range(gen_keys.shape[1]):  # filled in place: one array, not one per generator
+        np.bitwise_xor(keys[:, :1 << k], gen_keys[:, k:k + 1], out=keys[:, 1 << k:2 << k])
     return keys
 
 

@@ -50,29 +50,20 @@ is (c >> i*m) & (2^m - 1); combo 0 is the true coset.
 * The decider finds, over transfer keys in the order given, the first A
   under which some nonzero combo fails, and the least such combo c: one
   rank-table lookup per (A, codeword of C1 outside C2).
-* The error keys are built directly, in enumerate_errors order: E = z R,
-  R a canonical basis of dimension r, has key XOR_s z_s * spread(R_s), each
-  row's bit j spread to bit j*m, kept when that key has rank r.
-* Coherent decoding takes many received words per block, XORing the key of
-  each Y into C1's codeword keys under its A; codeword i lies in the coset
-  of combo i >> (m * dim C2), so one rank-table lookup per (word, codeword),
-  reshaped to (words, messages, |C2|) and minimized over the last axis,
-  scores every coset of every word.  Reversing the combo's symbols puts the
-  cosets in messages() order, and a word's two least scores give its
-  result, as on digit arrays below.
-* One numpy kernel scores the failing A alone, for its report: the least
-  discrepancy of each combo's coset members against each error, per block
-  of errors where a nonzero combo scores no worse than the true one.  The
-  row-space check (one canonical A per row space) reports the first hit in
-  (E, S) row-major order, S in messages() order, as the field-arithmetic
-  loop does; the raw full sweep (every transfer key, ascending) reports
-  combo c's first failing error.
+* The error keys are built directly, in enumerate_errors order and in
+  blocks (_error_key_blocks): E = z R, R a canonical basis of dimension r,
+  has key XOR_s z_s * spread(R_s), each row's bit j spread to bit j*m, kept
+  when that key has rank r.
+* _packed_scores scores every coset at many received words: each word's
+  key is XORed into C1's codeword keys under its A (or one A for all), one
+  rank-table lookup per (word, codeword), and each run of codewords folds
+  into its cosets' minima (codeword i lies in the coset of combo
+  i >> (m * dim C2)); reversing the combo's symbols gives messages() order.
 
-The decider and the decode span C1's codewords under many A at once when
+The decider and the scorer span C1's codewords under many A at once when
 all of C1 fits in PACKED_BLOCK elements, else under one A in runs of
-codewords; the kernel scores blocks of errors in slices of combos.  Each
-temporary holds at most PACKED_BLOCK elements, the |C2| coset-member keys of
-one combo, or the |C1| uint8 scores of a one-word decode block.
+codewords; each temporary holds at most PACKED_BLOCK elements, or one run's
+lookups for a block of words that its caller sizes by |C1|.
 
 For q > 2, and past the packed bit bounds, the row-space check decides on
 base-field digit arrays: C1's codewords outside C2 are the base-q digits
@@ -81,20 +72,27 @@ entries, the zero message's coset, are C2); the canonical A stream as row
 ids, the digits of v A^T are gathered from linalg.RowImages of the group's
 distinct ids, and linalg.rank_mod_q ranks every m x N digit matrix of v A^T
 in one batched F_q elimination; delta_min_over_A reads the same least ranks
-at every q.  A verified budget counts its trials and covered tuples with
-network.error_count and runs no field arithmetic.  A refuted one runs none
-either: _first_hit scores the decider's first failing A alone, its base-q
-error digits in enumerate_errors order (_error_digits) being received words
-under that A, its trials offset by the row spaces before it.  A decode past
-the packed bounds scores its words the same way (_digit_scores), each under
-its own A: a coset's score is the least rank of the word minus a member's
-image, and a tie for the least score is ambiguous.
+at every q.  _digit_scores scores words on digit arrays, a coset's score
+being the least rank of the word minus a member's image.  A decode scores
+its words, each under its own A, with _packed_scores within the packed
+bounds and _digit_scores past them; a tie for the least score is ambiguous.
+
+Every exhaustive mode counts trials and covered tuples with
+network.error_count.  A refuted budget is reported by one search at every
+q, _first_hit: the errors, in enumerate_errors order and in blocks that
+start at one error and double, are received words under the decider's
+first failing A alone, scored on error keys where the decider packs and on
+error digits (_error_digits) otherwise.  The row-space check reports the
+first hit in (E, S) row-major order, S in messages() order, as the
+field-arithmetic loop does, its trials offset by the row spaces before it;
+the raw full sweep (every transfer key, ascending) reports combo c's first
+failing error.  No report runs field arithmetic.
 
 The field-arithmetic row-space loop and the coset scans it runs on (in the
 tests) are the reference for both deciders' reports and for every decode;
-the kernel, one A at a time, is the reference for the packed decider;
-_closest_difference, for the digit decider's least ranks; enumerate_errors,
-for the error keys and digits.
+_packed_scores under one A, over every error, is the reference for the
+packed decider; _closest_difference, for the digit decider's least ranks;
+enumerate_errors, for the error keys and digits.
 """
 
 from __future__ import annotations
@@ -210,15 +208,7 @@ def _decode_block(scheme: NestedScheme, As: Sequence[Matrix],
         raise DimensionMismatch("vector lengths differ")
     if _packs(ctx, N, n):
         a_keys = entries.astype(np.uint32) @ (np.uint32(1) << np.arange(N * n, dtype=np.uint32))
-        y_keys = _pack_vectors(list(Ys), ctx.m, N)
-        table = packed_rank_table(N, ctx.m).table
-        scores = np.empty((len(As), scheme.c1.codeword_count()), dtype=np.uint8)
-        for start, first, keys in _codeword_runs(scheme, a_keys, N):
-            rows = slice(start, start + len(keys))
-            scores[rows, first:first + keys.shape[1]] = table[keys ^ y_keys[rows, None]]
-        # combo c has symbol i on bits i*m: reversing the symbol axes gives messages() order
-        scores = scores.reshape(len(As), *(ctx.order,) * scheme.l, -1).min(axis=-1).transpose(
-            0, *range(scheme.l, 0, -1)).reshape(len(As), -1)
+        scores = _packed_scores(scheme, a_keys, _pack_vectors(list(Ys), ctx.m, N), N)
     else:
         transfers = entries.astype(np.int64).reshape(len(As), N, n) @ q ** np.arange(n)  # row ids
         words = field_digits(np.reshape(Ys, (len(Ys), N)), q, ctx.m).transpose(1, 2, 0)
@@ -377,28 +367,35 @@ def _pack_vectors(vectors, m: int, width: int) -> np.ndarray:
     return np.bitwise_or.reduce(np.array(vectors, dtype=np.uint32) << shifts, axis=-1)
 
 
-def _error_keys(ctx, N: int, t: int) -> np.ndarray:
-    """Packed keys of enumerate_errors(ctx, N, t), in its order (q = 2).
+def _error_key_blocks(ctx, N: int, t: int, most: int) -> Iterator[np.ndarray]:
+    """Packed keys of enumerate_errors(ctx, N, t), in its order (q = 2), in
+    blocks from one candidate doubling up to most, as _error_digits yields.
 
     E = z R has key XOR_s z_s * spread(R_s), where spread puts bit j of row
     R_s on bit j*m; carry-free, as z_s < 2^m.  The candidates run over
-    subspaces, then z in product order, in slices of PACKED_BLOCK; the
-    errors are those of key rank r (z's components F_2-independent)."""
+    subspaces, then z in product order; the errors are those of key rank r
+    (z's components F_2-independent)."""
     require_error_cap(ctx, N, t)
     table = packed_rank_table(N, ctx.m).table
     z = np.arange(1, ctx.order, dtype=np.uint32)
-    parts, nz = [np.zeros(1, dtype=np.uint32)], len(z)
+    yield np.zeros(1, dtype=np.uint32)
+    nz, size = len(z), min(2, most)
     for r in range(1, min(t, N, ctx.m) + 1):
         ids = np.array(list(base_subspace_ids(2, N, r)), dtype=np.uint32)[..., None]
         rows = _pack_vectors(ids >> np.arange(N, dtype=np.uint32) & np.uint32(1), ctx.m, N)
-        count = len(rows) * nz ** r
-        for lo in range(0, count, PACKED_BLOCK):
-            idx = np.arange(lo, min(lo + PACKED_BLOCK, count), dtype=np.int64)
+        count, lo = len(rows) * nz ** r, 0
+        while lo < count:
+            idx = np.arange(lo, min(lo + size, count), dtype=np.int64)
             keys = np.zeros(len(idx), dtype=np.uint32)
             for s in range(r):  # z_s - 1 is digit r - 1 - s of idx in base 2^m - 1
                 keys ^= z[idx // nz ** (r - 1 - s) % nz] * rows[idx // nz ** r, s]
-            parts.append(keys[table[keys] == r])
-    return np.concatenate(parts)
+            yield keys[table[keys] == r]
+            lo, size = lo + len(idx), min(2 * size, most)
+
+
+def _error_keys(ctx, N: int, t: int) -> np.ndarray:
+    """Every block of _error_key_blocks, each within PACKED_BLOCK candidates, in one array."""
+    return np.concatenate(list(_error_key_blocks(ctx, N, t, PACKED_BLOCK)))
 
 
 def _unpack_key(key: int, m: int, N: int) -> tuple[int, ...]:
@@ -458,31 +455,38 @@ def _first_failing_transfer(scheme: NestedScheme, a_keys: np.ndarray, t: int,
     return None
 
 
-def _failing_blocks(scheme: NestedScheme, a_key: int, e_keys: np.ndarray,
-                    N: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, vals), in order, for each block of errors e_keys[lo:]
-    under which a nonzero combo scores no worse than the true coset for the
-    packed N x n transfer matrix a_key (q = 2).  vals[c, k] is the least
-    discrepancy of combo c's coset members against error lo + k."""
-    m = scheme.ctx.m
-    table = packed_rank_table(N, m).table
-    e_keys = e_keys.astype(np.intp)
-    n_c2 = m * scheme.c2.k
-    gen_keys = _product_keys(scheme.row_images, np.array([a_key], dtype=np.uint32), m, scheme.n, N)
-    msg_keys = span_keys(gen_keys[:, n_c2:])[0, :, None, None]
-    member_keys = span_keys(gen_keys[:, :n_c2])[0, None, :, None]
-    n_msg, n_members, n_e = len(msg_keys), member_keys.shape[1], len(e_keys)
-    # blocks of errors, each scored in slices of message combos
-    width = min(n_e, max(1, PACKED_BLOCK // (n_msg * n_members)))
-    step = max(1, PACKED_BLOCK // (n_members * width))
-    for lo in range(0, n_e, width):
-        errs = e_keys[lo:lo + width]
-        vals = np.empty((n_msg, len(errs)), dtype=np.uint8)
-        for c in range(0, n_msg, step):
-            keys = msg_keys[c:c + step] ^ member_keys
-            np.take(table, keys ^ errs).min(axis=1, out=vals[c:c + step])
-        if (vals[1:] <= vals[:1]).any():
-            yield lo, vals
+def _packed_scores(scheme: NestedScheme, a_keys: np.ndarray, y_keys: np.ndarray,
+                   N: int) -> np.ndarray:
+    """scores[w, c]: coset c's discrepancy, in messages() order, at the packed
+    word y_keys[w] under the transfer key a_keys[w], or a_keys[0] for every
+    word; each run of _codeword_runs folds into its cosets' minima, so a word
+    keeps one byte per message."""
+    ctx, l = scheme.ctx, scheme.l
+    table = packed_rank_table(N, ctx.m).table
+    members = scheme.c2.codeword_count()
+    scores = np.full((len(y_keys), scheme.message_count()), N, dtype=np.uint8)  # no rank above N
+    for start, first, keys in _codeword_runs(scheme, a_keys, N):
+        rows = slice(start, start + len(keys)) if len(a_keys) > 1 else slice(None)
+        ranks = table[keys ^ y_keys[rows, None]]
+        # codeword i lies in the coset of combo i // |C2|; a run spans whole cosets or lies in one
+        least = ranks.reshape(len(ranks), -1, min(members, ranks.shape[1])).min(axis=2)
+        cosets = slice(first // members, first // members + least.shape[1])
+        np.minimum(scores[rows, cosets], least, out=scores[rows, cosets])
+    # combo c has symbol i on bits i*m: reversing the symbol axes gives messages() order
+    return scores.reshape(len(scores), *(ctx.order,) * l).transpose(
+        0, *range(l, 0, -1)).reshape(len(scores), -1)
+
+
+def _packed_hit(scheme: NestedScheme, a_key: int, t: int, N: int,
+                column: int | None = None) -> tuple[int, np.ndarray, int, int, int] | None:
+    """_first_hit under the packed N x n transfer key a_key (q = 2), E given
+    as its N x m digits: the errors are _error_key_blocks of up to
+    PACKED_BLOCK // |C1| candidates, scored by _packed_scores."""
+    m, a_keys = scheme.ctx.m, np.array([a_key], dtype=np.uint32)
+    blocks = _error_key_blocks(scheme.ctx, N, t, max(1, PACKED_BLOCK // scheme.c1.codeword_count()))
+    hit = _first_hit(blocks, lambda errors: _packed_scores(scheme, a_keys, errors, N), column)
+    # bit j*m + d of an error key is digit d of entry j
+    return hit and (hit[0], field_digits(int(hit[1]), 2, m * N).reshape(N, m), *hit[2:])
 
 
 # -- capability verification ------------------------------------------------------
@@ -517,6 +521,9 @@ def capability_report(scheme, t: int, rho: int, mode: str = "exhaustive", *,
     transfer matrix within the erasure budget rho.  Sampled mode runs
     trials seeded rounds (default 1000, or 200 for a lifted scheme) and
     refuses more than DEFAULT_SAMPLED_BUDGET before the first one."""
+    for name, value in (("t", t), ("rho", rho), ("N", N), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")  # not True as 1
     if t < 0 or not 0 <= rho <= scheme.n:
         raise PreconditionError(f"need t >= 0 and 0 <= rho <= n, got t={t}, rho={rho}")
     if trials is not None and trials < 1:
@@ -614,7 +621,7 @@ def _least_rank_groups(scheme: NestedScheme, rho: int, N: int,
 
 
 def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int,
-                             digits) -> tuple[int, np.ndarray] | None:
+                             digits) -> tuple[int, list[int]] | None:
     """(index in _transfer_groups order, row ids) of the first A under
     which some nonzero combo fails for an error of rank <= t, that is the
     first A whose least difference rank is <= 2t; or None."""
@@ -622,7 +629,7 @@ def _first_failing_row_space(scheme: NestedScheme, t: int, rho: int, N: int,
     for group, least in _least_rank_groups(scheme, rho, N, digits):
         hits = np.flatnonzero(least <= 2 * t)
         if len(hits):
-            return seen + int(hits[0]), group[hits[0]]
+            return seen + int(hits[0]), group[hits[0]].tolist()
         seen += len(least)
     return None
 
@@ -677,25 +684,24 @@ def _digit_scores(q: int, words: np.ndarray, negated: np.ndarray) -> np.ndarray:
                    q).min(axis=2) for lo in range(0, negated.shape[1], step)], axis=1)
 
 
-def _first_hit(scheme: NestedScheme, ids: np.ndarray, t: int, N: int,
-               digits) -> tuple[int, np.ndarray, int, int, int] | None:
-    """(k, E, c, true, other): the first hit in (E, S) row-major order under
-    the N x n transfer matrix A with row ids ids, as the field-arithmetic
-    row-space loop meets it: error k of _error_digits (digits N x m), the
-    least message index c > 0, in messages() order, whose coset scores other
-    <= true, the true coset's score; or None.  The errors are received words
-    under A for _digit_scores, in blocks that start at one error and double,
-    as a refuted budget often fails early."""
-    negated = _negated_images(scheme, ids[None], digits)
+def _first_hit(blocks: Iterable[np.ndarray], score: Callable[[np.ndarray], np.ndarray],
+               column: int | None = None) -> tuple[int, object, int, int, int] | None:
+    """(k, E, c, true, other): the first hit under one transfer matrix A in
+    (E, S) row-major order, as the field-arithmetic row-space loop meets it:
+    E = errors[k] of the blocks' stream, scored as received words under A by
+    score (scores[w, c], c in messages() order), and the least c > 0 (or c =
+    column alone) whose coset scores other <= true, the true coset's score;
+    or None."""
+    lo, hi = (1, None) if column is None else (column, column + 1)
     seen = 0
-    for errors in _error_digits(scheme.ctx, N, t, max(1, PACKED_BLOCK // max(1, negated.size))):
+    for errors in blocks:
         if not len(errors):
             continue
-        scores = _digit_scores(scheme.ctx.q, errors, negated)
-        hits = scores[:, 1:] <= scores[:, :1]
+        scores = score(errors)
+        hits = scores[:, lo:hi] <= scores[:, :1]
         if hits.any():
             k = int(hits.any(axis=1).argmax())
-            c = int(hits[k].argmax()) + 1
+            c = lo + int(hits[k].argmax())
             return seen + k, errors[k], c, int(scores[k, 0]), int(scores[k, c])
         seen += len(errors)
     return None
@@ -709,77 +715,66 @@ def _rowspace_counterexample(A: Matrix, E: list, S, true_val: int, other: int) -
 
 def _exhaustive_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Row-space check, one canonical A per row space, decided first.  For
-    q = 2 the packed decider takes N x n transfer keys (uint32); it lists no
-    vector on field arithmetic, so its bit bounds and the transfer family's
-    enumeration cap apply, not the scan cap.  Otherwise (q > 2, or past those
-    bounds or 2^20 messages or coset members) the digit decider runs after
-    the error cap, on C1 listed once for the report (_c1_digits) or, past
-    PACKED_BLOCK, streamed under the scan cap once the transfers are
-    admitted; a verified budget needs nothing more, and a refuted one is
-    scored by _first_hit at the first failing A, on the same listing, its
-    trials offset by the row spaces before it."""
+    q = 2 the packed decider takes N x n transfer keys (uint32) under its bit
+    bounds and the transfer cap, not the scan cap.  Otherwise (q > 2, past
+    those bounds, or past 2^20 messages or coset members) the digit decider
+    runs on C1 listed once for the report (_c1_digits) or, past PACKED_BLOCK,
+    streamed under the scan cap.  A refuted budget is scored by _first_hit at
+    the first failing A, its trials offset by the row spaces before it."""
     ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
+    require_error_cap(ctx, N, t)
+    n_errors = error_count(ctx, N, t)
     if not _packs(ctx, N, n) or m * max(l, scheme.c2.k) > 20:
-        require_error_cap(ctx, N, t)
-        digits, n_errors = _c1_digits(scheme), error_count(ctx, N, t)
+        digits = _c1_digits(scheme)
         failing = _first_failing_row_space(scheme, t, rho, N, digits)
         if failing is None:
             return _exhaustive_report(scheme, "exhaustive", t, rho, N,
                                       _transfer_count(ctx.q, n, N, rho) * n_errors, n_errors, None)
         i, ids = failing
-        hit = _first_hit(scheme, ids, t, N, digits)
-        require(hit is not None, "no error fails at the decider's first failing row space")
-        k, E, c, true_val, other = hit
-        A = Matrix(ctx.base, [row_digits(b, ctx.q, n) for b in ids.tolist()], n)
-        S = [int(s) for s in np.unravel_index(c, (ctx.order,) * l)]
-        return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * n_errors + k + 1, n_errors,
-                                  _rowspace_counterexample(A, E.tolist(), S, true_val, other))
-    e_keys = _error_keys(ctx, N, t)
-    _require_transfer_cap(2, n, N, rho)
-    # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
-    a_keys = np.fromiter((pack_key(ids, n) for r in range(n - rho, min(n, N) + 1)
-                          for ids in base_subspace_ids(2, n, r)), dtype=np.uint32)
-    hit = _first_failing_transfer(scheme, a_keys, t, N)
-    if hit is None:
-        return _exhaustive_report(scheme, "exhaustive", t, rho, N,
-                                  len(a_keys) * len(e_keys), len(e_keys), None)
-    i = hit[0]
-    lo, vals = next(_failing_blocks(scheme, int(a_keys[i]), e_keys, N))
-    # first hit in (E, S) row-major order, as the field-arithmetic loop meets
-    # it: messages() order compares symbol 0 first
-    ei = int((vals[1:] <= vals[0]).any(axis=0).argmax())
-    combos = np.flatnonzero(vals[1:, ei] <= vals[0, ei]) + 1
-    symbols = [(combos >> (j * m)) & (ctx.order - 1) for j in range(l)]
-    c = int(np.lexsort(symbols[::-1])[0])
-    A = Matrix(ctx.base, [row_digits(b, 2, n) for b in _unpack_key(int(a_keys[i]), n, N)], n)
-    E = [list(ctx.coeffs(e)) for e in _unpack_key(int(e_keys[lo + ei]), m, N)]
-    counterexample = _rowspace_counterexample(A, E, [int(s[c]) for s in symbols],
-                                              int(vals[0, ei]), int(vals[combos[c], ei]))
-    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * len(e_keys) + lo + ei + 1,
-                              len(e_keys), counterexample)
+        negated = _negated_images(scheme, np.array([ids]), digits)
+        hit = _first_hit(_error_digits(ctx, N, t, max(1, PACKED_BLOCK // max(1, negated.size))),
+                         lambda errors: _digit_scores(ctx.q, errors, negated))
+    else:
+        _require_transfer_cap(2, n, N, rho)
+        # at q = 2 a row id is the row's bits, and the zero padding rows add nothing
+        a_keys = np.fromiter((pack_key(ids, n) for r in range(n - rho, min(n, N) + 1)
+                              for ids in base_subspace_ids(2, n, r)), dtype=np.uint32)
+        failing = _first_failing_transfer(scheme, a_keys, t, N)
+        if failing is None:
+            return _exhaustive_report(scheme, "exhaustive", t, rho, N,
+                                      len(a_keys) * n_errors, n_errors, None)
+        i = failing[0]
+        ids, hit = _unpack_key(int(a_keys[i]), n, N), _packed_hit(scheme, int(a_keys[i]), t, N)
+    require(hit is not None, "no error fails at the decider's first failing row space")
+    k, E, c, true_val, other = hit
+    A = Matrix(ctx.base, [row_digits(b, ctx.q, n) for b in ids], n)
+    S = [int(s) for s in np.unravel_index(c, (ctx.order,) * l)]
+    return _exhaustive_report(scheme, "exhaustive", t, rho, N, i * n_errors + k + 1, n_errors,
+                              _rowspace_counterexample(A, E.tolist(), S, true_val, other))
 
 
 def _full_sweep_coherent(scheme: NestedScheme, t: int, rho: int, N: int) -> CapabilityReport:
     """Every transfer matrix literally, in ascending packed key (q = 2).  The
-    decider finds the first failing A and its least failing combo c; the
-    kernel scores that A alone, for c's first failing error."""
-    ctx, n, m = scheme.ctx, scheme.n, scheme.ctx.m
+    decider finds the first failing A and its least failing combo c;
+    _first_hit scores that A alone, for c's first failing error."""
+    ctx, n, m, l = scheme.ctx, scheme.n, scheme.ctx.m, scheme.l
     _require_packable(ctx.q, "full sweep", [("m*N", m * N, 22), ("N*n", N * n, 22)])
     require_scan_cap(scheme.c1.codeword_count())
     a_keys = _transfer_keys(N, n, rho)
-    e_keys = _error_keys(ctx, N, t)
+    require_error_cap(ctx, N, t)
+    n_errors = error_count(ctx, N, t)
     hit = _first_failing_transfer(scheme, a_keys, t, N)
     if hit is None:
         return _exhaustive_report(scheme, "exhaustive-full", t, rho, N,
-                                  len(a_keys) * len(e_keys), len(e_keys), None)
-    # first hit in (combo, E) row-major order: combo c's first failing error
+                                  len(a_keys) * n_errors, n_errors, None)
     i, c = hit
-    blocks = _failing_blocks(scheme, int(a_keys[i]), e_keys, N)
-    ei = next(lo + int(hits.argmax()) for lo, vals in blocks
-              for hits in [vals[c] <= vals[0]] if hits.any())
-    return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * len(e_keys),
-                              len(e_keys), {"A_key": int(a_keys[i]), "error_index": ei,
-                                            "difference_combo": c})
+    # symbol j of combo c sits on bits j*m; messages() order puts symbol 0 first
+    column = sum((c >> (j * m) & (ctx.order - 1)) * ctx.order ** (l - 1 - j) for j in range(l))
+    first = _packed_hit(scheme, int(a_keys[i]), t, N, column)
+    require(first is not None, "no error fails for the decider's least failing combo")
+    return _exhaustive_report(scheme, "exhaustive-full", t, rho, N, (i + 1) * n_errors, n_errors,
+                              {"A_key": int(a_keys[i]), "error_index": first[0],
+                               "difference_combo": c})
 
 
 def _draw(rng: random.Random, scheme, N: int, t: int, rho: int):

@@ -139,7 +139,9 @@ class _PackedColumns(_Columns):
 
     def extend(self, span: dict, row_id: int) -> dict:
         keys = self.columns[row_id]
-        return extend_bits(dict(span), keys) if reduce_bits(span, keys[0]) else span
+        if not (v := reduce_bits(span, keys[0])):
+            return span
+        return extend_bits({**span, v.bit_length() - 1: v}, keys[1:])  # keys[0] reduced once
 
     def rank_with(self, span: dict, row_id: int) -> int:
         return len(span) // self.m + (reduce_bits(span, self.columns[row_id][0]) != 0)

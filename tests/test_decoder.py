@@ -23,15 +23,22 @@ from rankguard.coset_scheme import LiftedScheme, NestedScheme, build_proposed, l
 from rankguard.subspaces import gaussian_binomial
 from rankguard.errors import DimensionMismatch
 from rankguard.decoder import (
+    _c1_digits,
     _closest_difference,
     _difference_words,
+    _digit_scores,
     _error_digits,
+    _error_key_blocks,
     _error_keys,
     _exhaustive_coherent,
-    _failing_blocks,
+    _first_failing_row_space,
     _first_failing_transfer,
+    _first_hit,
     _least_ranks,
+    _negated_images,
     _pack_vectors,
+    _packed_hit,
+    _packed_scores,
     _product_keys,
     _transfer_keys,
     capability_report,
@@ -547,23 +554,30 @@ def test_failing_keys_are_the_keys_of_rank_at_most_2t(m, N):
 
 
 def _kernel_failures(scheme, a_key, e_keys, N):
-    """{combo: its first failing error index} under one transfer key, from
-    every block the error-scoring kernel yields."""
-    first = {}
-    for lo, vals in _failing_blocks(scheme, int(a_key), e_keys, N):
-        for c in np.flatnonzero((vals[1:] <= vals[0]).any(axis=1)) + 1:
-            first.setdefault(int(c), lo + int((vals[c] <= vals[0]).argmax()))
-    return first
+    """{combo: its first failing error index} under one transfer key, every
+    error scored by _packed_scores, a slice of errors at a time."""
+    a_keys, first = np.array([a_key], dtype=np.uint32), np.full(scheme.message_count(), -1)
+    step = max(1, decoder.PACKED_BLOCK // scheme.c1.codeword_count())
+    for lo in range(0, len(e_keys), step):
+        scores = _packed_scores(scheme, a_keys, e_keys[lo:lo + step], N)
+        hits = scores <= scores[:, :1]
+        new = (first < 0) & hits.any(axis=0)
+        first[new] = lo + hits[:, new].argmax(axis=0)
+    # messages() order puts symbol 0 first; combo c has symbol j on bits j*m
+    indices = np.flatnonzero(first[1:] >= 0) + 1
+    symbols = np.unravel_index(indices, (scheme.ctx.order,) * scheme.l)
+    combos = sum(s << (j * scheme.ctx.m) for j, s in enumerate(symbols))
+    return dict(zip(combos.tolist(), first[indices].tolist()))
 
 
 @pytest.mark.parametrize("case", sorted(BITMAP_CASES))
 def test_failing_key_bitmap_matches_kernel(case):
-    # the decider against the per-A kernel, over raw and canonical keys
+    # the decider against the coset scorer under one A, over raw and canonical keys
     build, sizes = BITMAP_CASES[case]
     scheme = build(random.Random(94))
     firsts, deltas = [], {rho: delta_min_over_A(scheme, rho) for rho in range(scheme.n + 1)}
     for N, t in itertools.product(sizes, range(3)):
-        e_keys = _sweep_inputs(scheme, t, 0, N)[1]
+        e_keys = _error_keys(scheme.ctx, N, t)
         failures = {}  # per transfer key, computed on first use
         for rho in range(scheme.n + 1):
             raw = _transfer_keys(N, scheme.n, rho)
@@ -625,7 +639,7 @@ def test_least_failing_combo_past_first_slice(monkeypatch, block):
 
 
 def test_full_sweep_takes_bitmap_path(monkeypatch):
-    # verification scores no error: a kernel pass over any A would pass
+    # verification scores no error: a scorer pass over any A would pass
     # every equality test on the slow path
     def no_kernel(*args):
         pytest.fail("a verified budget scored errors")
@@ -633,8 +647,9 @@ def test_full_sweep_takes_bitmap_path(monkeypatch):
     f32 = ctx_new(2, 5)
     cases = [(build_proposed(f32, l=1, n=4, k=1), 4),  # C2 = {0}
              (flagship(), 2), (build_proposed(f32, l=1, n=4, k=2), 3)]
-    kernel, calls = decoder._failing_blocks, []
-    monkeypatch.setattr(decoder, "_failing_blocks", no_kernel)
+    first_hit, scores, hits, scored = decoder._first_hit, decoder._packed_scores, [], []
+    for name in ("_first_hit", "_packed_scores"):
+        monkeypatch.setattr(decoder, name, no_kernel)
     for scheme, weight in cases:
         assert first_rgrw(scheme.c1, scheme.c2) == weight
         for t, rho in itertools.product(range(2), range(scheme.n + 1)):
@@ -643,15 +658,57 @@ def test_full_sweep_takes_bitmap_path(monkeypatch):
                     assert capability_report(scheme, t, rho, mode=mode).verified
     assert capability_report(cases[2][0], 1, 0, mode="exhaustive-full").trials == 9394560
 
-    def counted(*args):
-        calls.append(args[1])
-        return kernel(*args)
+    def counted_hit(*args):
+        hits.append(args)
+        return first_hit(*args)
 
-    # a refuted report scores the failing A alone
-    monkeypatch.setattr(decoder, "_failing_blocks", counted)
+    def counted_scores(scheme, a_keys, *args):
+        scored.append(a_keys.tolist())
+        return scores(scheme, a_keys, *args)
+
+    # a refuted report searches once, scoring its failing A alone
+    monkeypatch.setattr(decoder, "_first_hit", counted_hit)
+    monkeypatch.setattr(decoder, "_packed_scores", counted_scores)
     for mode in ("exhaustive", "exhaustive-full"):
+        scored.clear()
         assert not capability_report(cases[2][0], 2, 0, mode=mode).verified
-    assert len(calls) == 2
+        assert scored and all(len(a_keys) == 1 for a_keys in scored)
+        assert len({a_key for a_keys in scored for a_key in a_keys}) == 1
+    assert len(hits) == 2
+
+
+@pytest.mark.parametrize("case", ["flagship", "two-symbol"])
+def test_packed_and_digit_first_hits_agree(monkeypatch, case):
+    # at q = 2 the packed and digit deciders pick the same row space, and a
+    # refuted budget's first hit under it is the same on error keys and on
+    # error digits; N = n - 1 and n + 1 too, and the two-symbol scheme's
+    # combo order is not messages() order
+    scheme = BITMAP_CASES[case][0](random.Random(94))
+    ctx, n, digits, refuted = scheme.ctx, scheme.n, _c1_digits(scheme), 0
+    for N, t, rho in itertools.product((n - 1, n, n + 1), range(3), range(n + 1)):
+        if N < n - rho:
+            continue
+        report = capability_report(scheme, t, rho, N=N).to_json()
+        failing = _first_failing_row_space(scheme, t, rho, N, digits)
+        decided = _first_failing_transfer(scheme, _canonical_keys(scheme, rho, N), t, N)
+        assert (failing is None) == (decided is None) == report["verified"]
+        if failing is None:
+            continue
+        refuted += 1
+        i, ids = failing
+        assert i == decided[0]
+        negated = _negated_images(scheme, np.array([ids]), digits)
+        most = max(1, decoder.PACKED_BLOCK // max(1, negated.size))
+        digit = _first_hit(_error_digits(ctx, N, t, most),
+                           lambda errors: _digit_scores(2, errors, negated))
+        packed = _packed_hit(scheme, pack_key(ids, n), t, N)
+        assert digit[0] == packed[0] and digit[2:] == packed[2:]
+        assert np.array_equal(digit[1], packed[1])
+        assert report == exhaustive_coherent_generic(scheme, t, rho, N).to_json()
+        with monkeypatch.context() as patched:
+            patched.setattr(decoder, "_packs", lambda *args: False)
+            assert capability_report(scheme, t, rho, N=N).to_json() == report
+    assert refuted >= 10
 
 
 def test_early_refutation_stays_small_for_large_message_spaces():
@@ -743,6 +800,21 @@ def test_capability_rejects_transfer_below_rank(mode):
         # no row space of a 2 x 3 matrix has dimension 3: seven canonical A
         assert rep.trials == 7
         assert rep.to_json() == exhaustive_coherent_generic(scheme, 0, 1, 2).to_json()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "exhaustive-full", "sampled", "lifted"])
+def test_capability_refuses_non_integer_budgets(monkeypatch, mode):
+    # a float once raised TypeError deep in the enumeration, and rho=True ran as rho = 1
+    scheme = _lifted_instance() if mode == "lifted" else flagship()
+    mode = "sampled" if mode == "lifted" else mode
+    monkeypatch.setattr(decoder, "_draw", lambda *args: pytest.fail("a trial was drawn"))
+    for bad in [{"t": 0.5}, {"rho": True}, {"t": False}, {"N": 3.0}, {"trials": 2.5},
+                {"N": True}, {"trials": True}, {"rho": "1"}]:
+        args = {"t": 0, "rho": 1, **bad}
+        with pytest.raises(PreconditionError, match=f"{next(iter(bad))} must be an integer"):
+            capability_report(scheme, args.pop("t"), args.pop("rho"), mode=mode, **args)
+    # numpy integers are integers
+    assert capability_report(flagship(), np.int64(0), np.int64(1), N=np.int64(3)).verified
 
 
 def test_capability_sampled_matches(monkeypatch):
@@ -1373,6 +1445,18 @@ def test_error_digits_match_error_stream(q, m, N, t, most):
     expected = [[list(ctx.coeffs(e)) for e in E] for E in enumerate_errors(ctx, N, t)]
     assert errors.tolist() == expected
     assert len(blocks[0]) == 1 and all(len(b) <= most for b in blocks)
+
+
+@pytest.mark.parametrize("m, N, t", [(3, 3, 2), (3, 4, 3), (2, 3, 3), (3, 0, 1)])
+@pytest.mark.parametrize("most", [1, 4, 2**10])
+def test_error_key_blocks_match_digit_blocks(m, N, t, most):
+    # at q = 2 the packed key blocks list enumerate_errors block for block
+    # as the digit blocks do
+    ctx = ctx_new(2, m)
+    blocks = list(_error_key_blocks(ctx, N, t, most))
+    assert [len(b) for b in blocks] == [len(b) for b in _error_digits(ctx, N, t, most)]
+    expected = _pack_vectors(list(enumerate_errors(ctx, N, t)), m, N)
+    assert np.concatenate(blocks).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("seed", range(3))
